@@ -52,6 +52,18 @@ class Graph:
         self._adj_sets: tuple[frozenset[int], ...] = tuple(frozenset(nb) for nb in adj)
         self._edge_count = count
 
+    @classmethod
+    def _from_sorted_adjacency(cls, adj: list[tuple[int, ...]], edge_count: int) -> Graph:
+        """A graph from adjacency lists that are already sorted, loop-free and
+        symmetric, skipping __init__'s checks; only induced_subgraph builds
+        such lists."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g._adj = tuple(adj)
+        g._adj_sets = tuple(frozenset(nb) for nb in adj)
+        g._edge_count = edge_count
+        return g
+
     @property
     def edge_count(self) -> int:
         return self._edge_count
@@ -160,13 +172,13 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     original id of h's vertex i, and new ids follow the sorted order of s.
     """
     members = sorted(check_vertex_set(g, s))
-    old_to_new = {old: new for new, old in enumerate(members)}
-    edges = []
-    for new_u, old_u in enumerate(members):
-        for old_v in g.neighbors(old_u):
-            if old_v > old_u and old_v in old_to_new:
-                edges.append((new_u, old_to_new[old_v]))
-    return Graph(len(members), edges), tuple(members)
+    new_id = [-1] * g.n
+    for new, old in enumerate(members):
+        new_id[old] = new
+    # New ids increase with old ids, so mapped neighbour lists stay sorted.
+    adj = [tuple([new_id[w] for w in g.neighbors(v) if new_id[w] >= 0]) for v in members]
+    edge_count = sum(map(len, adj)) // 2
+    return Graph._from_sorted_adjacency(adj, edge_count), tuple(members)
 
 
 def components(g: Graph) -> list[VertexSet]:

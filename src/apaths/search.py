@@ -2,10 +2,23 @@
 
 An A-path is a path with at least one edge whose two endpoints lie in the
 terminal set; interior terminal vertices are allowed unless stated otherwise.
-Long induced A-path search is NP-hard in general, so everything here is an
-exhaustive chordless-extension search with pruning: exact answers at desk
-scale, and a node budget that turns runaway searches into explicit errors
-instead of silent hangs.
+Long induced A-path search is NP-hard in general, so every exact long-path
+query (find in a length range, shortest long path, enumeration, and the
+brute-force oracles built on them) runs one engine, _terminal_path_dfs: an
+iterative depth-first search over chordless paths from each terminal.
+
+The engine keeps vertex sets as int bitmasks. A path on its stack carries
+blocked = path | N(path - tip), the vertices it may never use again, so its
+extensions are adj[tip] & ~blocked. Where a path has two or more extensions,
+a flood fill from each extension through the vertices still free drops that
+extension's whole subtree if the region holds no terminal or is too small to
+reach the minimum length. Dropped subtrees contain no result, and extensions
+are taken in sorted order, so results and their order are those of the full
+search.
+
+A node budget bounds every call: one node per visited path, shared by all
+searches one oracle call makes, so runaway searches end in an explicit
+BudgetExceededError instead of a silent hang.
 """
 
 from __future__ import annotations
@@ -49,6 +62,12 @@ class _Budget:
         self.remaining -= amount
         if self.remaining < 0:
             raise BudgetExceededError(self.limit, self.where)
+
+
+def _as_budget(budget: int | _Budget, where: str) -> _Budget:
+    """A fresh budget of `budget` nodes, or the caller's running budget, so
+    that searches made inside one oracle call all draw on the same nodes."""
+    return _Budget(budget, where) if isinstance(budget, int) else budget
 
 
 @dataclass(frozen=True)
@@ -124,6 +143,46 @@ def shortest_apath(g: Graph, a: Iterable[int]) -> Path | None:
     return best
 
 
+def _bitmask(vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _live_extensions(adj: list[int], ext: int, child_blocked: int, terminals: int, need: int) -> int:
+    """The extensions in ext whose subtrees can still emit a path of at
+    least need more edges.
+
+    A child w adds w, and after it only vertices reachable from w outside
+    child_blocked. Its subtree can emit only if w is a terminal long enough
+    to be emitted itself (need <= 1), or if that region holds a terminal and
+    at least need - 1 vertices. The region is flooded one BFS level at a
+    time, stopping as soon as both hold, so a live extension's region is
+    rarely walked in full.
+    """
+    free = ~child_blocked
+    live = ext
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        if need <= 1 and low & terminals:
+            continue
+        reach = frontier = adj[low.bit_length() - 1] & free
+        while not (reach & terminals and reach.bit_count() >= need - 1):
+            grown = 0
+            while frontier:
+                bit = frontier & -frontier
+                grown |= adj[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = grown & free & ~reach
+            if not frontier:
+                live ^= low
+                break
+            reach |= frontier
+    return live
+
+
 def _terminal_path_dfs(
     g: Graph,
     a_set: VertexSet,
@@ -135,67 +194,90 @@ def _terminal_path_dfs(
 ) -> None:
     """Depth-first search over chordless paths anchored at a terminal.
 
-    Extends partial paths one vertex at a time, refusing any extension that
-    would create a chord, so every visited path is induced. emit(path) is
-    called whenever the tip is a second terminal and the length falls in
-    [lo, accept_hi]; its return value is the new cap on path length to keep
-    exploring (None for unbounded), or the string "stop" to abort.
-    With stop_at_terminals, paths are never extended past a terminal tip,
-    which restricts the search to A-paths without interior terminals.
+    Every visited path is induced. emit(path) is called whenever the tip is a
+    second terminal and the length falls in [lo, accept_hi]; its return value
+    is the new cap on path length to keep exploring (None for unbounded), or
+    the string "stop" to abort. With stop_at_terminals, paths are never
+    extended past a terminal tip, which restricts the search to A-paths
+    without interior terminals. budget.spend() is called once per visited
+    path.
+
+    Vertex sets are int bitmasks and the search is iterative, so its depth is
+    bounded by memory, not by the interpreter's recursion limit. Each path on
+    the stack carries blocked = path | N(path - tip): a vertex w may extend
+    the path iff it is adjacent to the tip and not blocked, since any other
+    path vertex next to w would be a chord. The extensions are therefore
+    adj[tip] & ~blocked, and the child's mask is blocked | adj[tip].
+
+    Pruning: at a path with two or more extensions, each extension is tested
+    before it is visited (_live_extensions). After w the search can add only
+    vertices reachable from w outside the child's mask, which already holds
+    w's siblings; a subtree can emit only if that region holds a terminal and
+    enough vertices to reach length lo. Failing extensions are dropped with
+    their whole subtree. The test floods the region, so it runs only where
+    the path branches: along a chain of single extensions the region ahead
+    loses just the new tip at each step, so a test there would repeat the
+    last verdict at a cost linear in the region, which is quadratic along
+    long chains.
+
+    Order: roots are the terminals in increasing order and extensions are
+    taken lowest bit first, i.e. in sorted-neighbour order. A dropped subtree
+    holds no emit, so the emitted sequence, and with it every length cap and
+    every result, is the same as a full search's; only fewer paths are
+    visited and paid for.
     """
-    n = g.n
-    on_path = bytearray(n)
-    interior_adj = [0] * n
-    path: list[int] = []
+    adj = [_bitmask(g.neighbors(v)) for v in range(g.n)]
+    terminals = _bitmask(a_set)
+    spend = budget.spend
     ext_cap = accept_hi
-
-    class _Stop(Exception):
-        pass
-
-    def rec() -> None:
-        nonlocal ext_cap
-        budget.spend()
-        tip = path[-1]
-        plen = len(path) - 1
-        at_terminal = plen >= 1 and tip in a_set
-        if at_terminal and plen >= lo and (accept_hi is None or plen <= accept_hi):
-            signal = emit(tuple(path))
-            if signal == "stop":
-                raise _Stop
-            ext_cap = signal
-        if ext_cap is not None and plen >= ext_cap:
-            return
-        if stop_at_terminals and at_terminal:
-            return
-        for u in g.neighbors(tip):
-            interior_adj[u] += 1
-        for w in g.neighbors(tip):
-            if on_path[w] or interior_adj[w] > 1:
-                continue
-            # interior_adj[w] == 1 here: the single count comes from tip itself
-            on_path[w] = 1
-            path.append(w)
-            rec()
-            path.pop()
-            on_path[w] = 0
-        for u in g.neighbors(tip):
-            interior_adj[u] -= 1
-    try:
-        for s in sorted(a_set):
-            on_path[s] = 1
-            path.append(s)
-            rec()
-            path.pop()
-            on_path[s] = 0
-    except _Stop:
-        pass
+    for s in sorted(a_set):
+        path = [s]
+        blocked = 1 << s
+        # One entry per path vertex with extensions left to try: the mask its
+        # children start from, and those extensions.
+        child_blocked: list[int] = []
+        pending: list[int] = []
+        while True:
+            spend()
+            tip = path[-1]
+            plen = len(path) - 1
+            at_terminal = plen >= 1 and terminals >> tip & 1
+            if at_terminal and plen >= lo and (accept_hi is None or plen <= accept_hi):
+                signal = emit(tuple(path))
+                if signal == "stop":
+                    return
+                ext_cap = signal
+            ext = 0
+            if (ext_cap is None or plen < ext_cap) and not (stop_at_terminals and at_terminal):
+                ext = adj[tip] & ~blocked
+                after = blocked | adj[tip]
+                if ext & (ext - 1):
+                    ext = _live_extensions(adj, ext, after, terminals, lo - plen)
+            if ext:
+                child_blocked.append(after)
+                pending.append(ext)
+            else:
+                path.pop()
+            while pending:
+                ext = pending[-1]
+                if ext:
+                    low = ext & -ext
+                    pending[-1] = ext ^ low
+                    path.append(low.bit_length() - 1)
+                    blocked = child_blocked[-1]
+                    break
+                pending.pop()
+                child_blocked.pop()
+                path.pop()
+            else:
+                break
 
 
 def find_induced_apath_in_range(
     g: Graph,
     a: Iterable[int],
     length_range: LengthRange | tuple[int, int | None],
-    budget: int = DEFAULT_BUDGET,
+    budget: int | _Budget = DEFAULT_BUDGET,
 ) -> Path | None:
     """Some induced A-path whose length lies in the range, or None (exact)."""
     if isinstance(length_range, tuple):
@@ -213,13 +295,13 @@ def find_induced_apath_in_range(
 
     _terminal_path_dfs(
         g, a_set, length_range.lo, length_range.hi,
-        _Budget(budget, "find_induced_apath_in_range"), emit,
+        _as_budget(budget, "find_induced_apath_in_range"), emit,
     )
     return found[0] if found else None
 
 
 def has_long_induced_apath(
-    g: Graph, a: Iterable[int], ell: int, budget: int = DEFAULT_BUDGET
+    g: Graph, a: Iterable[int], ell: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> bool:
     """Exact decision: does g contain an induced A-path of length >= ell?"""
     if ell < 1:
@@ -230,7 +312,7 @@ def has_long_induced_apath(
 
 
 def shortest_long_induced_apath(
-    g: Graph, a: Iterable[int], ell: int, budget: int = DEFAULT_BUDGET
+    g: Graph, a: Iterable[int], ell: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> Path | None:
     """A minimum-length induced A-path among those of length >= ell, or None.
 
@@ -254,7 +336,7 @@ def shortest_long_induced_apath(
 
     _terminal_path_dfs(
         g, a_set, ell, None,
-        _Budget(budget, "shortest_long_induced_apath"), emit,
+        _as_budget(budget, "shortest_long_induced_apath"), emit,
     )
     return best[0] if best else None
 
@@ -263,7 +345,7 @@ def enumerate_induced_apaths(
     g: Graph,
     a: Iterable[int],
     ell: int,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | _Budget = DEFAULT_BUDGET,
     no_interior_terminals: bool = False,
 ) -> list[Path]:
     """All induced A-paths of length >= ell, one orientation each, sorted."""
@@ -276,7 +358,7 @@ def enumerate_induced_apaths(
 
     _terminal_path_dfs(
         g, a_set, ell, None,
-        _Budget(budget, "enumerate_induced_apaths"), emit,
+        _as_budget(budget, "enumerate_induced_apaths"), emit,
         stop_at_terminals=no_interior_terminals,
     )
     return sorted(out)
@@ -320,27 +402,27 @@ def _max_compatible_family(
 
 
 def max_anticomplete_packing_with_witness(
-    g: Graph, a: Iterable[int], ell: int, cap: int, budget: int = DEFAULT_BUDGET
+    g: Graph, a: Iterable[int], ell: int, cap: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> tuple[int, tuple[Path, ...]]:
     """Maximum family (up to cap) of pairwise anti-complete induced A-paths of length >= ell."""
     if cap < 1:
         raise ValueError(f"need cap >= 1, got {cap}")
-    b = _Budget(budget, "oracle_max_anticomplete_packing")
-    paths = enumerate_induced_apaths(g, a, ell, budget=budget)
+    b = _as_budget(budget, "oracle_max_anticomplete_packing")
+    paths = enumerate_induced_apaths(g, a, ell, budget=b)
     path_sets = [frozenset(p) for p in paths]
     closed = [frozenset(ball(g, p, 1)) for p in paths]
     return _max_compatible_family(paths, path_sets, closed, cap, b)
 
 
 def oracle_max_anticomplete_packing(
-    g: Graph, a: Iterable[int], ell: int, cap: int, budget: int = DEFAULT_BUDGET
+    g: Graph, a: Iterable[int], ell: int, cap: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> int:
     """Ground-truth packing number: see max_anticomplete_packing_with_witness."""
     return max_anticomplete_packing_with_witness(g, a, ell, cap, budget)[0]
 
 
 def max_vertex_disjoint_apath_packing(
-    g: Graph, a: Iterable[int], cap: int, budget: int = DEFAULT_BUDGET
+    g: Graph, a: Iterable[int], cap: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> int:
     """Classical brute-force baseline: maximum number of vertex-disjoint A-paths.
 
@@ -349,17 +431,15 @@ def max_vertex_disjoint_apath_packing(
     """
     if cap < 1:
         raise ValueError(f"need cap >= 1, got {cap}")
-    b = _Budget(budget, "max_vertex_disjoint_apath_packing")
-    paths = enumerate_induced_apaths(
-        g, a, 1, budget=b.remaining, no_interior_terminals=True
-    )
+    b = _as_budget(budget, "max_vertex_disjoint_apath_packing")
+    paths = enumerate_induced_apaths(g, a, 1, budget=b, no_interior_terminals=True)
     path_sets = [frozenset(p) for p in paths]
     size, _ = _max_compatible_family(paths, path_sets, path_sets, cap, b)
     return size
 
 
 def oracle_min_ball_cover(
-    g: Graph, a: Iterable[int], ell: int, r: int, budget: int = DEFAULT_BUDGET
+    g: Graph, a: Iterable[int], ell: int, r: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> tuple[int, VertexSet]:
     """Smallest Z such that deleting the radius-r ball around Z kills every
     induced A-path of length >= ell; found by subset enumeration by size.
@@ -369,7 +449,7 @@ def oracle_min_ball_cover(
     a_set = check_vertex_set(g, a)
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
-    b = _Budget(budget, "oracle_min_ball_cover")
+    b = _as_budget(budget, "oracle_min_ball_cover")
     for size in range(g.n + 1):
         for z in combinations(range(g.n), size):
             b.spend(g.n)
@@ -378,6 +458,6 @@ def oracle_min_ball_cover(
             h, new_to_old = induced_subgraph(g, keep)
             old_to_new = {old: new for new, old in enumerate(new_to_old)}
             sub_a = [old_to_new[v] for v in a_set if v in old_to_new]
-            if not has_long_induced_apath(h, sub_a, ell, budget=b.remaining):
+            if not has_long_induced_apath(h, sub_a, ell, budget=b):
                 return size, frozenset(z)
     raise AssertionError("deleting every vertex always works")  # pragma: no cover

@@ -141,7 +141,8 @@ def solve(
 
     mid = find_induced_apath_in_range(g, a_set, LengthRange(ell, 2 * ell - 1), budget)
     if mid is not None:
-        keep = [v for v in range(g.n) if v not in ball(g, mid, 1)]
+        removed = ball(g, mid, 1)
+        keep = [v for v in range(g.n) if v not in removed]
         h, sub_a, new_to_old = _sub_instance(g, a_set, keep)
         inner = _translate_certificate(recurse(h, sub_a, k - 1), new_to_old)
         if isinstance(inner, Packing):
@@ -199,7 +200,8 @@ def combine_check_theorem_forms(
     def removal_is_clean(z: VertexSet, radius: int, limit: int) -> bool:
         if len(z) > limit:
             return False
-        keep = [v for v in range(g.n) if v not in ball(g, z, radius)]
+        removed = ball(g, z, radius)
+        keep = [v for v in range(g.n) if v not in removed]
         h, sub_a, _ = _sub_instance(g, a_set, keep)
         return not has_long_induced_apath(h, sub_a, params.ell, params.node_budget)
 

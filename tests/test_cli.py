@@ -101,6 +101,14 @@ class TestSolveVerifyPipeline:
         assert code2 == EXIT_OK
         assert json.loads(out2)["passed"] is True
 
+    def test_solve_1500_vertex_path(self, tmp_path):
+        # far longer than the interpreter's recursion limit
+        g = Graph(1500, [(i, i + 1) for i in range(1499)])
+        inp = self.write(tmp_path, "p1500.graph", emit_graph(g, {0, 1499}))
+        code, out = run_cli(["solve", "--input", inp, "--k", "1", "--ell", "1499"])
+        assert code == EXIT_OK
+        assert json.loads(out)["paths"] == [list(range(1500))]
+
     def test_solve_then_verify_packing(self, tmp_path):
         inp = self.write(tmp_path, "m2.graph", "p 4\ne 0 1\ne 2 3\na 0\na 1\na 2\na 3\n")
         code, out = run_cli(["solve", "--input", inp, "--k", "2", "--ell", "1"])

@@ -151,6 +151,20 @@ class TestInducedSubgraph:
         assert h.edge_count == expected
         assert frozenset(mapping) == s
 
+    @given(random_graphs, st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_checked_construction(self, g, mod):
+        # induced_subgraph skips Graph.__init__'s checks; it must still build
+        # the same graph, adjacency sets included, that __init__ would.
+        s = frozenset(v for v in range(g.n) if v % (mod + 2) != 1)
+        h, mapping = induced_subgraph(g, s)
+        new_id = {old: new for new, old in enumerate(mapping)}
+        edges = [(new_id[u], new_id[v]) for u, v in g.edges() if u in s and v in s]
+        expected = Graph(len(s), edges)
+        assert h == expected and hash(h) == hash(expected)
+        assert h.edge_count == expected.edge_count
+        assert all(h.neighbor_set(v) == expected.neighbor_set(v) for v in range(h.n))
+
 
 class TestComponentsAndPaths:
     def test_components(self):

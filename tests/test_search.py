@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,12 +8,15 @@ from apaths import (
     BudgetExceededError,
     Graph,
     LengthRange,
+    ball,
     complete_instance,
     enumerate_induced_apaths,
     exists_apath,
     find_induced_apath_in_range,
     has_long_induced_apath,
+    induced_subgraph,
     is_induced_path,
+    max_anticomplete_packing_with_witness,
     max_vertex_disjoint_apath_packing,
     oracle_max_anticomplete_packing,
     oracle_min_ball_cover,
@@ -20,6 +25,7 @@ from apaths import (
     shortest_long_induced_apath,
     subdivided_complete_instance,
 )
+from apaths.search import _Budget, _max_compatible_family
 
 
 def cycle(n):
@@ -261,3 +267,74 @@ class TestBudget:
             assert "shortest_long_induced_apath" in str(exc)
         else:
             pytest.fail("expected the budget to trip")
+
+
+class TestDeepPaths:
+    """A path far longer than the interpreter's recursion limit."""
+
+    def test_1500_vertex_path(self):
+        g = path(1500)
+        assert has_long_induced_apath(g, {0, 1499}, 1499)
+        assert not has_long_induced_apath(g, {0, 1499}, 1500)
+
+
+def spent(call) -> int:
+    """Nodes that call(budget) spends from one shared, ample budget."""
+    budget = _Budget(10**9, "probe")
+    call(budget)
+    return budget.limit - budget.remaining
+
+
+class TestOracleBudget:
+    """One budget bounds the whole oracle call: the sum of its inner
+    searches can exceed it although every single search fits."""
+
+    INSTANCE = random_instance(10, 0.4, 0.6, 0)
+
+    def assert_shared(self, oracle, search: int, family: int) -> None:
+        # Each part fits in the limit on its own; only their sum exceeds it.
+        limit = max(search, family)
+        assert limit < search + family
+        with pytest.raises(BudgetExceededError):
+            oracle(limit)
+
+    def test_packing_oracle(self):
+        g, a = self.INSTANCE
+        paths = enumerate_induced_apaths(g, a, 2)
+        sets = [frozenset(p) for p in paths]
+        closed = [ball(g, p, 1) for p in paths]
+        self.assert_shared(
+            lambda limit: max_anticomplete_packing_with_witness(g, a, 2, 3, budget=limit),
+            spent(lambda b: enumerate_induced_apaths(g, a, 2, b)),
+            spent(lambda b: _max_compatible_family(paths, sets, closed, 3, b)),
+        )
+
+    def test_disjoint_packing_oracle(self):
+        g, a = self.INSTANCE
+        paths = enumerate_induced_apaths(g, a, 1, no_interior_terminals=True)
+        sets = [frozenset(p) for p in paths]
+        self.assert_shared(
+            lambda limit: max_vertex_disjoint_apath_packing(g, a, 5, budget=limit),
+            spent(lambda b: enumerate_induced_apaths(g, a, 1, b, no_interior_terminals=True)),
+            spent(lambda b: _max_compatible_family(paths, sets, sets, 5, b)),
+        )
+
+    def test_cover_oracle(self):
+        g, a = self.INSTANCE
+        ell, r = 2, 0
+        size, z = oracle_min_ball_cover(g, a, ell, r)
+        # Replay the oracle: every subset up to z, in its order, each paying
+        # g.n plus one exact decision on what its ball leaves.
+        tried = [c for s in range(size) for c in combinations(range(g.n), s)]
+        tried += [c for c in combinations(range(g.n), size) if c <= tuple(sorted(z))]
+        searches = []
+        for c in tried:
+            removed = ball(g, c, r)
+            h, new_to_old = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
+            sub_a = [i for i, v in enumerate(new_to_old) if v in a]
+            searches.append(spent(lambda b: has_long_induced_apath(h, sub_a, ell, b)))
+        total = g.n * len(tried) + sum(searches)
+        assert oracle_min_ball_cover(g, a, ell, r, budget=total) == (size, z)
+        assert g.n * len(tried) + max(searches) < total - 1
+        with pytest.raises(BudgetExceededError):
+            oracle_min_ball_cover(g, a, ell, r, budget=total - 1)

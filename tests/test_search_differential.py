@@ -1,0 +1,88 @@
+"""Differential tests: the bitset search engine against the frozen recursive
+reference in reference_search.py.
+
+Pruning may only skip subtrees that hold no result, so every public search
+must return exactly what the reference returns (the same path, not just a
+path of the same length) and may never spend more budget. Correctness
+against independent brute force is tested in test_search.py.
+"""
+
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+import apaths.search as search
+from apaths import (
+    Graph,
+    LengthRange,
+    enumerate_induced_apaths,
+    find_induced_apath_in_range,
+    random_instance,
+    shortest_long_induced_apath,
+)
+from reference_search import reference_terminal_path_dfs
+
+instances = st.builds(
+    random_instance,
+    st.integers(2, 10),
+    st.sampled_from([0.2, 0.35, 0.5, 0.7]),
+    st.sampled_from([0.3, 0.6, 1.0]),
+    st.integers(0, 100_000),
+)
+
+
+def both_engines(call):
+    """(result, nodes spent) of call(budget) under the engine and the reference."""
+    out = []
+    for reference in (False, True):
+        budget = search._Budget(10**9, "differential")
+        if reference:
+            with mock.patch.object(search, "_terminal_path_dfs", reference_terminal_path_dfs):
+                result = call(budget)
+        else:
+            result = call(budget)
+        out.append((result, budget.limit - budget.remaining))
+    return out
+
+
+def assert_same(call):
+    (got, spent), (want, ref_spent) = both_engines(call)
+    assert got == want
+    assert spent <= ref_spent
+
+
+class TestAgainstReference:
+    @given(instances, st.integers(1, 8), st.one_of(st.none(), st.integers(0, 4)))
+    @settings(max_examples=150, deadline=None)
+    def test_find_in_range(self, inst, lo, width):
+        g, a = inst
+        rng = LengthRange(lo, None if width is None else lo + width)
+        assert_same(lambda b: find_induced_apath_in_range(g, a, rng, b))
+
+    @given(instances, st.integers(1, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_shortest_long(self, inst, ell):
+        g, a = inst
+        assert_same(lambda b: shortest_long_induced_apath(g, a, ell, b))
+
+    @given(instances, st.integers(1, 7), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_enumerate(self, inst, ell, no_interior_terminals):
+        g, a = inst
+        assert_same(
+            lambda b: enumerate_induced_apaths(
+                g, a, ell, b, no_interior_terminals=no_interior_terminals
+            )
+        )
+
+    def test_reference_is_really_swapped_in(self):
+        # Guard against the patch silently missing: on a 4x4 grid with
+        # corner terminals the exhaustive reference visits far more paths.
+        edges = [(r * 4 + c, r * 4 + c + 1) for r in range(4) for c in range(3)]
+        edges += [(r * 4 + c, r * 4 + c + 4) for r in range(3) for c in range(4)]
+        g, a = Graph(16, edges), {0, 3, 12, 15}
+        (got, spent), (want, ref_spent) = both_engines(
+            lambda b: find_induced_apath_in_range(g, a, LengthRange(12, None), b)
+        )
+        assert got is None and want is None
+        assert spent < ref_spent

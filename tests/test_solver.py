@@ -279,3 +279,11 @@ class TestBoundArithmetic:
             ell_hat = max(ell, 3)
             assert len(cert.z1) <= (12 * ell_hat + 42) * (k - 1)
             assert len(cert.z2) <= 4 * (k - 1)
+
+
+class TestDeepPaths:
+    def test_1500_vertex_path_packs(self):
+        # far longer than the interpreter's recursion limit
+        g = Graph(1500, [(i, i + 1) for i in range(1499)])
+        cert = solve(g, {0, 1499}, SolveParams(1, 1499))
+        assert cert == Packing((tuple(range(1500)),))
