@@ -39,10 +39,12 @@ print("  {0,1} vs {4,5}:", anti_complete(c9, {0, 1}, {4, 5}))
 print("  {0,1} vs {2,3}:", anti_complete(c9, {0, 1}, {2, 3}), "(edge 1-2 crosses)")
 print("  {0} vs {2}:    ", anti_complete(c9, {0}, {2}), "(distance 2 is enough)")
 
-print("\n-- induced subgraphs come with an id mapping --")
-arc, mapping = induced_subgraph(c9, {0, 1, 2, 3})
-print("  C9[{0..3}] has", arc.edge_count, "edges; new->old map:", mapping)
-print("  components of C9 minus an arc:", components(induced_subgraph(c9, set(range(4, 9)))[0]))
+print("\n-- induced subgraphs keep the host's vertex ids --")
+arc, members = induced_subgraph(c9, {0, 1, 2, 3})
+print("  C9[{0..3}] has", arc.edge_count, "edges on members", members, "of", arc.n, "ids")
+rest, _ = induced_subgraph(c9, set(range(4, 9)))
+print("  C9 minus the arc {0..3}:", [sorted(c) for c in components(rest)])
+print("  (the deleted ids 0..3 stay, isolated, so paths found here speak C9's ids)")
 
 print("\n-- chordless paths --")
 print("  (0,1,2,3) induced in C9:", is_induced_path(c9, (0, 1, 2, 3)))

@@ -31,7 +31,7 @@ from .graph import (
     induced_subgraph,
     is_induced_path,
 )
-from .search import DEFAULT_BUDGET, shortest_long_induced_apath
+from .search import DEFAULT_BUDGET, _Budget, shortest_long_induced_apath
 
 # Successful validations, counted so the acceptance suite can confirm the
 # axioms were actually exercised during a corpus run.
@@ -181,8 +181,7 @@ def validate_frame(fr: Frame) -> list[Violation]:
         viol.append(Violation("A1", bad[0], "frame vertex outside the host graph"))
         return viol
 
-    f_graph, new_to_old = induced_subgraph(g, fr.f_vertices)
-    old_to_new = {old: new for new, old in enumerate(new_to_old)}
+    f_graph, _ = induced_subgraph(g, fr.f_vertices)
 
     # A2: spanning subcubic tree, contained in F
     for u, v in fr.tree_edges:
@@ -215,10 +214,8 @@ def validate_frame(fr: Frame) -> list[Violation]:
         viol.append(Violation("A4", min(off), "hubs differ from tree degree-3 vertices"))
 
     # A5: y = vertices of F within ell_hat of hubs and leaves, measured in F
-    centers_new = [old_to_new[v] for v in (fr.hubs | fr.a_f) if v in old_to_new]
-    level = _bfs_levels(f_graph, centers_new, cutoff=fr.ell_hat)
     expected_y = frozenset(
-        new_to_old[v] for v, d in level.items() if d <= fr.ell_hat
+        _bfs_levels(f_graph, (fr.hubs | fr.a_f) & fr.f_vertices, cutoff=fr.ell_hat)
     )
     if expected_y != fr.y:
         off = expected_y ^ fr.y
@@ -270,11 +267,11 @@ def validate_frame(fr: Frame) -> list[Violation]:
     # A10/A11: leaves pairwise far (>= ell), hubs pairwise far (>= 3), in F.
     # Centers outside F are already A3/A4 violations; skip them here.
     def f_dist_check(centers: VertexSet, lower: int, axiom: str, what: str):
-        centers_sorted = sorted(c for c in centers if c in old_to_new)
+        centers_sorted = sorted(centers & fr.f_vertices)
         for i, c in enumerate(centers_sorted):
-            lv = _bfs_levels(f_graph, [old_to_new[c]], cutoff=lower - 1)
+            lv = _bfs_levels(f_graph, [c], cutoff=lower - 1)
             for other in centers_sorted[i + 1:]:
-                d = lv.get(old_to_new[other])
+                d = lv.get(other)
                 if d is not None and d < lower:
                     viol.append(Violation(axiom, (c, other), f"{what} at distance {d} < {lower}"))
 
@@ -316,16 +313,14 @@ def _regions(
     g: Graph, f_vertices: VertexSet, centers: VertexSet, ell_hat: int
 ) -> tuple[VertexSet, VertexSet]:
     """Recompute (y, y_tilde) from scratch for the given frame vertex set."""
-    f_graph, new_to_old = induced_subgraph(g, f_vertices)
-    old_to_new = {old: new for new, old in enumerate(new_to_old)}
-    level = _bfs_levels(f_graph, [old_to_new[c] for c in centers], cutoff=ell_hat)
-    y = frozenset(new_to_old[v] for v in level)
+    f_graph, _ = induced_subgraph(g, f_vertices)
+    y = frozenset(_bfs_levels(f_graph, centers, cutoff=ell_hat))
     y_tilde = ball(g, y, 1) - f_vertices
     return y, y_tilde
 
 
 def init_frame(
-    g: Graph, a: Iterable[int], ell: int, budget: int = DEFAULT_BUDGET
+    g: Graph, a: Iterable[int], ell: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> Frame | None:
     """Frame around a shortest induced A-path of length >= ell, or None.
 
@@ -462,7 +457,7 @@ def extend_frame(g: Graph, a: Iterable[int], fr: Frame, p: Path) -> Frame:
 
 
 def build_maximal_frame(
-    g: Graph, a: Iterable[int], ell: int, budget: int = DEFAULT_BUDGET, observer=None
+    g: Graph, a: Iterable[int], ell: int, budget: int | _Budget = DEFAULT_BUDGET, observer=None
 ) -> Frame | None:
     """Greedy construction: init, then extend until no extension path exists.
 
@@ -532,10 +527,16 @@ def frame_to_hub_tree(fr: Frame) -> tuple[HubTree, tuple[int, ...]]:
     Returns the hub tree plus the new-id -> host-id mapping (sorted order, so
     the relabelling is monotone).
     """
-    f_graph, new_to_old = induced_subgraph(fr.host, fr.f_vertices)
+    new_to_old = tuple(sorted(fr.f_vertices))
     old_to_new = {old: new for new, old in enumerate(new_to_old)}
+    f_edges = [
+        (old_to_new[u], old_to_new[v])
+        for u in new_to_old
+        for v in fr.host.neighbors(u)
+        if u < v and v in old_to_new
+    ]
     ht = HubTree(
-        graph=f_graph,
+        graph=Graph(len(new_to_old), f_edges),
         tree_edges=_canonical_edges(
             (old_to_new[u], old_to_new[v]) for u, v in fr.tree_edges
         ),
@@ -668,11 +669,10 @@ def extract_hub_tree_paths(ht: HubTree) -> list[Path]:
     g = ht.graph
     out: list[Path] = []
     for tree_path in leaf_paths(ht.tree_edges, ht.leaves):
-        sub, new_to_old = induced_subgraph(g, tree_path)
-        old_to_new = {old: new for new, old in enumerate(new_to_old)}
-        parent: dict[int, int] = {old_to_new[tree_path[0]]: -1}
-        queue = deque([old_to_new[tree_path[0]]])
-        target = old_to_new[tree_path[-1]]
+        sub, _ = induced_subgraph(g, tree_path)
+        parent: dict[int, int] = {tree_path[0]: -1}
+        queue = deque([tree_path[0]])
+        target = tree_path[-1]
         while queue:
             v = queue.popleft()
             if v == target:
@@ -685,7 +685,7 @@ def extract_hub_tree_paths(ht: HubTree) -> list[Path]:
         while parent[rerouted[-1]] != -1:
             rerouted.append(parent[rerouted[-1]])
         rerouted.reverse()
-        path = tuple(new_to_old[v] for v in rerouted)
+        path = tuple(rerouted)
         if path[0] > path[-1]:
             path = path[::-1]
         out.append(path)

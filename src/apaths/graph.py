@@ -3,8 +3,9 @@
 Vertices are dense 0-based ids. Adjacency lists are kept sorted so that every
 search in this package has a deterministic iteration order, which the
 tie-breaking rules of the higher-level modules inherit. Graphs are never
-mutated after construction; vertex deletions are expressed as induced
-subgraphs together with an id mapping.
+mutated after construction; deleting a vertex set X is expressed as the
+subgraph induced on the rest, which keeps g's ids and leaves X isolated, so
+paths, balls and certificates found in it speak g's ids unchanged.
 """
 
 from __future__ import annotations
@@ -166,19 +167,17 @@ def anti_complete(g: Graph, x: Iterable[int], y: Iterable[int]) -> bool:
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """The subgraph induced on s, plus the new-id -> old-id mapping.
+    """The subgraph induced on s, on g's own vertex ids, plus s sorted.
 
-    Returns (h, new_to_old) where h has len(s) vertices, new_to_old[i] is the
-    original id of h's vertex i, and new ids follow the sorted order of s.
+    Returns (h, members): h has h.n == g.n and keeps exactly the edges of g
+    with both ends in s, so every vertex outside s is isolated in h.
+    members is tuple(sorted(s)).
     """
-    members = sorted(check_vertex_set(g, s))
-    new_id = [-1] * g.n
-    for new, old in enumerate(members):
-        new_id[old] = new
-    # New ids increase with old ids, so mapped neighbour lists stay sorted.
-    adj = [tuple([new_id[w] for w in g.neighbors(v) if new_id[w] >= 0]) for v in members]
+    keep = check_vertex_set(g, s)
+    # Filtering a sorted neighbour list keeps it sorted.
+    adj = [tuple([w for w in g.neighbors(v) if w in keep]) if v in keep else () for v in range(g.n)]
     edge_count = sum(map(len, adj)) // 2
-    return Graph._from_sorted_adjacency(adj, edge_count), tuple(members)
+    return Graph._from_sorted_adjacency(adj, edge_count), tuple(sorted(keep))
 
 
 def components(g: Graph) -> list[VertexSet]:

@@ -17,8 +17,8 @@ are taken in sorted order, so results and their order are those of the full
 search.
 
 A node budget bounds every call: one node per visited path, shared by all
-searches one oracle call makes, so runaway searches end in an explicit
-BudgetExceededError instead of a silent hang.
+searches one oracle, solve or verify call makes, so runaway searches end in
+an explicit BudgetExceededError instead of a silent hang.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ class _Budget:
 
 def _as_budget(budget: int | _Budget, where: str) -> _Budget:
     """A fresh budget of `budget` nodes, or the caller's running budget, so
-    that searches made inside one oracle call all draw on the same nodes."""
+    that searches made inside one oracle, solve or verify call all draw on
+    the same nodes."""
     return _Budget(budget, where) if isinstance(budget, int) else budget
 
 
@@ -454,10 +455,7 @@ def oracle_min_ball_cover(
         for z in combinations(range(g.n), size):
             b.spend(g.n)
             removed = ball(g, z, r)
-            keep = [v for v in range(g.n) if v not in removed]
-            h, new_to_old = induced_subgraph(g, keep)
-            old_to_new = {old: new for new, old in enumerate(new_to_old)}
-            sub_a = [old_to_new[v] for v in a_set if v in old_to_new]
-            if not has_long_induced_apath(h, sub_a, ell, budget=b):
+            h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
+            if not has_long_induced_apath(h, a_set - removed, ell, budget=b):
                 return size, frozenset(z)
     raise AssertionError("deleting every vertex always works")  # pragma: no cover

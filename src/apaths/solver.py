@@ -7,13 +7,13 @@ every long induced A-path has length >= 2*ell, a frame is grown greedily and
 either yields enough pairwise anti-complete paths directly, or its
 neighbourhood separates the leftover terminals so the recursion can continue
 on a strictly smaller k. Every recursive call works on an induced subgraph
-and translates its certificate back, so returned certificates always speak
-the original graph's vertex ids.
+that keeps the original graph's vertex ids, so its certificate is returned
+as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Union
 
 from .frame import Frame, build_maximal_frame, extract_frame_paths
@@ -30,6 +30,7 @@ from .graph import (
 )
 from .search import (
     DEFAULT_BUDGET,
+    _Budget,
     LengthRange,
     find_induced_apath_in_range,
     has_long_induced_apath,
@@ -84,30 +85,6 @@ Certificate = Union[Packing, Cover]
 FrameObserver = Callable[[Frame], None]
 
 
-def _translate_path(path: Path, new_to_old: tuple[int, ...]) -> Path:
-    return tuple(new_to_old[v] for v in path)
-
-
-def _translate_certificate(cert: Certificate, new_to_old: tuple[int, ...]) -> Certificate:
-    if isinstance(cert, Packing):
-        return Packing(tuple(_translate_path(p, new_to_old) for p in cert.paths))
-    return Cover(
-        z1=frozenset(new_to_old[v] for v in cert.z1),
-        z2=frozenset(new_to_old[v] for v in cert.z2),
-        r1=cert.r1,
-        r2=cert.r2,
-    )
-
-
-def _sub_instance(
-    g: Graph, a: VertexSet, keep: Iterable[int]
-) -> tuple[Graph, VertexSet, tuple[int, ...]]:
-    h, new_to_old = induced_subgraph(g, keep)
-    old_to_new = {old: new for new, old in enumerate(new_to_old)}
-    sub_a = frozenset(old_to_new[v] for v in a if v in old_to_new)
-    return h, sub_a, new_to_old
-
-
 def solve(
     g: Graph,
     a: Iterable[int],
@@ -122,67 +99,58 @@ def solve(
     hence so does removing either ball family alone). frame_observer, when
     given, is called with every frame the construction passes through.
     """
-    a_set = check_vertex_set(g, a)
-    k, ell = params.k, params.ell
-    budget = params.node_budget
+    ell = params.ell
+    budget = _Budget(params.node_budget, "solve")
     radius = params.cover_radius()
 
-    if k == 0:
-        return Packing(())
-    if not has_long_induced_apath(g, a_set, ell, budget):
-        return Cover(frozenset(), frozenset(), 1, radius)
-    if k == 1:
-        path = shortest_long_induced_apath(g, a_set, ell, budget)
-        assert path is not None
-        return Packing((path,))
+    def level(g: Graph, a_set: VertexSet, params: SolveParams) -> Certificate:
+        k = params.k
+        if k == 0:
+            return Packing(())
+        if not has_long_induced_apath(g, a_set, ell, budget):
+            return Cover(frozenset(), frozenset(), 1, radius)
+        if k == 1:
+            path = shortest_long_induced_apath(g, a_set, ell, budget)
+            assert path is not None
+            return Packing((path,))
 
-    def recurse(sub_g: Graph, sub_a: VertexSet, new_k: int) -> Certificate:
-        return solve(sub_g, sub_a, SolveParams(new_k, ell, budget), frame_observer)
+        mid = find_induced_apath_in_range(g, a_set, LengthRange(ell, 2 * ell - 1), budget)
+        if mid is not None:
+            removed = ball(g, mid, 1)
+            h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
+            inner = level(h, a_set - removed, replace(params, k=k - 1))
+            if isinstance(inner, Packing):
+                return Packing((mid,) + inner.paths)
+            z1 = inner.z1 | frozenset(mid)
+            z2 = inner.z2 | {mid[0], mid[-1]}
+            assert len(z1) <= params.z1_limit() and len(z2) <= params.z2_limit()
+            return Cover(z1, z2, 1, radius)
 
-    mid = find_induced_apath_in_range(g, a_set, LengthRange(ell, 2 * ell - 1), budget)
-    if mid is not None:
-        removed = ball(g, mid, 1)
-        keep = [v for v in range(g.n) if v not in removed]
-        h, sub_a, new_to_old = _sub_instance(g, a_set, keep)
-        inner = _translate_certificate(recurse(h, sub_a, k - 1), new_to_old)
+        fr = build_maximal_frame(g, a_set, ell, budget, observer=frame_observer)
+        assert fr is not None, "a long induced A-path exists, so a frame must too"
+        half = fr.leaf_count // 2
+
+        if half >= k:
+            paths = extract_frame_paths(fr)
+            return Packing(tuple(sorted(paths)[:k]))
+
+        # Components of g - y_tilde holding a terminal still to process; the
+        # vertices of y_tilde are singleton components of the cut graph.
+        cut, _ = induced_subgraph(g, [v for v in range(g.n) if v not in fr.y_tilde])
+        open_terminals = fr.a_bar - fr.y_tilde
+        keep = frozenset().union(*(c for c in components(cut) if c & open_terminals))
+        assert anti_complete(g, keep, fr.f_vertices), "remainder must be separated from the frame"
+        h, _ = induced_subgraph(g, keep)
+        inner = level(h, a_set & keep, replace(params, k=k - half))
         if isinstance(inner, Packing):
-            return Packing((mid,) + inner.paths)
-        z1 = inner.z1 | frozenset(mid)
-        z2 = inner.z2 | {mid[0], mid[-1]}
+            frame_paths = extract_frame_paths(fr)
+            return Packing(tuple(sorted(frame_paths + list(inner.paths))))
+        z1 = inner.z1 | fr.y
+        z2 = inner.z2 | fr.a_f | fr.hubs
         assert len(z1) <= params.z1_limit() and len(z2) <= params.z2_limit()
         return Cover(z1, z2, 1, radius)
 
-    fr = build_maximal_frame(g, a_set, ell, budget, observer=frame_observer)
-    assert fr is not None, "a long induced A-path exists, so a frame must too"
-    half = fr.leaf_count // 2
-
-    if half >= k:
-        paths = extract_frame_paths(fr)
-        return Packing(tuple(sorted(paths)[:k]))
-
-    remainder_components = [
-        comp
-        for comp in components_after_removal(g, fr.y_tilde)
-        if comp & fr.a_bar
-    ]
-    keep = sorted(set().union(*remainder_components)) if remainder_components else []
-    assert anti_complete(g, keep, fr.f_vertices), "remainder must be separated from the frame"
-    h, sub_a, new_to_old = _sub_instance(g, a_set, keep)
-    inner = _translate_certificate(recurse(h, sub_a, k - half), new_to_old)
-    if isinstance(inner, Packing):
-        frame_paths = extract_frame_paths(fr)
-        return Packing(tuple(sorted(frame_paths + list(inner.paths))))
-    z1 = inner.z1 | fr.y
-    z2 = inner.z2 | fr.a_f | fr.hubs
-    assert len(z1) <= params.z1_limit() and len(z2) <= params.z2_limit()
-    return Cover(z1, z2, 1, radius)
-
-
-def components_after_removal(g: Graph, removed: VertexSet) -> list[VertexSet]:
-    """Connected components of g minus a vertex set, in original ids."""
-    keep = [v for v in range(g.n) if v not in removed]
-    h, new_to_old = induced_subgraph(g, keep)
-    return [frozenset(new_to_old[v] for v in comp) for comp in components(h)]
+    return level(g, check_vertex_set(g, a), params)
 
 
 def combine_check_theorem_forms(
@@ -201,9 +169,8 @@ def combine_check_theorem_forms(
         if len(z) > limit:
             return False
         removed = ball(g, z, radius)
-        keep = [v for v in range(g.n) if v not in removed]
-        h, sub_a, _ = _sub_instance(g, a_set, keep)
-        return not has_long_induced_apath(h, sub_a, params.ell, params.node_budget)
+        h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
+        return not has_long_induced_apath(h, a_set - removed, params.ell, params.node_budget)
 
     return (
         removal_is_clean(cert.z1, cert.r1, params.z1_limit()),

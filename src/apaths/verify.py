@@ -25,6 +25,7 @@ from .graph import (
 )
 from .search import (
     DEFAULT_BUDGET,
+    _Budget,
     LengthRange,
     find_induced_apath_in_range,
     oracle_max_anticomplete_packing,
@@ -115,16 +116,11 @@ def _removal_check(
     a_set: VertexSet,
     removed: VertexSet,
     ell: int,
-    budget: int,
+    budget: _Budget,
 ) -> tuple[bool, Path | None]:
-    keep = [v for v in range(g.n) if v not in removed]
-    h, new_to_old = induced_subgraph(g, keep)
-    old_to_new = {old: new for new, old in enumerate(new_to_old)}
-    sub_a = frozenset(old_to_new[v] for v in a_set if v in old_to_new)
-    witness = find_induced_apath_in_range(h, sub_a, LengthRange(ell, None), budget)
-    if witness is None:
-        return True, None
-    return False, tuple(new_to_old[v] for v in witness)
+    h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
+    witness = find_induced_apath_in_range(h, a_set - removed, LengthRange(ell, None), budget)
+    return witness is None, witness
 
 
 def verify_cover(
@@ -140,7 +136,8 @@ def verify_cover(
 
     The single-set checks are implied by the intersection form (removing a
     superset cannot recreate an induced path on surviving vertices), but they
-    are recomputed independently anyway.
+    are recomputed independently anyway. One budget of `budget` nodes bounds
+    the three removal searches together.
     """
     a_set = check_vertex_set(g, a)
     z1_set = check_vertex_set(g, z1)
@@ -149,6 +146,7 @@ def verify_cover(
     report.add("z1.size", len(z1_set) <= params.z1_limit(), (len(z1_set), params.z1_limit()))
     report.add("z2.size", len(z2_set) <= params.z2_limit(), (len(z2_set), params.z2_limit()))
     radius = params.cover_radius()
+    shared = _Budget(budget, "verify_cover")
     b1 = ball(g, z1_set, 1)
     b2 = ball(g, z2_set, radius)
     for name, removed in (
@@ -156,7 +154,7 @@ def verify_cover(
         ("z1.removal", b1),
         ("z2.removal", b2),
     ):
-        ok, witness = _removal_check(g, a_set, removed, params.ell, budget)
+        ok, witness = _removal_check(g, a_set, removed, params.ell, shared)
         report.add(f"{name}.path_free", ok, witness)
     return report
 

@@ -129,27 +129,33 @@ class TestAntiComplete:
 
 
 class TestInducedSubgraph:
+    """induced_subgraph keeps g's ids: h.n == g.n, the edges inside s, and
+    every vertex outside s isolated; members is s sorted."""
+
     def test_triangle_from_k4(self):
-        h, mapping = induced_subgraph(complete_graph(4), {0, 1, 2})
-        assert h == complete_graph(3)
-        assert mapping == (0, 1, 2)
+        h, members = induced_subgraph(complete_graph(4), {2, 0, 1})
+        assert h == Graph(4, [(0, 1), (0, 2), (1, 2)])
+        assert h.degree(3) == 0
+        assert members == (0, 1, 2)
 
     def test_empty_selection(self):
-        h, mapping = induced_subgraph(complete_graph(4), set())
-        assert h.n == 0 and mapping == ()
+        h, members = induced_subgraph(complete_graph(4), set())
+        assert h == Graph(4, []) and members == ()
 
     def test_c5_arc(self):
         h, _ = induced_subgraph(cycle_graph(5), {0, 1, 2})
-        assert h == path_graph(3)
+        assert h == Graph(5, [(0, 1), (1, 2)])
 
     @given(random_graphs, st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
     def test_edge_counts(self, g, mod):
         s = frozenset(v for v in range(g.n) if v % (mod + 2) != 0)
-        h, mapping = induced_subgraph(g, s)
+        h, members = induced_subgraph(g, s)
         expected = sum(1 for u, v in g.edges() if u in s and v in s)
         assert h.edge_count == expected
-        assert frozenset(mapping) == s
+        assert members == tuple(sorted(s))
+        assert h.n == g.n
+        assert all(h.degree(v) == 0 for v in range(g.n) if v not in s)
 
     @given(random_graphs, st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
@@ -157,13 +163,12 @@ class TestInducedSubgraph:
         # induced_subgraph skips Graph.__init__'s checks; it must still build
         # the same graph, adjacency sets included, that __init__ would.
         s = frozenset(v for v in range(g.n) if v % (mod + 2) != 1)
-        h, mapping = induced_subgraph(g, s)
-        new_id = {old: new for new, old in enumerate(mapping)}
-        edges = [(new_id[u], new_id[v]) for u, v in g.edges() if u in s and v in s]
-        expected = Graph(len(s), edges)
+        h, members = induced_subgraph(g, s)
+        expected = Graph(g.n, [(u, v) for u, v in g.edges() if u in s and v in s])
         assert h == expected and hash(h) == hash(expected)
         assert h.edge_count == expected.edge_count
         assert all(h.neighbor_set(v) == expected.neighbor_set(v) for v in range(h.n))
+        assert members == tuple(sorted(s))
 
 
 class TestComponentsAndPaths:

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import brute
 from apaths import (
+    BudgetExceededError,
     Cover,
     Graph,
     Packing,
@@ -11,14 +12,19 @@ from apaths import (
     combine_check_theorem_forms,
     complete_instance,
     dist,
+    find_induced_apath_in_range,
+    has_long_induced_apath,
+    induced_subgraph,
     lift_path,
     oracle_max_anticomplete_packing,
     random_instance,
     reduce_to_d3,
+    shortest_long_induced_apath,
     solve,
     subdivided_complete_instance,
     verify_certificate,
 )
+from test_search import spent
 
 
 def cycle(n):
@@ -287,3 +293,31 @@ class TestDeepPaths:
         g = Graph(1500, [(i, i + 1) for i in range(1499)])
         cert = solve(g, {0, 1499}, SolveParams(1, 1499))
         assert cert == Packing((tuple(range(1500)),))
+
+
+class TestSolveBudget:
+    """One budget bounds a whole solve: every search of every recursion
+    level draws on it, so their sum can exceed it although each fits."""
+
+    def test_levels_share_one_budget(self):
+        # k = 2 at ell = 2 peels a middle-length path, then packs a second
+        # path in what is left: four searches over two levels.
+        g, a = random_instance(10, 0.3, 0.6, 34)
+        ell = 2
+        mid = find_induced_apath_in_range(g, a, (ell, 2 * ell - 1))
+        removed = ball(g, mid, 1)
+        h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
+        rest = a - removed
+        parts = [
+            spent(lambda b: has_long_induced_apath(g, a, ell, b)),
+            spent(lambda b: find_induced_apath_in_range(g, a, (ell, 2 * ell - 1), b)),
+            spent(lambda b: has_long_induced_apath(h, rest, ell, b)),
+            spent(lambda b: shortest_long_induced_apath(h, rest, ell, b)),
+        ]
+        total = sum(parts)
+        expected = solve(g, a, SolveParams(2, ell))
+        assert isinstance(expected, Packing) and expected.paths[0] == mid
+        assert solve(g, a, SolveParams(2, ell, node_budget=total)) == expected
+        assert max(parts) < total - 1
+        with pytest.raises(BudgetExceededError, match="solve"):
+            solve(g, a, SolveParams(2, ell, node_budget=total - 1))

@@ -1,6 +1,7 @@
 import pytest
 
 from apaths import (
+    BudgetExceededError,
     Cover,
     Graph,
     SolveParams,
@@ -80,6 +81,38 @@ class TestVerifyCover:
         cert = Cover(frozenset({0, 1}), frozenset({0, 1}), r1=1, r2=7)
         report = verify_certificate(g, a, params, cert)
         assert any(c.name == "radii" for c in report.failures())
+
+
+    def test_removal_witness_speaks_host_ids(self):
+        # z1 = {1} removes 0, 1 and 2; the surviving A-path is 3-4.
+        g = Graph(5, [(i, i + 1) for i in range(4)])
+        report = verify_cover(g, {0, 3, 4}, SolveParams(2, 1), {1}, set())
+        failed = {c.name: c.witness for c in report.failures()}
+        assert failed["z1.removal.path_free"] == (3, 4)
+
+
+class TestVerifyBudget:
+    """One budget bounds the three removal searches of a cover together."""
+
+    # 5x5 grid, corner terminals: the longest induced corner path has
+    # length 16, so at ell 17 every search exhausts, in 844 nodes each.
+    GRID = Graph(
+        25,
+        [(5 * r + c, 5 * r + c + 1) for r in range(5) for c in range(4)]
+        + [(5 * r + c, 5 * r + c + 5) for r in range(4) for c in range(5)],
+    )
+    CORNERS = {0, 4, 20, 24}
+
+    def test_searches_share_one_budget(self):
+        params = SolveParams(2, 17, node_budget=1000)
+        cert = solve(self.GRID, self.CORNERS, params)
+        assert cert == Cover(frozenset(), frozenset(), 1, 18)
+        assert verify_certificate(self.GRID, self.CORNERS, params, cert, budget=3 * 844).passed
+        with pytest.raises(BudgetExceededError):
+            verify_certificate(self.GRID, self.CORNERS, params, cert, budget=3 * 844 - 1)
+        # Each search fits in 1000 nodes; the three together do not.
+        with pytest.raises(BudgetExceededError, match="verify_cover"):
+            verify_certificate(self.GRID, self.CORNERS, params, cert, budget=1000)
 
 
 class TestTightness:
