@@ -74,6 +74,7 @@ from .verify import (
     verify_tightness_claims,
 )
 from .generators import (
+    caterpillar_instance,
     complete_instance,
     random_instance,
     random_subcubic_tree,
@@ -100,7 +101,7 @@ __all__ = [
     "Check", "Report", "verify_packing", "verify_cover", "verify_certificate",
     "verify_tightness_claims",
     "complete_instance", "subdivided_complete_instance", "random_instance",
-    "random_subcubic_tree",
+    "random_subcubic_tree", "caterpillar_instance",
     "parse_graph", "emit_graph",
 ]
 

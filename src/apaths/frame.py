@@ -8,6 +8,14 @@ and hubs, Y~ the outside neighbourhood of Y, and Abar the terminals not yet in
 the frame. Eleven axioms (A1..A11 below) pin the structure down; they are
 machine-checked after every construction step, never assumed.
 
+Every step recomputes Y and Y~ and re-derives all eleven axioms from the
+frame's fields alone; nothing is carried over from the previous step. To keep
+that affordable, the checks work on int bitmasks: the host's cached
+neighbor_masks, F as one mask, and the tree as one mask per vertex. A ball
+in F walks adj[v] & F, so no induced subgraph is built, and the checks on
+outside vertices (A9, P6, P7) visit only the neighbours of F or of the new
+path, never the whole host.
+
 The construction is greedy: start from a shortest long induced A-path, then
 repeatedly attach a shortest path from an unprocessed terminal to the frame
 (avoiding Y~), each attachment adding one leaf and one hub. The loop stops
@@ -26,10 +34,12 @@ from .graph import (
     Path,
     VertexSet,
     anti_complete,
-    ball,
     check_vertex_set,
-    induced_subgraph,
     is_induced_path,
+    mask_ball,
+    mask_members,
+    mask_neighbors,
+    to_mask,
 )
 from .search import DEFAULT_BUDGET, _Budget, shortest_long_induced_apath
 
@@ -115,63 +125,55 @@ def _tree_adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
     return adj
 
 
-def _bfs_levels(
-    adj: dict[int, list[int]] | Graph, sources: Iterable[int], cutoff: int | None = None
-) -> dict[int, int]:
-    """Distances from a source set, over a dict adjacency or a Graph."""
-    neighbors = adj.neighbors if isinstance(adj, Graph) else (
-        lambda v: adj.get(v, ())
-    )
-    level = {s: 0 for s in sources}
-    queue = deque(sorted(level))
-    while queue:
-        v = queue.popleft()
-        d = level[v] + 1
-        if cutoff is not None and d > cutoff:
-            continue
-        for w in neighbors(v):
-            if w not in level:
-                level[w] = d
-                queue.append(w)
-    return level
-
-
 def _check_spanning_subcubic_tree(
-    vertices: VertexSet, edges: frozenset[tuple[int, int]], axiom: str
-) -> list[Violation]:
+    n: int, vertices: VertexSet, edges: frozenset[tuple[int, int]], axiom: str
+) -> tuple[list[Violation], list[int]]:
+    """Violations of "edges form a spanning subcubic tree on vertices", plus
+    the tree's adjacency as one bitmask per vertex 0..n-1 (vertices are ids
+    below n)."""
     viol = []
+    tree = [0] * n
     for u, v in edges:
         if u not in vertices or v not in vertices:
             viol.append(Violation(axiom, (u, v), "tree edge leaves the vertex set"))
-            return viol
-    adj = _tree_adjacency(edges)
-    for v, nb in adj.items():
-        if len(nb) > 3:
-            viol.append(Violation(axiom, v, f"tree degree {len(nb)} exceeds 3"))
+            return viol, tree
+        tree[u] |= 1 << v
+        tree[v] |= 1 << u
+    for v in vertices:
+        degree = tree[v].bit_count()
+        if degree > 3:
+            viol.append(Violation(axiom, v, f"tree degree {degree} exceeds 3"))
     if len(edges) != max(len(vertices) - 1, 0):
         viol.append(
             Violation(axiom, len(edges), f"{len(edges)} edges cannot span {len(vertices)} vertices")
         )
     elif vertices:
-        start = min(vertices)
-        reached = _bfs_levels(adj, [start])
-        missing = vertices - reached.keys()
-        if missing:
-            viol.append(Violation(axiom, min(missing), "tree does not reach this vertex"))
-    return viol
+        reached = mask_ball(tree, 1 << min(vertices))
+        if reached.bit_count() != len(vertices):
+            missing = min(v for v in vertices if not reached >> v & 1)
+            viol.append(Violation(axiom, missing, "tree does not reach this vertex"))
+    return viol, tree
 
 
-def _degree_set(vertices: VertexSet, adj_source, degree: int) -> VertexSet:
-    if isinstance(adj_source, Graph):
-        return frozenset(v for v in vertices if adj_source.degree(v) == degree)
-    return frozenset(v for v in vertices if len(adj_source.get(v, ())) == degree)
+def _least_difference(n: int, found: int, claimed: VertexSet) -> int | None:
+    """min(found ^ claimed), or None when they are equal, for a bitmask found
+    of ids below n. claimed is a frame field and may hold any int, so its
+    mask is built only once its ids are known to be in range, and the set
+    form of found only on a mismatch."""
+    if not claimed or (min(claimed) >= 0 and max(claimed) < n):
+        if found == to_mask(claimed):
+            return None
+    return min(frozenset(mask_members(found)) ^ claimed)
 
 
 def validate_frame(fr: Frame) -> list[Violation]:
     """Check axioms A1..A11; an empty list means the frame is valid.
 
     The ambient terminal set is reconstructed as a_f | a_bar, which is
-    faithful because A3/A7 make those two fields a partition of it.
+    faithful because A3/A7 make those two fields a partition of it. Every
+    axiom is derived from the frame's fields on each call, with vertex sets
+    as bitmasks: F-restricted balls walk adj[v] & F, and only the neighbours
+    of F and of the tree are visited, never the whole host.
     """
     g = fr.host
     viol: list[Violation] = []
@@ -181,16 +183,37 @@ def validate_frame(fr: Frame) -> list[Violation]:
         viol.append(Violation("A1", bad[0], "frame vertex outside the host graph"))
         return viol
 
-    f_graph, _ = induced_subgraph(g, fr.f_vertices)
-
     # A2: spanning subcubic tree, contained in F
     for u, v in fr.tree_edges:
         if u in fr.f_vertices and v in fr.f_vertices and not g.has_edge(u, v):
             viol.append(Violation("A2", (u, v), "tree edge is not an edge of the host"))
-    viol.extend(_check_spanning_subcubic_tree(fr.f_vertices, fr.tree_edges, "A2"))
+    spanning, tree = _check_spanning_subcubic_tree(g.n, fr.f_vertices, fr.tree_edges, "A2")
+    viol.extend(spanning)
     if any(x.axiom == "A2" for x in viol):
         return viol
-    tree_adj = _tree_adjacency(fr.tree_edges)
+
+    # One pass over F: degree classes for A3/A4, the ends of non-tree F edges
+    # for A8 (T is inside F's edges by A2), and the vertices with two or more
+    # F neighbours for A9.
+    adj = g.neighbor_masks()
+    f = to_mask(fr.f_vertices)
+    tree_deg1 = tree_deg3 = frame_deg1 = off_tree = seen_once = seen_twice = 0
+    for v in fr.f_vertices:
+        bit = 1 << v
+        t = tree[v]
+        tree_degree = t.bit_count()
+        if tree_degree == 1:
+            tree_deg1 |= bit
+        elif tree_degree == 3:
+            tree_deg3 |= bit
+        nb = adj[v]
+        in_f = nb & f
+        if in_f.bit_count() == 1:
+            frame_deg1 |= bit
+        if in_f != t:
+            off_tree |= bit
+        seen_twice |= seen_once & nb
+        seen_once |= nb
 
     terminals = fr.a_f | fr.a_bar
 
@@ -198,34 +221,27 @@ def validate_frame(fr: Frame) -> list[Violation]:
     if fr.a_f != terminals & fr.f_vertices:
         off = fr.a_f ^ (terminals & fr.f_vertices)
         viol.append(Violation("A3", min(off), "a_f is not the terminal set of F"))
-    for name, deg1 in (
-        ("tree", _degree_set(fr.f_vertices, tree_adj, 1)),
-        ("frame", frozenset(v for v in fr.f_vertices
-                            if len(g.neighbor_set(v) & fr.f_vertices) == 1)),
-    ):
-        if deg1 != fr.a_f:
-            off = deg1 ^ fr.a_f
-            viol.append(Violation("A3", min(off), f"a_f differs from {name} degree-1 vertices"))
+    for name, deg1 in (("tree", tree_deg1), ("frame", frame_deg1)):
+        least = _least_difference(g.n, deg1, fr.a_f)
+        if least is not None:
+            viol.append(Violation("A3", least, f"a_f differs from {name} degree-1 vertices"))
 
     # A4: hubs = degree-3 tree vertices
-    deg3 = _degree_set(fr.f_vertices, tree_adj, 3)
-    if deg3 != fr.hubs:
-        off = deg3 ^ fr.hubs
-        viol.append(Violation("A4", min(off), "hubs differ from tree degree-3 vertices"))
+    least = _least_difference(g.n, tree_deg3, fr.hubs)
+    if least is not None:
+        viol.append(Violation("A4", least, "hubs differ from tree degree-3 vertices"))
 
     # A5: y = vertices of F within ell_hat of hubs and leaves, measured in F
-    expected_y = frozenset(
-        _bfs_levels(f_graph, (fr.hubs | fr.a_f) & fr.f_vertices, cutoff=fr.ell_hat)
-    )
-    if expected_y != fr.y:
-        off = expected_y ^ fr.y
-        viol.append(Violation("A5", min(off), "y is not the ell_hat ball in F around hubs and leaves"))
+    centers = to_mask((fr.hubs | fr.a_f) & fr.f_vertices)
+    least = _least_difference(g.n, mask_ball(adj, centers, f, fr.ell_hat), fr.y)
+    if least is not None:
+        viol.append(Violation("A5", least, "y is not the ell_hat ball in F around hubs and leaves"))
 
     # A6: y_tilde = N_G[y] outside F
-    expected_yt = ball(g, fr.y, 1) - fr.f_vertices
-    if expected_yt != fr.y_tilde:
-        off = expected_yt ^ fr.y_tilde
-        viol.append(Violation("A6", min(off), "y_tilde is not N[y] minus the frame"))
+    y = to_mask(check_vertex_set(g, fr.y))
+    least = _least_difference(g.n, (y | mask_neighbors(adj, y)) & ~f, fr.y_tilde)
+    if least is not None:
+        viol.append(Violation("A6", least, "y_tilde is not N[y] minus the frame"))
 
     # A7: frame leaves and unprocessed terminals partition the terminal set
     if fr.a_f & fr.a_bar:
@@ -233,47 +249,41 @@ def validate_frame(fr: Frame) -> list[Violation]:
     if fr.a_bar & fr.f_vertices:
         viol.append(Violation("A7", min(fr.a_bar & fr.f_vertices), "a_bar vertex inside the frame"))
 
-    # A8: every non-tree edge of F sits within tree-distance 2 of a common hub
-    tree_dist_from_hub = {x: _bfs_levels(tree_adj, [x], cutoff=2) for x in fr.hubs}
-    for u in sorted(fr.f_vertices):
-        for v in g.neighbors(u):
-            if v <= u or v not in fr.f_vertices:
-                continue
-            e = (u, v)
-            if e in fr.tree_edges:
-                continue
-            if not any(
-                u in lv and v in lv for lv in tree_dist_from_hub.values()
-            ):
-                viol.append(Violation("A8", e, "non-tree frame edge far from every hub"))
+    # A8: every non-tree edge of F sits within tree-distance 2 of a common hub.
+    # A hub outside F has a ball of one vertex, which holds no edge.
+    hub_balls = [mask_ball(tree, 1 << x, -1, 2) for x in fr.hubs & fr.f_vertices]
+    for u in mask_members(off_tree):
+        for v in mask_members(adj[u] & f & ~tree[u] & -(2 << u)):  # -(2 << u): the ids above u
+            if not any(b >> u & 1 and b >> v & 1 for b in hub_balls):
+                viol.append(Violation("A8", (u, v), "non-tree frame edge far from every hub"))
 
-    # A9: outside vertices see the frame only locally (tree-distance <= 2)
-    pair_levels: dict[int, dict[int, int]] = {}
-    for v in range(g.n):
-        if v in fr.f_vertices or v in fr.y_tilde:
+    # A9: outside vertices see the frame only locally (tree-distance <= 2).
+    # Only a vertex with two or more frame neighbours can break it.
+    near_in_tree: dict[int, int] = {}
+    for v in mask_members(seen_twice & ~f):
+        if v in fr.y_tilde:
             continue
-        fn = sorted(g.neighbor_set(v) & fr.f_vertices)
-        for i in range(len(fn)):
-            if fn[i] not in pair_levels:
-                pair_levels[fn[i]] = _bfs_levels(tree_adj, [fn[i]], cutoff=2)
-            lv = pair_levels[fn[i]]
-            for j in range(i + 1, len(fn)):
-                if fn[j] not in lv:
+        fn = mask_members(adj[v] & f)
+        for i, first in enumerate(fn):
+            if first not in near_in_tree:
+                near_in_tree[first] = mask_ball(tree, 1 << first, -1, 2)
+            near = near_in_tree[first]
+            for second in fn[i + 1:]:
+                if not near >> second & 1:
                     viol.append(
-                        Violation("A9", (v, fn[i], fn[j]),
+                        Violation("A9", (v, first, second),
                                   "outside vertex with tree-distant frame neighbours")
                     )
 
     # A10/A11: leaves pairwise far (>= ell), hubs pairwise far (>= 3), in F.
     # Centers outside F are already A3/A4 violations; skip them here.
     def f_dist_check(centers: VertexSet, lower: int, axiom: str, what: str):
-        centers_sorted = sorted(centers & fr.f_vertices)
-        for i, c in enumerate(centers_sorted):
-            lv = _bfs_levels(f_graph, [c], cutoff=lower - 1)
-            for other in centers_sorted[i + 1:]:
-                d = lv.get(other)
-                if d is not None and d < lower:
-                    viol.append(Violation(axiom, (c, other), f"{what} at distance {d} < {lower}"))
+        rest = to_mask(centers & fr.f_vertices)
+        for c in mask_members(rest):
+            rest ^= 1 << c
+            for other in mask_members(mask_ball(adj, 1 << c, f, lower - 1) & rest):
+                d = next(r for r in range(lower) if mask_ball(adj, 1 << c, f, r) >> other & 1)
+                viol.append(Violation(axiom, (c, other), f"{what} at distance {d} < {lower}"))
 
     f_dist_check(fr.a_f, fr.ell, "A10", "frame leaves")
     f_dist_check(fr.hubs, 3, "A11", "hubs")
@@ -292,8 +302,12 @@ def check_frame_claims(fr: Frame) -> list[Violation]:
     bound = (4 * fr.ell_hat + 14) * p
     if len(fr.y) > bound:
         viol.append(Violation("SizeY", len(fr.y), f"|y| = {len(fr.y)} > {bound}"))
-    reach = ball(fr.host, fr.terminals | fr.hubs, fr.ell_hat + 1)
-    stray = fr.y_tilde - (ball(fr.host, fr.y, 1) & reach)
+    g = fr.host
+    adj = g.neighbor_masks()
+    reach = mask_ball(adj, to_mask(check_vertex_set(g, fr.terminals | fr.hubs)), -1, fr.ell_hat + 1)
+    y = to_mask(check_vertex_set(g, fr.y))
+    covered = (y | mask_neighbors(adj, y)) & reach
+    stray = [v for v in fr.y_tilde if v < 0 or not covered >> v & 1]
     if stray:
         viol.append(Violation("Ytilde", min(stray), "y_tilde vertex outside its two covering balls"))
     return viol
@@ -312,11 +326,12 @@ def _assert_valid(fr: Frame, where: str) -> Frame:
 def _regions(
     g: Graph, f_vertices: VertexSet, centers: VertexSet, ell_hat: int
 ) -> tuple[VertexSet, VertexSet]:
-    """Recompute (y, y_tilde) from scratch for the given frame vertex set."""
-    f_graph, _ = induced_subgraph(g, f_vertices)
-    y = frozenset(_bfs_levels(f_graph, centers, cutoff=ell_hat))
-    y_tilde = ball(g, y, 1) - f_vertices
-    return y, y_tilde
+    """Compute (y, y_tilde) from scratch for the given frame vertex set."""
+    adj = g.neighbor_masks()
+    f = to_mask(f_vertices)
+    y = mask_ball(adj, to_mask(centers), f, ell_hat)
+    y_tilde = mask_neighbors(adj, y) & ~f
+    return frozenset(mask_members(y)), frozenset(mask_members(y_tilde))
 
 
 def init_frame(
@@ -357,30 +372,38 @@ def _check_extension_path(g: Graph, fr: Frame, p: Path) -> None:
     tie-breaking choices. Failures raise, naming the property.
     """
     ps = frozenset(p)
+    adj = g.neighbor_masks()
+    f = to_mask(fr.f_vertices)
+    on_p = to_mask(ps)
+    head = to_mask(p[:-2])
     checks: list[tuple[str, bool, object]] = [
         ("P1", ps & fr.a_bar == {p[0]}, p[0]),
         ("P2", ps & fr.f_vertices == {p[-1]}, p[-1]),
         ("P3", is_induced_path(g, p), p),
-        ("P4", anti_complete(g, p[:-2], fr.f_vertices), p),
-        ("P5", not (ps & (fr.y | fr.y_tilde)), ps & (fr.y | fr.y_tilde)),
+        ("P4", not (head | mask_neighbors(adj, head)) & f, p),
     ]
+    in_regions = frozenset(v for v in p if v in fr.y or v in fr.y_tilde)
+    checks.append(("P5", not in_regions, in_regions))
+    # Only a neighbour of p can see p twice (P6) or see p[:-3] at all (P7),
+    # so the outside vertices are visited in N(p), in increasing order.
     pos = {v: i for i, v in enumerate(p)}
-    tail = frozenset(p[-3:])
+    body = to_mask(p[:-3])
     p6 = p7 = True
     witness6: object = None
     witness7: object = None
-    for v in range(g.n):
-        if v in fr.f_vertices or v in fr.y_tilde or v in ps:
+    for v in mask_members(mask_neighbors(adj, on_p) & ~on_p & ~f):
+        if v in fr.y_tilde:
             continue
-        nb = g.neighbor_set(v)
-        on_p = sorted(nb & ps, key=pos.__getitem__)
-        if len(on_p) >= 2 and pos[on_p[-1]] - pos[on_p[0]] > 2:
-            p6, witness6 = False, (v, on_p[0], on_p[-1])
-        if (nb & fr.f_vertices) and (nb & (ps - tail)):
+        nb = adj[v]
+        seen = [pos[u] for u in mask_members(nb & on_p)]
+        first, last = min(seen), max(seen)
+        if last - first > 2:
+            p6, witness6 = False, (v, p[first], p[last])
+        if nb & f and nb & body:
             p7, witness7 = False, v
     checks.append(("P6", p6, witness6))
     checks.append(("P7", p7, witness7))
-    checks.append(("P-hub", p[-1] not in fr.hubs | fr.a_f, p[-1]))
+    checks.append(("P-hub", p[-1] not in fr.hubs and p[-1] not in fr.a_f, p[-1]))
     failed = [
         Violation(name, witness, "extension path property failed")
         for name, ok, witness in checks
@@ -430,11 +453,15 @@ def extend_frame(g: Graph, a: Iterable[int], fr: Frame, p: Path) -> Frame:
     """The frame grown by one extension path: one new leaf, one new hub.
 
     The attachment vertex p[-1] had tree-degree 2 and becomes a hub of
-    degree 3; y and y_tilde are recomputed from scratch (they are global
-    definitions, not locally updatable ones). The result is re-validated.
+    degree 3. y and y_tilde are recomputed from scratch, as bitmask balls in
+    the new F and its host (they are global definitions, and no local update
+    from the previous step's regions is proven). The result is re-validated
+    in full.
     """
-    assert g == fr.host, "extension must happen in the frame's host graph"
-    assert check_vertex_set(g, a) == fr.terminals, "terminal set changed under the frame"
+    if g != fr.host:
+        raise FrameInvariantError("extension must happen in the frame's host graph")
+    if check_vertex_set(g, a) != fr.terminals:
+        raise FrameInvariantError("terminal set changed under the frame")
     v0, vm = p[0], p[-1]
     f_vertices = fr.f_vertices | frozenset(p)
     a_f = fr.a_f | {v0}
@@ -452,7 +479,8 @@ def extend_frame(g: Graph, a: Iterable[int], fr: Frame, p: Path) -> Frame:
         ell=fr.ell,
     )
     _assert_valid(new, "extend_frame")
-    assert new.leaf_count == fr.leaf_count + 1
+    if new.leaf_count != fr.leaf_count + 1:
+        raise FrameInvariantError(f"extension left {new.leaf_count} leaves, not {fr.leaf_count + 1}")
     return new
 
 
@@ -488,35 +516,40 @@ def validate_hub_tree(ht: HubTree) -> list[Violation]:
             return viol
         if not g.has_edge(u, v):
             viol.append(Violation("H2", (u, v), "tree edge is not a graph edge"))
-    viol.extend(_check_spanning_subcubic_tree(vertices, ht.tree_edges, "H2"))
+    spanning, tree = _check_spanning_subcubic_tree(g.n, vertices, ht.tree_edges, "H2")
+    viol.extend(spanning)
     if any(x.axiom == "H2" for x in viol):
         return viol
-    tree_adj = _tree_adjacency(ht.tree_edges)
 
-    tree_deg1 = _degree_set(vertices, tree_adj, 1)
+    tree_deg1 = frozenset(v for v in vertices if tree[v].bit_count() == 1)
     graph_deg1 = frozenset(v for v in vertices if g.degree(v) == 1)
     if ht.leaves != tree_deg1 or ht.leaves != graph_deg1:
         off = (ht.leaves ^ tree_deg1) | (ht.leaves ^ graph_deg1)
         viol.append(Violation("H3", min(off), "leaves differ from the degree-1 vertices"))
-    deg3 = _degree_set(vertices, tree_adj, 3)
+    deg3 = frozenset(v for v in vertices if tree[v].bit_count() == 3)
     if ht.hubs != deg3:
         viol.append(Violation("H4", min(ht.hubs ^ deg3), "hubs differ from tree degree-3 vertices"))
 
+    # Leaves and hubs outside the graph are already H3/H4 violations, and a
+    # hub's tree ball is then just itself, which holds no edge: skip them.
+    adj = g.neighbor_masks()
+
     def pair_check(centers: VertexSet, lower: int, axiom: str):
-        for c in sorted(centers):
-            lv = _bfs_levels(g, [c], cutoff=lower - 1)
-            for other in sorted(centers):
-                if other > c and lv.get(other, lower) < lower:
+        inside = sorted(centers & vertices)
+        for c in inside:
+            near = mask_ball(adj, 1 << c, -1, lower - 1)
+            for other in inside:
+                if other > c and near >> other & 1:
                     viol.append(Violation(axiom, (c, other), f"distance below {lower}"))
 
     pair_check(ht.leaves, ht.ell, "H5")
     pair_check(ht.hubs, 3, "H6")
 
-    hub_balls = {x: _bfs_levels(tree_adj, [x], cutoff=2) for x in ht.hubs}
+    hub_balls = [mask_ball(tree, 1 << x, -1, 2) for x in ht.hubs & vertices]
     for u, v in g.edges():
         if (u, v) in ht.tree_edges:
             continue
-        if not any(u in lv and v in lv for lv in hub_balls.values()):
+        if not any(b >> u & 1 and b >> v & 1 for b in hub_balls):
             viol.append(Violation("H7", (u, v), "non-tree edge far from every hub"))
     return viol
 
@@ -578,9 +611,6 @@ def leaf_paths(
     if p < 2:
         return []
     root = min(leaf_set)
-    if vertices and len(_bfs_levels(adj, [root])) != len(vertices):
-        raise ValueError("edges do not form a connected tree")
-
     parent: dict[int, int | None] = {root: None}
     depth = {root: 0}
     children: dict[int, list[int]] = {v: [] for v in vertices}
@@ -592,6 +622,8 @@ def leaf_paths(
                 depth[w] = depth[v] + 1
                 children[v].append(w)
                 order.append(w)
+    if len(order) != len(vertices):
+        raise ValueError("edges do not form a connected tree")
 
     alive_below = {v: 0 for v in vertices}
     for v in reversed(order):
@@ -667,9 +699,10 @@ def extract_hub_tree_paths(ht: HubTree) -> list[Path]:
         raise FrameInvariantError("hub tree failed validation", violations)
     validation_stats["hub_tree"] += 1
     g = ht.graph
+    adj = g.neighbor_masks()
     out: list[Path] = []
     for tree_path in leaf_paths(ht.tree_edges, ht.leaves):
-        sub, _ = induced_subgraph(g, tree_path)
+        unseen = to_mask(tree_path) & ~(1 << tree_path[0])
         parent: dict[int, int] = {tree_path[0]: -1}
         queue = deque([tree_path[0]])
         target = tree_path[-1]
@@ -677,10 +710,11 @@ def extract_hub_tree_paths(ht: HubTree) -> list[Path]:
             v = queue.popleft()
             if v == target:
                 break
-            for w in sub.neighbors(v):
-                if w not in parent:
-                    parent[w] = v
-                    queue.append(w)
+            found = adj[v] & unseen
+            unseen ^= found
+            for w in mask_members(found):
+                parent[w] = v
+                queue.append(w)
         rerouted = [target]
         while parent[rerouted[-1]] != -1:
             rerouted.append(parent[rerouted[-1]])

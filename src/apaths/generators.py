@@ -76,3 +76,32 @@ def random_subcubic_tree(n: int, seed: int) -> tuple[list[tuple[int, int]], Vert
         degree[v] += 1
     leaves = frozenset(v for v in range(n) if degree[v] == 1)
     return edges, leaves
+
+
+def caterpillar_instance(legs: int, seed: int) -> tuple[Graph, VertexSet]:
+    """A spine path with `legs` pendant paths of 4-7 edges; the leg tips are the terminals.
+
+    Consecutive legs hang from spine vertices 8-12 apart, and the spine runs
+    from the first attachment vertex to the last, so the tips are exactly the
+    degree-1 vertices. Gaps and leg lengths are drawn from the seed. At
+    ell = 3 the greedy frame takes in every leg, one extension step each, so
+    these instances pack k paths iff k <= legs // 2. Spine ids come first,
+    then each leg's vertices from its attachment outwards.
+    """
+    if legs < 2:
+        raise ValueError(f"need legs >= 2, got {legs}")
+    rng = random.Random(seed)
+    attach = [0]
+    for _ in range(legs - 1):
+        attach.append(attach[-1] + rng.randint(8, 12))
+    edges = [(v, v + 1) for v in range(attach[-1])]
+    tips = []
+    nxt = attach[-1] + 1
+    for start in attach:
+        prev = start
+        for _ in range(rng.randint(4, 7)):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+        tips.append(prev)
+    return Graph(nxt, edges), frozenset(tips)

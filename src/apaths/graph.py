@@ -6,13 +6,19 @@ tie-breaking rules of the higher-level modules inherit. Graphs are never
 mutated after construction; deleting a vertex set X is expressed as the
 subgraph induced on the rest, which keeps g's ids and leaves X isolated, so
 paths, balls and certificates found in it speak g's ids unchanged.
+
+Each graph also keeps its adjacency as one int bitmask per vertex
+(Graph.neighbor_masks: bit w of N(v) is set iff w ~ v), built once on first
+use. That is the representation of the chordless-path search and the frame
+layer; to_mask, mask_members, mask_neighbors and mask_ball are its set
+operations and its BFS.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 VertexSet = frozenset[int]
 Path = tuple[int, ...]
@@ -28,7 +34,7 @@ class GraphError(ValueError):
 class Graph:
     """A simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj", "_adj_sets", "_edge_count")
+    __slots__ = ("n", "_adj", "_adj_sets", "_edge_count", "_adj_masks")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -52,6 +58,7 @@ class Graph:
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(nb)) for nb in adj)
         self._adj_sets: tuple[frozenset[int], ...] = tuple(frozenset(nb) for nb in adj)
         self._edge_count = count
+        self._adj_masks: tuple[int, ...] | None = None
 
     @classmethod
     def _from_sorted_adjacency(cls, adj: list[tuple[int, ...]], edge_count: int) -> Graph:
@@ -63,6 +70,7 @@ class Graph:
         g._adj = tuple(adj)
         g._adj_sets = tuple(frozenset(nb) for nb in adj)
         g._edge_count = edge_count
+        g._adj_masks = None
         return g
 
     @property
@@ -77,6 +85,16 @@ class Graph:
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         return self._adj_sets[v]
+
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """N(v) for every vertex v as an int bitmask, bit w set iff w ~ v.
+
+        Built on first use and kept by the graph, which never changes.
+        """
+        masks = self._adj_masks
+        if masks is None:
+            masks = self._adj_masks = tuple(map(to_mask, self._adj))
+        return masks
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -110,6 +128,50 @@ def check_vertex_set(g: Graph, x: Iterable[int]) -> frozenset[int]:
         if not (0 <= v < g.n):
             raise GraphError(f"vertex {v} not in graph with {g.n} vertices")
     return s
+
+
+def to_mask(vertices: Iterable[int]) -> int:
+    """The bitmask of nonnegative ids: bit v set iff v is a member."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def mask_members(mask: int) -> list[int]:
+    """The ids whose bits are set in mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mask_neighbors(adj: Sequence[int], mask: int) -> int:
+    """The union of adj[v] over the members v of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def mask_ball(adj: Sequence[int], sources: int, within: int = -1, radius: int | None = None) -> int:
+    """The vertices within radius steps of sources (unbounded for None),
+    moving along adj only through vertices of within (-1: everywhere).
+
+    adj is a bitmask adjacency, a graph's neighbor_masks or any other list
+    indexed by vertex, such as a tree's. The sources are always included.
+    """
+    reached = frontier = sources
+    while frontier and radius != 0:
+        frontier = mask_neighbors(adj, frontier) & within & ~reached
+        reached |= frontier
+        if radius is not None:
+            radius -= 1
+    return reached
 
 
 def ball(g: Graph, x: Iterable[int], r: int) -> VertexSet:

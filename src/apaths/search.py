@@ -36,6 +36,7 @@ from .graph import (
     components,
     induced_subgraph,
     is_induced_path,
+    to_mask,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -144,14 +145,7 @@ def shortest_apath(g: Graph, a: Iterable[int]) -> Path | None:
     return best
 
 
-def _bitmask(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-def _live_extensions(adj: list[int], ext: int, child_blocked: int, terminals: int, need: int) -> int:
+def _live_extensions(adj: tuple[int, ...], ext: int, child_blocked: int, terminals: int, need: int) -> int:
     """The extensions in ext whose subtrees can still emit a path of at
     least need more edges.
 
@@ -203,11 +197,12 @@ def _terminal_path_dfs(
     without interior terminals. budget.spend() is called once per visited
     path.
 
-    Vertex sets are int bitmasks and the search is iterative, so its depth is
-    bounded by memory, not by the interpreter's recursion limit. Each path on
-    the stack carries blocked = path | N(path - tip): a vertex w may extend
-    the path iff it is adjacent to the tip and not blocked, since any other
-    path vertex next to w would be a chord. The extensions are therefore
+    Vertex sets are int bitmasks, and adjacency is g's own cached
+    neighbor_masks. The search is iterative, so its depth is bounded by
+    memory, not by the interpreter's recursion limit. Each path on the stack
+    carries blocked = path | N(path - tip): a vertex w may extend the path
+    iff it is adjacent to the tip and not blocked, since any other path
+    vertex next to w would be a chord. The extensions are therefore
     adj[tip] & ~blocked, and the child's mask is blocked | adj[tip].
 
     Pruning: at a path with two or more extensions, each extension is tested
@@ -227,8 +222,8 @@ def _terminal_path_dfs(
     every result, is the same as a full search's; only fewer paths are
     visited and paid for.
     """
-    adj = [_bitmask(g.neighbors(v)) for v in range(g.n)]
-    terminals = _bitmask(a_set)
+    adj = g.neighbor_masks()
+    terminals = to_mask(a_set)
     spend = budget.spend
     ext_cap = accept_hi
     for s in sorted(a_set):

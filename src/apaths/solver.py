@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Union
 
-from .frame import Frame, build_maximal_frame, extract_frame_paths
+from .frame import Frame, FrameInvariantError, build_maximal_frame, extract_frame_paths
 from .graph import (
     Graph,
     Path,
@@ -111,7 +111,8 @@ def solve(
             return Cover(frozenset(), frozenset(), 1, radius)
         if k == 1:
             path = shortest_long_induced_apath(g, a_set, ell, budget)
-            assert path is not None
+            if path is None:
+                raise FrameInvariantError("a long induced A-path exists, but the shortest search found none")
             return Packing((path,))
 
         mid = find_induced_apath_in_range(g, a_set, LengthRange(ell, 2 * ell - 1), budget)
@@ -121,13 +122,11 @@ def solve(
             inner = level(h, a_set - removed, replace(params, k=k - 1))
             if isinstance(inner, Packing):
                 return Packing((mid,) + inner.paths)
-            z1 = inner.z1 | frozenset(mid)
-            z2 = inner.z2 | {mid[0], mid[-1]}
-            assert len(z1) <= params.z1_limit() and len(z2) <= params.z2_limit()
-            return Cover(z1, z2, 1, radius)
+            return _bounded_cover(inner.z1 | frozenset(mid), inner.z2 | {mid[0], mid[-1]}, params)
 
         fr = build_maximal_frame(g, a_set, ell, budget, observer=frame_observer)
-        assert fr is not None, "a long induced A-path exists, so a frame must too"
+        if fr is None:
+            raise FrameInvariantError("a long induced A-path exists, so a frame must too")
         half = fr.leaf_count // 2
 
         if half >= k:
@@ -139,18 +138,27 @@ def solve(
         cut, _ = induced_subgraph(g, [v for v in range(g.n) if v not in fr.y_tilde])
         open_terminals = fr.a_bar - fr.y_tilde
         keep = frozenset().union(*(c for c in components(cut) if c & open_terminals))
-        assert anti_complete(g, keep, fr.f_vertices), "remainder must be separated from the frame"
+        if not anti_complete(g, keep, fr.f_vertices):
+            raise FrameInvariantError("remainder must be separated from the frame")
         h, _ = induced_subgraph(g, keep)
         inner = level(h, a_set & keep, replace(params, k=k - half))
         if isinstance(inner, Packing):
             frame_paths = extract_frame_paths(fr)
             return Packing(tuple(sorted(frame_paths + list(inner.paths))))
-        z1 = inner.z1 | fr.y
-        z2 = inner.z2 | fr.a_f | fr.hubs
-        assert len(z1) <= params.z1_limit() and len(z2) <= params.z2_limit()
-        return Cover(z1, z2, 1, radius)
+        return _bounded_cover(inner.z1 | fr.y, inner.z2 | fr.a_f | fr.hubs, params)
 
     return level(g, check_vertex_set(g, a), params)
+
+
+def _bounded_cover(z1: VertexSet, z2: VertexSet, params: SolveParams) -> Cover:
+    """The cover (z1, z2) at radii 1 and cover_radius, checked against the
+    size bounds of params."""
+    if len(z1) > params.z1_limit() or len(z2) > params.z2_limit():
+        raise FrameInvariantError(
+            f"cover sizes |z1| = {len(z1)}, |z2| = {len(z2)} exceed the bounds "
+            f"{params.z1_limit()}, {params.z2_limit()} at k = {params.k}"
+        )
+    return Cover(z1, z2, 1, params.cover_radius())
 
 
 def combine_check_theorem_forms(
@@ -161,16 +169,18 @@ def combine_check_theorem_forms(
     Returns (holds_78_form, holds_4balls_form): whether g - N[z1] and
     g - N[z2, max(ell+1, 4)] are each free of long induced A-paths with the
     advertised sizes. At ell = 1 the z1 bound specialises to 78*(k-1) and the
-    z2 radius to 4.
+    z2 radius to 4. Both removal searches draw on one budget of
+    params.node_budget nodes.
     """
     a_set = check_vertex_set(g, a)
+    budget = _Budget(params.node_budget, "combine_check_theorem_forms")
 
     def removal_is_clean(z: VertexSet, radius: int, limit: int) -> bool:
         if len(z) > limit:
             return False
         removed = ball(g, z, radius)
         h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
-        return not has_long_induced_apath(h, a_set - removed, params.ell, params.node_budget)
+        return not has_long_induced_apath(h, a_set - removed, params.ell, budget)
 
     return (
         removal_is_clean(cert.z1, cert.r1, params.z1_limit()),

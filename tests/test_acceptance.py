@@ -2,8 +2,9 @@
 
 The corpus sizes, parameter grids, bounds, and time limits are pinned here;
 nothing is deferred to later calibration. Criterion 6 (frame axioms) rides on
-the criterion-1 corpus run: every frame construction validates itself, and
-the validation counters prove the axioms were actually exercised.
+the criterion-1 corpus run plus a few caterpillars: every frame construction
+validates itself, and the validation counters prove the axioms were actually
+exercised, frame extension and hub-tree extraction included.
 """
 
 import time
@@ -12,7 +13,9 @@ import brute
 from apaths import (
     Cover,
     Graph,
+    Packing,
     SolveParams,
+    caterpillar_instance,
     combine_check_theorem_forms,
     dist,
     leaf_paths,
@@ -106,6 +109,28 @@ def run_corpus():
     return _corpus_cache
 
 
+# (legs, seed): the random corpus never reaches extend_frame, so criterion 6
+# also solves these at k = 2 (packs) and k = legs // 2 + 1 (covers), ell 3.
+CATERPILLARS = ((3, 0), (4, 1), (6, 2))
+CATERPILLAR_ELL = 3
+
+
+def run_caterpillars():
+    """Solve+verify the caterpillars; returns (failures, validation counts)."""
+    before = dict(frame_module.validation_stats)
+    failures = []
+    for legs, seed in CATERPILLARS:
+        g, a = caterpillar_instance(legs, seed)
+        for k in (2, legs // 2 + 1):
+            params = SolveParams(k, CATERPILLAR_ELL)
+            cert = solve(g, a, params)
+            report = verify_certificate(g, a, params, cert)
+            if not report.passed or isinstance(cert, Packing) != (k <= legs // 2):
+                failures.append((legs, seed, k, [str(c) for c in report.failures()]))
+    after = frame_module.validation_stats
+    return failures, {key: after[key] - before.get(key, 0) for key in after}
+
+
 class TestAcceptance:
     def test_criterion_1_dichotomy_soundness(self):
         data = run_corpus()
@@ -180,19 +205,28 @@ class TestAcceptance:
 
     def test_criterion_6_frame_axioms_exercised_and_clean(self):
         # init_frame and extend_frame raise on any axiom or size-claim breach,
-        # so zero corpus failures plus a positive validation counter is the
-        # whole claim; extension- and extraction-heavy structures are pinned
-        # separately by the frame unit tests.
+        # so zero failures plus positive validation counters is the whole
+        # claim. The corpus exercises init_frame; the caterpillars exercise
+        # extend_frame and hub-tree extraction, which the corpus never reaches.
         data = run_corpus()
         v = data["validations"]
-        ok = v["init_frame"] > 0 and not data["failures"]
+        cat_failures, cv = run_caterpillars()
+        ok = (
+            v["init_frame"] > 0
+            and cv["extend_frame"] > 0
+            and cv["hub_tree"] > 0
+            and not data["failures"]
+            and not cat_failures
+        )
         record_acceptance(
             "6 frame axioms A1-A11 and size claims at every step",
             ok,
-            f"validated frames: {v}",
+            f"validated frames: corpus {v}, caterpillars {cv}",
         )
         assert v["init_frame"] > 0, v
+        assert cv["extend_frame"] > 0 and cv["hub_tree"] > 0, cv
         assert data["failures"] == []
+        assert cat_failures == []
 
     def test_criterion_7_classical_disjoint_duality(self):
         bad = []

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -169,6 +174,39 @@ class TestExtendFrame:
             fr = extend_frame(g, a, fr, ext)
             counts.append(fr.leaf_count)
         assert counts == [2, 3, 4]
+
+    def test_foreign_host_raises(self):
+        g, a = pendant_instance()
+        fr = init_frame(g, a, 3)
+        ext = find_extension(g, a, fr)
+        other = Graph(g.n, list(g.edges()) + [(0, 2)])
+        with pytest.raises(FrameInvariantError, match="host"):
+            extend_frame(other, a, fr, ext)
+        with pytest.raises(FrameInvariantError, match="terminal set"):
+            extend_frame(g, a - {9}, fr, ext)
+
+    def test_invariants_survive_python_O(self):
+        # python -O strips assert statements; the frame's invariants must
+        # still raise.
+        code = (
+            "from apaths import FrameInvariantError, Graph, extend_frame, find_extension, init_frame\n"
+            "from test_frame import pendant_instance\n"
+            "assert False, 'asserts are live, so this is not running under -O'\n"
+            "g, a = pendant_instance()\n"
+            "fr = init_frame(g, a, 3)\n"
+            "ext = find_extension(g, a, fr)\n"
+            "try:\n"
+            "    extend_frame(Graph(g.n, list(g.edges()) + [(0, 2)]), a, fr, ext)\n"
+            "except FrameInvariantError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("raised: extension must happen in the frame's host graph")
 
     def test_claims_hold_at_every_step(self):
         g, a = double_pendant_instance()

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from apaths import (
     Graph,
+    caterpillar_instance,
     complete_instance,
     random_instance,
     random_subcubic_tree,
@@ -22,6 +23,24 @@ class TestCompleteInstance:
     def test_k5(self):
         g, a = complete_instance(5)
         assert g.edge_count == 10 and len(a) == 5
+
+
+class TestCaterpillarInstance:
+    @pytest.mark.parametrize("legs,seed", [(2, 0), (5, 1), (12, 7)])
+    def test_shape(self, legs, seed):
+        g, a = caterpillar_instance(legs, seed)
+        assert len(a) == legs
+        assert a == frozenset(v for v in range(g.n) if g.degree(v) == 1)
+        assert g.edge_count == g.n - 1  # a tree
+        assert all(g.degree(v) <= 3 for v in range(g.n))
+
+    def test_seeded(self):
+        assert caterpillar_instance(6, 3) == caterpillar_instance(6, 3)
+        assert caterpillar_instance(6, 3) != caterpillar_instance(6, 4)
+
+    def test_rejects_fewer_than_two_legs(self):
+        with pytest.raises(ValueError):
+            caterpillar_instance(1, 0)
 
 
 class TestSubdividedComplete:

@@ -321,3 +321,25 @@ class TestSolveBudget:
         assert max(parts) < total - 1
         with pytest.raises(BudgetExceededError, match="solve"):
             solve(g, a, SolveParams(2, ell, node_budget=total - 1))
+
+
+class TestCombineCheckBudget:
+    """Both removal checks of combine_check_theorem_forms draw on one budget."""
+
+    def test_checks_share_one_budget(self):
+        # 5x5 grid, corner terminals, ell 17: the empty cover removes nothing,
+        # so each check is a full search that exhausts in 844 nodes.
+        grid = Graph(
+            25,
+            [(5 * r + c, 5 * r + c + 1) for r in range(5) for c in range(4)]
+            + [(5 * r + c, 5 * r + c + 5) for r in range(4) for c in range(5)],
+        )
+        corners = {0, 4, 20, 24}
+        cert = Cover(frozenset(), frozenset(), 1, 18)
+        assert spent(lambda b: has_long_induced_apath(grid, corners, 17, b)) == 844
+        params = SolveParams(2, 17, node_budget=2 * 844)
+        assert combine_check_theorem_forms(cert, grid, corners, params) == (True, True)
+        # Each check fits in 1000 nodes; the two together do not.
+        for budget in (2 * 844 - 1, 1000):
+            with pytest.raises(BudgetExceededError, match="combine_check_theorem_forms"):
+                combine_check_theorem_forms(cert, grid, corners, SolveParams(2, 17, node_budget=budget))
