@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Frame construction step by step: init on a shortest long induced A-path,
 greedy extension along terminal-to-frame geodesics, and extraction of
-pairwise anti-complete paths from the resulting hub tree.
+pairwise anti-complete paths straight from the frame's subcubic tree, in the
+host graph's own vertex ids.
 
 Run from the repository root:  python demos/03_frames.py
 """

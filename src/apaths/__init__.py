@@ -41,18 +41,14 @@ from .search import (
 from .frame import (
     Frame,
     FrameInvariantError,
-    HubTree,
     Violation,
     build_maximal_frame,
     extend_frame,
     extract_frame_paths,
-    extract_hub_tree_paths,
     find_extension,
-    frame_to_hub_tree,
     init_frame,
     leaf_paths,
     validate_frame,
-    validate_hub_tree,
 )
 from .solver import (
     Certificate,
@@ -92,10 +88,9 @@ __all__ = [
     "enumerate_induced_apaths", "oracle_max_anticomplete_packing",
     "max_anticomplete_packing_with_witness", "max_vertex_disjoint_apath_packing",
     "oracle_min_ball_cover",
-    "Frame", "HubTree", "Violation", "FrameInvariantError",
-    "validate_frame", "validate_hub_tree", "init_frame", "find_extension",
-    "extend_frame", "build_maximal_frame", "leaf_paths",
-    "extract_hub_tree_paths", "extract_frame_paths", "frame_to_hub_tree",
+    "Frame", "Violation", "FrameInvariantError",
+    "validate_frame", "init_frame", "find_extension",
+    "extend_frame", "build_maximal_frame", "leaf_paths", "extract_frame_paths",
     "SolveParams", "Packing", "Cover", "Certificate", "solve",
     "combine_check_theorem_forms", "PowerGraphMap", "reduce_to_d3", "lift_path",
     "Check", "Report", "verify_packing", "verify_cover", "verify_certificate",

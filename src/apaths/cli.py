@@ -153,6 +153,13 @@ def emit_certificate(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _vertex_ids(value: object, field: str) -> list[int]:
+    """value, checked to be a list of integer vertex ids."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise CertificateFormatError(f"{field} must be a list of integer vertex ids, got {value!r}")
+    return value
+
+
 def parse_certificate(text: str) -> tuple[dict, SolveParams, Certificate]:
     """Read a certificate document back into (document, params, certificate)."""
     try:
@@ -162,12 +169,15 @@ def parse_certificate(text: str) -> tuple[dict, SolveParams, Certificate]:
     try:
         inst = doc["instance"]
         params = SolveParams(k=inst["k"], ell=inst["ell"])
+        for key in ("vertices", "edges", "terminals"):
+            if type(inst[key]) is not int:
+                raise CertificateFormatError(f"instance.{key} must be an integer, got {inst[key]!r}")
         if doc["kind"] == "packing":
-            cert: Certificate = Packing(tuple(tuple(p) for p in doc["paths"]))
+            cert: Certificate = Packing(tuple(tuple(_vertex_ids(p, "each path")) for p in doc["paths"]))
         elif doc["kind"] == "cover":
             cert = Cover(
-                z1=frozenset(doc["z1"]),
-                z2=frozenset(doc["z2"]),
+                z1=frozenset(_vertex_ids(doc["z1"], "z1")),
+                z2=frozenset(_vertex_ids(doc["z2"], "z2")),
                 r1=doc["r1"],
                 r2=doc["r2"],
             )

@@ -20,7 +20,8 @@ The construction is greedy: start from a shortest long induced A-path, then
 repeatedly attach a shortest path from an unprocessed terminal to the frame
 (avoiding Y~), each attachment adding one leaf and one hub. The loop stops
 exactly when Y~ separates the remaining terminals from F, which is what the
-solver's recursion needs.
+solver's recursion needs. The packing paths come straight off T: its leaves
+are paired in the host's own ids, after one more full validation.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .graph import (
 from .search import DEFAULT_BUDGET, _Budget, shortest_long_induced_apath
 
 # Successful validations, counted so the acceptance suite can confirm the
-# axioms were actually exercised during a corpus run.
+# axioms were actually exercised during a corpus run. "hub_tree" counts the
+# frames that paths were extracted from.
 validation_stats = {"init_frame": 0, "extend_frame": 0, "hub_tree": 0}
 
 
@@ -96,23 +98,8 @@ class Frame:
         return self.a_f | self.a_bar
 
 
-@dataclass(frozen=True)
-class HubTree:
-    """The (F, T, leaves, hubs) restriction of a frame, as a standalone graph."""
-
-    graph: Graph
-    tree_edges: frozenset[tuple[int, int]]
-    leaves: VertexSet
-    hubs: VertexSet
-    ell: int
-
-
-def _canonical_edges(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    return frozenset((u, v) if u < v else (v, u) for u, v in edges)
-
-
 def _path_edges(p: Path) -> frozenset[tuple[int, int]]:
-    return _canonical_edges(zip(p, p[1:]))
+    return frozenset((u, v) if u < v else (v, u) for u, v in zip(p, p[1:]))
 
 
 def _tree_adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
@@ -126,32 +113,32 @@ def _tree_adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
 
 
 def _check_spanning_subcubic_tree(
-    n: int, vertices: VertexSet, edges: frozenset[tuple[int, int]], axiom: str
+    n: int, vertices: VertexSet, edges: frozenset[tuple[int, int]]
 ) -> tuple[list[Violation], list[int]]:
-    """Violations of "edges form a spanning subcubic tree on vertices", plus
-    the tree's adjacency as one bitmask per vertex 0..n-1 (vertices are ids
-    below n)."""
+    """A2 violations of "edges form a spanning subcubic tree on vertices",
+    plus the tree's adjacency as one bitmask per vertex 0..n-1 (vertices are
+    ids below n)."""
     viol = []
     tree = [0] * n
     for u, v in edges:
         if u not in vertices or v not in vertices:
-            viol.append(Violation(axiom, (u, v), "tree edge leaves the vertex set"))
+            viol.append(Violation("A2", (u, v), "tree edge leaves the vertex set"))
             return viol, tree
         tree[u] |= 1 << v
         tree[v] |= 1 << u
     for v in vertices:
         degree = tree[v].bit_count()
         if degree > 3:
-            viol.append(Violation(axiom, v, f"tree degree {degree} exceeds 3"))
+            viol.append(Violation("A2", v, f"tree degree {degree} exceeds 3"))
     if len(edges) != max(len(vertices) - 1, 0):
         viol.append(
-            Violation(axiom, len(edges), f"{len(edges)} edges cannot span {len(vertices)} vertices")
+            Violation("A2", len(edges), f"{len(edges)} edges cannot span {len(vertices)} vertices")
         )
     elif vertices:
         reached = mask_ball(tree, 1 << min(vertices))
         if reached.bit_count() != len(vertices):
             missing = min(v for v in vertices if not reached >> v & 1)
-            viol.append(Violation(axiom, missing, "tree does not reach this vertex"))
+            viol.append(Violation("A2", missing, "tree does not reach this vertex"))
     return viol, tree
 
 
@@ -187,7 +174,7 @@ def validate_frame(fr: Frame) -> list[Violation]:
     for u, v in fr.tree_edges:
         if u in fr.f_vertices and v in fr.f_vertices and not g.has_edge(u, v):
             viol.append(Violation("A2", (u, v), "tree edge is not an edge of the host"))
-    spanning, tree = _check_spanning_subcubic_tree(g.n, fr.f_vertices, fr.tree_edges, "A2")
+    spanning, tree = _check_spanning_subcubic_tree(g.n, fr.f_vertices, fr.tree_edges)
     viol.extend(spanning)
     if any(x.axiom == "A2" for x in viol):
         return viol
@@ -505,81 +492,6 @@ def build_maximal_frame(
     return fr
 
 
-def validate_hub_tree(ht: HubTree) -> list[Violation]:
-    """Check hub-tree properties H1..H7; empty list means valid."""
-    g = ht.graph
-    viol: list[Violation] = []
-    vertices = frozenset(range(g.n))
-    for u, v in ht.tree_edges:
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            viol.append(Violation("H1", (u, v), "tree edge outside the graph"))
-            return viol
-        if not g.has_edge(u, v):
-            viol.append(Violation("H2", (u, v), "tree edge is not a graph edge"))
-    spanning, tree = _check_spanning_subcubic_tree(g.n, vertices, ht.tree_edges, "H2")
-    viol.extend(spanning)
-    if any(x.axiom == "H2" for x in viol):
-        return viol
-
-    tree_deg1 = frozenset(v for v in vertices if tree[v].bit_count() == 1)
-    graph_deg1 = frozenset(v for v in vertices if g.degree(v) == 1)
-    if ht.leaves != tree_deg1 or ht.leaves != graph_deg1:
-        off = (ht.leaves ^ tree_deg1) | (ht.leaves ^ graph_deg1)
-        viol.append(Violation("H3", min(off), "leaves differ from the degree-1 vertices"))
-    deg3 = frozenset(v for v in vertices if tree[v].bit_count() == 3)
-    if ht.hubs != deg3:
-        viol.append(Violation("H4", min(ht.hubs ^ deg3), "hubs differ from tree degree-3 vertices"))
-
-    # Leaves and hubs outside the graph are already H3/H4 violations, and a
-    # hub's tree ball is then just itself, which holds no edge: skip them.
-    adj = g.neighbor_masks()
-
-    def pair_check(centers: VertexSet, lower: int, axiom: str):
-        inside = sorted(centers & vertices)
-        for c in inside:
-            near = mask_ball(adj, 1 << c, -1, lower - 1)
-            for other in inside:
-                if other > c and near >> other & 1:
-                    viol.append(Violation(axiom, (c, other), f"distance below {lower}"))
-
-    pair_check(ht.leaves, ht.ell, "H5")
-    pair_check(ht.hubs, 3, "H6")
-
-    hub_balls = [mask_ball(tree, 1 << x, -1, 2) for x in ht.hubs & vertices]
-    for u, v in g.edges():
-        if (u, v) in ht.tree_edges:
-            continue
-        if not any(b >> u & 1 and b >> v & 1 for b in hub_balls):
-            viol.append(Violation("H7", (u, v), "non-tree edge far from every hub"))
-    return viol
-
-
-def frame_to_hub_tree(fr: Frame) -> tuple[HubTree, tuple[int, ...]]:
-    """The four-component restriction of a frame, relabelled to dense ids.
-
-    Returns the hub tree plus the new-id -> host-id mapping (sorted order, so
-    the relabelling is monotone).
-    """
-    new_to_old = tuple(sorted(fr.f_vertices))
-    old_to_new = {old: new for new, old in enumerate(new_to_old)}
-    f_edges = [
-        (old_to_new[u], old_to_new[v])
-        for u in new_to_old
-        for v in fr.host.neighbors(u)
-        if u < v and v in old_to_new
-    ]
-    ht = HubTree(
-        graph=Graph(len(new_to_old), f_edges),
-        tree_edges=_canonical_edges(
-            (old_to_new[u], old_to_new[v]) for u, v in fr.tree_edges
-        ),
-        leaves=frozenset(old_to_new[v] for v in fr.a_f),
-        hubs=frozenset(old_to_new[v] for v in fr.hubs),
-        ell=fr.ell,
-    )
-    return ht, new_to_old
-
-
 def leaf_paths(
     tree_edges: Iterable[tuple[int, int]], leaves: Iterable[int]
 ) -> list[Path]:
@@ -671,7 +583,8 @@ def leaf_paths(
             path = list(reversed(arm_a)) + [x] + arm_b
         else:
             rest = alive - {root}
-            assert root in alive and len(rest) == 1, "pairing invariant broken"
+            if root not in alive or len(rest) != 1:
+                raise FrameInvariantError("leaf pairing invariant broken")
             other = rest.pop()
             climb = [other]
             while climb[-1] != root:
@@ -685,23 +598,21 @@ def leaf_paths(
     return out
 
 
-def extract_hub_tree_paths(ht: HubTree) -> list[Path]:
-    """floor(p/2) pairwise anti-complete induced leaf-to-leaf paths, each of
-    length >= ell.
+def extract_frame_paths(fr: Frame) -> list[Path]:
+    """floor(p/2) pairwise anti-complete induced leaf-to-leaf paths of a
+    frame, each of length >= ell, in host ids.
 
-    Tree pairing first, then each tree path is re-routed to a shortest path
-    inside the subgraph induced on its own vertices, which makes it induced
-    without disturbing disjointness. Every promised property is asserted on
-    the outputs before returning.
+    The frame is validated in full first. Tree pairing (leaf_paths) comes
+    next, then each tree path is re-routed to a shortest path inside the
+    subgraph induced on its own vertices, which makes it induced without
+    disturbing disjointness. Every promised property is checked on the
+    outputs before returning.
     """
-    violations = validate_hub_tree(ht)
-    if violations:
-        raise FrameInvariantError("hub tree failed validation", violations)
-    validation_stats["hub_tree"] += 1
-    g = ht.graph
+    _assert_valid(fr, "hub_tree")
+    g = fr.host
     adj = g.neighbor_masks()
     out: list[Path] = []
-    for tree_path in leaf_paths(ht.tree_edges, ht.leaves):
+    for tree_path in leaf_paths(fr.tree_edges, fr.a_f):
         unseen = to_mask(tree_path) & ~(1 << tree_path[0])
         parent: dict[int, int] = {tree_path[0]: -1}
         queue = deque([tree_path[0]])
@@ -728,19 +639,13 @@ def extract_hub_tree_paths(ht: HubTree) -> list[Path]:
     for i, path in enumerate(out):
         if not is_induced_path(g, path):
             failed.append(Violation("induced", path, "extracted path has a chord"))
-        if len(path) - 1 < ht.ell:
-            failed.append(Violation("length", path, f"length {len(path) - 1} < {ht.ell}"))
-        if not (path[0] in ht.leaves and path[-1] in ht.leaves):
+        if len(path) - 1 < fr.ell:
+            failed.append(Violation("length", path, f"length {len(path) - 1} < {fr.ell}"))
+        if not (path[0] in fr.a_f and path[-1] in fr.a_f):
             failed.append(Violation("endpoints", path, "endpoint is not a leaf"))
         for j in range(i + 1, len(out)):
             if not anti_complete(g, path, out[j]):
                 failed.append(Violation("anti-complete", (i, j), "extracted paths touch"))
     if failed:
-        raise FrameInvariantError("hub tree path extraction broke its contract", failed)
+        raise FrameInvariantError("frame path extraction broke its contract", failed)
     return sorted(out)
-
-
-def extract_frame_paths(fr: Frame) -> list[Path]:
-    """The hub-tree paths of a frame, translated back to host vertex ids."""
-    ht, new_to_old = frame_to_hub_tree(fr)
-    return [tuple(new_to_old[v] for v in path) for path in extract_hub_tree_paths(ht)]

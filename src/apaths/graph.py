@@ -11,7 +11,10 @@ Each graph also keeps its adjacency as one int bitmask per vertex
 (Graph.neighbor_masks: bit w of N(v) is set iff w ~ v), built once on first
 use. That is the representation of the chordless-path search and the frame
 layer; to_mask, mask_members, mask_neighbors and mask_ball are its set
-operations and its BFS.
+operations and its BFS, and ball, dist and power_graph are calls on
+mask_ball. components keeps a BFS over neighbour lists: it mostly runs once
+on a freshly induced subgraph, where building the masks first costs more
+than the walk itself.
 """
 
 from __future__ import annotations
@@ -178,42 +181,27 @@ def ball(g: Graph, x: Iterable[int], r: int) -> VertexSet:
     """All vertices at distance at most r from the set x (the closed ball N[x, r])."""
     if r < 0:
         raise GraphError(f"radius must be nonnegative, got {r}")
-    current = check_vertex_set(g, x)
-    reached = set(current)
-    frontier = current
-    for _ in range(r):
-        if not frontier:
-            break
-        nxt = set()
-        for v in frontier:
-            for w in g.neighbors(v):
-                if w not in reached:
-                    reached.add(w)
-                    nxt.add(w)
-        frontier = nxt
-    return frozenset(reached)
+    sources = check_vertex_set(g, x)
+    if r == 0:  # nothing to walk; the brute-force cover oracle asks this often
+        return sources
+    return frozenset(mask_members(mask_ball(g.neighbor_masks(), to_mask(sources), -1, r)))
 
 
 def dist(g: Graph, x: Iterable[int], y: Iterable[int]) -> int | float:
     """Length of a shortest path between the sets x and y (0 on overlap, inf if none)."""
-    xs = check_vertex_set(g, x)
-    ys = check_vertex_set(g, y)
-    if not xs or not ys:
+    reached = to_mask(check_vertex_set(g, x))
+    targets = to_mask(check_vertex_set(g, y))
+    if not reached or not targets:
         return INF
-    if xs & ys:
-        return 0
-    level = {v: 0 for v in xs}
-    queue = deque(sorted(xs))
-    while queue:
-        v = queue.popleft()
-        d = level[v] + 1
-        for w in g.neighbors(v):
-            if w not in level:
-                if w in ys:
-                    return d
-                level[w] = d
-                queue.append(w)
-    return INF
+    adj = g.neighbor_masks()
+    d = 0
+    while not reached & targets:
+        grown = mask_ball(adj, reached, -1, 1)
+        if grown == reached:
+            return INF
+        reached = grown
+        d += 1
+    return d
 
 
 def anti_complete(g: Graph, x: Iterable[int], y: Iterable[int]) -> bool:
@@ -290,29 +278,13 @@ def path_length(p: Path) -> int:
     return len(p) - 1
 
 
-def single_source_distances(g: Graph, source: int) -> list[int | float]:
-    """BFS distances from one vertex; unreachable vertices get inf."""
-    level: list[int | float] = [INF] * g.n
-    level[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        d = level[v] + 1
-        for w in g.neighbors(v):
-            if level[w] is INF:
-                level[w] = d
-                queue.append(w)
-    return level
-
-
 def power_graph(g: Graph, d: int) -> Graph:
     """The d-th power of g: same vertices, edges between all pairs at distance 1..d."""
     if d < 1:
         raise GraphError(f"power must be positive, got {d}")
-    edges = []
-    for u in range(g.n):
-        near = ball(g, (u,), d)
-        for v in near:
-            if u < v:
-                edges.append((u, v))
-    return Graph(g.n, edges)
+    adj = g.neighbor_masks()
+    return Graph(g.n, [
+        (u, v)
+        for u in range(g.n)
+        for v in mask_members(mask_ball(adj, 1 << u, -1, d) & -(2 << u))  # -(2 << u): the ids above u
+    ])

@@ -101,7 +101,7 @@ def shortest_apath(g: Graph, a: Iterable[int]) -> Path | None:
     """A minimum-length path joining two distinct terminals, or None.
 
     The result of minimisation is necessarily chordless with no interior
-    terminal; both are asserted rather than assumed. Ties are broken by the
+    terminal; both are checked rather than assumed. Ties are broken by the
     deterministic BFS order (smaller start vertex first, sorted adjacency).
     """
     a_set = check_vertex_set(g, a)
@@ -139,9 +139,10 @@ def shortest_apath(g: Graph, a: Iterable[int]) -> Path | None:
             path.reverse()
             if best is None or len(path) < len(best):
                 best = tuple(path)
-    if best is not None:
-        assert is_induced_path(g, best), "shortest A-path must be chordless"
-        assert not (set(best[1:-1]) & a_set), "shortest A-path has no interior terminal"
+    if best is not None and not is_induced_path(g, best):
+        raise AssertionError(f"shortest A-path {best} has a chord")
+    if best is not None and set(best[1:-1]) & a_set:
+        raise AssertionError(f"shortest A-path {best} has an interior terminal")
     return best
 
 

@@ -26,7 +26,8 @@ from .graph import (
     check_vertex_set,
     components,
     induced_subgraph,
-    single_source_distances,
+    mask_ball,
+    power_graph,
 )
 from .search import (
     DEFAULT_BUDGET,
@@ -209,33 +210,29 @@ def reduce_to_d3(g: Graph, d: int) -> PowerGraphMap:
 
     This is the reduction showing that far-apart path packing at distance d
     follows from the d = 3 case on the powered graph: power paths lift back
-    to base paths along the witnesses.
+    to base paths along the witnesses. A witness u -> v walks back from v
+    through the balls around u, always to the least neighbour one step
+    closer to u.
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
+    powered = power_graph(g, d)
+    adj = g.neighbor_masks()
     witness: dict[tuple[int, int], Path] = {}
-    edges = []
     for u in range(g.n):
-        dist_u = single_source_distances(g, u)
-        parents: dict[int, int] = {u: -1}
-        order = sorted(
-            (v for v in range(g.n) if 0 < dist_u[v] <= d),
-            key=lambda v: (dist_u[v], v),
-        )
-        for v in order:
-            best = min(
-                (w for w in g.neighbors(v) if dist_u[w] == dist_u[v] - 1),
-            )
-            parents[v] = best
-        for v in order:
+        balls = [1 << u]  # balls[r]: the vertices within distance r of u
+        for _ in range(d):
+            balls.append(mask_ball(adj, balls[-1], -1, 1))
+        for v in powered.neighbors(u):
             if v < u:
                 continue
-            edges.append((u, v))
             path = [v]
-            while parents[path[-1]] != -1:
-                path.append(parents[path[-1]])
+            distance = next(r for r in range(1, d + 1) if balls[r] >> v & 1)
+            for r in range(distance - 1, -1, -1):
+                closer = adj[path[-1]] & balls[r]
+                path.append((closer & -closer).bit_length() - 1)
             witness[(u, v)] = tuple(reversed(path))
-    return PowerGraphMap(base=g, d=d, powered=Graph(g.n, edges), witness=witness)
+    return PowerGraphMap(base=g, d=d, powered=powered, witness=witness)
 
 
 def lift_path(pmap: PowerGraphMap, p_h: Path) -> Path:
@@ -262,7 +259,8 @@ def lift_path(pmap: PowerGraphMap, p_h: Path) -> Path:
         if goal in parent:
             break
         queue = nxt
-    assert goal in parent, "witness union must connect the endpoints"
+    if goal not in parent:
+        raise ValueError(f"the witnesses of {p_h} do not connect {start} to {goal}")
     path = [goal]
     while parent[path[-1]] != -1:
         path.append(parent[path[-1]])

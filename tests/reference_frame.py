@@ -2,12 +2,16 @@
 frame checks that the bitmask frame layer replaced, kept verbatim in
 behaviour.
 
-reference_validate_frame, reference_check_frame_claims, reference_regions and
-reference_check_extension_path take the same arguments as
-apaths.frame.validate_frame, check_frame_claims, _regions and
-_check_extension_path, so a test can run both on one frame and compare what
-they return or raise. Every ball here is a dict BFS, on an induced subgraph
-built per call. Do not optimise it: its whole value is that it does not
+reference_validate_frame, reference_check_frame_claims, reference_regions,
+reference_check_extension_path and reference_extract_frame_paths take the
+same arguments as apaths.frame.validate_frame, check_frame_claims, _regions,
+_check_extension_path and extract_frame_paths, so a test can run both on one
+frame and compare what they return or raise. Every ball here is a dict BFS,
+on an induced subgraph built per call. reference_extract_frame_paths is the
+hub-tree extraction: it copies F onto dense ids, checks the copy against its
+own properties H1..H7 instead of the frame axioms, pairs and re-routes the
+tree paths there, and maps them back. Only leaf_paths is shared with the
+package. Do not optimise any of it: its whole value is that it does not
 change.
 """
 
@@ -16,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from apaths.frame import Frame, FrameInvariantError, Violation
+from apaths.frame import Frame, FrameInvariantError, Violation, leaf_paths
 from apaths.graph import (
     Graph,
     Path,
@@ -270,3 +274,116 @@ def reference_check_extension_path(g: Graph, fr: Frame, p: Path) -> None:
     ]
     if failed:
         raise FrameInvariantError("find_extension produced a bad path", failed)
+
+
+def _validate_hub_tree(
+    g: Graph, tree_edges: frozenset[tuple[int, int]], leaves: VertexSet, hubs: VertexSet, ell: int
+) -> list[Violation]:
+    """Hub-tree properties H1..H7 of a standalone graph g with a spanning
+    tree; an empty list means valid."""
+    viol: list[Violation] = []
+    vertices = frozenset(range(g.n))
+    for u, v in tree_edges:
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            viol.append(Violation("H1", (u, v), "tree edge outside the graph"))
+            return viol
+        if not g.has_edge(u, v):
+            viol.append(Violation("H2", (u, v), "tree edge is not a graph edge"))
+    viol.extend(_check_spanning_subcubic_tree(vertices, tree_edges, "H2"))
+    if any(x.axiom == "H2" for x in viol):
+        return viol
+    tree_adj = _tree_adjacency(tree_edges)
+
+    tree_deg1 = _degree_set(vertices, tree_adj, 1)
+    graph_deg1 = _degree_set(vertices, g, 1)
+    if leaves != tree_deg1 or leaves != graph_deg1:
+        off = (leaves ^ tree_deg1) | (leaves ^ graph_deg1)
+        viol.append(Violation("H3", min(off), "leaves differ from the degree-1 vertices"))
+    deg3 = _degree_set(vertices, tree_adj, 3)
+    if hubs != deg3:
+        viol.append(Violation("H4", min(hubs ^ deg3), "hubs differ from tree degree-3 vertices"))
+
+    def pair_check(centers: VertexSet, lower: int, axiom: str):
+        inside = sorted(centers & vertices)
+        for c in inside:
+            near = _bfs_levels(g, [c], cutoff=lower - 1)
+            for other in inside:
+                if other > c and other in near:
+                    viol.append(Violation(axiom, (c, other), f"distance below {lower}"))
+
+    pair_check(leaves, ell, "H5")
+    pair_check(hubs, 3, "H6")
+
+    hub_balls = [_bfs_levels(tree_adj, [x], cutoff=2) for x in hubs & vertices]
+    for u, v in g.edges():
+        if (u, v) in tree_edges:
+            continue
+        if not any(u in b and v in b for b in hub_balls):
+            viol.append(Violation("H7", (u, v), "non-tree edge far from every hub"))
+    return viol
+
+
+def reference_extract_frame_paths(fr: Frame) -> list[Path]:
+    """floor(p/2) pairwise anti-complete induced leaf-to-leaf paths of length
+    >= ell, in host ids, extracted from the hub tree of fr.
+
+    F is relabelled to dense ids in sorted order (a monotone map), the copy
+    is validated with H1..H7, each leaf_paths tree path is re-routed to a
+    shortest path inside the subgraph induced on its own vertices, every
+    promised property is checked, and the sorted result is mapped back.
+    """
+    new_to_old = tuple(sorted(fr.f_vertices))
+    old_to_new = {old: new for new, old in enumerate(new_to_old)}
+    g = Graph(len(new_to_old), [
+        (old_to_new[u], old_to_new[v])
+        for u in new_to_old
+        for v in fr.host.neighbors(u)
+        if u < v and v in old_to_new
+    ])
+    tree_edges = frozenset(
+        (min(old_to_new[u], old_to_new[v]), max(old_to_new[u], old_to_new[v]))
+        for u, v in fr.tree_edges
+    )
+    leaves = frozenset(old_to_new[v] for v in fr.a_f)
+    hubs = frozenset(old_to_new[v] for v in fr.hubs)
+    violations = _validate_hub_tree(g, tree_edges, leaves, hubs, fr.ell)
+    if violations:
+        raise FrameInvariantError("hub tree failed validation", violations)
+
+    out: list[Path] = []
+    for tree_path in leaf_paths(tree_edges, leaves):
+        allowed = frozenset(tree_path)
+        parent: dict[int, int] = {tree_path[0]: -1}
+        queue = deque([tree_path[0]])
+        target = tree_path[-1]
+        while queue:
+            v = queue.popleft()
+            if v == target:
+                break
+            for w in g.neighbors(v):
+                if w in allowed and w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+        rerouted = [target]
+        while parent[rerouted[-1]] != -1:
+            rerouted.append(parent[rerouted[-1]])
+        rerouted.reverse()
+        path = tuple(rerouted)
+        if path[0] > path[-1]:
+            path = path[::-1]
+        out.append(path)
+
+    failed = []
+    for i, path in enumerate(out):
+        if not is_induced_path(g, path):
+            failed.append(Violation("induced", path, "extracted path has a chord"))
+        if len(path) - 1 < fr.ell:
+            failed.append(Violation("length", path, f"length {len(path) - 1} < {fr.ell}"))
+        if not (path[0] in leaves and path[-1] in leaves):
+            failed.append(Violation("endpoints", path, "endpoint is not a leaf"))
+        for j in range(i + 1, len(out)):
+            if not anti_complete(g, path, out[j]):
+                failed.append(Violation("anti-complete", (i, j), "extracted paths touch"))
+    if failed:
+        raise FrameInvariantError("hub tree path extraction broke its contract", failed)
+    return [tuple(new_to_old[v] for v in path) for path in sorted(out)]

@@ -203,3 +203,21 @@ class TestExitCodes:
         c = tmp_path / "c.cert"
         c.write_text("{not json")
         assert run_cli(["verify", "--input", str(g), "--cert", str(c)])[0] == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"instance": {"k": 1, "ell": 1}, "kind": "packing", "paths": [[0, 1]]},
+            {"instance": {"k": 1, "ell": 1, "vertices": 2, "edges": 1, "terminals": 2},
+             "kind": "packing", "paths": [["a", "b"]]},
+            {"instance": {"k": 2, "ell": 1, "vertices": 2, "edges": 1, "terminals": 2},
+             "kind": "cover", "z1": ["0"], "z2": [], "r1": 1, "r2": 4},
+        ],
+        ids=["no-counts", "string-path-ids", "string-cover-ids"],
+    )
+    def test_malformed_certificate_exits_2(self, tmp_path, doc):
+        g = tmp_path / "g.graph"
+        g.write_text("p 2\ne 0 1\na 0\na 1\n")
+        c = tmp_path / "c.cert"
+        c.write_text(json.dumps(doc))
+        assert run_cli(["verify", "--input", str(g), "--cert", str(c)])[0] == EXIT_BAD_INPUT

@@ -10,22 +10,18 @@ from apaths import (
     Frame,
     FrameInvariantError,
     Graph,
-    HubTree,
     anti_complete,
     build_maximal_frame,
     dist,
     extend_frame,
     extract_frame_paths,
-    extract_hub_tree_paths,
     find_extension,
-    frame_to_hub_tree,
     init_frame,
     is_induced_path,
     leaf_paths,
     random_subcubic_tree,
     subdivided_complete_instance,
     validate_frame,
-    validate_hub_tree,
 )
 
 
@@ -189,7 +185,8 @@ class TestExtendFrame:
         # python -O strips assert statements; the frame's invariants must
         # still raise.
         code = (
-            "from apaths import FrameInvariantError, Graph, extend_frame, find_extension, init_frame\n"
+            "from apaths import FrameInvariantError, Graph, PowerGraphMap, extend_frame, find_extension,"
+            " init_frame, lift_path\n"
             "from test_frame import pendant_instance\n"
             "assert False, 'asserts are live, so this is not running under -O'\n"
             "g, a = pendant_instance()\n"
@@ -199,6 +196,12 @@ class TestExtendFrame:
             "    extend_frame(Graph(g.n, list(g.edges()) + [(0, 2)]), a, fr, ext)\n"
             "except FrameInvariantError as exc:\n"
             "    print('raised:', exc)\n"
+            "base = Graph(3, [(0, 1), (1, 2)])\n"
+            "forged = PowerGraphMap(base, 2, Graph(3, [(0, 2)]), {(0, 2): (0, 1)})\n"
+            "try:\n"
+            "    lift_path(forged, (0, 2))\n"
+            "except ValueError as exc:\n"
+            "    print('raised:', exc)\n"
         )
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
@@ -206,7 +209,10 @@ class TestExtendFrame:
             [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("raised: extension must happen in the frame's host graph")
+        assert done.stdout.splitlines() == [
+            "raised: extension must happen in the frame's host graph",
+            "raised: the witnesses of (0, 2) do not connect 0 to 2",
+        ]
 
     def test_claims_hold_at_every_step(self):
         g, a = double_pendant_instance()
@@ -259,14 +265,11 @@ class TestLeafPaths:
 
 
 class TestHubTreeExtraction:
+    """extract_frame_paths pairs the leaves of a frame's hub tree (F, T, leaves, hubs)."""
+
     def test_bare_path_hub_tree(self):
-        g = path_graph(4)
-        ht = HubTree(
-            graph=g, tree_edges=frozenset({(0, 1), (1, 2), (2, 3)}),
-            leaves=frozenset({0, 3}), hubs=frozenset(), ell=3,
-        )
-        assert validate_hub_tree(ht) == []
-        assert extract_hub_tree_paths(ht) == [(0, 1, 2, 3)]
+        fr = init_frame(path_graph(4), {0, 3}, 3)
+        assert extract_frame_paths(fr) == [(0, 1, 2, 3)]
 
     def test_double_spider_legs(self):
         g, a = double_pendant_instance()
@@ -289,15 +292,14 @@ class TestHubTreeExtraction:
             (1, 11), (11, 12), (12, 13),
         ]
         g = Graph(16, tree + [(2, 5)])
-        ht = HubTree(
-            graph=g,
+        fr = Frame(
+            host=g, f_vertices=frozenset(range(16)),
             tree_edges=frozenset((min(u, v), max(u, v)) for u, v in tree),
-            leaves=frozenset({4, 7, 10, 13}),
-            hubs=frozenset({0, 1}),
-            ell=3,
+            a_f=frozenset({4, 7, 10, 13}), hubs=frozenset({0, 1}),
+            y=frozenset(range(16)), y_tilde=frozenset(), a_bar=frozenset(), ell=3,
         )
-        assert validate_hub_tree(ht) == []
-        paths = extract_hub_tree_paths(ht)
+        assert validate_frame(fr) == []
+        paths = extract_frame_paths(fr)
         assert paths == [(4, 3, 2, 5, 6, 7), (10, 9, 8, 1, 11, 12, 13)]
         for p in paths:
             assert is_induced_path(g, p)
@@ -306,17 +308,11 @@ class TestHubTreeExtraction:
 
     def test_validation_failure_raises(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        ht = HubTree(
-            graph=g, tree_edges=frozenset({(0, 1), (1, 2), (2, 3)}),
-            leaves=frozenset({0, 3}), hubs=frozenset(), ell=1,
+        fr = Frame(
+            host=g, f_vertices=frozenset(range(4)),
+            tree_edges=frozenset({(0, 1), (1, 2), (2, 3)}),
+            a_f=frozenset({0, 3}), hubs=frozenset(), y=frozenset(range(4)),
+            y_tilde=frozenset(), a_bar=frozenset(), ell=1,
         )
         with pytest.raises(FrameInvariantError):
-            extract_hub_tree_paths(ht)  # the chord (0,3) violates H3/H7
-
-    def test_frame_restrictions_are_hub_trees(self):
-        for builder in (pendant_instance, double_pendant_instance):
-            g, a = builder()
-            fr = build_maximal_frame(g, a, 3)
-            ht, mapping = frame_to_hub_tree(fr)
-            assert validate_hub_tree(ht) == []
-            assert sorted(mapping) == sorted(fr.f_vertices)
+            extract_frame_paths(fr)  # the chord (0,3) violates A3/A8

@@ -4,7 +4,9 @@ reference in reference_frame.py.
 Both run on every frame a construction passes through, on caterpillars and
 on subdivided random graphs, and on copies of those frames broken one axiom
 at a time. They must return the same (y, y_tilde), the same violation lists
-and the same extension-path verdicts, or raise the same error.
+and the same extension-path verdicts, or raise the same error. Path
+extraction must return the reference's hub-tree paths on every frame, and
+reject every broken frame the hub-tree checks H1..H7 reject.
 """
 
 import random
@@ -18,6 +20,7 @@ from apaths import (
     Graph,
     SolveParams,
     caterpillar_instance,
+    extract_frame_paths,
     find_extension,
     random_instance,
     solve,
@@ -26,6 +29,7 @@ from apaths.frame import _check_extension_path, _regions, check_frame_claims, va
 from reference_frame import (
     reference_check_extension_path,
     reference_check_frame_claims,
+    reference_extract_frame_paths,
     reference_regions,
     reference_validate_frame,
 )
@@ -233,3 +237,24 @@ def test_extension_path_verdicts_agree():
             assert new[0] == "raised", q
             checked += 1
     assert checked > 100
+
+
+def test_extracted_paths_agree():
+    for _, fr in FRAMES:
+        assert extract_frame_paths(fr) == reference_extract_frame_paths(fr)
+
+
+def test_extraction_rejects_what_the_hub_tree_checks_reject():
+    # H1..H7 restate axioms of the frame, so every broken frame the reference
+    # rejects must fail the frame checks that extraction now starts with.
+    rejected = set()
+    for _, fr in FRAMES[::7]:
+        for name, broken in mutations(fr):
+            new = outcome(extract_frame_paths, broken)
+            old = outcome(reference_extract_frame_paths, broken)
+            if old[0] == "raised":
+                rejected.add(name)
+                assert new[:2] == ("raised", "FrameInvariantError"), name
+            elif new[0] == "returned":
+                assert new == old, name
+    assert len(rejected) >= 12, sorted(rejected)

@@ -79,6 +79,7 @@ class TestBall:
         x = frozenset(v for v in range(g.n) if v % 3 == 0)
         lo, hi = min(r1, r2), max(r1, r2)
         assert ball(g, x, lo) <= ball(g, x, hi)
+        assert ball(g, x, hi) == brute.brute_ball(g, x, hi)
         if hi >= 1:
             assert ball(g, x, hi) == ball(g, ball(g, x, hi - 1), 1)
 

@@ -24,6 +24,7 @@ from apaths import (
     subdivided_complete_instance,
     verify_certificate,
 )
+from reference_solver import reference_reduce_to_d3
 from test_search import spent
 
 
@@ -176,6 +177,19 @@ class TestReduceAndLift:
         g = cycle(9)
         pmap = reduce_to_d3(g, 3)
         assert lift_path(pmap, (0, 1, 2)) == (0, 1, 2)
+
+    @given(
+        st.integers(1, 14),
+        st.sampled_from([0.15, 0.3, 0.5]),
+        st.integers(0, 5_000),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, n, p, seed, d):
+        g, _ = random_instance(n, p, 1.0, seed)
+        new, old = reduce_to_d3(g, d), reference_reduce_to_d3(g, d)
+        assert new.powered == old.powered
+        assert new.witness == old.witness
 
     @given(
         st.integers(4, 12),
