@@ -36,13 +36,13 @@ for n in (3, 5, 7):
 print("  -> a single number times (k-1) can never beat n-1 bare deletions")
 
 print("\n== subdivided cliques: why one ball per k cannot suffice ==")
-for r in (1, 2):
-    g, a = subdivided_complete_instance(2, r)
-    packing = oracle_max_anticomplete_packing(g, a, ell=1, cap=2)
+for k, r in ((2, 1), (2, 2), (3, 1), (3, 3)):
+    g, a = subdivided_complete_instance(k, r)
+    packing = oracle_max_anticomplete_packing(g, a, ell=1, cap=k)
     size, z = oracle_min_ball_cover(g, a, ell=1, r=r)
     print(
-        f"  K_3 with edges stretched to length {3 * r} ({g.n} vertices): "
-        f"packing = {packing}, min radius-{r} cover = {size} > 2k-3 = 1"
+        f"  K_{2 * k - 1} with edges stretched to length {3 * r} ({g.n} vertices): "
+        f"packing = {packing} < k = {k}, min radius-{r} cover = {size} > 2k-3 = {2 * k - 3}"
     )
 
 print("\n== length-constrained induced searches ==")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Iterable, TextIO
 
 from .frame import Frame
@@ -80,9 +81,12 @@ def parse_graph(text: str) -> tuple[Graph, VertexSet]:
         if tag == "p":
             if n is not None:
                 raise GraphFormatError(line_no, "duplicate p line")
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not args[0].isdecimal():
                 raise GraphFormatError(line_no, "p line must be 'p <n>'")
-            n = int(args[0])
+            try:
+                n = int(args[0])
+            except ValueError:  # more digits than int() converts
+                raise GraphFormatError(line_no, "vertex count too long")
         elif tag == "e":
             if n is None:
                 raise GraphFormatError(line_no, "e line before p line")
@@ -153,6 +157,13 @@ def emit_certificate(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _integer(value: object, field: str) -> int:
+    """value, checked to be an integer (not a bool, float or string)."""
+    if type(value) is not int:
+        raise CertificateFormatError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _vertex_ids(value: object, field: str) -> list[int]:
     """value, checked to be a list of integer vertex ids."""
     if not isinstance(value, list) or any(type(v) is not int for v in value):
@@ -164,22 +175,26 @@ def parse_certificate(text: str) -> tuple[dict, SolveParams, Certificate]:
     """Read a certificate document back into (document, params, certificate)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
         raise CertificateFormatError(f"not valid JSON: {exc}") from exc
     try:
         inst = doc["instance"]
-        params = SolveParams(k=inst["k"], ell=inst["ell"])
+        params = SolveParams(k=_integer(inst["k"], "instance.k"), ell=_integer(inst["ell"], "instance.ell"))
         for key in ("vertices", "edges", "terminals"):
-            if type(inst[key]) is not int:
-                raise CertificateFormatError(f"instance.{key} must be an integer, got {inst[key]!r}")
+            _integer(inst[key], f"instance.{key}")
         if doc["kind"] == "packing":
-            cert: Certificate = Packing(tuple(tuple(_vertex_ids(p, "each path")) for p in doc["paths"]))
+            if not isinstance(doc["paths"], list):
+                raise CertificateFormatError(f"paths must be a list, got {doc['paths']!r}")
+            paths = tuple(tuple(_vertex_ids(p, "each path")) for p in doc["paths"])
+            if not all(paths):
+                raise CertificateFormatError("each path needs at least one vertex")
+            cert: Certificate = Packing(paths)
         elif doc["kind"] == "cover":
             cert = Cover(
                 z1=frozenset(_vertex_ids(doc["z1"], "z1")),
                 z2=frozenset(_vertex_ids(doc["z2"], "z2")),
-                r1=doc["r1"],
-                r2=doc["r2"],
+                r1=_integer(doc["r1"], "r1"),
+                r2=_integer(doc["r2"], "r2"),
             )
         else:
             raise CertificateFormatError(f"unknown certificate kind {doc['kind']!r}")
@@ -221,9 +236,10 @@ def _cmd_verify(args, out: TextIO) -> int:
     g, a = _read_graph_file(args.input)
     with open(args.cert, "r", encoding="utf-8") as f:
         doc, params, cert = parse_certificate(f.read())
+    params = replace(params, node_budget=args.budget)
     inst = doc["instance"]
     digest = instance_digest(g, a, params)
-    report = verify_certificate(g, a, params, cert)
+    report = verify_certificate(g, a, params, cert, params.node_budget)
     for key in ("vertices", "edges", "terminals"):
         report.add(f"instance.{key}", inst[key] == digest[key], (inst[key], digest[key]))
     out.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -300,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="re-check a certificate from scratch")
     p_verify.add_argument("--input", required=True)
     p_verify.add_argument("--cert", required=True)
+    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="brute-force ground truth on small instances")

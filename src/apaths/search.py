@@ -16,9 +16,18 @@ reach the minimum length. Dropped subtrees contain no result, and extensions
 are taken in sorted order, so results and their order are those of the full
 search.
 
-A node budget bounds every call: one node per visited path, shared by all
-searches one oracle, solve or verify call makes, so runaway searches end in
-an explicit BudgetExceededError instead of a silent hang.
+The brute-force oracles enumerate their paths once and then work on
+bitmasks alone: path i is bit i of an int. The ball-cover oracle keeps, for
+each vertex v, the mask of the paths that ball(v, r) meets, and a subset Z
+covers iff the OR of its masks is all ones. The packing oracles keep one
+mask per path of the later paths compatible with it, and search families
+bit-parallel, as in bit-parallel maximum clique.
+
+A node budget bounds every call, shared by all searches one oracle, solve
+or verify call makes, so runaway searches end in an explicit
+BudgetExceededError instead of a silent hang. A node is one visited path of
+the search engine, and in the oracles also one subset tried or one family
+node.
 """
 
 from __future__ import annotations
@@ -31,11 +40,11 @@ from .graph import (
     Graph,
     Path,
     VertexSet,
-    ball,
     check_vertex_set,
     components,
-    induced_subgraph,
     is_induced_path,
+    mask_ball,
+    mask_members,
     to_mask,
 )
 
@@ -361,54 +370,99 @@ def enumerate_induced_apaths(
     return sorted(out)
 
 
-def _max_compatible_family(
-    paths: list[Path],
-    path_sets: list[frozenset[int]],
-    forbidden: list[frozenset[int]],
-    cap: int,
+def _path_masks(
+    g: Graph,
+    a: Iterable[int],
+    ell: int,
     budget: _Budget,
-) -> tuple[int, tuple[Path, ...]]:
-    """Largest family (up to cap) of paths with pairwise disjoint constraints.
+    no_interior_terminals: bool = False,
+) -> tuple[list[Path], list[int], list[int]]:
+    """The induced A-paths of length >= ell, enumerated once: (paths, the
+    vertex mask of each path, and through[v], the mask of the paths through
+    v). Path i is bit i of every path mask."""
+    paths = enumerate_induced_apaths(g, a, ell, budget, no_interior_terminals)
+    through = [0] * g.n
+    for i, p in enumerate(paths):
+        bit = 1 << i
+        for v in p:
+            through[v] |= bit
+    return paths, [to_mask(p) for p in paths], through
 
-    Path i is compatible with a chosen path j iff path_sets[i] avoids
-    forbidden[j]; with forbidden = closed neighbourhoods this is
-    anti-completeness, with forbidden = vertex sets it is plain disjointness.
+
+def _paths_meeting(vertices: int, through: list[int]) -> int:
+    """The mask of the paths through some vertex of the mask vertices."""
+    met = 0
+    for v in mask_members(vertices):
+        met |= through[v]
+    return met
+
+
+def _compatibility(forbidden: list[int], through: list[int]) -> list[int]:
+    """One mask per path i: the later paths j > i whose vertices avoid
+    forbidden[i]. The relation must be symmetric; it is for closed
+    neighbourhoods (anti-completeness) and for the paths themselves
+    (disjointness)."""
+    top = 1 << len(forbidden)
+    return [(top - (2 << i)) & ~_paths_meeting(f, through) for i, f in enumerate(forbidden)]
+
+
+def _max_compatible_family(
+    compat: list[int], cap: int, budget: _Budget
+) -> tuple[int, tuple[int, ...]]:
+    """Largest family (up to cap) of pairwise compatible paths, and the
+    indices of the first such family found.
+
+    A bit-parallel branch and bound, as in bit-parallel maximum clique: a
+    node carries its candidates, the later paths compatible with every
+    chosen one, as one int. Children are taken lowest bit first, so families
+    are visited in lexicographic index order, and a node whose chosen paths
+    plus candidates cannot beat the best family so far is cut. A cut subtree
+    holds no family larger than the best, so the first family found of each
+    size, and with it the witness, is that of the unpruned search.
+    budget.spend() is called once per family node.
     """
     best = 0
-    best_witness: tuple[Path, ...] = ()
+    best_family: tuple[int, ...] = ()
     chosen: list[int] = []
+    spend = budget.spend
 
-    def rec(start: int) -> None:
-        nonlocal best, best_witness
+    def rec(cands: int) -> None:
+        nonlocal best, best_family
         if len(chosen) > best:
             best = len(chosen)
-            best_witness = tuple(paths[i] for i in chosen)
-        if best >= cap or len(chosen) + (len(paths) - start) <= best:
-            return
-        for i in range(start, len(paths)):
-            budget.spend()
-            if all(path_sets[i].isdisjoint(forbidden[j]) for j in chosen):
-                chosen.append(i)
-                rec(i + 1)
-                chosen.pop()
-                if best >= cap:
-                    return
+            best_family = tuple(chosen)
+        while cands and best < cap and len(chosen) + cands.bit_count() > best:
+            low = cands & -cands
+            cands ^= low
+            i = low.bit_length() - 1
+            spend()
+            chosen.append(i)
+            rec(cands & compat[i])
+            chosen.pop()
 
-    rec(0)
-    return min(best, cap), best_witness
+    rec((1 << len(compat)) - 1)
+    return best, best_family
 
 
 def max_anticomplete_packing_with_witness(
     g: Graph, a: Iterable[int], ell: int, cap: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> tuple[int, tuple[Path, ...]]:
-    """Maximum family (up to cap) of pairwise anti-complete induced A-paths of length >= ell."""
+    """Maximum family (up to cap) of pairwise anti-complete induced A-paths
+    of length >= ell, and the first such family in lexicographic path order.
+
+    Two paths are anti-complete iff one avoids the other's closed
+    neighbourhood, so each path's compatibility mask is built once from its
+    radius-1 ball and the family search runs on masks alone. The budget pays
+    for the enumeration and the family search.
+    """
     if cap < 1:
         raise ValueError(f"need cap >= 1, got {cap}")
     b = _as_budget(budget, "oracle_max_anticomplete_packing")
-    paths = enumerate_induced_apaths(g, a, ell, budget=b)
-    path_sets = [frozenset(p) for p in paths]
-    closed = [frozenset(ball(g, p, 1)) for p in paths]
-    return _max_compatible_family(paths, path_sets, closed, cap, b)
+    paths, masks, through = _path_masks(g, a, ell, b)
+    adj = g.neighbor_masks()
+    closed = [mask_ball(adj, m, -1, 1) for m in masks]
+    size, family = _max_compatible_family(_compatibility(closed, through), cap, b)
+    return size, tuple(paths[i] for i in family)
 
 
 def oracle_max_anticomplete_packing(
@@ -429,10 +483,8 @@ def max_vertex_disjoint_apath_packing(
     if cap < 1:
         raise ValueError(f"need cap >= 1, got {cap}")
     b = _as_budget(budget, "max_vertex_disjoint_apath_packing")
-    paths = enumerate_induced_apaths(g, a, 1, budget=b, no_interior_terminals=True)
-    path_sets = [frozenset(p) for p in paths]
-    size, _ = _max_compatible_family(paths, path_sets, path_sets, cap, b)
-    return size
+    _, masks, through = _path_masks(g, a, 1, b, no_interior_terminals=True)
+    return _max_compatible_family(_compatibility(masks, through), cap, b)[0]
 
 
 def oracle_min_ball_cover(
@@ -442,16 +494,39 @@ def oracle_min_ball_cover(
     induced A-path of length >= ell; found by subset enumeration by size.
 
     Returns (|Z|, Z) for the lexicographically first minimum Z.
+
+    An induced path of g - X is an induced path of g, so deleting ball(Z, r)
+    kills every long induced A-path iff the ball meets each of them. The
+    paths are enumerated once as bitmasks (at ell = 1 only those without
+    interior terminals: every A-path holds one). hit[v] is the mask of the
+    paths within distance r of v, i.e. met by ball(v, r), and Z is a cover
+    iff the OR of hit over Z is all ones. The budget pays for the
+    enumeration and one node per subset tried.
     """
     a_set = check_vertex_set(g, a)
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got {ell}")
     b = _as_budget(budget, "oracle_min_ball_cover")
-    for size in range(g.n + 1):
-        for z in combinations(range(g.n), size):
-            b.spend(g.n)
-            removed = ball(g, z, r)
-            h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
-            if not has_long_induced_apath(h, a_set - removed, ell, budget=b):
-                return size, frozenset(z)
+    paths, _, through = _path_masks(g, a_set, ell, b, no_interior_terminals=ell == 1)
+    adj = g.neighbor_masks()
+    hit = [_paths_meeting(mask_ball(adj, 1 << v, -1, r), through) for v in range(g.n)]
+    full = (1 << len(paths)) - 1
+    b.spend()  # the empty set
+    if not full:
+        return 0, frozenset()
+    # Subsets of each size in lexicographic order, grouped by all but their
+    # last vertex, whose OR is formed once per group.
+    for size in range(1, g.n + 1):
+        for head in combinations(range(g.n), size - 1):
+            acc = 0
+            for v in head:
+                acc |= hit[v]
+            first = head[-1] + 1 if head else 0
+            for last in range(first, g.n):
+                if acc | hit[last] == full:
+                    b.spend(last - first + 1)
+                    return size, frozenset(head + (last,))
+            b.spend(g.n - first)
     raise AssertionError("deleting every vertex always works")  # pragma: no cover

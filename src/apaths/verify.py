@@ -98,7 +98,7 @@ def verify_packing(
         report.add(
             f"path[{i}].endpoints_in_terminals",
             len(p) >= 2 and p[0] in a_set and p[-1] in a_set,
-            (p[0], p[-1]),
+            (p[0], p[-1]) if p else (),
         )
         report.add(f"path[{i}].length", len(p) - 1 >= params.ell, len(p) - 1)
     for i in range(len(paths)):

@@ -1,13 +1,31 @@
-"""Frozen reference for the differential tests: the original recursive,
-set-based chordless-path search, kept verbatim in behaviour.
+"""Frozen references for the differential tests, kept verbatim in behaviour.
 
-It has the same signature as apaths.search._terminal_path_dfs, so a test can
-swap it in and compare what the public searches return and how many nodes
-they spend. It recurses once per path vertex, so it only serves small graphs.
-Do not optimise it: its whole value is that it does not change.
+reference_terminal_path_dfs is the original recursive, set-based
+chordless-path search. It has the same signature as
+apaths.search._terminal_path_dfs, so a test can swap it in and compare what
+the public searches return and how many nodes they spend. It recurses once
+per path vertex, so it only serves small graphs.
+
+The reference_* oracles are the brute-force oracles as they were before they
+moved onto path bitmasks: the cover oracle builds an induced subgraph and runs
+a fresh exact decision for every subset it tries, and the packing oracles test
+compatibility one frozenset pair at a time. They call the live enumeration
+and decision searches, which the engine tests above guard.
+
+Do not optimise any of this: its whole value is that it does not change.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+
+from apaths.graph import ball, check_vertex_set, induced_subgraph
+from apaths.search import (
+    DEFAULT_BUDGET,
+    _as_budget,
+    enumerate_induced_apaths,
+    has_long_induced_apath,
+)
 
 
 def reference_terminal_path_dfs(
@@ -75,3 +93,85 @@ def reference_terminal_path_dfs(
             on_path[s] = 0
     except _Stop:
         pass
+
+
+def reference_max_compatible_family(paths, path_sets, forbidden, cap, budget):
+    """Largest family (up to cap) of paths with pairwise disjoint constraints.
+
+    Path i is compatible with a chosen path j iff path_sets[i] avoids
+    forbidden[j]; with forbidden = closed neighbourhoods this is
+    anti-completeness, with forbidden = vertex sets it is plain disjointness.
+    """
+    best = 0
+    best_witness = ()
+    chosen: list[int] = []
+
+    def rec(start: int) -> None:
+        nonlocal best, best_witness
+        if len(chosen) > best:
+            best = len(chosen)
+            best_witness = tuple(paths[i] for i in chosen)
+        if best >= cap or len(chosen) + (len(paths) - start) <= best:
+            return
+        for i in range(start, len(paths)):
+            budget.spend()
+            if all(path_sets[i].isdisjoint(forbidden[j]) for j in chosen):
+                chosen.append(i)
+                rec(i + 1)
+                chosen.pop()
+                if best >= cap:
+                    return
+
+    rec(0)
+    return min(best, cap), best_witness
+
+
+def reference_max_anticomplete_packing_with_witness(g, a, ell, cap, budget=DEFAULT_BUDGET):
+    """Maximum family (up to cap) of pairwise anti-complete induced A-paths of length >= ell."""
+    if cap < 1:
+        raise ValueError(f"need cap >= 1, got {cap}")
+    b = _as_budget(budget, "oracle_max_anticomplete_packing")
+    paths = enumerate_induced_apaths(g, a, ell, budget=b)
+    path_sets = [frozenset(p) for p in paths]
+    closed = [frozenset(ball(g, p, 1)) for p in paths]
+    return reference_max_compatible_family(paths, path_sets, closed, cap, b)
+
+
+def reference_oracle_max_anticomplete_packing(g, a, ell, cap, budget=DEFAULT_BUDGET):
+    """Ground-truth packing number: see reference_max_anticomplete_packing_with_witness."""
+    return reference_max_anticomplete_packing_with_witness(g, a, ell, cap, budget)[0]
+
+
+def reference_max_vertex_disjoint_apath_packing(g, a, cap, budget=DEFAULT_BUDGET):
+    """Classical brute-force baseline: maximum number of vertex-disjoint A-paths.
+
+    Restricting to chordless A-paths without interior terminals loses no
+    generality, since every A-path contains one on a subset of its vertices.
+    """
+    if cap < 1:
+        raise ValueError(f"need cap >= 1, got {cap}")
+    b = _as_budget(budget, "max_vertex_disjoint_apath_packing")
+    paths = enumerate_induced_apaths(g, a, 1, budget=b, no_interior_terminals=True)
+    path_sets = [frozenset(p) for p in paths]
+    size, _ = reference_max_compatible_family(paths, path_sets, path_sets, cap, b)
+    return size
+
+
+def reference_oracle_min_ball_cover(g, a, ell, r, budget=DEFAULT_BUDGET):
+    """Smallest Z such that deleting the radius-r ball around Z kills every
+    induced A-path of length >= ell; found by subset enumeration by size.
+
+    Returns (|Z|, Z) for the lexicographically first minimum Z.
+    """
+    a_set = check_vertex_set(g, a)
+    if r < 0:
+        raise ValueError(f"need r >= 0, got {r}")
+    b = _as_budget(budget, "oracle_min_ball_cover")
+    for size in range(g.n + 1):
+        for z in combinations(range(g.n), size):
+            b.spend(g.n)
+            removed = ball(g, z, r)
+            h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
+            if not has_long_induced_apath(h, a_set - removed, ell, budget=b):
+                return size, frozenset(z)
+    raise AssertionError("deleting every vertex always works")  # pragma: no cover

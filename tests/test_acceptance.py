@@ -169,11 +169,13 @@ class TestAcceptance:
 
     def test_criterion_4_tightness_subdivided_cliques(self):
         bad = []
-        for k, r in ((2, 1), (2, 2)):
+        for k, r in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1)):
             report = verify_tightness_claims("subdivided", k, r)
             if not report.passed:
                 bad.append((k, r, [str(c) for c in report.failures()]))
-        record_acceptance("4 tightness on subdivided cliques (k=2, r=1,2)", not bad, "exact")
+        record_acceptance(
+            "4 tightness on subdivided cliques (k=2, r=1,2; k=3, r=1..3; k=4, r=1)", not bad, "exact"
+        )
         assert bad == []
 
     def test_criterion_5_leaf_paths_on_random_trees(self):

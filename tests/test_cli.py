@@ -1,15 +1,21 @@
+import copy
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from apaths import Graph, complete_instance, emit_graph, parse_graph
+from apaths import Graph, SolveParams, complete_instance, emit_graph, parse_graph, solve
 from apaths.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
+    CertificateFormatError,
     GraphFormatError,
+    certificate_document,
     main,
     parse_certificate,
 )
@@ -221,3 +227,237 @@ class TestExitCodes:
         c = tmp_path / "c.cert"
         c.write_text(json.dumps(doc))
         assert run_cli(["verify", "--input", str(g), "--cert", str(c)])[0] == EXIT_BAD_INPUT
+
+
+def grid_text(side: int) -> str:
+    """A side x side grid with its four corners as terminals."""
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    corners = {0, side - 1, side * (side - 1), side * side - 1}
+    return emit_graph(Graph(side * side, edges), corners)
+
+
+class TestVerifyBudget:
+    def run_verify(self, tmp_path, budget: str | None) -> int:
+        graph = tmp_path / "grid.graph"
+        graph.write_text(grid_text(5))
+        code, cert = run_cli(["solve", "--input", str(graph), "--k", "2", "--ell", "17"])
+        assert code == EXIT_OK and json.loads(cert)["kind"] == "cover"
+        cert_file = tmp_path / "grid.cert"
+        cert_file.write_text(cert)
+        args = ["verify", "--input", str(graph), "--cert", str(cert_file)]
+        return run_cli(args + ([] if budget is None else ["--budget", budget]))[0]
+
+    def test_default_budget_passes(self, tmp_path):
+        assert self.run_verify(tmp_path, None) == EXIT_OK
+
+    def test_small_budget_exits_3(self, tmp_path):
+        # Each of the three removal searches visits 844 paths of the grid,
+        # so the whole check does not fit in 1000 nodes.
+        assert self.run_verify(tmp_path, "1000") == EXIT_BUDGET
+
+    def test_nonpositive_budget_exits_2(self, tmp_path):
+        assert self.run_verify(tmp_path, "0") == EXIT_BAD_INPUT
+
+
+# Valid documents to mutate: three graphs, and the certificate solved on
+# each (a cover, then two packings).
+BASE_GRAPHS = (
+    emit_graph(*complete_instance(4)),
+    "p 4\ne 0 1\ne 2 3\na 0\na 1\na 2\na 3\n",
+    emit_graph(Graph(6, [(i, i + 1) for i in range(5)]), {0, 2, 5}),
+)
+BASE_CERTS = tuple(
+    (text, certificate_document(g, a, SolveParams(k, ell), solve(g, a, SolveParams(k, ell))))
+    for text, k, ell in ((BASE_GRAPHS[0], 2, 1), (BASE_GRAPHS[1], 2, 1), (BASE_GRAPHS[2], 1, 2))
+    for g, a in [parse_graph(text)]
+)
+
+# Tokens with signs, dots, letters of other line tags, and digits that
+# str.isdigit accepts but int() does not ("²") or reads ("١").
+junk_tokens = st.text(alphabet="0123456789-+.xeapc\u00b2\u0661", max_size=3)
+junk_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+@st.composite
+def mutated_graph_texts(draw) -> str:
+    """A base graph with one to three lines dropped, duplicated, inserted
+    or given a junk token."""
+    lines = draw(st.sampled_from(BASE_GRAPHS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(("drop", "duplicate", "insert", "retoken")))
+        if op == "insert" or i == len(lines):
+            lines.insert(i, " ".join(draw(st.lists(junk_tokens, min_size=1, max_size=4))))
+        elif op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split()
+            j = draw(st.integers(0, len(tokens)))
+            tokens[j:j + 1] = [draw(junk_tokens)]
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mutated_certificates(draw) -> tuple[str, str]:
+    """(graph text, certificate text): a base certificate with one to three
+    values replaced by junk or deleted, and sometimes its text cut short."""
+    graph, doc = draw(st.sampled_from(BASE_CERTS))
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            if isinstance(node[key], (dict, list)) and draw(st.booleans()):
+                node = node[key]
+                continue
+            if draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(junk_json)
+            break
+    text = json.dumps(doc)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return graph, text
+
+
+def graph_well_formed(text: str) -> bool:
+    """The graph format's rules, checked independently of parse_graph."""
+    n = None
+    edges = set()
+    for line in text.splitlines():
+        fields = line.split()
+        if not fields or fields[0].startswith("c"):
+            continue
+        tag, args = fields[0], fields[1:]
+        if tag == "p":
+            if n is not None or len(args) != 1 or not args[0].isdecimal() or len(args[0]) > 4000:
+                return False
+            n = int(args[0])
+            continue
+        if n is None or tag not in ("e", "a") or len(args) != (2 if tag == "e" else 1):
+            return False
+        try:
+            ids = [int(x) for x in args]
+        except ValueError:
+            return False
+        if not all(0 <= v < n for v in ids):
+            return False
+        if tag == "e":
+            key = frozenset(ids)
+            if len(key) != 2 or key in edges:
+                return False
+            edges.add(key)
+    return n is not None
+
+
+def certificate_well_formed(text: str) -> bool:
+    """The certificate schema, checked independently of parse_certificate:
+    integer (not bool or float) counts and radii, 0 <= k, 1 <= ell, and
+    lists of integer vertex ids, each packing path nonempty."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        return False
+
+    def is_int(x) -> bool:
+        return type(x) is int
+
+    def ids(x) -> bool:
+        return isinstance(x, list) and all(map(is_int, x))
+
+    if not isinstance(doc, dict) or not isinstance(doc.get("instance"), dict):
+        return False
+    inst = doc["instance"]
+    if not all(is_int(inst.get(key)) for key in ("k", "ell", "vertices", "edges", "terminals")):
+        return False
+    if inst["k"] < 0 or inst["ell"] < 1:
+        return False
+    if doc.get("kind") == "packing":
+        return isinstance(doc.get("paths"), list) and all(ids(p) and p for p in doc["paths"])
+    if doc.get("kind") == "cover":
+        return all(ids(doc.get(z)) for z in ("z1", "z2")) and all(is_int(doc.get(r)) for r in ("r1", "r2"))
+    return False
+
+
+def rejects(parse, text: str, error: type) -> bool:
+    """True iff parse raises its format error on text; any other exception
+    propagates and fails the test."""
+    try:
+        parse(text)
+    except error:
+        return True
+    return False
+
+
+def run_in_dir(command: list[str], files: dict[str, str]) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in files.items():
+            paths[name] = Path(tmp) / name
+            paths[name].write_text(text, encoding="utf-8")
+        args = [str(paths[a[1:]]) if a.startswith("@") else a for a in command]
+        return run_cli(args)[0]
+
+
+class TestFuzz:
+    """Mutated documents end in an exit code, never in a traceback. The
+    parsers reject exactly the documents that break the format, and every
+    rejected document exits 2."""
+
+    @given(mutated_graph_texts(), st.sampled_from(("solve", "verify")))
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_graphs(self, text, command):
+        malformed = rejects(parse_graph, text, GraphFormatError)
+        assert malformed == (not graph_well_formed(text))
+        if command == "solve":
+            args = ["solve", "--input", "@g", "--k", "2", "--ell", "1"]
+        else:
+            args = ["verify", "--input", "@g", "--cert", "@c"]
+        cert = json.dumps(BASE_CERTS[0][1])
+        code = run_in_dir(args, {"g": text, "c": cert})
+        assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_BAD_INPUT, EXIT_BUDGET)
+        if malformed:
+            assert code == EXIT_BAD_INPUT
+
+    @given(mutated_certificates())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_certificates(self, docs):
+        graph, cert = docs
+        malformed = rejects(parse_certificate, cert, CertificateFormatError)
+        assert malformed == (not certificate_well_formed(cert))
+        code = run_in_dir(["verify", "--input", "@g", "--cert", "@c"], {"g": graph, "c": cert})
+        assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_BAD_INPUT, EXIT_BUDGET)
+        if malformed:
+            assert code == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, "1" * 5000, '{"instance": {"k": NaN, "ell": 1}}'],
+        ids=["nested-too-deep", "too-many-digits", "nan-k"],
+    )
+    def test_unreadable_json_is_a_format_error(self, text):
+        with pytest.raises(CertificateFormatError):
+            parse_certificate(text)
+
+    @pytest.mark.parametrize("line", ["p \u00b2", "p " + "1" * 5000], ids=["superscript", "too-long"])
+    def test_unreadable_vertex_count_is_a_format_error(self, line):
+        with pytest.raises(GraphFormatError):
+            parse_graph(line + "\n")
+
+    def test_empty_path_is_a_format_error(self):
+        doc = {"instance": {"k": 1, "ell": 1, "vertices": 2, "edges": 1, "terminals": 2},
+               "kind": "packing", "paths": [[]]}
+        with pytest.raises(CertificateFormatError):
+            parse_certificate(json.dumps(doc))

@@ -217,19 +217,17 @@ class TestCoverOracle:
         size, _ = oracle_min_ball_cover(g, a, 1, 1)
         assert size == 2  # strictly above the 2k-3 = 1 bound
 
-    @given(random_instances, st.integers(0, 2))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_brute(self, inst, r):
+    @given(random_instances, st.integers(1, 3), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute(self, inst, ell, r):
         g, a = inst
-        size, z = oracle_min_ball_cover(g, a, 1, r)
-        expected = brute.brute_min_ball_cover(g, a, 1, r)
+        size, z = oracle_min_ball_cover(g, a, ell, r)
+        expected = brute.brute_min_ball_cover(g, a, ell, r)
         assert size == expected
         # the returned witness actually works
-        from apaths import ball, induced_subgraph
-
         removed = ball(g, z, r)
         h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
-        assert not has_long_induced_apath(h, a - removed, 1)
+        assert not has_long_induced_apath(h, a - removed, ell)
 
 
 class TestDisjointPackingDuality:
@@ -285,8 +283,10 @@ def spent(call) -> int:
 
 
 class TestOracleBudget:
-    """One budget bounds the whole oracle call: the sum of its inner
-    searches can exceed it although every single search fits."""
+    """One budget bounds the whole oracle call: the enumeration and the mask
+    search after it can each fit while their sum does not. Each oracle pays
+    one node per path the enumeration visits, then the packings one per
+    family node and the cover one per subset it tries."""
 
     INSTANCE = random_instance(10, 0.4, 0.6, 0)
 
@@ -297,15 +297,22 @@ class TestOracleBudget:
         with pytest.raises(BudgetExceededError):
             oracle(limit)
 
+    @staticmethod
+    def compatibility(paths, forbidden) -> list[int]:
+        """Path i's later compatible paths as a mask, from frozensets."""
+        return [
+            sum(1 << j for j in range(i + 1, len(paths)) if forbidden[i].isdisjoint(paths[j]))
+            for i in range(len(paths))
+        ]
+
     def test_packing_oracle(self):
         g, a = self.INSTANCE
         paths = enumerate_induced_apaths(g, a, 2)
-        sets = [frozenset(p) for p in paths]
         closed = [ball(g, p, 1) for p in paths]
         self.assert_shared(
             lambda limit: max_anticomplete_packing_with_witness(g, a, 2, 3, budget=limit),
             spent(lambda b: enumerate_induced_apaths(g, a, 2, b)),
-            spent(lambda b: _max_compatible_family(paths, sets, closed, 3, b)),
+            spent(lambda b: _max_compatible_family(self.compatibility(paths, closed), 3, b)),
         )
 
     def test_disjoint_packing_oracle(self):
@@ -315,24 +322,24 @@ class TestOracleBudget:
         self.assert_shared(
             lambda limit: max_vertex_disjoint_apath_packing(g, a, 5, budget=limit),
             spent(lambda b: enumerate_induced_apaths(g, a, 1, b, no_interior_terminals=True)),
-            spent(lambda b: _max_compatible_family(paths, sets, sets, 5, b)),
+            spent(lambda b: _max_compatible_family(self.compatibility(paths, sets), 5, b)),
         )
 
     def test_cover_oracle(self):
         g, a = self.INSTANCE
         ell, r = 2, 0
         size, z = oracle_min_ball_cover(g, a, ell, r)
-        # Replay the oracle: every subset up to z, in its order, each paying
-        # g.n plus one exact decision on what its ball leaves.
+        # Replay the oracle: one enumeration, then one node for every subset
+        # up to z in its order.
         tried = [c for s in range(size) for c in combinations(range(g.n), s)]
         tried += [c for c in combinations(range(g.n), size) if c <= tuple(sorted(z))]
-        searches = []
-        for c in tried:
-            removed = ball(g, c, r)
-            h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
-            searches.append(spent(lambda b: has_long_induced_apath(h, a - removed, ell, b)))
-        total = g.n * len(tried) + sum(searches)
+        enumeration = spent(lambda b: enumerate_induced_apaths(g, a, ell, b))
+        total = enumeration + len(tried)
         assert oracle_min_ball_cover(g, a, ell, r, budget=total) == (size, z)
-        assert g.n * len(tried) + max(searches) < total - 1
         with pytest.raises(BudgetExceededError):
             oracle_min_ball_cover(g, a, ell, r, budget=total - 1)
+        self.assert_shared(
+            lambda limit: oracle_min_ball_cover(g, a, ell, r, budget=limit),
+            enumeration,
+            len(tried),
+        )

@@ -1,10 +1,16 @@
-"""Differential tests: the bitset search engine against the frozen recursive
-reference in reference_search.py.
+"""Differential tests against the frozen references in reference_search.py.
 
-Pruning may only skip subtrees that hold no result, so every public search
-must return exactly what the reference returns (the same path, not just a
-path of the same length) and may never spend more budget. Correctness
-against independent brute force is tested in test_search.py.
+The bitset search engine against the recursive reference: pruning may only
+skip subtrees that hold no result, so every public search must return
+exactly what the reference returns (the same path, not just a path of the
+same length) and may never spend more budget.
+
+The mask oracles against the per-subset and frozenset oracles they replaced:
+the same cover size and lexicographically first Z, the same packing count
+and witness, the same disjoint-packing value. Their budgets are charged
+differently, so only answers are compared.
+
+Correctness against independent brute force is tested in test_search.py.
 """
 
 from unittest import mock
@@ -17,10 +23,18 @@ from apaths import (
     LengthRange,
     enumerate_induced_apaths,
     find_induced_apath_in_range,
+    max_anticomplete_packing_with_witness,
+    max_vertex_disjoint_apath_packing,
+    oracle_min_ball_cover,
     random_instance,
     shortest_long_induced_apath,
 )
-from reference_search import reference_terminal_path_dfs
+from reference_search import (
+    reference_max_anticomplete_packing_with_witness,
+    reference_max_vertex_disjoint_apath_packing,
+    reference_oracle_min_ball_cover,
+    reference_terminal_path_dfs,
+)
 
 instances = st.builds(
     random_instance,
@@ -86,3 +100,27 @@ class TestAgainstReference:
         )
         assert got is None and want is None
         assert spent < ref_spent
+
+
+class TestOraclesAgainstReference:
+    @given(instances, st.integers(1, 3), st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_cover(self, inst, ell, r):
+        g, a = inst
+        assert oracle_min_ball_cover(g, a, ell, r) == reference_oracle_min_ball_cover(g, a, ell, r)
+
+    @given(instances, st.integers(1, 3), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_anticomplete_packing(self, inst, ell, cap):
+        g, a = inst
+        assert max_anticomplete_packing_with_witness(
+            g, a, ell, cap
+        ) == reference_max_anticomplete_packing_with_witness(g, a, ell, cap)
+
+    @given(instances, st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_disjoint_packing(self, inst, cap):
+        g, a = inst
+        assert max_vertex_disjoint_apath_packing(
+            g, a, cap
+        ) == reference_max_vertex_disjoint_apath_packing(g, a, cap)

@@ -49,6 +49,11 @@ class TestVerifyPacking:
         report = verify_packing(g, {0, 1}, SolveParams(1, 3), [(0, 1)])
         assert any(c.name == "path[0].length" for c in report.failures())
 
+    def test_empty_path_fails_valid(self):
+        g = Graph(2, [(0, 1)])
+        report = verify_packing(g, {0, 1}, SolveParams(1, 1), [()])
+        assert any(c.name == "path[0].valid" for c in report.failures())
+
 
 class TestVerifyCover:
     def test_empty_cover_on_pathfree_graph(self):
