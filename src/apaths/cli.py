@@ -2,7 +2,7 @@
 
 Graph input is a line-oriented text format:
 
-    p <n>        vertex count, first non-comment line
+    p <n>        vertex count, first non-comment line, at most MAX_VERTICES
     e <u> <v>    undirected edge, 0-based, u != v, duplicates rejected
     a <v>        marks v as a terminal
     c ...        comment
@@ -42,6 +42,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
+
+# Mask adjacency takes up to n^2/8 bytes, so larger counts are refused
+# before anything is allocated for them.
+MAX_VERTICES = 10_000
 
 
 class GraphFormatError(ValueError):
@@ -87,6 +91,8 @@ def parse_graph(text: str) -> tuple[Graph, VertexSet]:
                 n = int(args[0])
             except ValueError:  # more digits than int() converts
                 raise GraphFormatError(line_no, "vertex count too long")
+            if n > MAX_VERTICES:
+                raise GraphFormatError(line_no, f"vertex count {n} exceeds {MAX_VERTICES}")
         elif tag == "e":
             if n is None:
                 raise GraphFormatError(line_no, "e line before p line")

@@ -10,7 +10,7 @@ machine-checked after every construction step, never assumed.
 
 Every step recomputes Y and Y~ and re-derives all eleven axioms from the
 frame's fields alone; nothing is carried over from the previous step. To keep
-that affordable, the checks work on int bitmasks: the host's cached
+that affordable, the checks work on int bitmasks: the host's
 neighbor_masks, F as one mask, and the tree as one mask per vertex. A ball
 in F walks adj[v] & F, so no induced subgraph is built, and the checks on
 outside vertices (A9, P6, P7) visit only the neighbours of F or of the new
@@ -38,9 +38,11 @@ from .graph import (
     check_vertex_set,
     is_induced_path,
     mask_ball,
+    mask_layers,
     mask_members,
     mask_neighbors,
     to_mask,
+    walk_back,
 )
 from .search import DEFAULT_BUDGET, _Budget, shortest_long_induced_apath
 
@@ -406,34 +408,19 @@ def find_extension(g: Graph, a: Iterable[int], fr: Frame) -> Path | None:
     Returns None exactly when y_tilde separates a_bar from the frame, which is
     the loop's termination condition. The returned path starts at an a_bar
     vertex, ends at its first frame contact, and satisfies P1..P7 (asserted).
+    It ends at the least frame vertex nearest to a_bar and is walked back
+    from there to the least neighbour one BFS layer closer at each step.
     """
-    sources = sorted(fr.a_bar - fr.y_tilde)
-    if not sources:
+    adj = g.neighbor_masks()
+    f = to_mask(fr.f_vertices)
+    outside = ~to_mask(fr.y_tilde)
+    layers = mask_layers(adj, to_mask(fr.a_bar) & outside, outside, f)
+    hits = layers[-1] & f
+    if not hits:
         return None
-    parent: dict[int, int] = {s: -1 for s in sources}
-    frontier = sources
-    while frontier:
-        nxt: list[int] = []
-        hits: list[int] = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if w in parent or w in fr.y_tilde:
-                    continue
-                parent[w] = v
-                if w in fr.f_vertices:
-                    hits.append(w)
-                else:
-                    nxt.append(w)
-        if hits:
-            path = [min(hits)]
-            while parent[path[-1]] != -1:
-                path.append(parent[path[-1]])
-            path.reverse()
-            result = tuple(path)
-            _check_extension_path(g, fr, result)
-            return result
-        frontier = nxt
-    return None
+    result = walk_back(adj, layers, (hits & -hits).bit_length() - 1)
+    _check_extension_path(g, fr, result)
+    return result
 
 
 def extend_frame(g: Graph, a: Iterable[int], fr: Frame, p: Path) -> Frame:

@@ -1,26 +1,24 @@
 """Immutable simple undirected graphs with the metric primitives used everywhere else.
 
-Vertices are dense 0-based ids. Adjacency lists are kept sorted so that every
-search in this package has a deterministic iteration order, which the
-tie-breaking rules of the higher-level modules inherit. Graphs are never
-mutated after construction; deleting a vertex set X is expressed as the
-subgraph induced on the rest, which keeps g's ids and leaves X isolated, so
+Vertices are dense 0-based ids. A graph has one representation of its
+adjacency: one int bitmask per vertex (Graph.neighbor_masks: bit w of N(v)
+is set iff w ~ v). Members of a mask are always taken lowest bit first,
+which is increasing id order, so every search in this package has a
+deterministic iteration order, which the tie-breaking rules of the
+higher-level modules inherit. Graphs are never mutated after construction;
+deleting a vertex set X is expressed as the subgraph induced on the rest,
+adj[v] & keep for every v, which keeps g's ids and leaves X isolated, so
 paths, balls and certificates found in it speak g's ids unchanged.
 
-Each graph also keeps its adjacency as one int bitmask per vertex
-(Graph.neighbor_masks: bit w of N(v) is set iff w ~ v), built once on first
-use. That is the representation of the chordless-path search and the frame
-layer; to_mask, mask_members, mask_neighbors and mask_ball are its set
-operations and its BFS, and ball, dist and power_graph are calls on
-mask_ball. components keeps a BFS over neighbour lists: it mostly runs once
-on a freshly induced subgraph, where building the masks first costs more
-than the walk itself.
+to_mask, mask_members and mask_neighbors are the set operations, and
+mask_ball is the BFS; mask_layers keeps that BFS's layers, and walk_back
+turns them into a shortest path, always stepping to the least neighbour one
+layer closer. ball, dist, components and power_graph are calls on them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 VertexSet = frozenset[int]
@@ -37,80 +35,66 @@ class GraphError(ValueError):
 class Graph:
     """A simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj", "_adj_sets", "_edge_count", "_adj_masks")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
-        self.n = n
-        adj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[Edge] = set()
-        count = 0
+        adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
+            if adj[u] >> v & 1:
                 raise GraphError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-            count += 1
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(nb)) for nb in adj)
-        self._adj_sets: tuple[frozenset[int], ...] = tuple(frozenset(nb) for nb in adj)
-        self._edge_count = count
-        self._adj_masks: tuple[int, ...] | None = None
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        self.n = n
+        self._adj: tuple[int, ...] = tuple(adj)
 
     @classmethod
-    def _from_sorted_adjacency(cls, adj: list[tuple[int, ...]], edge_count: int) -> Graph:
-        """A graph from adjacency lists that are already sorted, loop-free and
-        symmetric, skipping __init__'s checks; only induced_subgraph builds
-        such lists."""
+    def _from_masks(cls, adj: Iterable[int]) -> Graph:
+        """A graph from adjacency masks that are already loop-free and
+        symmetric, skipping __init__'s checks; only induced_subgraph and
+        power_graph build such masks."""
         g = cls.__new__(cls)
-        g.n = len(adj)
         g._adj = tuple(adj)
-        g._adj_sets = tuple(frozenset(nb) for nb in adj)
-        g._edge_count = edge_count
-        g._adj_masks = None
+        g.n = len(g._adj)
         return g
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return sum(m.bit_count() for m in self._adj) // 2
 
     def vertices(self) -> range:
         return range(self.n)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        """N(v) in increasing order."""
+        return tuple(mask_members(self._adj[v]))
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._adj_sets[v]
+        return frozenset(mask_members(self._adj[v]))
 
     def neighbor_masks(self) -> tuple[int, ...]:
         """N(v) for every vertex v as an int bitmask, bit w set iff w ~ v.
 
-        Built on first use and kept by the graph, which never changes.
+        This is the graph's adjacency itself, built by the constructor.
         """
-        masks = self._adj_masks
-        if masks is None:
-            masks = self._adj_masks = tuple(map(to_mask, self._adj))
-        return masks
+        return self._adj
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
+        return self._adj[u] >> v & 1 == 1
 
     def edges(self) -> Iterator[Edge]:
         """Yield each edge once, as (u, v) with u < v, in sorted order."""
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if u < v:
-                    yield (u, v)
+        for u, nb in enumerate(self._adj):
+            for v in mask_members(nb & -(2 << u)):  # -(2 << u): the ids above u
+                yield (u, v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -121,7 +105,7 @@ class Graph:
         return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self._edge_count})"
+        return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
 def check_vertex_set(g: Graph, x: Iterable[int]) -> frozenset[int]:
@@ -177,6 +161,41 @@ def mask_ball(adj: Sequence[int], sources: int, within: int = -1, radius: int | 
     return reached
 
 
+def mask_layers(
+    adj: Sequence[int], sources: int, within: int = -1, targets: int = 0, radius: int | None = None
+) -> list[int]:
+    """The BFS layers of mask_ball(adj, sources, within, radius): layers[i]
+    holds the vertices at distance i from sources, layers[0] = sources.
+
+    The walk also ends at the first layer that meets targets, so a nonempty
+    layers[-1] & targets holds the targets nearest to sources, and none
+    lies closer. No layer is empty.
+    """
+    layers = [sources]
+    reached = sources
+    while radius != 0 and not layers[-1] & targets:
+        frontier = mask_neighbors(adj, layers[-1]) & within & ~reached
+        if not frontier:
+            break
+        layers.append(frontier)
+        reached |= frontier
+        if radius is not None:
+            radius -= 1
+    return layers
+
+
+def walk_back(adj: Sequence[int], layers: Sequence[int], end: int) -> Path:
+    """A shortest path from layers[0] to end, a member of layers[-1], for
+    BFS layers as mask_layers returns them: each step back goes to the least
+    neighbour one layer closer."""
+    path = [end]
+    for layer in reversed(layers[:-1]):
+        closer = adj[path[-1]] & layer
+        path.append((closer & -closer).bit_length() - 1)
+    path.reverse()
+    return tuple(path)
+
+
 def ball(g: Graph, x: Iterable[int], r: int) -> VertexSet:
     """All vertices at distance at most r from the set x (the closed ball N[x, r])."""
     if r < 0:
@@ -189,31 +208,16 @@ def ball(g: Graph, x: Iterable[int], r: int) -> VertexSet:
 
 def dist(g: Graph, x: Iterable[int], y: Iterable[int]) -> int | float:
     """Length of a shortest path between the sets x and y (0 on overlap, inf if none)."""
-    reached = to_mask(check_vertex_set(g, x))
     targets = to_mask(check_vertex_set(g, y))
-    if not reached or not targets:
-        return INF
-    adj = g.neighbor_masks()
-    d = 0
-    while not reached & targets:
-        grown = mask_ball(adj, reached, -1, 1)
-        if grown == reached:
-            return INF
-        reached = grown
-        d += 1
-    return d
+    layers = mask_layers(g.neighbor_masks(), to_mask(check_vertex_set(g, x)), -1, targets)
+    return len(layers) - 1 if layers[-1] & targets else INF
 
 
 def anti_complete(g: Graph, x: Iterable[int], y: Iterable[int]) -> bool:
     """True iff x and y are disjoint and no edge of g joins them."""
-    xs = check_vertex_set(g, x)
-    ys = check_vertex_set(g, y)
-    if xs & ys:
-        return False
-    for v in xs:
-        if g.neighbor_set(v) & ys:
-            return False
-    return True
+    xs = to_mask(check_vertex_set(g, x))
+    ys = to_mask(check_vertex_set(g, y))
+    return not (xs | mask_neighbors(g.neighbor_masks(), xs)) & ys
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -223,31 +227,24 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     with both ends in s, so every vertex outside s is isolated in h.
     members is tuple(sorted(s)).
     """
-    keep = check_vertex_set(g, s)
-    # Filtering a sorted neighbour list keeps it sorted.
-    adj = [tuple([w for w in g.neighbors(v) if w in keep]) if v in keep else () for v in range(g.n)]
-    edge_count = sum(map(len, adj)) // 2
-    return Graph._from_sorted_adjacency(adj, edge_count), tuple(sorted(keep))
+    members = sorted(check_vertex_set(g, s))
+    keep = to_mask(members)
+    host = g.neighbor_masks()
+    adj = [0] * g.n
+    for v in members:
+        adj[v] = host[v] & keep
+    return Graph._from_masks(adj), tuple(members)
 
 
 def components(g: Graph) -> list[VertexSet]:
     """Connected components, each as a vertex set, ordered by smallest member."""
-    seen = [False] * g.n
+    adj = g.neighbor_masks()
+    left = (1 << g.n) - 1
     out: list[VertexSet] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(frozenset(comp))
+    while left:
+        comp = mask_ball(adj, left & -left)
+        out.append(frozenset(mask_members(comp)))
+        left ^= comp
     return out
 
 
@@ -266,11 +263,11 @@ def is_induced_path(g: Graph, p: Path) -> bool:
     """True iff p is a valid path with no chord between non-consecutive vertices."""
     if not is_path(g, p):
         return False
-    for i in range(len(p)):
-        for j in range(i + 2, len(p)):
-            if g.has_edge(p[i], p[j]):
-                return False
-    return True
+    # The path's own edges give its vertices 2(|p| - 1) neighbours on p; a
+    # chord adds two more.
+    adj = g.neighbor_masks()
+    on_p = to_mask(p)
+    return sum((adj[v] & on_p).bit_count() for v in p) == 2 * (len(p) - 1)
 
 
 def path_length(p: Path) -> int:
@@ -283,8 +280,4 @@ def power_graph(g: Graph, d: int) -> Graph:
     if d < 1:
         raise GraphError(f"power must be positive, got {d}")
     adj = g.neighbor_masks()
-    return Graph(g.n, [
-        (u, v)
-        for u in range(g.n)
-        for v in mask_members(mask_ball(adj, 1 << u, -1, d) & -(2 << u))  # -(2 << u): the ids above u
-    ])
+    return Graph._from_masks(mask_ball(adj, 1 << u, -1, d) ^ 1 << u for u in range(g.n))

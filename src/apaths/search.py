@@ -41,11 +41,12 @@ from .graph import (
     Path,
     VertexSet,
     check_vertex_set,
-    components,
     is_induced_path,
     mask_ball,
+    mask_layers,
     mask_members,
     to_mask,
+    walk_back,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -100,54 +101,37 @@ class LengthRange:
 
 def exists_apath(g: Graph, a: Iterable[int]) -> bool:
     """True iff some connected component contains at least two terminals."""
-    a_set = check_vertex_set(g, a)
-    if len(a_set) < 2:
-        return False
-    return any(len(comp & a_set) >= 2 for comp in components(g))
+    adj = g.neighbor_masks()
+    left = to_mask(check_vertex_set(g, a))
+    while left:
+        low = left & -left
+        reach = mask_ball(adj, low)
+        if reach & left != low:
+            return True
+        left &= ~reach
+    return False
 
 
 def shortest_apath(g: Graph, a: Iterable[int]) -> Path | None:
     """A minimum-length path joining two distinct terminals, or None.
 
     The result of minimisation is necessarily chordless with no interior
-    terminal; both are checked rather than assumed. Ties are broken by the
-    deterministic BFS order (smaller start vertex first, sorted adjacency).
+    terminal; both are checked rather than assumed. Ties go to the smallest
+    start terminal, then to the least terminal at the shortest distance
+    from it, and the path is walked back from there to the least neighbour
+    one BFS layer closer at each step.
     """
     a_set = check_vertex_set(g, a)
-    if len(a_set) < 2:
-        return None
+    adj = g.neighbor_masks()
+    terminals = to_mask(a_set)
     best: Path | None = None
     for s in sorted(a_set):
-        if best is not None and len(best) == 2:
-            break
-        parent: dict[int, int] = {s: -1}
-        queue = [s]
-        depth = 0
-        found = None
-        while queue and found is None:
-            depth += 1
-            if best is not None and depth > len(best) - 2:
-                break  # cannot strictly improve on the incumbent from this start
-            nxt = []
-            for v in queue:
-                for w in g.neighbors(v):
-                    if w in parent:
-                        continue
-                    parent[w] = v
-                    if w in a_set:
-                        found = w
-                        break
-                    nxt.append(w)
-                if found is not None:
-                    break
-            queue = nxt
-        if found is not None:
-            path = [found]
-            while path[-1] != s:
-                path.append(parent[path[-1]])
-            path.reverse()
-            if best is None or len(path) < len(best):
-                best = tuple(path)
+        # Only a strictly shorter path improves on the incumbent.
+        radius = None if best is None else len(best) - 2
+        layers = mask_layers(adj, 1 << s, -1, terminals ^ 1 << s, radius)
+        ends = layers[-1] & terminals
+        if len(layers) > 1 and ends:
+            best = walk_back(adj, layers, (ends & -ends).bit_length() - 1)
     if best is not None and not is_induced_path(g, best):
         raise AssertionError(f"shortest A-path {best} has a chord")
     if best is not None and set(best[1:-1]) & a_set:
@@ -207,7 +191,7 @@ def _terminal_path_dfs(
     without interior terminals. budget.spend() is called once per visited
     path.
 
-    Vertex sets are int bitmasks, and adjacency is g's own cached
+    Vertex sets are int bitmasks, and adjacency is g's own
     neighbor_masks. The search is iterative, so its depth is bounded by
     memory, not by the interpreter's recursion limit. Each path on the stack
     carries blocked = path | N(path - tip): a vertex w may extend the path

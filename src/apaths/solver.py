@@ -24,10 +24,13 @@ from .graph import (
     anti_complete,
     ball,
     check_vertex_set,
-    components,
     induced_subgraph,
     mask_ball,
+    mask_layers,
+    mask_members,
     power_graph,
+    to_mask,
+    walk_back,
 )
 from .search import (
     DEFAULT_BUDGET,
@@ -134,11 +137,10 @@ def solve(
             paths = extract_frame_paths(fr)
             return Packing(tuple(sorted(paths)[:k]))
 
-        # Components of g - y_tilde holding a terminal still to process; the
-        # vertices of y_tilde are singleton components of the cut graph.
-        cut, _ = induced_subgraph(g, [v for v in range(g.n) if v not in fr.y_tilde])
-        open_terminals = fr.a_bar - fr.y_tilde
-        keep = frozenset().union(*(c for c in components(cut) if c & open_terminals))
+        # The components of g - y_tilde holding a terminal still to process.
+        outside = ~to_mask(fr.y_tilde)
+        reach = mask_ball(g.neighbor_masks(), to_mask(fr.a_bar) & outside, outside)
+        keep = frozenset(mask_members(reach))
         if not anti_complete(g, keep, fr.f_vertices):
             raise FrameInvariantError("remainder must be separated from the frame")
         h, _ = induced_subgraph(g, keep)
@@ -211,7 +213,7 @@ def reduce_to_d3(g: Graph, d: int) -> PowerGraphMap:
     This is the reduction showing that far-apart path packing at distance d
     follows from the d = 3 case on the powered graph: power paths lift back
     to base paths along the witnesses. A witness u -> v walks back from v
-    through the balls around u, always to the least neighbour one step
+    through the BFS layers around u, always to the least neighbour one layer
     closer to u.
     """
     if d < 1:
@@ -220,18 +222,10 @@ def reduce_to_d3(g: Graph, d: int) -> PowerGraphMap:
     adj = g.neighbor_masks()
     witness: dict[tuple[int, int], Path] = {}
     for u in range(g.n):
-        balls = [1 << u]  # balls[r]: the vertices within distance r of u
-        for _ in range(d):
-            balls.append(mask_ball(adj, balls[-1], -1, 1))
-        for v in powered.neighbors(u):
-            if v < u:
-                continue
-            path = [v]
-            distance = next(r for r in range(1, d + 1) if balls[r] >> v & 1)
-            for r in range(distance - 1, -1, -1):
-                closer = adj[path[-1]] & balls[r]
-                path.append((closer & -closer).bit_length() - 1)
-            witness[(u, v)] = tuple(reversed(path))
+        layers = mask_layers(adj, 1 << u, -1, 0, d)  # layers[r]: the vertices at distance r from u
+        for r in range(1, len(layers)):
+            for v in mask_members(layers[r] & -(2 << u)):  # -(2 << u): the ids above u
+                witness[(u, v)] = walk_back(adj, layers[:r + 1], v)
     return PowerGraphMap(base=g, d=d, powered=powered, witness=witness)
 
 
@@ -245,23 +239,9 @@ def lift_path(pmap: PowerGraphMap, p_h: Path) -> Path:
         if not pmap.powered.has_edge(u, v):
             raise ValueError(f"({u}, {v}) is not an edge of the powered graph")
         allowed.update(pmap.witness_for(u, v))
-    g = pmap.base
+    adj = pmap.base.neighbor_masks()
     start, goal = p_h[0], p_h[-1]
-    parent = {start: -1}
-    queue = [start]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in g.neighbors(v):
-                if w in allowed and w not in parent:
-                    parent[w] = v
-                    nxt.append(w)
-        if goal in parent:
-            break
-        queue = nxt
-    if goal not in parent:
+    layers = mask_layers(adj, 1 << start, to_mask(allowed), 1 << goal)
+    if not layers[-1] >> goal & 1:
         raise ValueError(f"the witnesses of {p_h} do not connect {start} to {goal}")
-    path = [goal]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    return tuple(reversed(path))
+    return walk_back(adj, layers, goal)

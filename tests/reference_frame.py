@@ -3,10 +3,13 @@ frame checks that the bitmask frame layer replaced, kept verbatim in
 behaviour.
 
 reference_validate_frame, reference_check_frame_claims, reference_regions,
-reference_check_extension_path and reference_extract_frame_paths take the
-same arguments as apaths.frame.validate_frame, check_frame_claims, _regions,
-_check_extension_path and extract_frame_paths, so a test can run both on one
-frame and compare what they return or raise. Every ball here is a dict BFS,
+reference_check_extension_path, reference_find_extension and
+reference_extract_frame_paths take the same arguments as
+apaths.frame.validate_frame, check_frame_claims, _regions,
+_check_extension_path, find_extension and extract_frame_paths, so a test can
+run both on one frame and compare what they return or raise.
+reference_find_extension is the neighbour-list BFS that walks back along the
+first parent to discover each vertex. Every ball here is a dict BFS,
 on an induced subgraph built per call. reference_extract_frame_paths is the
 hub-tree extraction: it copies F onto dense ids, checks the copy against its
 own properties H1..H7 instead of the frame axioms, pairs and re-routes the
@@ -274,6 +277,40 @@ def reference_check_extension_path(g: Graph, fr: Frame, p: Path) -> None:
     ]
     if failed:
         raise FrameInvariantError("find_extension produced a bad path", failed)
+
+
+def reference_find_extension(g: Graph, a: Iterable[int], fr: Frame) -> Path | None:
+    """Shortest path from an unprocessed terminal to the frame, avoiding
+    y_tilde: a BFS over sorted neighbour lists from every source at once,
+    ending at the least frame vertex of the first layer that reaches F and
+    walking back along the first parent to discover each vertex."""
+    sources = sorted(fr.a_bar - fr.y_tilde)
+    if not sources:
+        return None
+    parent: dict[int, int] = {s: -1 for s in sources}
+    frontier = sources
+    while frontier:
+        nxt: list[int] = []
+        hits: list[int] = []
+        for v in frontier:
+            for w in g.neighbors(v):
+                if w in parent or w in fr.y_tilde:
+                    continue
+                parent[w] = v
+                if w in fr.f_vertices:
+                    hits.append(w)
+                else:
+                    nxt.append(w)
+        if hits:
+            path = [min(hits)]
+            while parent[path[-1]] != -1:
+                path.append(parent[path[-1]])
+            path.reverse()
+            result = tuple(path)
+            reference_check_extension_path(g, fr, result)
+            return result
+        frontier = nxt
+    return None
 
 
 def _validate_hub_tree(

@@ -12,6 +12,10 @@ a fresh exact decision for every subset it tries, and the packing oracles test
 compatibility one frozenset pair at a time. They call the live enumeration
 and decision searches, which the engine tests above guard.
 
+reference_shortest_apath is shortest_apath as a BFS over sorted neighbour
+lists from each terminal, ending at the first terminal it discovers and
+walking back along the first parent to discover each vertex.
+
 Do not optimise any of this: its whole value is that it does not change.
 """
 
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from apaths.graph import ball, check_vertex_set, induced_subgraph
+from apaths.graph import ball, check_vertex_set, induced_subgraph, is_induced_path
 from apaths.search import (
     DEFAULT_BUDGET,
     _as_budget,
@@ -175,3 +179,48 @@ def reference_oracle_min_ball_cover(g, a, ell, r, budget=DEFAULT_BUDGET):
             if not has_long_induced_apath(h, a_set - removed, ell, budget=b):
                 return size, frozenset(z)
     raise AssertionError("deleting every vertex always works")  # pragma: no cover
+
+
+def reference_shortest_apath(g, a):
+    """A minimum-length path joining two distinct terminals, or None; ties
+    go by BFS order (smaller start vertex first, sorted adjacency)."""
+    a_set = check_vertex_set(g, a)
+    if len(a_set) < 2:
+        return None
+    best = None
+    for s in sorted(a_set):
+        if best is not None and len(best) == 2:
+            break
+        parent = {s: -1}
+        queue = [s]
+        depth = 0
+        found = None
+        while queue and found is None:
+            depth += 1
+            if best is not None and depth > len(best) - 2:
+                break  # cannot strictly improve on the incumbent from this start
+            nxt = []
+            for v in queue:
+                for w in g.neighbors(v):
+                    if w in parent:
+                        continue
+                    parent[w] = v
+                    if w in a_set:
+                        found = w
+                        break
+                    nxt.append(w)
+                if found is not None:
+                    break
+            queue = nxt
+        if found is not None:
+            path = [found]
+            while path[-1] != s:
+                path.append(parent[path[-1]])
+            path.reverse()
+            if best is None or len(path) < len(best):
+                best = tuple(path)
+    if best is not None and not is_induced_path(g, best):
+        raise AssertionError(f"shortest A-path {best} has a chord")
+    if best is not None and set(best[1:-1]) & a_set:
+        raise AssertionError(f"shortest A-path {best} has an interior terminal")
+    return best

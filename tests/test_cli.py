@@ -192,6 +192,11 @@ class TestExitCodes:
         f.write_text("p 3\ne 0 9\n")
         assert run_cli(["solve", "--input", str(f), "--k", "1", "--ell", "1"])[0] == EXIT_BAD_INPUT
 
+    def test_vertex_count_above_the_bound_exits_2(self, tmp_path):
+        f = tmp_path / "big.graph"
+        f.write_text("p 10001\n")
+        assert run_cli(["solve", "--input", str(f), "--k", "1", "--ell", "1"])[0] == EXIT_BAD_INPUT
+
     def test_missing_file_exits_2(self):
         assert run_cli(["solve", "--input", "/nonexistent", "--k", "1", "--ell", "1"])[0] == EXIT_BAD_INPUT
 
@@ -344,6 +349,8 @@ def graph_well_formed(text: str) -> bool:
         if tag == "p":
             if n is not None or len(args) != 1 or not args[0].isdecimal() or len(args[0]) > 4000:
                 return False
+            if int(args[0]) > 10_000:  # at most 10,000 vertices
+                return False
             n = int(args[0])
             continue
         if n is None or tag not in ("e", "a") or len(args) != (2 if tag == "e" else 1):
@@ -455,6 +462,15 @@ class TestFuzz:
     def test_unreadable_vertex_count_is_a_format_error(self, line):
         with pytest.raises(GraphFormatError):
             parse_graph(line + "\n")
+
+    @pytest.mark.parametrize("count", ["10001", "9" * 40])
+    def test_vertex_count_above_the_bound_is_a_format_error(self, count):
+        # refused before any per-vertex storage is allocated
+        with pytest.raises(GraphFormatError, match="exceeds"):
+            parse_graph(f"p {count}\n")
+
+    def test_vertex_count_at_the_bound_parses(self):
+        assert parse_graph("p 10000\n")[0].n == 10_000
 
     def test_empty_path_is_a_format_error(self):
         doc = {"instance": {"k": 1, "ell": 1, "vertices": 2, "edges": 1, "terminals": 2},

@@ -133,6 +133,25 @@ class TestFindExtension:
         assert fr.f_vertices == frozenset({0, 1, 2, 3, 4, 9, 10})
         assert find_extension(g, a, fr) is None
 
+    def test_tie_walks_back_to_the_least_neighbour(self):
+        # 0 and 1 both reach frame vertex 15 in two steps, through 8 and 5.
+        # The path ends at the least frame vertex of the first layer to reach
+        # F and steps back to the least neighbour one layer closer: 5, so it
+        # starts at 1, although 0 is the smaller terminal.
+        g = Graph(21, [(i, i + 1) for i in range(10, 20)] + [(0, 8), (8, 15), (1, 5), (5, 15)])
+        a = frozenset({0, 1, 10, 20})
+        fr = Frame(
+            host=g, f_vertices=frozenset(range(10, 21)),
+            tree_edges=frozenset((i, i + 1) for i in range(10, 20)),
+            a_f=frozenset({10, 20}), hubs=frozenset(),
+            y=frozenset({10, 11, 12, 13, 17, 18, 19, 20}), y_tilde=frozenset(),
+            a_bar=frozenset({0, 1}), ell=3,
+        )
+        assert validate_frame(fr) == []
+        p = find_extension(g, a, fr)
+        assert p == (1, 5, 15)
+        assert validate_frame(extend_frame(g, a, fr, p)) == []
+
 
 class TestExtendFrame:
     def test_pendant_adds_leaf_and_hub(self):

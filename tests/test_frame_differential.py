@@ -1,19 +1,23 @@
 """Differential tests: the bitmask frame checks against the frozen set-based
 reference in reference_frame.py.
 
-Both run on every frame a construction passes through, on caterpillars and
-on subdivided random graphs, and on copies of those frames broken one axiom
-at a time. They must return the same (y, y_tilde), the same violation lists
-and the same extension-path verdicts, or raise the same error. Path
-extraction must return the reference's hub-tree paths on every frame, and
-reject every broken frame the hub-tree checks H1..H7 reject.
-"""
+Both run on every frame a construction passes through: on caterpillars, on
+caterpillars with a triangle at each leg's foot (whose leaf-to-leaf tree
+paths can have a chord), on subdivided random graphs, and on copies of those
+frames broken one axiom at a time. They must return the same (y, y_tilde),
+the same violation lists and the same extension-path verdicts, or raise the
+same error. Path extraction must return the reference's hub-tree paths on
+every frame, and reject every broken frame the hub-tree checks H1..H7
+reject. find_extension must return the neighbour-list BFS's path on every
+observed frame; on frames of random instances, where ties may walk back
+another way, it must agree on None-ness and length."""
 
 import random
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apaths import (
     Frame,
@@ -30,6 +34,7 @@ from reference_frame import (
     reference_check_extension_path,
     reference_check_frame_claims,
     reference_extract_frame_paths,
+    reference_find_extension,
     reference_regions,
     reference_validate_frame,
 )
@@ -52,10 +57,25 @@ def subdivided_random_instance(n: int, edge_prob: float, seed: int):
     return Graph(nxt, edges), frozenset(v for v in range(n) if rng.random() < 0.5)
 
 
+def chorded_caterpillar_instance(legs: int, seed: int):
+    """caterpillar_instance with a triangle at each leg's foot: the leg's
+    first vertex is also joined to the next spine vertex (the previous one
+    for the last leg). A tree path through a hub at a foot then has a chord,
+    which extraction must re-route around."""
+    g, tips = caterpillar_instance(legs, seed)
+    spine_end = next(v for v in range(g.n) if not g.has_edge(v, v + 1))
+    edges = list(g.edges())
+    for u, v in g.edges():
+        if u <= spine_end < v:  # v is a leg's first vertex, u its attachment
+            edges.append((u + 1 if u < spine_end else u - 1, v))
+    return Graph(g.n, edges), tips
+
+
 def observed_frames():
     """(terminals, frame) for every frame solve passes through."""
     runs = [(caterpillar_instance(legs, seed), (3,)) for legs in (3, 4, 6) for seed in (0, 1)]
     runs += [(subdivided_random_instance(10, 0.3, seed), (2, 3)) for seed in range(60)]
+    runs += [(chorded_caterpillar_instance(legs, seed), (3,)) for legs in (3, 4, 6) for seed in (0, 1)]
     out = []
     for (g, a), ells in runs:
         for ell in ells:
@@ -237,6 +257,26 @@ def test_extension_path_verdicts_agree():
             assert new[0] == "raised", q
             checked += 1
     assert checked > 100
+
+
+def test_extension_paths_agree():
+    for a, fr in FRAMES:
+        assert find_extension(fr.host, a, fr) == reference_find_extension(fr.host, a, fr)
+
+
+@given(st.integers(6, 10), st.sampled_from([0.25, 0.4]), st.integers(0, 10**6), st.sampled_from([2, 3]))
+@settings(max_examples=25, deadline=None)
+def test_extension_paths_agree_in_length(n, p, seed, ell):
+    g, a = subdivided_random_instance(n, p, seed)
+    frames = []
+    solve(g, a, SolveParams(3, ell), frame_observer=frames.append)
+    for fr in frames:
+        got, want = find_extension(g, a, fr), reference_find_extension(g, a, fr)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert len(got) == len(want)
+            _check_extension_path(g, fr, got)
+            _check_extension_path(g, fr, want)
 
 
 def test_extracted_paths_agree():

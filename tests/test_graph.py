@@ -58,6 +58,83 @@ class TestGraphConstruction:
         assert all(u in g.neighbor_set(v) for u, v in g.edges() for u, v in [(u, v), (v, u)])
 
 
+@st.composite
+def edge_lists(draw):
+    """(n, edges): a simple graph on n <= 12 vertices as a list of edges in
+    a drawn order, each in a drawn orientation."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+
+
+class TestAccessors:
+    """Every accessor against the edge set the graph was built from."""
+
+    @given(edge_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_accessors_match_the_edge_set(self, inst):
+        n, edges = inst
+        g = Graph(n, edges)
+        e = {frozenset(uv) for uv in edges}
+        for v in range(n):
+            expected = sorted(w for w in range(n) if frozenset((v, w)) in e)
+            assert list(g.neighbors(v)) == expected
+            assert g.neighbor_set(v) == frozenset(expected)
+            assert g.degree(v) == len(expected)
+            for w in range(n):
+                assert g.has_edge(v, w) == g.has_edge(w, v) == (frozenset((v, w)) in e)
+        assert list(g.edges()) == sorted(tuple(sorted(uv)) for uv in edges)
+        assert g.edge_count == len(e)
+
+    @given(edge_lists(), edge_lists(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_equality_and_hash_follow_n_and_the_edge_set(self, first, second, rng):
+        (n, edges), (m, other) = first, second
+        g = Graph(n, edges)
+        shuffled = [(v, u) for u, v in edges]
+        rng.shuffle(shuffled)
+        same = Graph(n, shuffled)
+        assert g == same and hash(g) == hash(same)
+        h = Graph(m, other)
+        agree = n == m and {frozenset(uv) for uv in edges} == {frozenset(uv) for uv in other}
+        assert (g == h) == agree
+        if agree:
+            assert hash(g) == hash(h)
+
+    @given(edge_lists(), st.lists(st.integers(0, 11), max_size=6), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_is_induced_path_matches_brute(self, inst, seq, rng):
+        n, edges = inst
+        g = Graph(n, edges)
+        e = {frozenset(uv) for uv in edges}
+        matrix = [[frozenset((u, v)) in e for v in range(n)] for u in range(n)]
+        walk = [rng.randrange(n)] if n else []
+        while walk and rng.random() < 0.8:
+            steps = [w for w in range(n) if matrix[walk[-1]][w] and w not in walk]
+            if not steps:
+                break
+            walk.append(rng.choice(steps))
+        for p in (tuple(seq), tuple(walk)):
+            valid = (
+                len(p) > 0 and len(set(p)) == len(p) and all(0 <= v < n for v in p)
+                and all(matrix[u][v] for u, v in zip(p, p[1:]))
+            )
+            assert is_path(g, p) == valid
+            assert is_induced_path(g, p) == (valid and brute.is_induced_seq(matrix, p))
+
+    @given(edge_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_components_match_floyd_warshall(self, inst):
+        g = Graph(*inst)
+        d = brute.all_pairs_dist(g)
+        expected = []
+        for v in range(g.n):
+            if not any(v in c for c in expected):
+                expected.append(frozenset(w for w in range(g.n) if d[v][w] != brute.INF))
+        assert components(g) == expected
+
+
 class TestBall:
     def test_complete_radius_one(self):
         g = complete_graph(5)
@@ -161,8 +238,8 @@ class TestInducedSubgraph:
     @given(random_graphs, st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
     def test_equals_checked_construction(self, g, mod):
-        # induced_subgraph skips Graph.__init__'s checks; it must still build
-        # the same graph, adjacency sets included, that __init__ would.
+        # induced_subgraph builds its masks without Graph.__init__'s checks;
+        # it must still build the same graph that __init__ would.
         s = frozenset(v for v in range(g.n) if v % (mod + 2) != 1)
         h, members = induced_subgraph(g, s)
         expected = Graph(g.n, [(u, v) for u, v in g.edges() if u in s and v in s])

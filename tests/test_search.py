@@ -69,6 +69,12 @@ class TestShortestApath:
         # both arcs have length 3; deterministic tie-break picks this one
         assert shortest_apath(cycle(6), {0, 3}) == (0, 1, 2, 3)
 
+    def test_tie_ends_at_the_least_nearest_terminal(self):
+        # from 0, terminals 3 and 4 are both two steps away; 4 is discovered
+        # first, but the path ends at the least of them
+        g = Graph(5, [(0, 1), (0, 2), (1, 4), (2, 3)])
+        assert shortest_apath(g, {0, 3, 4}) == (0, 2, 3)
+
     def test_none_when_no_path(self):
         assert shortest_apath(Graph(3, []), {0, 1}) is None
 

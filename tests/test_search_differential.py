@@ -10,6 +10,10 @@ the same cover size and lexicographically first Z, the same packing count
 and witness, the same disjoint-packing value. Their budgets are charged
 differently, so only answers are compared.
 
+shortest_apath against the neighbour-list BFS it replaced: ties may now end
+at another terminal or walk back another way, so only None-ness and length
+must agree.
+
 Correctness against independent brute force is tested in test_search.py.
 """
 
@@ -27,12 +31,14 @@ from apaths import (
     max_vertex_disjoint_apath_packing,
     oracle_min_ball_cover,
     random_instance,
+    shortest_apath,
     shortest_long_induced_apath,
 )
 from reference_search import (
     reference_max_anticomplete_packing_with_witness,
     reference_max_vertex_disjoint_apath_packing,
     reference_oracle_min_ball_cover,
+    reference_shortest_apath,
     reference_terminal_path_dfs,
 )
 
@@ -100,6 +106,17 @@ class TestAgainstReference:
         )
         assert got is None and want is None
         assert spent < ref_spent
+
+
+@given(instances)
+@settings(max_examples=150, deadline=None)
+def test_shortest_apath_matches_reference_length(inst):
+    g, a = inst
+    got, want = shortest_apath(g, a), reference_shortest_apath(g, a)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert len(got) == len(want)
+        assert got[0] in a and got[-1] in a and got[0] != got[-1]
 
 
 class TestOraclesAgainstReference:

@@ -15,6 +15,7 @@ from apaths import (
     find_induced_apath_in_range,
     has_long_induced_apath,
     induced_subgraph,
+    is_path,
     lift_path,
     oracle_max_anticomplete_packing,
     random_instance,
@@ -24,7 +25,7 @@ from apaths import (
     subdivided_complete_instance,
     verify_certificate,
 )
-from reference_solver import reference_reduce_to_d3
+from reference_solver import reference_lift_path, reference_reduce_to_d3
 from test_search import spent
 
 
@@ -216,6 +217,29 @@ class TestReduceAndLift:
                 pi, pj = lift_path(pmap, h_paths[i]), lift_path(pmap, h_paths[j])
                 if dist(g, pi, pj) < d:
                     assert dist(pmap.powered, h_paths[i], h_paths[j]) <= 2
+
+    @given(
+        st.integers(4, 12),
+        st.sampled_from([0.25, 0.4, 0.6]),
+        st.integers(0, 5_000),
+        st.integers(2, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lift_matches_reference_length(self, n, p, seed, d):
+        # Ties may walk back another way, so only the length must agree.
+        g, _ = random_instance(n, p, 1.0, seed)
+        pmap = reduce_to_d3(g, d)
+        dh = brute.all_pairs_dist(pmap.powered)
+        for u in range(g.n):
+            for v in range(g.n):
+                if dh[u][v] is brute.INF:
+                    continue
+                ph = _shortest_h_path(pmap.powered, u, v)
+                got, want = lift_path(pmap, ph), reference_lift_path(pmap, ph)
+                assert len(got) == len(want)
+                assert got[0] == u and got[-1] == v and is_path(g, got)
+                allowed = {w for e in zip(ph, ph[1:]) for w in pmap.witness_for(*e)}
+                assert len(ph) == 1 or set(got) <= allowed
 
 
 def _shortest_h_path(h, u, v):
