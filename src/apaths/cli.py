@@ -279,6 +279,15 @@ def _cmd_oracle(args, out: TextIO) -> int:
 
 
 def _cmd_gen(args, out: TextIO) -> int:
+    # The vertex count is worked out first: nothing parse_graph refuses is built.
+    if args.subdivided is not None:
+        k, r = args.subdivided
+        b = 2 * k - 1  # branch vertices, each pair joined through 3r - 1 more
+        n = b + b * (b - 1) // 2 * (3 * r - 1) if k >= 2 and r >= 1 else 0  # else the generator refuses
+    else:
+        n = int((args.random or args.subcubic_tree or [args.complete])[0])
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
     if args.complete is not None:
         g, a = complete_instance(args.complete)
     elif args.subdivided is not None:

@@ -20,21 +20,21 @@ The construction is greedy: start from a shortest long induced A-path, then
 repeatedly attach a shortest path from an unprocessed terminal to the frame
 (avoiding Y~), each attachment adding one leaf and one hub. The loop stops
 exactly when Y~ separates the remaining terminals from F, which is what the
-solver's recursion needs. The packing paths come straight off T: its leaves
-are paired in the host's own ids, after one more full validation.
+solver's recursion needs. The packing paths come straight off T after one
+more full validation: leaves are paired on T's BFS layers, each tree path
+is re-routed by mask_layers and walk_back within its own vertices, and the
+pairs are checked against each other's closed neighbourhood masks.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .graph import (
     Graph,
     Path,
     VertexSet,
-    anti_complete,
     check_vertex_set,
     is_induced_path,
     mask_ball,
@@ -104,22 +104,12 @@ def _path_edges(p: Path) -> frozenset[tuple[int, int]]:
     return frozenset((u, v) if u < v else (v, u) for u, v in zip(p, p[1:]))
 
 
-def _tree_adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for nb in adj.values():
-        nb.sort()
-    return adj
-
-
 def _check_spanning_subcubic_tree(
-    n: int, vertices: VertexSet, edges: frozenset[tuple[int, int]]
+    n: int, vertices: VertexSet, edges: Collection[tuple[int, int]]
 ) -> tuple[list[Violation], list[int]]:
-    """A2 violations of "edges form a spanning subcubic tree on vertices",
-    plus the tree's adjacency as one bitmask per vertex 0..n-1 (vertices are
-    ids below n)."""
+    """A2 violations of "edges form a spanning subcubic tree on vertices"
+    (every entry of edges counts, so a repeat fails), plus the tree's
+    adjacency as one bitmask per vertex 0..n-1 (vertices are ids below n)."""
     viol = []
     tree = [0] * n
     for u, v in edges:
@@ -484,104 +474,70 @@ def leaf_paths(
 ) -> list[Path]:
     """floor(p/2) pairwise vertex-disjoint leaf-to-leaf paths of a subcubic tree.
 
+    The edges, on nonnegative ids (bit positions, so the cost grows with the
+    largest id), must pass A2's spanning subcubic tree check (a repeated edge
+    fails its edge count), and the leaves must be the degree-1 vertices;
+    anything else raises ValueError.
+
     Strategy: root at the smallest leaf, then repeatedly emit the path joining
     the two leaves under the deepest vertex that still has live leaves in two
     child subtrees (ties to the smallest id). Such a path never carries another
     live leaf and never disconnects the survivors, so p//2 rounds always
-    succeed; the terminal round pairs the root with the last live leaf.
+    succeed; the terminal round pairs the root with the last live leaf. On
+    T's BFS layers from the root, a vertex's children are its neighbours one
+    layer down, below[v] masks the leaves under v, a child subtree c is live
+    iff below[c] & alive, and each path is walked back up the layers.
     """
     edges = list(tree_edges)
-    vertices = sorted({v for e in edges for v in e})
-    adj = _tree_adjacency(edges)
-    for v in vertices:
-        if len(adj[v]) > 3:
-            raise ValueError(f"vertex {v} has degree {len(adj[v])}: tree is not subcubic")
+    vertices = frozenset(v for e in edges for v in e)
     leaf_set = frozenset(leaves)
-    if not vertices:
-        if leaf_set:
-            raise ValueError("no tree edges but leaves were named")
+    if min(vertices | leaf_set, default=0) < 0:
+        raise ValueError("tree vertex ids must be nonnegative")
+    violations, tree = _check_spanning_subcubic_tree(max(vertices, default=-1) + 1, vertices, edges)
+    if violations:
+        raise ValueError("not a spanning subcubic tree: " + "; ".join(map(str, violations)))
+    degree1 = frozenset(v for v in vertices if tree[v].bit_count() == 1)
+    if leaf_set != degree1:
+        raise ValueError(f"leaves {sorted(leaf_set)} are not the degree-1 vertices {sorted(degree1)}")
+    if not leaf_set:  # no edges; any other tree has two leaves or more
         return []
-    if len(edges) != len(vertices) - 1:
-        raise ValueError("edge count does not match a tree")
-    expected = frozenset(v for v in vertices if len(adj[v]) == 1)
-    if leaf_set != expected:
-        raise ValueError(f"leaves {sorted(leaf_set)} are not the degree-1 vertices {sorted(expected)}")
-    p = len(leaf_set)
-    if p < 2:
-        return []
+    leaf_mask = to_mask(leaf_set)
     root = min(leaf_set)
-    parent: dict[int, int | None] = {root: None}
-    depth = {root: 0}
-    children: dict[int, list[int]] = {v: [] for v in vertices}
-    order = [root]
-    for v in order:
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                children[v].append(w)
-                order.append(w)
-    if len(order) != len(vertices):
-        raise ValueError("edges do not form a connected tree")
+    layers = mask_layers(tree, 1 << root)
+    depth = {v: d for d, layer in enumerate(layers) for v in mask_members(layer)}
+    # Only a degree-3 vertex has two child subtrees (the root is a leaf).
+    hubs = [v for layer in reversed(layers) for v in mask_members(layer) if tree[v].bit_count() == 3]
+    below = [0] * len(tree)
+    for v in reversed(depth):  # deepest first: v's children are done, its parent is still 0
+        below[v] = leaf_mask & 1 << v | mask_neighbors(below, tree[v])
+    alive = leaf_mask
 
-    alive_below = {v: 0 for v in vertices}
-    for v in reversed(order):
-        alive_below[v] = (v in leaf_set) + sum(alive_below[c] for c in children[v])
-    live_children = {
-        v: sum(1 for c in children[v] if alive_below[c] > 0) for v in vertices
-    }
-    candidates = sorted(
-        (v for v in vertices if live_children[v] >= 2),
-        key=lambda v: (-depth[v], v),
-    )
-    alive = set(leaf_set)
+    def live_ends(x: int) -> list[int]:
+        # The live leaf under each live child subtree of x, by child id: unique,
+        # as a vertex below x with two live child subtrees would come first.
+        ends = (below[c] & alive for c in mask_members(tree[x] & layers[depth[x] + 1]))
+        return [e.bit_length() - 1 for e in ends if e]
 
-    def descend(c: int) -> list[int]:
-        run = [c]
-        while not (run[-1] in alive):
-            nxt = [w for w in children[run[-1]] if alive_below[w] > 0]
-            run.append(nxt[0])
-        return run
-
-    def consume(leaf: int) -> None:
-        alive.discard(leaf)
-        w: int | None = leaf
-        while w is not None:
-            alive_below[w] -= 1
-            up = parent[w]
-            if alive_below[w] == 0 and up is not None:
-                live_children[up] -= 1
-            w = up
+    def down(x: int, leaf: int) -> Path:
+        return walk_back(tree, layers[depth[x]:depth[leaf] + 1], leaf)
 
     out: list[Path] = []
     idx = 0
-    for _ in range(p // 2):
-        x = None
-        while idx < len(candidates):
-            v = candidates[idx]
-            if live_children[v] >= 2:
-                x = v
-                break
+    for _ in range(len(leaf_set) // 2):
+        while idx < len(hubs) and len(ends := live_ends(hubs[idx])) < 2:
             idx += 1
-        if x is not None:
-            live = [c for c in children[x] if alive_below[c] > 0]
-            arm_a = descend(live[0])
-            arm_b = descend(live[1])
-            path = list(reversed(arm_a)) + [x] + arm_b
+        if idx < len(hubs):
+            x = hubs[idx]
+            path = down(x, ends[0])[::-1] + down(x, ends[1])[1:]
         else:
-            rest = alive - {root}
-            if root not in alive or len(rest) != 1:
+            rest = alive & ~(1 << root)
+            if not alive >> root & 1 or rest.bit_count() != 1:
                 raise FrameInvariantError("leaf pairing invariant broken")
-            other = rest.pop()
-            climb = [other]
-            while climb[-1] != root:
-                climb.append(parent[climb[-1]])  # type: ignore[arg-type]
-            path = list(reversed(climb))
+            path = down(root, rest.bit_length() - 1)
         if path[0] > path[-1]:
-            path.reverse()
-        out.append(tuple(path))
-        consume(path[0])
-        consume(path[-1])
+            path = path[::-1]
+        out.append(path)
+        alive ^= 1 << path[0] | 1 << path[-1]
     return out
 
 
@@ -589,39 +545,23 @@ def extract_frame_paths(fr: Frame) -> list[Path]:
     """floor(p/2) pairwise anti-complete induced leaf-to-leaf paths of a
     frame, each of length >= ell, in host ids.
 
-    The frame is validated in full first. Tree pairing (leaf_paths) comes
-    next, then each tree path is re-routed to a shortest path inside the
-    subgraph induced on its own vertices, which makes it induced without
-    disturbing disjointness. Every promised property is checked on the
-    outputs before returning.
+    The frame is validated in full first. leaf_paths pairs the tree's leaves,
+    and each tree path s..t is re-routed to a shortest s-t path inside its own
+    vertices (mask_layers, then walk_back from t), which makes it induced
+    without disturbing disjointness. Every promised property is checked on
+    the outputs before returning; two paths touch iff one meets the other's
+    closed neighbourhood, a mask_ball of radius 1.
     """
     _assert_valid(fr, "hub_tree")
     g = fr.host
     adj = g.neighbor_masks()
     out: list[Path] = []
     for tree_path in leaf_paths(fr.tree_edges, fr.a_f):
-        unseen = to_mask(tree_path) & ~(1 << tree_path[0])
-        parent: dict[int, int] = {tree_path[0]: -1}
-        queue = deque([tree_path[0]])
-        target = tree_path[-1]
-        while queue:
-            v = queue.popleft()
-            if v == target:
-                break
-            found = adj[v] & unseen
-            unseen ^= found
-            for w in mask_members(found):
-                parent[w] = v
-                queue.append(w)
-        rerouted = [target]
-        while parent[rerouted[-1]] != -1:
-            rerouted.append(parent[rerouted[-1]])
-        rerouted.reverse()
-        path = tuple(rerouted)
-        if path[0] > path[-1]:
-            path = path[::-1]
-        out.append(path)
+        s, t = tree_path[0], tree_path[-1]
+        out.append(walk_back(adj, mask_layers(adj, 1 << s, to_mask(tree_path), 1 << t), t))
 
+    masks = [to_mask(path) for path in out]
+    closed = [mask_ball(adj, m, -1, 1) for m in masks]
     failed = []
     for i, path in enumerate(out):
         if not is_induced_path(g, path):
@@ -631,7 +571,7 @@ def extract_frame_paths(fr: Frame) -> list[Path]:
         if not (path[0] in fr.a_f and path[-1] in fr.a_f):
             failed.append(Violation("endpoints", path, "endpoint is not a leaf"))
         for j in range(i + 1, len(out)):
-            if not anti_complete(g, path, out[j]):
+            if closed[i] & masks[j]:
                 failed.append(Violation("anti-complete", (i, j), "extracted paths touch"))
     if failed:
         raise FrameInvariantError("frame path extraction broke its contract", failed)

@@ -340,10 +340,11 @@ def enumerate_induced_apaths(
 ) -> list[Path]:
     """All induced A-paths of length >= ell, one orientation each, sorted."""
     a_set = check_vertex_set(g, a)
-    out: set[Path] = set()
+    out: list[Path] = []
 
     def emit(path: Path):
-        out.add(path if path[0] < path[-1] else path[::-1])
+        if path[0] < path[-1]:  # the search meets each path from both ends
+            out.append(path)
         return None
 
     _terminal_path_dfs(

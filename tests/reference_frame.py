@@ -3,19 +3,20 @@ frame checks that the bitmask frame layer replaced, kept verbatim in
 behaviour.
 
 reference_validate_frame, reference_check_frame_claims, reference_regions,
-reference_check_extension_path, reference_find_extension and
-reference_extract_frame_paths take the same arguments as
-apaths.frame.validate_frame, check_frame_claims, _regions,
-_check_extension_path, find_extension and extract_frame_paths, so a test can
-run both on one frame and compare what they return or raise.
+reference_check_extension_path, reference_find_extension,
+reference_leaf_paths and reference_extract_frame_paths take the same
+arguments as apaths.frame.validate_frame, check_frame_claims, _regions,
+_check_extension_path, find_extension, leaf_paths and extract_frame_paths,
+so a test can run both on one input and compare what they return or raise.
 reference_find_extension is the neighbour-list BFS that walks back along the
 first parent to discover each vertex. Every ball here is a dict BFS,
 on an induced subgraph built per call. reference_extract_frame_paths is the
 hub-tree extraction: it copies F onto dense ids, checks the copy against its
 own properties H1..H7 instead of the frame axioms, pairs and re-routes the
-tree paths there, and maps them back. Only leaf_paths is shared with the
-package. Do not optimise any of it: its whole value is that it does not
-change.
+tree paths there, and maps them back. reference_leaf_paths pairs the leaves
+on a dict-of-lists tree with its own BFS and live-leaf counters. Only the
+frame module's data types are shared with the package. Do not optimise any
+of it: its whole value is that it does not change.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from apaths.frame import Frame, FrameInvariantError, Violation, leaf_paths
+from apaths.frame import Frame, FrameInvariantError, Violation
 from apaths.graph import (
     Graph,
     Path,
@@ -360,13 +361,120 @@ def _validate_hub_tree(
     return viol
 
 
+def reference_leaf_paths(
+    tree_edges: Iterable[tuple[int, int]], leaves: Iterable[int]
+) -> list[Path]:
+    """floor(p/2) pairwise vertex-disjoint leaf-to-leaf paths of a subcubic tree,
+    on a dict-of-lists tree with its own BFS and live-leaf counters.
+
+    Strategy: root at the smallest leaf, then repeatedly emit the path joining
+    the two leaves under the deepest vertex that still has live leaves in two
+    child subtrees (ties to the smallest id). Such a path never carries another
+    live leaf and never disconnects the survivors, so p//2 rounds always
+    succeed; the terminal round pairs the root with the last live leaf.
+    """
+    edges = list(tree_edges)
+    vertices = sorted({v for e in edges for v in e})
+    adj = _tree_adjacency(edges)
+    for v in vertices:
+        if len(adj[v]) > 3:
+            raise ValueError(f"vertex {v} has degree {len(adj[v])}: tree is not subcubic")
+    leaf_set = frozenset(leaves)
+    if not vertices:
+        if leaf_set:
+            raise ValueError("no tree edges but leaves were named")
+        return []
+    if len(edges) != len(vertices) - 1:
+        raise ValueError("edge count does not match a tree")
+    expected = frozenset(v for v in vertices if len(adj[v]) == 1)
+    if leaf_set != expected:
+        raise ValueError(f"leaves {sorted(leaf_set)} are not the degree-1 vertices {sorted(expected)}")
+    p = len(leaf_set)
+    if p < 2:
+        return []
+    root = min(leaf_set)
+    parent: dict[int, int | None] = {root: None}
+    depth = {root: 0}
+    children: dict[int, list[int]] = {v: [] for v in vertices}
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                children[v].append(w)
+                order.append(w)
+    if len(order) != len(vertices):
+        raise ValueError("edges do not form a connected tree")
+
+    alive_below = {v: 0 for v in vertices}
+    for v in reversed(order):
+        alive_below[v] = (v in leaf_set) + sum(alive_below[c] for c in children[v])
+    live_children = {
+        v: sum(1 for c in children[v] if alive_below[c] > 0) for v in vertices
+    }
+    candidates = sorted(
+        (v for v in vertices if live_children[v] >= 2),
+        key=lambda v: (-depth[v], v),
+    )
+    alive = set(leaf_set)
+
+    def descend(c: int) -> list[int]:
+        run = [c]
+        while not (run[-1] in alive):
+            nxt = [w for w in children[run[-1]] if alive_below[w] > 0]
+            run.append(nxt[0])
+        return run
+
+    def consume(leaf: int) -> None:
+        alive.discard(leaf)
+        w: int | None = leaf
+        while w is not None:
+            alive_below[w] -= 1
+            up = parent[w]
+            if alive_below[w] == 0 and up is not None:
+                live_children[up] -= 1
+            w = up
+
+    out: list[Path] = []
+    idx = 0
+    for _ in range(p // 2):
+        x = None
+        while idx < len(candidates):
+            v = candidates[idx]
+            if live_children[v] >= 2:
+                x = v
+                break
+            idx += 1
+        if x is not None:
+            live = [c for c in children[x] if alive_below[c] > 0]
+            arm_a = descend(live[0])
+            arm_b = descend(live[1])
+            path = list(reversed(arm_a)) + [x] + arm_b
+        else:
+            rest = alive - {root}
+            if root not in alive or len(rest) != 1:
+                raise FrameInvariantError("leaf pairing invariant broken")
+            other = rest.pop()
+            climb = [other]
+            while climb[-1] != root:
+                climb.append(parent[climb[-1]])  # type: ignore[arg-type]
+            path = list(reversed(climb))
+        if path[0] > path[-1]:
+            path.reverse()
+        out.append(tuple(path))
+        consume(path[0])
+        consume(path[-1])
+    return out
+
+
 def reference_extract_frame_paths(fr: Frame) -> list[Path]:
     """floor(p/2) pairwise anti-complete induced leaf-to-leaf paths of length
     >= ell, in host ids, extracted from the hub tree of fr.
 
     F is relabelled to dense ids in sorted order (a monotone map), the copy
-    is validated with H1..H7, each leaf_paths tree path is re-routed to a
-    shortest path inside the subgraph induced on its own vertices, every
+    is validated with H1..H7, each reference_leaf_paths tree path is re-routed
+    to a shortest path inside the subgraph induced on its own vertices, every
     promised property is checked, and the sorted result is mapped back.
     """
     new_to_old = tuple(sorted(fr.f_vertices))
@@ -388,7 +496,7 @@ def reference_extract_frame_paths(fr: Frame) -> list[Path]:
         raise FrameInvariantError("hub tree failed validation", violations)
 
     out: list[Path] = []
-    for tree_path in leaf_paths(tree_edges, leaves):
+    for tree_path in reference_leaf_paths(tree_edges, leaves):
         allowed = frozenset(tree_path)
         parent: dict[int, int] = {tree_path[0]: -1}
         queue = deque([tree_path[0]])

@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apaths import Graph, SolveParams, complete_instance, emit_graph, parse_graph, solve
+from apaths import Graph, SolveParams, cli, complete_instance, emit_graph, parse_graph, solve
 from apaths.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
+    MAX_VERTICES,
     CertificateFormatError,
     GraphFormatError,
     certificate_document,
@@ -86,6 +87,29 @@ class TestGen:
         assert code == EXIT_OK
         g, a = parse_graph(out)
         assert g.n == 20 and g.edge_count == 19
+
+    @pytest.mark.parametrize("family", [
+        ["--complete", "20000"],
+        ["--subdivided", "51", "1"],  # 101 branch vertices: 101**2 = 10,201 in all
+        ["--subdivided", "3", "1000"],
+        ["--random", "10001", "0.5", "0.5", "0"],
+        ["--subcubic-tree", "10001", "0"],
+    ])
+    def test_refuses_counts_parse_graph_refuses_before_building(self, family, monkeypatch):
+        def build(*args):
+            raise AssertionError("the instance was built")
+
+        for name in ("complete_instance", "subdivided_complete_instance",
+                     "random_instance", "random_subcubic_tree"):
+            monkeypatch.setattr(cli, name, build)
+        code, out = run_cli(["gen", *family])
+        assert code == EXIT_BAD_INPUT and out == ""
+
+    def test_subdivided_at_the_limit(self):
+        code, out = run_cli(["gen", "--subdivided", "50", "1"])
+        assert code == EXIT_OK
+        g, a = parse_graph(out)
+        assert g.n == 99 ** 2 <= MAX_VERTICES and len(a) == 99
 
 
 class TestSolveVerifyPipeline:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import apaths.frame
 from apaths import (
     Frame,
     FrameInvariantError,
@@ -268,6 +269,19 @@ class TestLeafPaths:
         with pytest.raises(ValueError):
             leaf_paths([(0, 1), (1, 2)], [0, 1])
 
+    @pytest.mark.parametrize("edges, leaves", [
+        ([(0, 1), (0, 1), (1, 2)], [0, 2]),  # repeated edge
+        ([(0, 0)], []),  # self-loop
+        ([(0, 1), (2, 3)], [0, 1, 2, 3]),  # two-edge forest
+        ([], [0]),  # leaves named with no edges
+        ([], [-1]),  # negative ids are not bit positions
+        ([(-1, 0), (0, 1)], [-1, 1]),
+        ([(-5, 0)], [-5, 0]),
+    ])
+    def test_rejects_malformed_input(self, edges, leaves):
+        with pytest.raises(ValueError):
+            leaf_paths(edges, leaves)
+
     @given(st.integers(2, 120), st.integers(0, 50_000))
     @settings(max_examples=120, deadline=None)
     def test_random_trees_give_exact_pairing(self, n, seed):
@@ -324,6 +338,17 @@ class TestHubTreeExtraction:
             assert is_induced_path(g, p)
             assert len(p) - 1 >= 3
         assert anti_complete(g, paths[0], paths[1])
+
+    def test_pairs_joined_by_an_edge_break_the_contract(self, monkeypatch):
+        # The spine and a leg are disjoint, but leg vertex 17 is adjacent to
+        # spine vertex 4, so the pair must fail as touching.
+        g, a = double_pendant_instance()
+        fr = build_maximal_frame(g, a, 3)
+        pairs = [tuple(range(13)), (13, 14, 15, 16, 17)]
+        monkeypatch.setattr(apaths.frame, "leaf_paths", lambda edges, leaves: pairs)
+        with pytest.raises(FrameInvariantError) as err:
+            extract_frame_paths(fr)
+        assert [v.witness for v in err.value.violations if v.axiom == "anti-complete"] == [(0, 1)]
 
     def test_validation_failure_raises(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])

@@ -6,11 +6,13 @@ caterpillars with a triangle at each leg's foot (whose leaf-to-leaf tree
 paths can have a chord), on subdivided random graphs, and on copies of those
 frames broken one axiom at a time. They must return the same (y, y_tilde),
 the same violation lists and the same extension-path verdicts, or raise the
-same error. Path extraction must return the reference's hub-tree paths on
-every frame, and reject every broken frame the hub-tree checks H1..H7
-reject. find_extension must return the neighbour-list BFS's path on every
-observed frame; on frames of random instances, where ties may walk back
-another way, it must agree on None-ness and length."""
+same error. Leaf pairing must return the reference's pairs on random
+subcubic trees and on every frame's tree. Path extraction must return the
+reference's hub-tree paths on every frame, and reject every broken frame
+the hub-tree checks H1..H7 reject. find_extension must return the
+neighbour-list BFS's path on every observed frame; on frames of random
+instances, where ties may walk back another way, it must agree on None-ness
+and length."""
 
 import random
 from collections import Counter
@@ -26,7 +28,9 @@ from apaths import (
     caterpillar_instance,
     extract_frame_paths,
     find_extension,
+    leaf_paths,
     random_instance,
+    random_subcubic_tree,
     solve,
 )
 from apaths.frame import _check_extension_path, _regions, check_frame_claims, validate_frame
@@ -35,6 +39,7 @@ from reference_frame import (
     reference_check_frame_claims,
     reference_extract_frame_paths,
     reference_find_extension,
+    reference_leaf_paths,
     reference_regions,
     reference_validate_frame,
 )
@@ -277,6 +282,23 @@ def test_extension_paths_agree_in_length(n, p, seed, ell):
             assert len(got) == len(want)
             _check_extension_path(g, fr, got)
             _check_extension_path(g, fr, want)
+
+
+@given(st.integers(2, 300), st.integers(0, 50_000))
+@settings(max_examples=150, deadline=None)
+def test_leaf_pairing_agrees_on_random_trees(n, seed):
+    edges, leaves = random_subcubic_tree(n, seed)
+    assert leaf_paths(edges, leaves) == reference_leaf_paths(edges, leaves)
+    # The generator attaches each vertex to a lower id; shuffled ids vary the ties.
+    ids = random.Random(seed).sample(range(2 * n), n)
+    edges = [(ids[u], ids[v]) for u, v in edges]
+    leaves = [ids[v] for v in leaves]
+    assert leaf_paths(edges, leaves) == reference_leaf_paths(edges, leaves)
+
+
+def test_leaf_pairing_agrees_on_frame_trees():
+    for _, fr in FRAMES:
+        assert leaf_paths(fr.tree_edges, fr.a_f) == reference_leaf_paths(fr.tree_edges, fr.a_f)
 
 
 def test_extracted_paths_agree():
