@@ -5,16 +5,19 @@ terminal set; interior terminal vertices are allowed unless stated otherwise.
 Long induced A-path search is NP-hard in general, so every exact long-path
 query (find in a length range, shortest long path, enumeration, and the
 brute-force oracles built on them) runs one engine, _terminal_path_dfs: an
-iterative depth-first search over chordless paths from each terminal.
+iterative depth-first search over chordless paths from each terminal but
+the largest, which targets only the terminals above it, so each A-path is
+searched from its lesser end only.
 
 The engine keeps vertex sets as int bitmasks. A path on its stack carries
 blocked = path | N(path - tip), the vertices it may never use again, so its
 extensions are adj[tip] & ~blocked. Where a path has two or more extensions,
 a flood fill from each extension through the vertices still free drops that
-extension's whole subtree if the region holds no terminal or is too small to
-reach the minimum length. Dropped subtrees contain no result, and extensions
-are taken in sorted order, so results and their order are those of the full
-search.
+extension's whole subtree if the region holds no terminal above the root or
+is too small to reach the minimum length. Dropped subtrees contain no result,
+a path left out from its greater end was offered from its lesser end first,
+and extensions are taken in sorted order, so every caller's result is that
+of the full search.
 
 The brute-force oracles enumerate their paths once and then work on
 bitmasks alone: path i is bit i of an int. The ball-cover oracle keeps, for
@@ -139,13 +142,13 @@ def shortest_apath(g: Graph, a: Iterable[int]) -> Path | None:
     return best
 
 
-def _live_extensions(adj: tuple[int, ...], ext: int, child_blocked: int, terminals: int, need: int) -> int:
+def _live_extensions(adj: tuple[int, ...], ext: int, child_blocked: int, targets: int, need: int) -> int:
     """The extensions in ext whose subtrees can still emit a path of at
     least need more edges.
 
     A child w adds w, and after it only vertices reachable from w outside
-    child_blocked. Its subtree can emit only if w is a terminal long enough
-    to be emitted itself (need <= 1), or if that region holds a terminal and
+    child_blocked. Its subtree can emit only if w is a target long enough
+    to be emitted itself (need <= 1), or if that region holds a target and
     at least need - 1 vertices. The region is flooded one BFS level at a
     time, stopping as soon as both hold, so a live extension's region is
     rarely walked in full.
@@ -155,10 +158,10 @@ def _live_extensions(adj: tuple[int, ...], ext: int, child_blocked: int, termina
     while ext:
         low = ext & -ext
         ext ^= low
-        if need <= 1 and low & terminals:
+        if need <= 1 and low & targets:
             continue
         reach = frontier = adj[low.bit_length() - 1] & free
-        while not (reach & terminals and reach.bit_count() >= need - 1):
+        while not (reach & targets and reach.bit_count() >= need - 1):
             grown = 0
             while frontier:
                 bit = frontier & -frontier
@@ -183,13 +186,14 @@ def _terminal_path_dfs(
 ) -> None:
     """Depth-first search over chordless paths anchored at a terminal.
 
-    Every visited path is induced. emit(path) is called whenever the tip is a
-    second terminal and the length falls in [lo, accept_hi]; its return value
-    is the new cap on path length to keep exploring (None for unbounded), or
-    the string "stop" to abort. With stop_at_terminals, paths are never
-    extended past a terminal tip, which restricts the search to A-paths
-    without interior terminals. budget.spend() is called once per visited
-    path.
+    Every visited path is induced. The roots are the terminals but the
+    largest, and root s targets the terminals above it. emit(path) is called
+    whenever the tip is a target and the length falls in [lo, accept_hi], so
+    path[0] < path[-1] for every emitted path. Its return value is the new
+    cap on path length to keep exploring (None for unbounded), or the string
+    "stop" to abort. With stop_at_terminals, paths are never extended past a
+    terminal tip, which restricts the search to A-paths without interior
+    terminals. budget.spend() is called once per visited path.
 
     Vertex sets are int bitmasks, and adjacency is g's own
     neighbor_masks. The search is iterative, so its depth is bounded by
@@ -202,25 +206,32 @@ def _terminal_path_dfs(
     Pruning: at a path with two or more extensions, each extension is tested
     before it is visited (_live_extensions). After w the search can add only
     vertices reachable from w outside the child's mask, which already holds
-    w's siblings; a subtree can emit only if that region holds a terminal and
-    enough vertices to reach length lo. Failing extensions are dropped with
-    their whole subtree. The test floods the region, so it runs only where
-    the path branches: along a chain of single extensions the region ahead
-    loses just the new tip at each step, so a test there would repeat the
-    last verdict at a cost linear in the region, which is quadratic along
-    long chains.
+    w's siblings; a subtree can emit only if that region holds a target and
+    enough vertices to reach length lo. Terminals below the root are no
+    targets but may still be interior vertices, and stop_at_terminals stops
+    at any terminal. Failing extensions are dropped with their whole
+    subtree. The test floods the region, so it runs only where the path
+    branches: along a chain of single extensions the region ahead loses
+    just the new tip at each step, so a test there would repeat the last
+    verdict at a cost linear in the region, which is quadratic along long
+    chains.
 
-    Order: roots are the terminals in increasing order and extensions are
-    taken lowest bit first, i.e. in sorted-neighbour order. A dropped subtree
-    holds no emit, so the emitted sequence, and with it every length cap and
-    every result, is the same as a full search's; only fewer paths are
-    visited and paid for.
+    Soundness: roots are taken in increasing order and extensions lowest
+    bit first, i.e. in sorted-neighbour order. A dropped subtree holds no
+    emit. A path from root s to a terminal t < s is never emitted, but its
+    reverse has the same length and was already offered from the earlier
+    root t. That changes no caller's answer: find stops at its first emit;
+    shortest keeps only strictly shorter paths, and its cap only shrinks;
+    enumerate keeps only path[0] < path[-1]. So every result, witness and
+    visible emit order is a full search's; only fewer paths are visited and
+    paid for.
     """
     adj = g.neighbor_masks()
     terminals = to_mask(a_set)
     spend = budget.spend
     ext_cap = accept_hi
-    for s in sorted(a_set):
+    for s in sorted(a_set)[:-1]:
+        targets = terminals & -(2 << s)
         path = [s]
         blocked = 1 << s
         # One entry per path vertex with extensions left to try: the mask its
@@ -232,7 +243,7 @@ def _terminal_path_dfs(
             tip = path[-1]
             plen = len(path) - 1
             at_terminal = plen >= 1 and terminals >> tip & 1
-            if at_terminal and plen >= lo and (accept_hi is None or plen <= accept_hi):
+            if targets >> tip & 1 and plen >= lo and (accept_hi is None or plen <= accept_hi):
                 signal = emit(tuple(path))
                 if signal == "stop":
                     return
@@ -242,7 +253,7 @@ def _terminal_path_dfs(
                 ext = adj[tip] & ~blocked
                 after = blocked | adj[tip]
                 if ext & (ext - 1):
-                    ext = _live_extensions(adj, ext, after, terminals, lo - plen)
+                    ext = _live_extensions(adj, ext, after, targets, lo - plen)
             if ext:
                 child_blocked.append(after)
                 pending.append(ext)
@@ -339,11 +350,13 @@ def enumerate_induced_apaths(
     no_interior_terminals: bool = False,
 ) -> list[Path]:
     """All induced A-paths of length >= ell, one orientation each, sorted."""
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got {ell}")
     a_set = check_vertex_set(g, a)
     out: list[Path] = []
 
     def emit(path: Path):
-        if path[0] < path[-1]:  # the search meets each path from both ends
+        if path[0] < path[-1]:  # one orientation under any engine; the reference emits both
             out.append(path)
         return None
 

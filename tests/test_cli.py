@@ -197,6 +197,13 @@ class TestOracleCommand:
         assert code == EXIT_OK
         assert json.loads(out)["value"] == 4
 
+    @pytest.mark.parametrize("mode", [["--packing", "--cap", "2"], ["--cover", "--radius", "0"]])
+    def test_ell_below_one_exits_2(self, tmp_path, mode):
+        f = tmp_path / "k5.graph"
+        f.write_text(emit_graph(*complete_instance(5)))
+        code, out = run_cli(["oracle", "--input", str(f), "--ell", "0", *mode])
+        assert code == EXIT_BAD_INPUT and out == ""
+
 
 class TestReduceCommand:
     def test_c9_d3(self, tmp_path):
@@ -281,7 +288,7 @@ class TestVerifyBudget:
         assert self.run_verify(tmp_path, None) == EXIT_OK
 
     def test_small_budget_exits_3(self, tmp_path):
-        # Each of the three removal searches visits 844 paths of the grid,
+        # Each of the three removal searches visits 539 paths of the grid,
         # so the whole check does not fit in 1000 nodes.
         assert self.run_verify(tmp_path, "1000") == EXIT_BUDGET
 

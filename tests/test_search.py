@@ -254,6 +254,24 @@ class TestDisjointPackingDuality:
         assert size <= 2 * nu
 
 
+class TestEllBelowOne:
+    """Every long-path query refuses ell < 1 rather than answer for ell = 1."""
+
+    @pytest.mark.parametrize("ell", [0, -3])
+    def test_enumeration_raises(self, ell):
+        g, a = complete_instance(4)
+        with pytest.raises(ValueError, match="need ell >= 1"):
+            enumerate_induced_apaths(g, a, ell)
+
+    @pytest.mark.parametrize("ell", [0, -3])
+    def test_packing_oracles_raise(self, ell):
+        g, a = complete_instance(4)
+        with pytest.raises(ValueError, match="need ell >= 1"):
+            max_anticomplete_packing_with_witness(g, a, ell, 2)
+        with pytest.raises(ValueError, match="need ell >= 1"):
+            oracle_max_anticomplete_packing(g, a, ell, 2)
+
+
 class TestBudget:
     def test_budget_exceeded_raises(self):
         g, a = complete_instance(9)
@@ -286,6 +304,25 @@ def spent(call) -> int:
     budget = _Budget(10**9, "probe")
     call(budget)
     return budget.limit - budget.remaining
+
+
+class TestRootRule:
+    """Each A-path is searched from its lesser end only."""
+
+    def test_hand_counted_nodes(self):
+        # Root 0 visits [0], [0, 1] and [0, 1, 2]; the largest terminal, 2,
+        # is never a root. Searching from both ends would spend 6.
+        g = path(3)
+        assert spent(lambda b: enumerate_induced_apaths(g, {0, 2}, 2, b)) == 3
+
+    def test_only_the_terminals_above_the_root_are_targets(self):
+        # Root 0 visits [0], [0, 1] and [0, 1, 2]. Root 1 targets only 2, so
+        # its extension to 0 holds no target and is dropped: it visits [1]
+        # and [1, 2]. Searching from every terminal to every terminal would
+        # spend 9.
+        g = path(3)
+        assert enumerate_induced_apaths(g, {0, 1, 2}, 1) == [(0, 1), (0, 1, 2), (1, 2)]
+        assert spent(lambda b: enumerate_induced_apaths(g, {0, 1, 2}, 1, b)) == 5
 
 
 class TestOracleBudget:

@@ -108,6 +108,41 @@ class TestAgainstReference:
         assert spent < ref_spent
 
 
+class TestLesserEndFirst:
+    """Every path the engine emits, and every path a query returns, runs
+    from its lesser end to its greater end."""
+
+    @given(instances, st.integers(1, 7), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_engine_emits_one_orientation(self, inst, ell, no_interior_terminals):
+        g, a = inst
+        emitted = []
+
+        def emit(path):
+            emitted.append(path)
+
+        search._terminal_path_dfs(
+            g, frozenset(a), ell, None, search._Budget(10**9, "orientation"), emit,
+            stop_at_terminals=no_interior_terminals,
+        )
+        assert all(p[0] < p[-1] for p in emitted)
+        assert sorted(emitted) == enumerate_induced_apaths(
+            g, a, ell, no_interior_terminals=no_interior_terminals
+        )
+
+    @given(instances, st.integers(1, 7), st.one_of(st.none(), st.integers(0, 4)))
+    @settings(max_examples=150, deadline=None)
+    def test_queries_return_one_orientation(self, inst, ell, width):
+        g, a = inst
+        rng = LengthRange(ell, None if width is None else ell + width)
+        found = [
+            find_induced_apath_in_range(g, a, rng),
+            shortest_long_induced_apath(g, a, ell),
+            *enumerate_induced_apaths(g, a, ell),
+        ]
+        assert all(p[0] < p[-1] for p in found if p is not None)
+
+
 @given(instances)
 @settings(max_examples=150, deadline=None)
 def test_shortest_apath_matches_reference_length(inst):

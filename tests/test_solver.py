@@ -366,7 +366,7 @@ class TestCombineCheckBudget:
 
     def test_checks_share_one_budget(self):
         # 5x5 grid, corner terminals, ell 17: the empty cover removes nothing,
-        # so each check is a full search that exhausts in 844 nodes.
+        # so each check is a full search that exhausts in 539 nodes.
         grid = Graph(
             25,
             [(5 * r + c, 5 * r + c + 1) for r in range(5) for c in range(4)]
@@ -374,10 +374,10 @@ class TestCombineCheckBudget:
         )
         corners = {0, 4, 20, 24}
         cert = Cover(frozenset(), frozenset(), 1, 18)
-        assert spent(lambda b: has_long_induced_apath(grid, corners, 17, b)) == 844
-        params = SolveParams(2, 17, node_budget=2 * 844)
+        assert spent(lambda b: has_long_induced_apath(grid, corners, 17, b)) == 539
+        params = SolveParams(2, 17, node_budget=2 * 539)
         assert combine_check_theorem_forms(cert, grid, corners, params) == (True, True)
         # Each check fits in 1000 nodes; the two together do not.
-        for budget in (2 * 844 - 1, 1000):
+        for budget in (2 * 539 - 1, 1000):
             with pytest.raises(BudgetExceededError, match="combine_check_theorem_forms"):
                 combine_check_theorem_forms(cert, grid, corners, SolveParams(2, 17, node_budget=budget))

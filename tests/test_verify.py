@@ -100,7 +100,7 @@ class TestVerifyBudget:
     """One budget bounds the three removal searches of a cover together."""
 
     # 5x5 grid, corner terminals: the longest induced corner path has
-    # length 16, so at ell 17 every search exhausts, in 844 nodes each.
+    # length 16, so at ell 17 every search exhausts, in 539 nodes each.
     GRID = Graph(
         25,
         [(5 * r + c, 5 * r + c + 1) for r in range(5) for c in range(4)]
@@ -112,9 +112,9 @@ class TestVerifyBudget:
         params = SolveParams(2, 17, node_budget=1000)
         cert = solve(self.GRID, self.CORNERS, params)
         assert cert == Cover(frozenset(), frozenset(), 1, 18)
-        assert verify_certificate(self.GRID, self.CORNERS, params, cert, budget=3 * 844).passed
+        assert verify_certificate(self.GRID, self.CORNERS, params, cert, budget=3 * 539).passed
         with pytest.raises(BudgetExceededError):
-            verify_certificate(self.GRID, self.CORNERS, params, cert, budget=3 * 844 - 1)
+            verify_certificate(self.GRID, self.CORNERS, params, cert, budget=3 * 539 - 1)
         # Each search fits in 1000 nodes; the three together do not.
         with pytest.raises(BudgetExceededError, match="verify_cover"):
             verify_certificate(self.GRID, self.CORNERS, params, cert, budget=1000)
