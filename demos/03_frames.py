@@ -2,7 +2,8 @@
 """Frame construction step by step: init on a shortest long induced A-path,
 greedy extension along terminal-to-frame geodesics, and extraction of
 pairwise anti-complete paths straight from the frame's subcubic tree, in the
-host graph's own vertex ids.
+host graph's own vertex ids. Each step only grows the tree; every other set
+of the frame is derived from it.
 
 Run from the repository root:  python demos/03_frames.py
 """
@@ -25,7 +26,9 @@ from apaths import (
 
 
 def show(fr, label):
-    print(f"  {label}: leaves={sorted(fr.a_f)} hubs={sorted(fr.hubs)} "
+    # A frame holds only the host, the terminals, its tree and ell; leaves,
+    # hubs, F, Y and Y~ are derived from the tree on first use.
+    print(f"  {label}: tree edges={len(fr.tree_edges)} leaves={sorted(fr.a_f)} hubs={sorted(fr.hubs)} "
           f"|F|={len(fr.f_vertices)} |Y|={len(fr.y)} |Y~|={len(fr.y_tilde)} "
           f"violations={validate_frame(fr)}")
 
@@ -42,9 +45,9 @@ print("== growing a frame, one leaf per step ==")
 fr = init_frame(g, a, ell=3)
 show(fr, "init  ")
 step = 1
-while (p := find_extension(g, a, fr)) is not None:
+while (p := find_extension(fr)) is not None:
     print(f"  extension {step}: {p}")
-    fr = extend_frame(g, a, fr, p)
+    fr = extend_frame(fr, p)
     show(fr, f"step {step}")
     step += 1
 print("  no further terminal can reach the frame outside Y~: construction done")

@@ -3,7 +3,8 @@
 
 Every certificate is re-checked from scratch by the independent verifier; at
 ell = 1 the cover bounds specialise to |Z1| <= 78(k-1) with radius-1 balls
-and |Z2| <= 4(k-1) with radius-4 balls.
+and |Z2| <= 4(k-1) with radius-4 balls, and the verifier's report already
+holds each form: a size check and the removal of that ball family alone.
 
 Run from the repository root:  python demos/04_dichotomy.py
 """
@@ -17,7 +18,6 @@ from apaths import (
     Graph,
     Packing,
     SolveParams,
-    combine_check_theorem_forms,
     complete_instance,
     random_instance,
     solve,
@@ -41,7 +41,10 @@ def demo(name, g, a, k, ell):
         print(f"  bounds: |z1| = {len(cert.z1)} <= {params.z1_limit()}, "
               f"|z2| = {len(cert.z2)} <= {params.z2_limit()}")
         if ell == 1:
-            h78, h4 = combine_check_theorem_forms(cert, g, a, params)
+            # Each single-set form is one ball family's size bound and removal.
+            checks = {c.name: c.ok for c in report.checks}
+            h78 = checks["z1.size"] and checks["z1.removal.path_free"]
+            h4 = checks["z2.size"] and checks["z2.removal.path_free"] and checks["radii"]
             print(f"  single-set forms: 78(k-1)-version {h78}, 4-balls-version {h4}")
     print("  independent verification:", "PASS" if report.passed else "FAIL")
     print()

@@ -20,7 +20,6 @@ from .graph import (
     induced_subgraph,
     is_induced_path,
     is_path,
-    path_length,
     power_graph,
 )
 from .search import (
@@ -56,7 +55,6 @@ from .solver import (
     Packing,
     PowerGraphMap,
     SolveParams,
-    combine_check_theorem_forms,
     lift_path,
     reduce_to_d3,
     solve,
@@ -81,7 +79,7 @@ from .cli import emit_graph, parse_graph
 __all__ = [
     "Graph", "GraphError", "Path", "VertexSet",
     "ball", "dist", "anti_complete", "induced_subgraph", "components",
-    "is_path", "is_induced_path", "path_length", "power_graph",
+    "is_path", "is_induced_path", "power_graph",
     "LengthRange", "BudgetExceededError", "DEFAULT_BUDGET",
     "exists_apath", "shortest_apath", "shortest_long_induced_apath",
     "find_induced_apath_in_range", "has_long_induced_apath",
@@ -92,7 +90,7 @@ __all__ = [
     "validate_frame", "init_frame", "find_extension",
     "extend_frame", "build_maximal_frame", "leaf_paths", "extract_frame_paths",
     "SolveParams", "Packing", "Cover", "Certificate", "solve",
-    "combine_check_theorem_forms", "PowerGraphMap", "reduce_to_d3", "lift_path",
+    "PowerGraphMap", "reduce_to_d3", "lift_path",
     "Check", "Report", "verify_packing", "verify_cover", "verify_certificate",
     "verify_tightness_claims",
     "complete_instance", "subdivided_complete_instance", "random_instance",

@@ -1,15 +1,23 @@
 """Frames: induced, almost-tree scaffolds from which long anti-complete
 induced A-paths are extracted.
 
-A frame is a tuple (F, T, A_F, X, Y, Y~, Abar) over a host graph: F an induced
-subgraph, T a spanning subcubic tree of F whose degree-1 vertices are exactly
-the terminals inside F, X its degree-3 hubs, Y the part of F close to leaves
-and hubs, Y~ the outside neighbourhood of Y, and Abar the terminals not yet in
-the frame. Eleven axioms (A1..A11 below) pin the structure down; they are
-machine-checked after every construction step, never assumed.
+A frame is a tuple (F, T, A_F, X, Y, Y~, Abar) over a host graph G with
+terminal set A: F an induced subgraph, T a spanning subcubic tree of F whose
+degree-1 vertices are exactly the terminals inside F, X its degree-3 hubs, Y
+the part of F close to leaves and hubs, Y~ the outside neighbourhood of Y,
+and Abar the terminals not yet in the frame. Only T is chosen; a Frame holds
+G, A, T and ell, and every other set is derived from them.
 
-Every step recomputes Y and Y~ and re-derives all eleven axioms from the
-frame's fields alone; nothing is carried over from the previous step. To keep
+Eleven axioms pin the structure down. Five of them are now definitions, so
+nothing is left to check: F = V(T), A_F = A & F (the first clause of A3),
+X = the degree-3 vertices of T (A4), Y = the ell_hat ball in F around A_F and
+X (A5), Y~ = N(Y) - F (A6), and Abar = A - F (A7). The rest are
+machine-checked after every construction step, never assumed: A1 (F and A
+inside the host), A2 (T a subcubic tree of host edges), A3 (A_F = the
+degree-1 vertices of T and of G[F]) and A8..A11.
+
+Every step derives the sets of the new frame and re-checks the axioms from
+its fields alone; nothing is carried over from the previous step. To keep
 that affordable, the checks work on int bitmasks: the host's
 neighbor_masks, F as one mask, and the tree as one mask per vertex. A ball
 in F walks adj[v] & F, so no induced subgraph is built, and the checks on
@@ -28,7 +36,10 @@ pairs are checked against each other's closed neighbourhood masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain
 from typing import Collection, Iterable
 
 from .graph import (
@@ -76,14 +87,15 @@ class Violation:
 
 @dataclass(frozen=True)
 class Frame:
+    """The frame with tree T = tree_edges in host, for the terminal set
+    terminals. Only T is chosen: F, the leaves, the hubs, Y, Y~ and Abar are
+    derived from the four fields on first use, at most once per Frame, and
+    never copied from another frame. y and y_tilde read the host's
+    adjacency, so they need F inside the host (A1)."""
+
     host: Graph
-    f_vertices: VertexSet
+    terminals: VertexSet
     tree_edges: frozenset[tuple[int, int]]
-    a_f: VertexSet
-    hubs: VertexSet
-    y: VertexSet
-    y_tilde: VertexSet
-    a_bar: VertexSet
     ell: int
 
     @property
@@ -94,97 +106,116 @@ class Frame:
     def leaf_count(self) -> int:
         return len(self.a_f)
 
-    @property
-    def terminals(self) -> VertexSet:
-        """The full terminal set of the instance: frame leaves plus the rest."""
-        return self.a_f | self.a_bar
+    @cached_property
+    def f_vertices(self) -> VertexSet:
+        """F = V(T)."""
+        return frozenset(chain.from_iterable(self.tree_edges))
+
+    @cached_property
+    def a_f(self) -> VertexSet:
+        """The leaves: the terminals in F."""
+        return self.terminals & self.f_vertices
+
+    @cached_property
+    def a_bar(self) -> VertexSet:
+        """The terminals not yet in F."""
+        return self.terminals - self.f_vertices
+
+    @cached_property
+    def hubs(self) -> VertexSet:
+        """X: the degree-3 vertices of T."""
+        degree = Counter(chain.from_iterable(self.tree_edges))
+        return frozenset(v for v, d in degree.items() if d == 3)
+
+    @cached_property
+    def y(self) -> VertexSet:
+        """Y: the vertices of F within ell_hat of leaves and hubs, measured in F."""
+        centers = to_mask(self.a_f | self.hubs)
+        ball = mask_ball(self.host.neighbor_masks(), centers, to_mask(self.f_vertices), self.ell_hat)
+        return frozenset(mask_members(ball))
+
+    @cached_property
+    def y_tilde(self) -> VertexSet:
+        """Y~: N(Y) outside F."""
+        near = mask_neighbors(self.host.neighbor_masks(), to_mask(self.y))
+        return frozenset(mask_members(near & ~to_mask(self.f_vertices)))
 
 
 def _path_edges(p: Path) -> frozenset[tuple[int, int]]:
     return frozenset((u, v) if u < v else (v, u) for u, v in zip(p, p[1:]))
 
 
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def _check_spanning_subcubic_tree(
-    n: int, vertices: VertexSet, edges: Collection[tuple[int, int]]
+    n: int, edges: Collection[tuple[int, int]]
 ) -> tuple[list[Violation], list[int]]:
-    """A2 violations of "edges form a spanning subcubic tree on vertices"
-    (every entry of edges counts, so a repeat fails), plus the tree's
-    adjacency as one bitmask per vertex 0..n-1 (vertices are ids below n)."""
+    """A2 violations of "edges form a subcubic tree spanning their own
+    vertices" (every entry of edges counts, so a repeat fails), plus the
+    tree's adjacency as one bitmask per vertex 0..n-1 (ids must lie below n)."""
     viol = []
     tree = [0] * n
     for u, v in edges:
-        if u not in vertices or v not in vertices:
-            viol.append(Violation("A2", (u, v), "tree edge leaves the vertex set"))
-            return viol, tree
         tree[u] |= 1 << v
         tree[v] |= 1 << u
+    vertices = sorted(set(chain.from_iterable(edges)))
     for v in vertices:
         degree = tree[v].bit_count()
         if degree > 3:
             viol.append(Violation("A2", v, f"tree degree {degree} exceeds 3"))
     if len(edges) != max(len(vertices) - 1, 0):
-        viol.append(
-            Violation("A2", len(edges), f"{len(edges)} edges cannot span {len(vertices)} vertices")
-        )
+        viol.append(Violation("A2", len(edges), f"{len(edges)} edges cannot span {len(vertices)} vertices"))
     elif vertices:
-        reached = mask_ball(tree, 1 << min(vertices))
+        reached = mask_ball(tree, 1 << vertices[0])
         if reached.bit_count() != len(vertices):
-            missing = min(v for v in vertices if not reached >> v & 1)
+            missing = next(v for v in vertices if not reached >> v & 1)
             viol.append(Violation("A2", missing, "tree does not reach this vertex"))
     return viol, tree
 
 
-def _least_difference(n: int, found: int, claimed: VertexSet) -> int | None:
-    """min(found ^ claimed), or None when they are equal, for a bitmask found
-    of ids below n. claimed is a frame field and may hold any int, so its
-    mask is built only once its ids are known to be in range, and the set
-    form of found only on a mismatch."""
-    if not claimed or (min(claimed) >= 0 and max(claimed) < n):
-        if found == to_mask(claimed):
-            return None
-    return min(frozenset(mask_members(found)) ^ claimed)
-
-
 def validate_frame(fr: Frame) -> list[Violation]:
-    """Check axioms A1..A11; an empty list means the frame is valid.
+    """Check the axioms that are not definitions (A1, A2, A3, A8..A11); an
+    empty list means the frame is valid.
 
-    The ambient terminal set is reconstructed as a_f | a_bar, which is
-    faithful because A3/A7 make those two fields a partition of it. Every
-    axiom is derived from the frame's fields on each call, with vertex sets
-    as bitmasks: F-restricted balls walk adj[v] & F, and only the neighbours
-    of F and of the tree are visited, never the whole host.
+    Every check derives what it needs from the frame's fields on each call,
+    with vertex sets as bitmasks: F-restricted balls walk adj[v] & F, and
+    only the neighbours of F and of the tree are visited, never the whole
+    host. A malformed frame comes back as violations, never as an exception.
     """
     g = fr.host
     viol: list[Violation] = []
 
-    bad = [v for v in fr.f_vertices if not (0 <= v < g.n)]
-    if bad:
-        viol.append(Violation("A1", bad[0], "frame vertex outside the host graph"))
+    # A1: F and the terminals inside the host. Until this holds, no derived
+    # set may touch the adjacency.
+    for what, vertices in (("frame vertex", fr.f_vertices), ("terminal", fr.terminals)):
+        bad = [v for v in vertices if not (0 <= v < g.n)]
+        if bad:
+            viol.append(Violation("A1", min(bad), f"{what} outside the host graph"))
+    if viol:
         return viol
 
-    # A2: spanning subcubic tree, contained in F
+    # A2: T is a subcubic tree of host edges (spanning F = V(T) by definition)
     for u, v in fr.tree_edges:
-        if u in fr.f_vertices and v in fr.f_vertices and not g.has_edge(u, v):
+        if not g.has_edge(u, v):
             viol.append(Violation("A2", (u, v), "tree edge is not an edge of the host"))
-    spanning, tree = _check_spanning_subcubic_tree(g.n, fr.f_vertices, fr.tree_edges)
+    spanning, tree = _check_spanning_subcubic_tree(g.n, fr.tree_edges)
     viol.extend(spanning)
-    if any(x.axiom == "A2" for x in viol):
+    if viol:
         return viol
 
-    # One pass over F: degree classes for A3/A4, the ends of non-tree F edges
-    # for A8 (T is inside F's edges by A2), and the vertices with two or more
-    # F neighbours for A9.
+    # One pass over F: the degree-1 vertices for A3, the ends of non-tree F
+    # edges for A8 (T is inside F's edges by A2), and the vertices with two
+    # or more F neighbours for A9.
     adj = g.neighbor_masks()
     f = to_mask(fr.f_vertices)
-    tree_deg1 = tree_deg3 = frame_deg1 = off_tree = seen_once = seen_twice = 0
+    tree_deg1 = frame_deg1 = off_tree = seen_once = seen_twice = 0
     for v in fr.f_vertices:
         bit = 1 << v
         t = tree[v]
-        tree_degree = t.bit_count()
-        if tree_degree == 1:
+        if t.bit_count() == 1:
             tree_deg1 |= bit
-        elif tree_degree == 3:
-            tree_deg3 |= bit
         nb = adj[v]
         in_f = nb & f
         if in_f.bit_count() == 1:
@@ -194,43 +225,14 @@ def validate_frame(fr: Frame) -> list[Violation]:
         seen_twice |= seen_once & nb
         seen_once |= nb
 
-    terminals = fr.a_f | fr.a_bar
-
-    # A3: a_f = terminals inside F = degree-1 vertices of T and of F
-    if fr.a_f != terminals & fr.f_vertices:
-        off = fr.a_f ^ (terminals & fr.f_vertices)
-        viol.append(Violation("A3", min(off), "a_f is not the terminal set of F"))
+    # A3: the leaves (the terminals in F) are the degree-1 vertices of T and of F
+    leaves = to_mask(fr.a_f)
     for name, deg1 in (("tree", tree_deg1), ("frame", frame_deg1)):
-        least = _least_difference(g.n, deg1, fr.a_f)
-        if least is not None:
-            viol.append(Violation("A3", least, f"a_f differs from {name} degree-1 vertices"))
-
-    # A4: hubs = degree-3 tree vertices
-    least = _least_difference(g.n, tree_deg3, fr.hubs)
-    if least is not None:
-        viol.append(Violation("A4", least, "hubs differ from tree degree-3 vertices"))
-
-    # A5: y = vertices of F within ell_hat of hubs and leaves, measured in F
-    centers = to_mask((fr.hubs | fr.a_f) & fr.f_vertices)
-    least = _least_difference(g.n, mask_ball(adj, centers, f, fr.ell_hat), fr.y)
-    if least is not None:
-        viol.append(Violation("A5", least, "y is not the ell_hat ball in F around hubs and leaves"))
-
-    # A6: y_tilde = N_G[y] outside F
-    y = to_mask(check_vertex_set(g, fr.y))
-    least = _least_difference(g.n, (y | mask_neighbors(adj, y)) & ~f, fr.y_tilde)
-    if least is not None:
-        viol.append(Violation("A6", least, "y_tilde is not N[y] minus the frame"))
-
-    # A7: frame leaves and unprocessed terminals partition the terminal set
-    if fr.a_f & fr.a_bar:
-        viol.append(Violation("A7", min(fr.a_f & fr.a_bar), "a_f and a_bar overlap"))
-    if fr.a_bar & fr.f_vertices:
-        viol.append(Violation("A7", min(fr.a_bar & fr.f_vertices), "a_bar vertex inside the frame"))
+        if deg1 != leaves:
+            viol.append(Violation("A3", _lowest(deg1 ^ leaves), f"a_f differs from {name} degree-1 vertices"))
 
     # A8: every non-tree edge of F sits within tree-distance 2 of a common hub.
-    # A hub outside F has a ball of one vertex, which holds no edge.
-    hub_balls = [mask_ball(tree, 1 << x, -1, 2) for x in fr.hubs & fr.f_vertices]
+    hub_balls = [mask_ball(tree, 1 << x, -1, 2) for x in fr.hubs]
     for u in mask_members(off_tree):
         for v in mask_members(adj[u] & f & ~tree[u] & -(2 << u)):  # -(2 << u): the ids above u
             if not any(b >> u & 1 and b >> v & 1 for b in hub_balls):
@@ -239,9 +241,7 @@ def validate_frame(fr: Frame) -> list[Violation]:
     # A9: outside vertices see the frame only locally (tree-distance <= 2).
     # Only a vertex with two or more frame neighbours can break it.
     near_in_tree: dict[int, int] = {}
-    for v in mask_members(seen_twice & ~f):
-        if v in fr.y_tilde:
-            continue
+    for v in mask_members(seen_twice & ~f & ~to_mask(fr.y_tilde)):
         fn = mask_members(adj[v] & f)
         for i, first in enumerate(fn):
             if first not in near_in_tree:
@@ -255,9 +255,8 @@ def validate_frame(fr: Frame) -> list[Violation]:
                     )
 
     # A10/A11: leaves pairwise far (>= ell), hubs pairwise far (>= 3), in F.
-    # Centers outside F are already A3/A4 violations; skip them here.
     def f_dist_check(centers: VertexSet, lower: int, axiom: str, what: str):
-        rest = to_mask(centers & fr.f_vertices)
+        rest = to_mask(centers)
         for c in mask_members(rest):
             rest ^= 1 << c
             for other in mask_members(mask_ball(adj, 1 << c, f, lower - 1) & rest):
@@ -284,11 +283,10 @@ def check_frame_claims(fr: Frame) -> list[Violation]:
     g = fr.host
     adj = g.neighbor_masks()
     reach = mask_ball(adj, to_mask(check_vertex_set(g, fr.terminals | fr.hubs)), -1, fr.ell_hat + 1)
-    y = to_mask(check_vertex_set(g, fr.y))
-    covered = (y | mask_neighbors(adj, y)) & reach
-    stray = [v for v in fr.y_tilde if v < 0 or not covered >> v & 1]
+    y = to_mask(fr.y)
+    stray = to_mask(fr.y_tilde) & ~((y | mask_neighbors(adj, y)) & reach)
     if stray:
-        viol.append(Violation("Ytilde", min(stray), "y_tilde vertex outside its two covering balls"))
+        viol.append(Violation("Ytilde", _lowest(stray), "y_tilde vertex outside its two covering balls"))
     return viol
 
 
@@ -300,17 +298,6 @@ def _assert_valid(fr: Frame, where: str) -> Frame:
         raise FrameInvariantError(f"{where} produced an invalid frame", violations)
     validation_stats[where] += 1
     return fr
-
-
-def _regions(
-    g: Graph, f_vertices: VertexSet, centers: VertexSet, ell_hat: int
-) -> tuple[VertexSet, VertexSet]:
-    """Compute (y, y_tilde) from scratch for the given frame vertex set."""
-    adj = g.neighbor_masks()
-    f = to_mask(f_vertices)
-    y = mask_ball(adj, to_mask(centers), f, ell_hat)
-    y_tilde = mask_neighbors(adj, y) & ~f
-    return frozenset(mask_members(y)), frozenset(mask_members(y_tilde))
 
 
 def init_frame(
@@ -326,31 +313,17 @@ def init_frame(
     path = shortest_long_induced_apath(g, a_set, ell, budget)
     if path is None:
         return None
-    f_vertices = frozenset(path)
-    endpoints = frozenset((path[0], path[-1]))
-    ell_hat = max(ell, 3)
-    y, y_tilde = _regions(g, f_vertices, endpoints, ell_hat)
-    fr = Frame(
-        host=g,
-        f_vertices=f_vertices,
-        tree_edges=_path_edges(path),
-        a_f=endpoints,
-        hubs=frozenset(),
-        y=y,
-        y_tilde=y_tilde,
-        a_bar=a_set - endpoints,
-        ell=ell,
-    )
-    return _assert_valid(fr, "init_frame")
+    return _assert_valid(Frame(g, a_set, _path_edges(path), ell), "init_frame")
 
 
-def _check_extension_path(g: Graph, fr: Frame, p: Path) -> None:
+def _check_extension_path(fr: Frame, p: Path) -> None:
     """Assert the seven properties every shortest extension path must have.
 
     BFS-minimality implies all of them; checking explicitly guards the BFS
     tie-breaking choices. Failures raise, naming the property.
     """
     ps = frozenset(p)
+    g = fr.host
     adj = g.neighbor_masks()
     f = to_mask(fr.f_vertices)
     on_p = to_mask(ps)
@@ -392,7 +365,7 @@ def _check_extension_path(g: Graph, fr: Frame, p: Path) -> None:
         raise FrameInvariantError("find_extension produced a bad path", failed)
 
 
-def find_extension(g: Graph, a: Iterable[int], fr: Frame) -> Path | None:
+def find_extension(fr: Frame) -> Path | None:
     """Shortest path from an unprocessed terminal to the frame, avoiding y_tilde.
 
     Returns None exactly when y_tilde separates a_bar from the frame, which is
@@ -401,47 +374,29 @@ def find_extension(g: Graph, a: Iterable[int], fr: Frame) -> Path | None:
     It ends at the least frame vertex nearest to a_bar and is walked back
     from there to the least neighbour one BFS layer closer at each step.
     """
-    adj = g.neighbor_masks()
+    adj = fr.host.neighbor_masks()
     f = to_mask(fr.f_vertices)
     outside = ~to_mask(fr.y_tilde)
     layers = mask_layers(adj, to_mask(fr.a_bar) & outside, outside, f)
     hits = layers[-1] & f
     if not hits:
         return None
-    result = walk_back(adj, layers, (hits & -hits).bit_length() - 1)
-    _check_extension_path(g, fr, result)
+    result = walk_back(adj, layers, _lowest(hits))
+    _check_extension_path(fr, result)
     return result
 
 
-def extend_frame(g: Graph, a: Iterable[int], fr: Frame, p: Path) -> Frame:
+def extend_frame(fr: Frame, p: Path) -> Frame:
     """The frame grown by one extension path: one new leaf, one new hub.
 
-    The attachment vertex p[-1] had tree-degree 2 and becomes a hub of
-    degree 3. y and y_tilde are recomputed from scratch, as bitmask balls in
-    the new F and its host (they are global definitions, and no local update
-    from the previous step's regions is proven). The result is re-validated
-    in full.
+    Only the tree grows, by p's edges: p[0] becomes a leaf, and the
+    attachment vertex p[-1] had tree-degree 2 and becomes a hub of degree 3.
+    Every other set of the new frame, y and y_tilde included, is derived
+    from scratch on the new tree (they are global definitions, and no local
+    update from the previous step's regions is proven). The result is
+    re-validated in full.
     """
-    if g != fr.host:
-        raise FrameInvariantError("extension must happen in the frame's host graph")
-    if check_vertex_set(g, a) != fr.terminals:
-        raise FrameInvariantError("terminal set changed under the frame")
-    v0, vm = p[0], p[-1]
-    f_vertices = fr.f_vertices | frozenset(p)
-    a_f = fr.a_f | {v0}
-    hubs = fr.hubs | {vm}
-    y, y_tilde = _regions(g, f_vertices, a_f | hubs, fr.ell_hat)
-    new = Frame(
-        host=g,
-        f_vertices=f_vertices,
-        tree_edges=fr.tree_edges | _path_edges(p),
-        a_f=a_f,
-        hubs=hubs,
-        y=y,
-        y_tilde=y_tilde,
-        a_bar=fr.a_bar - {v0},
-        ell=fr.ell,
-    )
+    new = replace(fr, tree_edges=fr.tree_edges | _path_edges(p))
     _assert_valid(new, "extend_frame")
     if new.leaf_count != fr.leaf_count + 1:
         raise FrameInvariantError(f"extension left {new.leaf_count} leaves, not {fr.leaf_count + 1}")
@@ -462,8 +417,8 @@ def build_maximal_frame(
         return None
     if observer is not None:
         observer(fr)
-    while (p := find_extension(g, a, fr)) is not None:
-        fr = extend_frame(g, a, fr, p)
+    while (p := find_extension(fr)) is not None:
+        fr = extend_frame(fr, p)
         if observer is not None:
             observer(fr)
     return fr
@@ -493,7 +448,7 @@ def leaf_paths(
     leaf_set = frozenset(leaves)
     if min(vertices | leaf_set, default=0) < 0:
         raise ValueError("tree vertex ids must be nonnegative")
-    violations, tree = _check_spanning_subcubic_tree(max(vertices, default=-1) + 1, vertices, edges)
+    violations, tree = _check_spanning_subcubic_tree(max(vertices, default=-1) + 1, edges)
     if violations:
         raise ValueError("not a spanning subcubic tree: " + "; ".join(map(str, violations)))
     degree1 = frozenset(v for v in vertices if tree[v].bit_count() == 1)

@@ -201,8 +201,6 @@ def ball(g: Graph, x: Iterable[int], r: int) -> VertexSet:
     if r < 0:
         raise GraphError(f"radius must be nonnegative, got {r}")
     sources = check_vertex_set(g, x)
-    if r == 0:  # nothing to walk; the brute-force cover oracle asks this often
-        return sources
     return frozenset(mask_members(mask_ball(g.neighbor_masks(), to_mask(sources), -1, r)))
 
 
@@ -268,11 +266,6 @@ def is_induced_path(g: Graph, p: Path) -> bool:
     adj = g.neighbor_masks()
     on_p = to_mask(p)
     return sum((adj[v] & on_p).bit_count() for v in p) == 2 * (len(p) - 1)
-
-
-def path_length(p: Path) -> int:
-    """Number of edges of a path (vertices minus one)."""
-    return len(p) - 1
 
 
 def power_graph(g: Graph, d: int) -> Graph:

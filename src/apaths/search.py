@@ -65,9 +65,13 @@ class BudgetExceededError(RuntimeError):
 
 
 class _Budget:
+    """A running count of at least one node; spend() raises once it is overdrawn."""
+
     __slots__ = ("remaining", "limit", "where")
 
     def __init__(self, limit: int, where: str):
+        if limit < 1:
+            raise ValueError(f"need a positive node budget, got {limit}")
         self.remaining = limit
         self.limit = limit
         self.where = where
@@ -286,6 +290,7 @@ def find_induced_apath_in_range(
     if length_range.lo < 1:
         raise ValueError("A-paths have at least one edge; need lo >= 1")
     a_set = check_vertex_set(g, a)
+    b = _as_budget(budget, "find_induced_apath_in_range")
     if len(a_set) < 2:
         return None
     found: list[Path] = []
@@ -294,10 +299,7 @@ def find_induced_apath_in_range(
         found.append(path)
         return "stop"
 
-    _terminal_path_dfs(
-        g, a_set, length_range.lo, length_range.hi,
-        _as_budget(budget, "find_induced_apath_in_range"), emit,
-    )
+    _terminal_path_dfs(g, a_set, length_range.lo, length_range.hi, b, emit)
     return found[0] if found else None
 
 
@@ -308,6 +310,7 @@ def has_long_induced_apath(
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
     if ell == 1:
+        _as_budget(budget, "has_long_induced_apath")  # exists_apath spends no node, but the budget is still checked
         return exists_apath(g, a)
     return find_induced_apath_in_range(g, a, LengthRange(ell, None), budget) is not None
 
@@ -324,6 +327,7 @@ def shortest_long_induced_apath(
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
     a_set = check_vertex_set(g, a)
+    b = _as_budget(budget, "shortest_long_induced_apath")
     if len(a_set) < 2:
         return None
     best: list[Path] = []
@@ -335,10 +339,7 @@ def shortest_long_induced_apath(
             return "stop"
         return len(best[0]) - 2  # only explore strictly shorter paths
 
-    _terminal_path_dfs(
-        g, a_set, ell, None,
-        _as_budget(budget, "shortest_long_induced_apath"), emit,
-    )
+    _terminal_path_dfs(g, a_set, ell, None, b, emit)
     return best[0] if best else None
 
 

@@ -164,33 +164,6 @@ def _bounded_cover(z1: VertexSet, z2: VertexSet, params: SolveParams) -> Cover:
     return Cover(z1, z2, 1, params.cover_radius())
 
 
-def combine_check_theorem_forms(
-    cert: Cover, g: Graph, a: Iterable[int], params: SolveParams
-) -> tuple[bool, bool]:
-    """Check the two single-set theorem forms implied by a Cover.
-
-    Returns (holds_78_form, holds_4balls_form): whether g - N[z1] and
-    g - N[z2, max(ell+1, 4)] are each free of long induced A-paths with the
-    advertised sizes. At ell = 1 the z1 bound specialises to 78*(k-1) and the
-    z2 radius to 4. Both removal searches draw on one budget of
-    params.node_budget nodes.
-    """
-    a_set = check_vertex_set(g, a)
-    budget = _Budget(params.node_budget, "combine_check_theorem_forms")
-
-    def removal_is_clean(z: VertexSet, radius: int, limit: int) -> bool:
-        if len(z) > limit:
-            return False
-        removed = ball(g, z, radius)
-        h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
-        return not has_long_induced_apath(h, a_set - removed, params.ell, budget)
-
-    return (
-        removal_is_clean(cert.z1, cert.r1, params.z1_limit()),
-        removal_is_clean(cert.z2, cert.r2, params.z2_limit()),
-    )
-
-
 @dataclass(frozen=True)
 class PowerGraphMap:
     """A graph, its d-th power, and a short witness path per power edge."""

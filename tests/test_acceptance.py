@@ -16,7 +16,6 @@ from apaths import (
     Packing,
     SolveParams,
     caterpillar_instance,
-    combine_check_theorem_forms,
     dist,
     leaf_paths,
     lift_path,
@@ -30,6 +29,7 @@ from apaths import (
 )
 import apaths.frame as frame_module
 from conftest import record_acceptance
+from test_solver import SINGLE_SET_FORMS
 
 EDGE_PROBS = (0.1, 0.2, 0.3, 0.5)
 A_PROBS = (0.3, 0.6, 1.0)
@@ -82,10 +82,9 @@ def run_corpus():
                         failures.append((idx, k, ell, "cover bound"))
                 if ell == 1 and isinstance(cert, Cover):
                     ell1_covers += 1
-                    holds_78, holds_4 = combine_check_theorem_forms(cert, g, a, params)
+                    checks = {c.name: c.ok for c in report.checks}
                     if not (
-                        holds_78
-                        and holds_4
+                        all(checks[name] for name in SINGLE_SET_FORMS)
                         and len(cert.z1) <= 78 * (k - 1)
                         and len(cert.z2) <= 4 * (k - 1)
                         and cert.r2 == 4

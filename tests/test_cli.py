@@ -239,6 +239,18 @@ class TestExitCodes:
         )
         assert code == EXIT_BUDGET
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "mode",
+        [["solve", "--k", "2", "--ell", "1"], ["oracle", "--ell", "1", "--packing"], ["oracle", "--ell", "1", "--cover"]],
+        ids=["solve", "oracle-packing", "oracle-cover"],
+    )
+    def test_budget_below_one_exits_2(self, tmp_path, mode, budget):
+        f = tmp_path / "k5.graph"
+        f.write_text(emit_graph(*complete_instance(5)))
+        args = mode[:1] + ["--input", str(f)] + mode[1:] + ["--budget", budget]
+        assert run_cli(args)[0] == EXIT_BAD_INPUT
+
     def test_bad_certificate_exits_2(self, tmp_path):
         g = tmp_path / "g.graph"
         g.write_text("p 2\ne 0 1\na 0\na 1\n")

@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ from apaths import (
     subdivided_complete_instance,
     validate_frame,
 )
+from apaths.frame import Violation
 
 
 def path_graph(n):
@@ -60,6 +63,14 @@ class TestInitFrame:
     def test_no_apath_gives_none(self):
         assert init_frame(Graph(3, []), {0, 1}, 1) is None
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_refused(self, budget):
+        g, a = pendant_instance()
+        with pytest.raises(ValueError, match="need a positive node budget"):
+            init_frame(g, a, 3, budget)
+        with pytest.raises(ValueError, match="need a positive node budget"):
+            build_maximal_frame(g, a, 3, budget)
+
     def test_subdivided_k3(self):
         g, a = subdivided_complete_instance(2, 1)
         fr = init_frame(g, a, 1)
@@ -68,52 +79,74 @@ class TestInitFrame:
         assert fr.a_f == frozenset({0, 1})
 
 
-class TestValidateFrame:
-    def test_truncated_y_names_a5(self):
-        g = path_graph(7)
-        fr = init_frame(g, {0, 6}, 3)
-        broken = Frame(
-            host=fr.host, f_vertices=fr.f_vertices, tree_edges=fr.tree_edges,
-            a_f=fr.a_f, hubs=fr.hubs, y=fr.y - {max(fr.y)},
-            y_tilde=fr.y_tilde, a_bar=fr.a_bar, ell=fr.ell,
-        )
-        axioms = {v.axiom for v in validate_frame(broken)}
-        assert "A5" in axioms
+class TestFrameSets:
+    """A frame stores only what the construction chooses; F, the leaves,
+    the hubs, Y, Y~ and Abar are derived from it."""
 
+    def test_fields_are_the_chosen_four(self):
+        assert [f.name for f in dataclasses.fields(Frame)] == ["host", "terminals", "tree_edges", "ell"]
+
+    def test_derived_sets(self):
+        # A length-9 path with a pendant terminal 9 on vertex 4 and an outside
+        # vertex 10 next to vertex 2.
+        g = Graph(11, [(i, i + 1) for i in range(8)] + [(4, 9), (2, 10)])
+        fr = Frame(g, frozenset({0, 8, 9}), frozenset((i, i + 1) for i in range(8)) | {(4, 9)}, 3)
+        assert fr.f_vertices == frozenset(range(10))
+        assert fr.a_f == frozenset({0, 8, 9}) and fr.a_bar == frozenset()
+        assert fr.hubs == frozenset({4})
+        assert fr.y == frozenset(range(10))
+        assert fr.y_tilde == frozenset({10})
+        assert validate_frame(fr) == []
+
+    def test_derived_sets_follow_the_fields(self):
+        g = path_graph(9)
+        fr = init_frame(g, {0, 8}, 3)
+        assert fr.y == frozenset(range(9)) - {4} and fr.y_tilde == frozenset()
+        assert fr.a_bar == frozenset()
+        # A new frame derives its own sets: nothing is carried over.
+        grown = replace(fr, host=Graph(10, list(g.edges()) + [(1, 9)]), terminals=frozenset({0, 8, 9}))
+        assert grown.y == fr.y and grown.y_tilde == frozenset({9})
+        assert grown.a_bar == frozenset({9})
+        assert replace(fr, ell=4).y == frozenset(range(9))
+
+
+class TestValidateFrame:
     def test_degree_four_tree_names_a2(self):
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        fr = Frame(
-            host=g, f_vertices=frozenset(range(5)),
-            tree_edges=frozenset({(0, 1), (0, 2), (0, 3), (0, 4)}),
-            a_f=frozenset({1, 2, 3, 4}), hubs=frozenset(), y=frozenset(range(5)),
-            y_tilde=frozenset(), a_bar=frozenset(), ell=1,
-        )
+        fr = Frame(g, frozenset({1, 2, 3, 4}), frozenset({(0, 1), (0, 2), (0, 3), (0, 4)}), 1)
         axioms = {v.axiom for v in validate_frame(fr)}
         assert "A2" in axioms
 
-    def test_overlapping_terminal_split_names_a7(self):
-        g = path_graph(7)
-        fr = init_frame(g, {0, 6}, 3)
-        broken = Frame(
-            host=fr.host, f_vertices=fr.f_vertices, tree_edges=fr.tree_edges,
-            a_f=fr.a_f, hubs=fr.hubs, y=fr.y, y_tilde=fr.y_tilde,
-            a_bar=fr.a_bar | {0}, ell=fr.ell,
-        )
-        axioms = {v.axiom for v in validate_frame(broken)}
-        assert "A7" in axioms
+    def test_terminal_outside_host_names_a1(self):
+        fr = init_frame(path_graph(7), {0, 6}, 3)
+        assert validate_frame(replace(fr, terminals=fr.terminals | {7})) == [
+            Violation("A1", 7, "terminal outside the host graph")
+        ]
+
+    def test_tree_vertex_outside_host_names_a1(self):
+        fr = init_frame(path_graph(7), {0, 6}, 3)
+        assert validate_frame(replace(fr, tree_edges=fr.tree_edges | {(-1, 0)})) == [
+            Violation("A1", -1, "frame vertex outside the host graph")
+        ]
+
+    def test_terminal_inside_the_tree_names_a3(self):
+        fr = init_frame(path_graph(7), {0, 6}, 3)
+        broken = replace(fr, terminals=fr.terminals | {3})
+        assert broken.a_f == frozenset({0, 3, 6})
+        assert {(v.axiom, v.witness) for v in validate_frame(broken)} == {("A3", 3)}
 
 
 class TestFindExtension:
     def test_no_unprocessed_terminals(self):
         g = path_graph(7)
         fr = init_frame(g, {0, 6}, 3)
-        assert find_extension(g, {0, 6}, fr) is None
+        assert find_extension(fr) is None
 
     def test_pendant_attachment(self):
         g, a = pendant_instance()
         fr = init_frame(g, a, 3)
         assert fr.a_f == frozenset({0, 8})
-        assert find_extension(g, a, fr) == (9, 10, 11, 12, 13, 4)
+        assert find_extension(fr) == (9, 10, 11, 12, 13, 4)
 
     def test_terminal_inside_y_tilde_blocked(self):
         # terminal adjacent to the frame near a leaf falls inside y_tilde
@@ -121,7 +154,7 @@ class TestFindExtension:
         a = {0, 2, 3}
         fr = init_frame(g, a, 1)
         assert fr is not None and 3 in fr.y_tilde
-        assert find_extension(g, a, fr) is None
+        assert find_extension(fr) is None
 
     def test_nearby_terminal_absorbed_by_init_minimality(self):
         # a terminal two steps from mid-path cannot become a short extension:
@@ -132,7 +165,7 @@ class TestFindExtension:
         fr = init_frame(g, a, 3)
         assert 9 in fr.a_f
         assert fr.f_vertices == frozenset({0, 1, 2, 3, 4, 9, 10})
-        assert find_extension(g, a, fr) is None
+        assert find_extension(fr) is None
 
     def test_tie_walks_back_to_the_least_neighbour(self):
         # 0 and 1 both reach frame vertex 15 in two steps, through 8 and 5.
@@ -141,25 +174,19 @@ class TestFindExtension:
         # starts at 1, although 0 is the smaller terminal.
         g = Graph(21, [(i, i + 1) for i in range(10, 20)] + [(0, 8), (8, 15), (1, 5), (5, 15)])
         a = frozenset({0, 1, 10, 20})
-        fr = Frame(
-            host=g, f_vertices=frozenset(range(10, 21)),
-            tree_edges=frozenset((i, i + 1) for i in range(10, 20)),
-            a_f=frozenset({10, 20}), hubs=frozenset(),
-            y=frozenset({10, 11, 12, 13, 17, 18, 19, 20}), y_tilde=frozenset(),
-            a_bar=frozenset({0, 1}), ell=3,
-        )
+        fr = Frame(g, a, frozenset((i, i + 1) for i in range(10, 20)), 3)
         assert validate_frame(fr) == []
-        p = find_extension(g, a, fr)
+        p = find_extension(fr)
         assert p == (1, 5, 15)
-        assert validate_frame(extend_frame(g, a, fr, p)) == []
+        assert validate_frame(extend_frame(fr, p)) == []
 
 
 class TestExtendFrame:
     def test_pendant_adds_leaf_and_hub(self):
         g, a = pendant_instance()
         fr = init_frame(g, a, 3)
-        ext = find_extension(g, a, fr)
-        fr2 = extend_frame(g, a, fr, ext)
+        ext = find_extension(fr)
+        fr2 = extend_frame(fr, ext)
         assert fr2.a_f == frozenset({0, 8, 9})
         assert fr2.hubs == frozenset({4})
         assert validate_frame(fr2) == []
@@ -171,51 +198,54 @@ class TestExtendFrame:
         g, a = double_pendant_instance()
         fr = init_frame(g, a, 3)
         assert fr.a_f == frozenset({0, 13})
-        e1 = find_extension(g, a, fr)
+        e1 = find_extension(fr)
         assert e1 == (12, 11, 10, 9, 8, 7, 6, 5, 4)
-        fr = extend_frame(g, a, fr, e1)
-        e2 = find_extension(g, a, fr)
+        fr = extend_frame(fr, e1)
+        e2 = find_extension(fr)
         assert e2 == (18, 19, 20, 21, 22, 8)
-        fr = extend_frame(g, a, fr, e2)
+        fr = extend_frame(fr, e2)
         assert fr.a_f == frozenset({0, 12, 13, 18})
         assert fr.hubs == frozenset({4, 8})
         assert dist(g, {4}, {8}) >= 3
-        assert find_extension(g, a, fr) is None
+        assert find_extension(fr) is None
 
     def test_leaf_count_grows_by_one(self):
         g, a = double_pendant_instance()
         fr = init_frame(g, a, 3)
         counts = [fr.leaf_count]
-        while (ext := find_extension(g, a, fr)) is not None:
-            fr = extend_frame(g, a, fr, ext)
+        while (ext := find_extension(fr)) is not None:
+            fr = extend_frame(fr, ext)
             counts.append(fr.leaf_count)
         assert counts == [2, 3, 4]
 
     def test_foreign_host_raises(self):
+        # The same frame moved onto a host with a chord (0, 2) on its path:
+        # the grown frame is checked in full, so the chord is found. Leaf 0
+        # now has two frame neighbours (A3), and no hub is near the chord (A8).
         g, a = pendant_instance()
         fr = init_frame(g, a, 3)
-        ext = find_extension(g, a, fr)
-        other = Graph(g.n, list(g.edges()) + [(0, 2)])
-        with pytest.raises(FrameInvariantError, match="host"):
-            extend_frame(other, a, fr, ext)
-        with pytest.raises(FrameInvariantError, match="terminal set"):
-            extend_frame(g, a - {9}, fr, ext)
+        ext = find_extension(fr)
+        chorded = replace(fr, host=Graph(g.n, list(g.edges()) + [(0, 2)]))
+        with pytest.raises(FrameInvariantError, match="extend_frame produced an invalid frame") as err:
+            extend_frame(chorded, ext)
+        assert {(v.axiom, v.witness) for v in err.value.violations} == {("A3", 0), ("A8", (0, 2))}
 
     def test_invariants_survive_python_O(self):
         # python -O strips assert statements; the frame's invariants must
         # still raise.
         code = (
+            "from dataclasses import replace\n"
             "from apaths import FrameInvariantError, Graph, PowerGraphMap, extend_frame, find_extension,"
             " init_frame, lift_path\n"
             "from test_frame import pendant_instance\n"
             "assert False, 'asserts are live, so this is not running under -O'\n"
             "g, a = pendant_instance()\n"
             "fr = init_frame(g, a, 3)\n"
-            "ext = find_extension(g, a, fr)\n"
+            "ext = find_extension(fr)\n"
             "try:\n"
-            "    extend_frame(Graph(g.n, list(g.edges()) + [(0, 2)]), a, fr, ext)\n"
+            "    extend_frame(replace(fr, host=Graph(g.n, list(g.edges()) + [(0, 2)])), ext)\n"
             "except FrameInvariantError as exc:\n"
-            "    print('raised:', exc)\n"
+            "    print('raised:', str(exc).splitlines()[0])\n"
             "base = Graph(3, [(0, 1), (1, 2)])\n"
             "forged = PowerGraphMap(base, 2, Graph(3, [(0, 2)]), {(0, 2): (0, 1)})\n"
             "try:\n"
@@ -230,7 +260,7 @@ class TestExtendFrame:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == [
-            "raised: extension must happen in the frame's host graph",
+            "raised: extend_frame produced an invalid frame",
             "raised: the witnesses of (0, 2) do not connect 0 to 2",
         ]
 
@@ -325,12 +355,8 @@ class TestHubTreeExtraction:
             (1, 11), (11, 12), (12, 13),
         ]
         g = Graph(16, tree + [(2, 5)])
-        fr = Frame(
-            host=g, f_vertices=frozenset(range(16)),
-            tree_edges=frozenset((min(u, v), max(u, v)) for u, v in tree),
-            a_f=frozenset({4, 7, 10, 13}), hubs=frozenset({0, 1}),
-            y=frozenset(range(16)), y_tilde=frozenset(), a_bar=frozenset(), ell=3,
-        )
+        fr = Frame(g, frozenset({4, 7, 10, 13}), frozenset((min(u, v), max(u, v)) for u, v in tree), 3)
+        assert fr.hubs == frozenset({0, 1})
         assert validate_frame(fr) == []
         paths = extract_frame_paths(fr)
         assert paths == [(4, 3, 2, 5, 6, 7), (10, 9, 8, 1, 11, 12, 13)]
@@ -352,11 +378,6 @@ class TestHubTreeExtraction:
 
     def test_validation_failure_raises(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        fr = Frame(
-            host=g, f_vertices=frozenset(range(4)),
-            tree_edges=frozenset({(0, 1), (1, 2), (2, 3)}),
-            a_f=frozenset({0, 3}), hubs=frozenset(), y=frozenset(range(4)),
-            y_tilde=frozenset(), a_bar=frozenset(), ell=1,
-        )
+        fr = Frame(g, frozenset({0, 3}), frozenset({(0, 1), (1, 2), (2, 3)}), 1)
         with pytest.raises(FrameInvariantError):
             extract_frame_paths(fr)  # the chord (0,3) violates A3/A8

@@ -289,6 +289,34 @@ class TestBudget:
         else:
             pytest.fail("expected the budget to trip")
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, a, b: find_induced_apath_in_range(g, a, (1, None), b),
+            lambda g, a, b: find_induced_apath_in_range(g, {0}, (1, None), b),
+            lambda g, a, b: has_long_induced_apath(g, a, 1, b),
+            lambda g, a, b: has_long_induced_apath(g, a, 2, b),
+            lambda g, a, b: shortest_long_induced_apath(g, a, 2, b),
+            lambda g, a, b: shortest_long_induced_apath(g, {0}, 2, b),
+            lambda g, a, b: enumerate_induced_apaths(g, a, 1, b),
+            lambda g, a, b: max_anticomplete_packing_with_witness(g, a, 1, 2, b),
+            lambda g, a, b: oracle_max_anticomplete_packing(g, a, 1, 2, b),
+            lambda g, a, b: max_vertex_disjoint_apath_packing(g, a, 2, b),
+            lambda g, a, b: oracle_min_ball_cover(g, a, 1, 0, b),
+        ],
+        ids=[
+            "find", "find-one-terminal", "has_long-ell1", "has_long", "shortest", "shortest-one-terminal",
+            "enumerate", "packing-witness", "packing", "disjoint-packing", "cover",
+        ],
+    )
+    def test_budget_below_one_is_refused(self, call, budget):
+        # A budget below one node is malformed input, not an exhausted search,
+        # even where the call would spend nothing.
+        g, a = path(3), {0, 2}
+        with pytest.raises(ValueError, match="need a positive node budget"):
+            call(g, a, budget)
+
 
 class TestDeepPaths:
     """A path far longer than the interpreter's recursion limit."""

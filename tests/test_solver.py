@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,6 @@ from apaths import (
     Packing,
     SolveParams,
     ball,
-    combine_check_theorem_forms,
     complete_instance,
     dist,
     find_induced_apath_in_range,
@@ -27,6 +28,10 @@ from apaths import (
 )
 from reference_solver import reference_lift_path, reference_reduce_to_d3
 from test_search import spent
+
+
+# The verify_certificate checks that make up the two single-set theorem forms.
+SINGLE_SET_FORMS = ("z1.size", "z1.removal.path_free", "z2.size", "z2.removal.path_free", "radii")
 
 
 def cycle(n):
@@ -139,8 +144,10 @@ class TestSolveDichotomy:
         params = SolveParams(k, 1)
         cert = solve(g, a, params)
         if isinstance(cert, Cover):
-            holds_78, holds_4balls = combine_check_theorem_forms(cert, g, a, params)
-            assert holds_78 and holds_4balls
+            # The single-set forms: each ball family's removal alone, within its size bound.
+            report = verify_certificate(g, a, params, cert)
+            checks = {c.name: c.ok for c in report.checks}
+            assert all(checks[name] for name in SINGLE_SET_FORMS), report.failures()
             assert len(cert.z1) <= 78 * (k - 1)
             assert len(cert.z2) <= 4 * (k - 1)
             assert cert.r2 == 4
@@ -261,28 +268,33 @@ def _shortest_h_path(h, u, v):
     return tuple(reversed(path))
 
 
+def spider_instance(seed: int):
+    """3-6 paths of 1-6 edges glued at vertex 0, terminals at the tips."""
+    rng = random.Random(2000 + seed)
+    edges, tips = [], []
+    nid = 1
+    for _ in range(rng.randrange(3, 7)):
+        prev = 0
+        for _ in range(rng.randrange(1, 7)):
+            edges.append((prev, nid))
+            prev = nid
+            nid += 1
+        tips.append(prev)
+    return Graph(nid, edges), frozenset(tips)
+
+
+SPIDER_SEEDS = range(30)
+
+
 class TestFrameHeavyInstances:
     def test_spiders_exercise_extension_and_extraction(self):
         # spiders (paths glued at a hub, terminals at the tips) force the
         # solver through frame extension and hub-tree extraction
-        import random
-
         import apaths.frame as frame_module
 
         before = dict(frame_module.validation_stats)
-        for seed in range(30):
-            rng = random.Random(2000 + seed)
-            edges, tips = [], []
-            nid = 1
-            for _ in range(rng.randrange(3, 7)):
-                prev = 0
-                for _ in range(rng.randrange(1, 7)):
-                    edges.append((prev, nid))
-                    prev = nid
-                    nid += 1
-                tips.append(prev)
-            g = Graph(nid, edges)
-            a = frozenset(tips)
+        for seed in SPIDER_SEEDS:
+            g, a = spider_instance(seed)
             for k in (2, 3):
                 for ell in (1, 2, 3):
                     params = SolveParams(k, ell)
@@ -359,25 +371,3 @@ class TestSolveBudget:
         assert max(parts) < total - 1
         with pytest.raises(BudgetExceededError, match="solve"):
             solve(g, a, SolveParams(2, ell, node_budget=total - 1))
-
-
-class TestCombineCheckBudget:
-    """Both removal checks of combine_check_theorem_forms draw on one budget."""
-
-    def test_checks_share_one_budget(self):
-        # 5x5 grid, corner terminals, ell 17: the empty cover removes nothing,
-        # so each check is a full search that exhausts in 539 nodes.
-        grid = Graph(
-            25,
-            [(5 * r + c, 5 * r + c + 1) for r in range(5) for c in range(4)]
-            + [(5 * r + c, 5 * r + c + 5) for r in range(4) for c in range(5)],
-        )
-        corners = {0, 4, 20, 24}
-        cert = Cover(frozenset(), frozenset(), 1, 18)
-        assert spent(lambda b: has_long_induced_apath(grid, corners, 17, b)) == 539
-        params = SolveParams(2, 17, node_budget=2 * 539)
-        assert combine_check_theorem_forms(cert, grid, corners, params) == (True, True)
-        # Each check fits in 1000 nodes; the two together do not.
-        for budget in (2 * 539 - 1, 1000):
-            with pytest.raises(BudgetExceededError, match="combine_check_theorem_forms"):
-                combine_check_theorem_forms(cert, grid, corners, SolveParams(2, 17, node_budget=budget))

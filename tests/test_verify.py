@@ -119,6 +119,15 @@ class TestVerifyBudget:
         with pytest.raises(BudgetExceededError, match="verify_cover"):
             verify_certificate(self.GRID, self.CORNERS, params, cert, budget=1000)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_refused(self, budget):
+        params = SolveParams(2, 17)
+        cert = Cover(frozenset(), frozenset(), 1, 18)
+        with pytest.raises(ValueError, match="need a positive node budget"):
+            verify_cover(self.GRID, self.CORNERS, params, cert.z1, cert.z2, budget)
+        with pytest.raises(ValueError, match="need a positive node budget"):
+            verify_certificate(self.GRID, self.CORNERS, params, cert, budget)
+
 
 class TestTightness:
     @pytest.mark.parametrize("n", range(2, 8))
