@@ -23,14 +23,15 @@ from apaths import (
     leaf_paths,
     validate_frame,
 )
+from apaths.graph import mask_members
 
 
 def show(fr, label):
     # A frame holds only the host, the terminals, its tree and ell; leaves,
-    # hubs, F, Y and Y~ are derived from the tree on first use.
-    print(f"  {label}: tree edges={len(fr.tree_edges)} leaves={sorted(fr.a_f)} hubs={sorted(fr.hubs)} "
-          f"|F|={len(fr.f_vertices)} |Y|={len(fr.y)} |Y~|={len(fr.y_tilde)} "
-          f"violations={validate_frame(fr)}")
+    # hubs, F, Y and Y~ are int bitmasks derived from the tree on first use.
+    print(f"  {label}: tree edges={len(fr.tree_edges)} leaves={mask_members(fr.a_f)} "
+          f"hubs={mask_members(fr.hubs)} |F|={fr.f.bit_count()} |Y|={fr.y.bit_count()} "
+          f"|Y~|={fr.y_tilde.bit_count()} violations={validate_frame(fr)}")
 
 
 # A length-12 path with terminals at both ends, plus two pendant terminals
@@ -51,8 +52,8 @@ while (p := find_extension(fr)) is not None:
     show(fr, f"step {step}")
     step += 1
 print("  no further terminal can reach the frame outside Y~: construction done")
-print(f"  size claims: |hubs| = {len(fr.hubs)} = p-2, "
-      f"|Y| = {len(fr.y)} <= (4*{fr.ell_hat}+14)*{fr.leaf_count}")
+print(f"  size claims: |hubs| = {fr.hubs.bit_count()} = p-2, "
+      f"|Y| = {fr.y.bit_count()} <= (4*{fr.ell_hat}+14)*{fr.leaf_count}")
 
 print("\n== extracting anti-complete long induced paths ==")
 paths = extract_frame_paths(fr)

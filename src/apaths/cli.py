@@ -28,7 +28,7 @@ from .generators import (
     random_subcubic_tree,
     subdivided_complete_instance,
 )
-from .graph import Graph, GraphError, VertexSet
+from .graph import Graph, GraphError, VertexSet, mask_members
 from .search import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -211,12 +211,12 @@ def parse_certificate(text: str) -> tuple[dict, SolveParams, Certificate]:
 
 def _frame_document(fr: Frame) -> dict:
     return {
-        "leaves": sorted(fr.a_f),
-        "hubs": sorted(fr.hubs),
-        "frame_vertices": sorted(fr.f_vertices),
+        "leaves": mask_members(fr.a_f),
+        "hubs": mask_members(fr.hubs),
+        "frame_vertices": mask_members(fr.f),
         "tree_edges": sorted(map(list, fr.tree_edges)),
-        "y": sorted(fr.y),
-        "y_tilde": sorted(fr.y_tilde),
+        "y": mask_members(fr.y),
+        "y_tilde": mask_members(fr.y_tilde),
     }
 
 

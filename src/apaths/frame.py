@@ -6,7 +6,7 @@ terminal set A: F an induced subgraph, T a spanning subcubic tree of F whose
 degree-1 vertices are exactly the terminals inside F, X its degree-3 hubs, Y
 the part of F close to leaves and hubs, Y~ the outside neighbourhood of Y,
 and Abar the terminals not yet in the frame. Only T is chosen; a Frame holds
-G, A, T and ell, and every other set is derived from them.
+G, A, T and ell, and every other set is derived from them as an int bitmask.
 
 Eleven axioms pin the structure down. Five of them are now definitions, so
 nothing is left to check: F = V(T), A_F = A & F (the first clause of A3),
@@ -17,12 +17,12 @@ inside the host), A2 (T a subcubic tree of host edges), A3 (A_F = the
 degree-1 vertices of T and of G[F]) and A8..A11.
 
 Every step derives the sets of the new frame and re-checks the axioms from
-its fields alone; nothing is carried over from the previous step. To keep
-that affordable, the checks work on int bitmasks: the host's
-neighbor_masks, F as one mask, and the tree as one mask per vertex. A ball
-in F walks adj[v] & F, so no induced subgraph is built, and the checks on
-outside vertices (A9, P6, P7) visit only the neighbours of F or of the new
-path, never the whole host.
+its fields alone; nothing is carried over from the previous step. Sets are
+masks from derivation to check: the host's neighbor_masks, the frame's
+derived masks, and the tree as one mask per vertex. A ball in F walks
+adj[v] & F, so no induced subgraph is built, and the checks on outside
+vertices (A9, P6, P7) visit only the neighbours of F or of the new path,
+never the whole host.
 
 The construction is greedy: start from a shortest long induced A-path, then
 repeatedly attach a shortest path from an unprocessed terminal to the frame
@@ -89,9 +89,10 @@ class Violation:
 class Frame:
     """The frame with tree T = tree_edges in host, for the terminal set
     terminals. Only T is chosen: F, the leaves, the hubs, Y, Y~ and Abar are
-    derived from the four fields on first use, at most once per Frame, and
-    never copied from another frame. y and y_tilde read the host's
-    adjacency, so they need F inside the host (A1)."""
+    int bitmasks derived from the four fields on first use, at most once per
+    Frame, and never copied from another frame. A mask needs nonnegative
+    ids, and y and y_tilde read the host's adjacency, so all of them need F
+    and the terminals inside the host (A1)."""
 
     host: Graph
     terminals: VertexSet
@@ -104,41 +105,38 @@ class Frame:
 
     @property
     def leaf_count(self) -> int:
-        return len(self.a_f)
+        return self.a_f.bit_count()
 
     @cached_property
-    def f_vertices(self) -> VertexSet:
+    def f(self) -> int:
         """F = V(T)."""
-        return frozenset(chain.from_iterable(self.tree_edges))
+        return to_mask(chain.from_iterable(self.tree_edges))
 
     @cached_property
-    def a_f(self) -> VertexSet:
+    def a_f(self) -> int:
         """The leaves: the terminals in F."""
-        return self.terminals & self.f_vertices
+        return to_mask(self.terminals) & self.f
 
     @cached_property
-    def a_bar(self) -> VertexSet:
+    def a_bar(self) -> int:
         """The terminals not yet in F."""
-        return self.terminals - self.f_vertices
+        return to_mask(self.terminals) & ~self.f
 
     @cached_property
-    def hubs(self) -> VertexSet:
+    def hubs(self) -> int:
         """X: the degree-3 vertices of T."""
         degree = Counter(chain.from_iterable(self.tree_edges))
-        return frozenset(v for v, d in degree.items() if d == 3)
+        return to_mask(v for v, d in degree.items() if d == 3)
 
     @cached_property
-    def y(self) -> VertexSet:
+    def y(self) -> int:
         """Y: the vertices of F within ell_hat of leaves and hubs, measured in F."""
-        centers = to_mask(self.a_f | self.hubs)
-        ball = mask_ball(self.host.neighbor_masks(), centers, to_mask(self.f_vertices), self.ell_hat)
-        return frozenset(mask_members(ball))
+        return mask_ball(self.host.neighbor_masks(), self.a_f | self.hubs, self.f, self.ell_hat)
 
     @cached_property
-    def y_tilde(self) -> VertexSet:
+    def y_tilde(self) -> int:
         """Y~: N(Y) outside F."""
-        near = mask_neighbors(self.host.neighbor_masks(), to_mask(self.y))
-        return frozenset(mask_members(near & ~to_mask(self.f_vertices)))
+        return mask_neighbors(self.host.neighbor_masks(), self.y) & ~self.f
 
 
 def _path_edges(p: Path) -> frozenset[tuple[int, int]]:
@@ -175,26 +173,31 @@ def _check_spanning_subcubic_tree(
     return viol, tree
 
 
+def _check_inside_host(fr: Frame) -> list[Violation]:
+    """A1 violations: tree or terminal ids outside the host. Read from the
+    raw fields, as a negative id is not a bit position; no derived mask may
+    be touched until this comes back empty."""
+    viol = []
+    for what, vertices in (("frame vertex", chain.from_iterable(fr.tree_edges)), ("terminal", fr.terminals)):
+        bad = [v for v in vertices if not (0 <= v < fr.host.n)]
+        if bad:
+            viol.append(Violation("A1", min(bad), f"{what} outside the host graph"))
+    return viol
+
+
 def validate_frame(fr: Frame) -> list[Violation]:
     """Check the axioms that are not definitions (A1, A2, A3, A8..A11); an
     empty list means the frame is valid.
 
-    Every check derives what it needs from the frame's fields on each call,
-    with vertex sets as bitmasks: F-restricted balls walk adj[v] & F, and
-    only the neighbours of F and of the tree are visited, never the whole
-    host. A malformed frame comes back as violations, never as an exception.
+    Every check reads the frame's masks, derived from its fields on first
+    use: F-restricted balls walk adj[v] & F, and only the neighbours of F
+    and of the tree are visited, never the whole host. A malformed frame
+    comes back as violations, never as an exception.
     """
-    g = fr.host
-    viol: list[Violation] = []
-
-    # A1: F and the terminals inside the host. Until this holds, no derived
-    # set may touch the adjacency.
-    for what, vertices in (("frame vertex", fr.f_vertices), ("terminal", fr.terminals)):
-        bad = [v for v in vertices if not (0 <= v < g.n)]
-        if bad:
-            viol.append(Violation("A1", min(bad), f"{what} outside the host graph"))
+    viol = _check_inside_host(fr)
     if viol:
         return viol
+    g = fr.host
 
     # A2: T is a subcubic tree of host edges (spanning F = V(T) by definition)
     for u, v in fr.tree_edges:
@@ -209,9 +212,9 @@ def validate_frame(fr: Frame) -> list[Violation]:
     # edges for A8 (T is inside F's edges by A2), and the vertices with two
     # or more F neighbours for A9.
     adj = g.neighbor_masks()
-    f = to_mask(fr.f_vertices)
+    f = fr.f
     tree_deg1 = frame_deg1 = off_tree = seen_once = seen_twice = 0
-    for v in fr.f_vertices:
+    for v in mask_members(f):
         bit = 1 << v
         t = tree[v]
         if t.bit_count() == 1:
@@ -226,13 +229,12 @@ def validate_frame(fr: Frame) -> list[Violation]:
         seen_once |= nb
 
     # A3: the leaves (the terminals in F) are the degree-1 vertices of T and of F
-    leaves = to_mask(fr.a_f)
     for name, deg1 in (("tree", tree_deg1), ("frame", frame_deg1)):
-        if deg1 != leaves:
-            viol.append(Violation("A3", _lowest(deg1 ^ leaves), f"a_f differs from {name} degree-1 vertices"))
+        if deg1 != fr.a_f:
+            viol.append(Violation("A3", _lowest(deg1 ^ fr.a_f), f"a_f differs from {name} degree-1 vertices"))
 
     # A8: every non-tree edge of F sits within tree-distance 2 of a common hub.
-    hub_balls = [mask_ball(tree, 1 << x, -1, 2) for x in fr.hubs]
+    hub_balls = [mask_ball(tree, 1 << x, -1, 2) for x in mask_members(fr.hubs)]
     for u in mask_members(off_tree):
         for v in mask_members(adj[u] & f & ~tree[u] & -(2 << u)):  # -(2 << u): the ids above u
             if not any(b >> u & 1 and b >> v & 1 for b in hub_balls):
@@ -241,7 +243,7 @@ def validate_frame(fr: Frame) -> list[Violation]:
     # A9: outside vertices see the frame only locally (tree-distance <= 2).
     # Only a vertex with two or more frame neighbours can break it.
     near_in_tree: dict[int, int] = {}
-    for v in mask_members(seen_twice & ~f & ~to_mask(fr.y_tilde)):
+    for v in mask_members(seen_twice & ~f & ~fr.y_tilde):
         fn = mask_members(adj[v] & f)
         for i, first in enumerate(fn):
             if first not in near_in_tree:
@@ -255,8 +257,7 @@ def validate_frame(fr: Frame) -> list[Violation]:
                     )
 
     # A10/A11: leaves pairwise far (>= ell), hubs pairwise far (>= 3), in F.
-    def f_dist_check(centers: VertexSet, lower: int, axiom: str, what: str):
-        rest = to_mask(centers)
+    def f_dist_check(rest: int, lower: int, axiom: str, what: str):
         for c in mask_members(rest):
             rest ^= 1 << c
             for other in mask_members(mask_ball(adj, 1 << c, f, lower - 1) & rest):
@@ -271,22 +272,18 @@ def validate_frame(fr: Frame) -> list[Violation]:
 
 def check_frame_claims(fr: Frame) -> list[Violation]:
     """Size bounds every valid frame must satisfy, checked independently:
-    |hubs| = p - 2, |y| <= (4*ell_hat + 14)*p, and y_tilde within distance
-    ell_hat + 1 of terminals and hubs."""
-    viol = []
-    p = fr.leaf_count
-    if len(fr.hubs) != p - 2:
-        viol.append(Violation("SizeX", len(fr.hubs), f"|hubs| != p - 2 = {p - 2}"))
+    |hubs| = p - 2 and |y| <= (4*ell_hat + 14)*p; or A1's violations, if an
+    id lies outside the host. Y~ needs no check: Y lies within ell_hat of
+    the leaves and hubs in F, so Y~ = N(Y) - F lies within ell_hat + 1."""
+    viol = _check_inside_host(fr)
+    if viol:
+        return viol
+    p, hubs, size_y = fr.leaf_count, fr.hubs.bit_count(), fr.y.bit_count()
+    if hubs != p - 2:
+        viol.append(Violation("SizeX", hubs, f"|hubs| != p - 2 = {p - 2}"))
     bound = (4 * fr.ell_hat + 14) * p
-    if len(fr.y) > bound:
-        viol.append(Violation("SizeY", len(fr.y), f"|y| = {len(fr.y)} > {bound}"))
-    g = fr.host
-    adj = g.neighbor_masks()
-    reach = mask_ball(adj, to_mask(check_vertex_set(g, fr.terminals | fr.hubs)), -1, fr.ell_hat + 1)
-    y = to_mask(fr.y)
-    stray = to_mask(fr.y_tilde) & ~((y | mask_neighbors(adj, y)) & reach)
-    if stray:
-        viol.append(Violation("Ytilde", _lowest(stray), "y_tilde vertex outside its two covering balls"))
+    if size_y > bound:
+        viol.append(Violation("SizeY", size_y, f"|y| = {size_y} > {bound}"))
     return viol
 
 
@@ -322,20 +319,19 @@ def _check_extension_path(fr: Frame, p: Path) -> None:
     BFS-minimality implies all of them; checking explicitly guards the BFS
     tie-breaking choices. Failures raise, naming the property.
     """
-    ps = frozenset(p)
     g = fr.host
     adj = g.neighbor_masks()
-    f = to_mask(fr.f_vertices)
-    on_p = to_mask(ps)
+    f = fr.f
+    on_p = to_mask(p)
     head = to_mask(p[:-2])
+    regions = on_p & (fr.y | fr.y_tilde)
     checks: list[tuple[str, bool, object]] = [
-        ("P1", ps & fr.a_bar == {p[0]}, p[0]),
-        ("P2", ps & fr.f_vertices == {p[-1]}, p[-1]),
+        ("P1", on_p & fr.a_bar == 1 << p[0], p[0]),
+        ("P2", on_p & f == 1 << p[-1], p[-1]),
         ("P3", is_induced_path(g, p), p),
         ("P4", not (head | mask_neighbors(adj, head)) & f, p),
+        ("P5", not regions, frozenset(mask_members(regions))),
     ]
-    in_regions = frozenset(v for v in p if v in fr.y or v in fr.y_tilde)
-    checks.append(("P5", not in_regions, in_regions))
     # Only a neighbour of p can see p twice (P6) or see p[:-3] at all (P7),
     # so the outside vertices are visited in N(p), in increasing order.
     pos = {v: i for i, v in enumerate(p)}
@@ -343,9 +339,7 @@ def _check_extension_path(fr: Frame, p: Path) -> None:
     p6 = p7 = True
     witness6: object = None
     witness7: object = None
-    for v in mask_members(mask_neighbors(adj, on_p) & ~on_p & ~f):
-        if v in fr.y_tilde:
-            continue
+    for v in mask_members(mask_neighbors(adj, on_p) & ~on_p & ~f & ~fr.y_tilde):
         nb = adj[v]
         seen = [pos[u] for u in mask_members(nb & on_p)]
         first, last = min(seen), max(seen)
@@ -355,7 +349,7 @@ def _check_extension_path(fr: Frame, p: Path) -> None:
             p7, witness7 = False, v
     checks.append(("P6", p6, witness6))
     checks.append(("P7", p7, witness7))
-    checks.append(("P-hub", p[-1] not in fr.hubs and p[-1] not in fr.a_f, p[-1]))
+    checks.append(("P-hub", not (fr.hubs | fr.a_f) >> p[-1] & 1, p[-1]))
     failed = [
         Violation(name, witness, "extension path property failed")
         for name, ok, witness in checks
@@ -375,10 +369,9 @@ def find_extension(fr: Frame) -> Path | None:
     from there to the least neighbour one BFS layer closer at each step.
     """
     adj = fr.host.neighbor_masks()
-    f = to_mask(fr.f_vertices)
-    outside = ~to_mask(fr.y_tilde)
-    layers = mask_layers(adj, to_mask(fr.a_bar) & outside, outside, f)
-    hits = layers[-1] & f
+    outside = ~fr.y_tilde
+    layers = mask_layers(adj, fr.a_bar & outside, outside, fr.f)
+    hits = layers[-1] & fr.f
     if not hits:
         return None
     result = walk_back(adj, layers, _lowest(hits))
@@ -511,7 +504,7 @@ def extract_frame_paths(fr: Frame) -> list[Path]:
     g = fr.host
     adj = g.neighbor_masks()
     out: list[Path] = []
-    for tree_path in leaf_paths(fr.tree_edges, fr.a_f):
+    for tree_path in leaf_paths(fr.tree_edges, mask_members(fr.a_f)):
         s, t = tree_path[0], tree_path[-1]
         out.append(walk_back(adj, mask_layers(adj, 1 << s, to_mask(tree_path), 1 << t), t))
 
@@ -523,7 +516,7 @@ def extract_frame_paths(fr: Frame) -> list[Path]:
             failed.append(Violation("induced", path, "extracted path has a chord"))
         if len(path) - 1 < fr.ell:
             failed.append(Violation("length", path, f"length {len(path) - 1} < {fr.ell}"))
-        if not (path[0] in fr.a_f and path[-1] in fr.a_f):
+        if not (fr.a_f >> path[0] & 1 and fr.a_f >> path[-1] & 1):
             failed.append(Violation("endpoints", path, "endpoint is not a leaf"))
         for j in range(i + 1, len(out)):
             if closed[i] & masks[j]:

@@ -21,13 +21,13 @@ from .graph import (
     Graph,
     Path,
     VertexSet,
-    anti_complete,
     ball,
     check_vertex_set,
     induced_subgraph,
     mask_ball,
     mask_layers,
     mask_members,
+    mask_neighbors,
     power_graph,
     to_mask,
     walk_back,
@@ -105,19 +105,17 @@ def solve(
     """
     ell = params.ell
     budget = _Budget(params.node_budget, "solve")
-    radius = params.cover_radius()
+    empty = Cover(frozenset(), frozenset(), 1, params.cover_radius())
 
     def level(g: Graph, a_set: VertexSet, params: SolveParams) -> Certificate:
         k = params.k
         if k == 0:
             return Packing(())
-        if not has_long_induced_apath(g, a_set, ell, budget):
-            return Cover(frozenset(), frozenset(), 1, radius)
         if k == 1:
             path = shortest_long_induced_apath(g, a_set, ell, budget)
-            if path is None:
-                raise FrameInvariantError("a long induced A-path exists, but the shortest search found none")
-            return Packing((path,))
+            return empty if path is None else Packing((path,))
+        if not has_long_induced_apath(g, a_set, ell, budget):
+            return empty
 
         mid = find_induced_apath_in_range(g, a_set, LengthRange(ell, 2 * ell - 1), budget)
         if mid is not None:
@@ -138,17 +136,19 @@ def solve(
             return Packing(tuple(sorted(paths)[:k]))
 
         # The components of g - y_tilde holding a terminal still to process.
-        outside = ~to_mask(fr.y_tilde)
-        reach = mask_ball(g.neighbor_masks(), to_mask(fr.a_bar) & outside, outside)
-        keep = frozenset(mask_members(reach))
-        if not anti_complete(g, keep, fr.f_vertices):
+        adj = g.neighbor_masks()
+        outside = ~fr.y_tilde
+        reach = mask_ball(adj, fr.a_bar & outside, outside)
+        if (reach | mask_neighbors(adj, reach)) & fr.f:
             raise FrameInvariantError("remainder must be separated from the frame")
+        keep = mask_members(reach)
         h, _ = induced_subgraph(g, keep)
-        inner = level(h, a_set & keep, replace(params, k=k - half))
+        inner = level(h, a_set.intersection(keep), replace(params, k=k - half))
         if isinstance(inner, Packing):
             frame_paths = extract_frame_paths(fr)
             return Packing(tuple(sorted(frame_paths + list(inner.paths))))
-        return _bounded_cover(inner.z1 | fr.y, inner.z2 | fr.a_f | fr.hubs, params)
+        z1 = inner.z1.union(mask_members(fr.y))
+        return _bounded_cover(z1, inner.z2.union(mask_members(fr.a_f | fr.hubs)), params)
 
     return level(g, check_vertex_set(g, a), params)
 

@@ -2,10 +2,14 @@
 frame checks that the bitmask frame layer replaced, kept verbatim in
 behaviour.
 
-reference_validate_frame, reference_check_frame_claims, reference_regions,
-reference_check_extension_path, reference_find_extension,
-reference_leaf_paths and reference_extract_frame_paths take the same
-arguments as apaths.frame.validate_frame, check_frame_claims, _regions,
+SetFrame is the set view of a frame: the set-valued derivation of F, the
+leaves, Abar, the hubs, Y and Y~ that Frame used before it derived masks,
+one cached_property body each, frozen as they were. set_view(fr) builds it
+from a Frame's four fields, and every reference_* function reads a frame
+through it. reference_validate_frame, reference_check_frame_claims,
+reference_regions, reference_check_extension_path, reference_find_extension,
+reference_leaf_paths and reference_extract_frame_paths otherwise take the
+same arguments as apaths.frame.validate_frame, check_frame_claims, _regions,
 _check_extension_path, find_extension, leaf_paths and extract_frame_paths,
 so a test can run both on one input and compare what they return or raise.
 reference_find_extension is the neighbour-list BFS that walks back along the
@@ -21,7 +25,10 @@ of it: its whole value is that it does not change.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 from apaths.frame import Frame, FrameInvariantError, Violation
@@ -33,7 +40,69 @@ from apaths.graph import (
     ball,
     induced_subgraph,
     is_induced_path,
+    mask_ball,
+    mask_members,
+    mask_neighbors,
+    to_mask,
 )
+
+
+@dataclass(frozen=True)
+class SetFrame:
+    """A frame's derived sets as frozensets, from the same four fields as
+    Frame."""
+
+    host: Graph
+    terminals: VertexSet
+    tree_edges: frozenset[tuple[int, int]]
+    ell: int
+
+    @property
+    def ell_hat(self) -> int:
+        return max(self.ell, 3)
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self.a_f)
+
+    @cached_property
+    def f_vertices(self) -> VertexSet:
+        """F = V(T)."""
+        return frozenset(chain.from_iterable(self.tree_edges))
+
+    @cached_property
+    def a_f(self) -> VertexSet:
+        """The leaves: the terminals in F."""
+        return self.terminals & self.f_vertices
+
+    @cached_property
+    def a_bar(self) -> VertexSet:
+        """The terminals not yet in F."""
+        return self.terminals - self.f_vertices
+
+    @cached_property
+    def hubs(self) -> VertexSet:
+        """X: the degree-3 vertices of T."""
+        degree = Counter(chain.from_iterable(self.tree_edges))
+        return frozenset(v for v, d in degree.items() if d == 3)
+
+    @cached_property
+    def y(self) -> VertexSet:
+        """Y: the vertices of F within ell_hat of leaves and hubs, measured in F."""
+        centers = to_mask(self.a_f | self.hubs)
+        ball = mask_ball(self.host.neighbor_masks(), centers, to_mask(self.f_vertices), self.ell_hat)
+        return frozenset(mask_members(ball))
+
+    @cached_property
+    def y_tilde(self) -> VertexSet:
+        """Y~: N(Y) outside F."""
+        near = mask_neighbors(self.host.neighbor_masks(), to_mask(self.y))
+        return frozenset(mask_members(near & ~to_mask(self.f_vertices)))
+
+
+def set_view(fr: Frame) -> SetFrame:
+    """The set view of fr: its four fields, with the sets derived as sets."""
+    return SetFrame(fr.host, fr.terminals, fr.tree_edges, fr.ell)
 
 
 def _tree_adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
@@ -98,7 +167,7 @@ def _degree_set(vertices: VertexSet, adj_source, degree: int) -> VertexSet:
     return frozenset(v for v in vertices if len(adj_source.get(v, ())) == degree)
 
 
-def reference_validate_frame(fr: Frame) -> list[Violation]:
+def reference_validate_frame(fr: SetFrame) -> list[Violation]:
     """Check axioms A1..A11; an empty list means the frame is valid.
 
     The ambient terminal set is reconstructed as a_f | a_bar, which is
@@ -212,7 +281,7 @@ def reference_validate_frame(fr: Frame) -> list[Violation]:
     return viol
 
 
-def reference_check_frame_claims(fr: Frame) -> list[Violation]:
+def reference_check_frame_claims(fr: SetFrame) -> list[Violation]:
     """Size bounds every valid frame must satisfy, checked independently:
     |hubs| = p - 2, |y| <= (4*ell_hat + 14)*p, and y_tilde within distance
     ell_hat + 1 of terminals and hubs."""
@@ -240,7 +309,7 @@ def reference_regions(
     return y, y_tilde
 
 
-def reference_check_extension_path(g: Graph, fr: Frame, p: Path) -> None:
+def reference_check_extension_path(g: Graph, fr: SetFrame, p: Path) -> None:
     """Assert the seven properties every shortest extension path must have.
 
     BFS-minimality implies all of them; checking explicitly guards the BFS
@@ -280,7 +349,7 @@ def reference_check_extension_path(g: Graph, fr: Frame, p: Path) -> None:
         raise FrameInvariantError("find_extension produced a bad path", failed)
 
 
-def reference_find_extension(g: Graph, a: Iterable[int], fr: Frame) -> Path | None:
+def reference_find_extension(g: Graph, a: Iterable[int], fr: SetFrame) -> Path | None:
     """Shortest path from an unprocessed terminal to the frame, avoiding
     y_tilde: a BFS over sorted neighbour lists from every source at once,
     ending at the least frame vertex of the first layer that reaches F and
@@ -468,7 +537,7 @@ def reference_leaf_paths(
     return out
 
 
-def reference_extract_frame_paths(fr: Frame) -> list[Path]:
+def reference_extract_frame_paths(fr: SetFrame) -> list[Path]:
     """floor(p/2) pairwise anti-complete induced leaf-to-leaf paths of length
     >= ell, in host ids, extracted from the hub tree of fr.
 

@@ -26,7 +26,8 @@ from apaths import (
     subdivided_complete_instance,
     validate_frame,
 )
-from apaths.frame import Violation
+from apaths.frame import Violation, check_frame_claims
+from apaths.graph import to_mask
 
 
 def path_graph(n):
@@ -55,9 +56,9 @@ class TestInitFrame:
         g = path_graph(7)
         fr = init_frame(g, {0, 6}, 3)
         assert fr is not None
-        assert fr.a_f == frozenset({0, 6})
-        assert fr.hubs == frozenset()
-        assert fr.f_vertices == frozenset(range(7))
+        assert fr.a_f == to_mask({0, 6})
+        assert fr.hubs == 0
+        assert fr.f == to_mask(range(7))
         assert validate_frame(fr) == []
 
     def test_no_apath_gives_none(self):
@@ -75,13 +76,13 @@ class TestInitFrame:
         g, a = subdivided_complete_instance(2, 1)
         fr = init_frame(g, a, 1)
         assert fr is not None
-        assert fr.f_vertices == frozenset({0, 3, 4, 1})
-        assert fr.a_f == frozenset({0, 1})
+        assert fr.f == to_mask({0, 3, 4, 1})
+        assert fr.a_f == to_mask({0, 1})
 
 
 class TestFrameSets:
     """A frame stores only what the construction chooses; F, the leaves,
-    the hubs, Y, Y~ and Abar are derived from it."""
+    the hubs, Y, Y~ and Abar are masks derived from it."""
 
     def test_fields_are_the_chosen_four(self):
         assert [f.name for f in dataclasses.fields(Frame)] == ["host", "terminals", "tree_edges", "ell"]
@@ -91,23 +92,24 @@ class TestFrameSets:
         # vertex 10 next to vertex 2.
         g = Graph(11, [(i, i + 1) for i in range(8)] + [(4, 9), (2, 10)])
         fr = Frame(g, frozenset({0, 8, 9}), frozenset((i, i + 1) for i in range(8)) | {(4, 9)}, 3)
-        assert fr.f_vertices == frozenset(range(10))
-        assert fr.a_f == frozenset({0, 8, 9}) and fr.a_bar == frozenset()
-        assert fr.hubs == frozenset({4})
-        assert fr.y == frozenset(range(10))
-        assert fr.y_tilde == frozenset({10})
+        assert fr.f == to_mask(range(10))
+        assert fr.a_f == to_mask({0, 8, 9}) and fr.a_bar == 0
+        assert fr.hubs == to_mask({4})
+        assert fr.leaf_count == 3
+        assert fr.y == to_mask(range(10))
+        assert fr.y_tilde == to_mask({10})
         assert validate_frame(fr) == []
 
     def test_derived_sets_follow_the_fields(self):
         g = path_graph(9)
         fr = init_frame(g, {0, 8}, 3)
-        assert fr.y == frozenset(range(9)) - {4} and fr.y_tilde == frozenset()
-        assert fr.a_bar == frozenset()
+        assert fr.y == to_mask(set(range(9)) - {4}) and fr.y_tilde == 0
+        assert fr.a_bar == 0
         # A new frame derives its own sets: nothing is carried over.
         grown = replace(fr, host=Graph(10, list(g.edges()) + [(1, 9)]), terminals=frozenset({0, 8, 9}))
-        assert grown.y == fr.y and grown.y_tilde == frozenset({9})
-        assert grown.a_bar == frozenset({9})
-        assert replace(fr, ell=4).y == frozenset(range(9))
+        assert grown.y == fr.y and grown.y_tilde == to_mask({9})
+        assert grown.a_bar == to_mask({9})
+        assert replace(fr, ell=4).y == to_mask(range(9))
 
 
 class TestValidateFrame:
@@ -119,20 +121,23 @@ class TestValidateFrame:
 
     def test_terminal_outside_host_names_a1(self):
         fr = init_frame(path_graph(7), {0, 6}, 3)
-        assert validate_frame(replace(fr, terminals=fr.terminals | {7})) == [
-            Violation("A1", 7, "terminal outside the host graph")
-        ]
+        broken = replace(fr, terminals=fr.terminals | {7})
+        expected = [Violation("A1", 7, "terminal outside the host graph")]
+        assert validate_frame(broken) == check_frame_claims(broken) == expected
 
     def test_tree_vertex_outside_host_names_a1(self):
+        # A negative id is not a bit position, so both checks read A1 off the
+        # raw ids before any mask is derived.
         fr = init_frame(path_graph(7), {0, 6}, 3)
-        assert validate_frame(replace(fr, tree_edges=fr.tree_edges | {(-1, 0)})) == [
-            Violation("A1", -1, "frame vertex outside the host graph")
-        ]
+        for edge, bad in (((-1, 0), -1), ((6, 7), 7)):
+            broken = replace(fr, tree_edges=fr.tree_edges | {edge})
+            expected = [Violation("A1", bad, "frame vertex outside the host graph")]
+            assert validate_frame(broken) == check_frame_claims(broken) == expected
 
     def test_terminal_inside_the_tree_names_a3(self):
         fr = init_frame(path_graph(7), {0, 6}, 3)
         broken = replace(fr, terminals=fr.terminals | {3})
-        assert broken.a_f == frozenset({0, 3, 6})
+        assert broken.a_f == to_mask({0, 3, 6})
         assert {(v.axiom, v.witness) for v in validate_frame(broken)} == {("A3", 3)}
 
 
@@ -145,7 +150,7 @@ class TestFindExtension:
     def test_pendant_attachment(self):
         g, a = pendant_instance()
         fr = init_frame(g, a, 3)
-        assert fr.a_f == frozenset({0, 8})
+        assert fr.a_f == to_mask({0, 8})
         assert find_extension(fr) == (9, 10, 11, 12, 13, 4)
 
     def test_terminal_inside_y_tilde_blocked(self):
@@ -153,7 +158,7 @@ class TestFindExtension:
         g = Graph(4, [(0, 1), (1, 2), (3, 1)])
         a = {0, 2, 3}
         fr = init_frame(g, a, 1)
-        assert fr is not None and 3 in fr.y_tilde
+        assert fr is not None and fr.y_tilde >> 3 & 1
         assert find_extension(fr) is None
 
     def test_nearby_terminal_absorbed_by_init_minimality(self):
@@ -163,8 +168,8 @@ class TestFindExtension:
         g = Graph(11, [(i, i + 1) for i in range(8)] + [(9, 10), (10, 4)])
         a = frozenset({0, 8, 9})
         fr = init_frame(g, a, 3)
-        assert 9 in fr.a_f
-        assert fr.f_vertices == frozenset({0, 1, 2, 3, 4, 9, 10})
+        assert fr.a_f >> 9 & 1
+        assert fr.f == to_mask({0, 1, 2, 3, 4, 9, 10})
         assert find_extension(fr) is None
 
     def test_tie_walks_back_to_the_least_neighbour(self):
@@ -187,8 +192,8 @@ class TestExtendFrame:
         fr = init_frame(g, a, 3)
         ext = find_extension(fr)
         fr2 = extend_frame(fr, ext)
-        assert fr2.a_f == frozenset({0, 8, 9})
-        assert fr2.hubs == frozenset({4})
+        assert fr2.a_f == to_mask({0, 8, 9})
+        assert fr2.hubs == to_mask({4})
         assert validate_frame(fr2) == []
         # the attachment vertex had tree-degree 2 and now has 3
         deg = sum(1 for u, v in fr2.tree_edges if 4 in (u, v))
@@ -197,15 +202,15 @@ class TestExtendFrame:
     def test_double_extension_hubs_far_apart(self):
         g, a = double_pendant_instance()
         fr = init_frame(g, a, 3)
-        assert fr.a_f == frozenset({0, 13})
+        assert fr.a_f == to_mask({0, 13})
         e1 = find_extension(fr)
         assert e1 == (12, 11, 10, 9, 8, 7, 6, 5, 4)
         fr = extend_frame(fr, e1)
         e2 = find_extension(fr)
         assert e2 == (18, 19, 20, 21, 22, 8)
         fr = extend_frame(fr, e2)
-        assert fr.a_f == frozenset({0, 12, 13, 18})
-        assert fr.hubs == frozenset({4, 8})
+        assert fr.a_f == to_mask({0, 12, 13, 18})
+        assert fr.hubs == to_mask({4, 8})
         assert dist(g, {4}, {8}) >= 3
         assert find_extension(fr) is None
 
@@ -269,8 +274,9 @@ class TestExtendFrame:
         seen = []
         build_maximal_frame(g, a, 3, observer=seen.append)
         for fr in seen:
-            assert len(fr.hubs) == fr.leaf_count - 2
-            assert len(fr.y) <= (4 * fr.ell_hat + 14) * fr.leaf_count
+            assert fr.hubs.bit_count() == fr.leaf_count - 2
+            assert fr.y.bit_count() <= (4 * fr.ell_hat + 14) * fr.leaf_count
+            assert check_frame_claims(fr) == []
 
 
 class TestLeafPaths:
@@ -356,7 +362,7 @@ class TestHubTreeExtraction:
         ]
         g = Graph(16, tree + [(2, 5)])
         fr = Frame(g, frozenset({4, 7, 10, 13}), frozenset((min(u, v), max(u, v)) for u, v in tree), 3)
-        assert fr.hubs == frozenset({0, 1})
+        assert fr.hubs == to_mask({0, 1})
         assert validate_frame(fr) == []
         paths = extract_frame_paths(fr)
         assert paths == [(4, 3, 2, 5, 6, 7), (10, 9, 8, 1, 11, 12, 13)]

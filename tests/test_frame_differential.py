@@ -5,17 +5,20 @@ Both run on every frame a construction passes through: on caterpillars, on
 caterpillars with a triangle at each leg's foot (whose leaf-to-leaf tree
 paths can have a chord), on subdivided random graphs, and on copies of those
 frames broken one axiom at a time through the host, the terminals, the tree
-or ell. The frame's derived (y, y_tilde) must be the reference's regions,
-and both must return the same violation lists and the same extension-path
-verdicts, or raise the same error. The reference still checks the axioms
-that are now definitions (A4..A7 and the first clause of A3) against the
-derived sets, and must find them hold on every frame. Leaf pairing must
-return the reference's pairs on random subcubic trees and on every frame's
-tree. Path extraction must return the reference's hub-tree paths on every
-frame, and reject every broken frame the hub-tree checks H1..H7 reject.
-find_extension must return the neighbour-list BFS's path on every observed
-frame; on frames of random instances, where ties may walk back another way,
-it must agree on None-ness and length."""
+or ell. The package reads a Frame's masks and the reference reads its set
+view. Each mask's members must be the set view's set, the set view's
+(y, y_tilde) must be the reference's regions, and both must return the same
+violation lists and the same extension-path verdicts, or raise the same
+error. The one exception: on a tree id outside the host, check_frame_claims
+returns the A1 violations, which the reference does not look for. The
+reference still checks the axioms that are now definitions (A4..A7 and the
+first clause of A3) against the derived sets, and must find them hold on
+every frame. Leaf pairing must return the reference's pairs on random
+subcubic trees and on every frame's tree. Path extraction must return the
+reference's hub-tree paths on every frame, and reject every broken frame the
+hub-tree checks H1..H7 reject. find_extension must return the neighbour-list
+BFS's path on every observed frame; on frames of random instances, where
+ties may walk back another way, it must agree on None-ness and length."""
 
 import random
 from collections import Counter
@@ -37,6 +40,7 @@ from apaths import (
     solve,
 )
 from apaths.frame import _check_extension_path, check_frame_claims, validate_frame
+from apaths.graph import mask_members
 from reference_frame import (
     reference_check_extension_path,
     reference_check_frame_claims,
@@ -45,6 +49,7 @@ from reference_frame import (
     reference_leaf_paths,
     reference_regions,
     reference_validate_frame,
+    set_view,
 )
 
 
@@ -121,14 +126,14 @@ def test_frames_cover_extension_steps():
 
 def test_observed_frames_agree():
     for a, fr in FRAMES:
-        g = fr.host
+        view = set_view(fr)
         assert fr.terminals <= a
-        assert reference_regions(g, fr.f_vertices, fr.a_f | fr.hubs, fr.ell_hat) == (fr.y, fr.y_tilde)
-        assert validate_frame(fr) == reference_validate_frame(fr) == []
-        assert check_frame_claims(fr) == reference_check_frame_claims(fr) == []
+        assert_derivation_agrees(fr)
+        assert validate_frame(fr) == reference_validate_frame(view) == []
+        assert check_frame_claims(fr) == reference_check_frame_claims(view) == []
         p = find_extension(fr)
         if p is not None:
-            assert reference_check_extension_path(g, fr, p) is None
+            assert reference_check_extension_path(fr.host, view, p) is None
 
 
 def _tree_far_pair(fr: Frame, among: frozenset[int]) -> tuple[int, int] | None:
@@ -157,16 +162,17 @@ def _with_edges(fr: Frame, extra: list[tuple[int, int]], new_vertices: int = 0) 
 
 def mutations(fr: Frame) -> list[tuple[str, Frame]]:
     """Copies of fr, each broken in one axiom."""
-    g, f = fr.host, fr.f_vertices
-    leaf = min(fr.a_f)
-    inner = sorted(f - fr.a_f - fr.hubs)
+    g, view = fr.host, set_view(fr)
+    f = view.f_vertices
+    leaf = min(view.a_f)
+    inner = sorted(f - view.a_f - view.hubs)
     out = [
         ("A1 tree vertex outside host", replace(fr, tree_edges=fr.tree_edges | {(leaf, g.n)})),
         ("A1 negative tree vertex", replace(fr, tree_edges=fr.tree_edges | {(-1, leaf)})),
         ("A2 tree edge dropped", replace(fr, tree_edges=fr.tree_edges - {min(fr.tree_edges)})),
         ("A3 leaf no longer a terminal", replace(fr, terminals=fr.terminals - {leaf})),
         ("A10 ell beyond any distance in F", replace(fr, ell=len(f) + 1)),
-        ("A10 leaves joined", _with_edges(fr, [tuple(sorted(fr.a_f))[:2]])),
+        ("A10 leaves joined", _with_edges(fr, [tuple(sorted(view.a_f))[:2]])),
     ]
     if inner:
         out.append(("A3 inner vertex as terminal", replace(fr, terminals=fr.terminals | {inner[0]})))
@@ -176,37 +182,56 @@ def mutations(fr: Frame) -> list[tuple[str, Frame]]:
         out.append(("A8 non-tree frame edge", _with_edges(fr, [pair])))
     # An outside vertex next to y lies in y_tilde, which A9 exempts, so
     # the far pair it sees is taken from F - y.
-    pair = _tree_far_pair(fr, f - fr.y)
+    pair = _tree_far_pair(fr, f - view.y)
     if pair is not None:
         out.append(("A9 outside vertex sees far frame", _with_edges(fr, [(pair[0], g.n), (pair[1], g.n)], 1)))
-    if len(fr.hubs) >= 2:
-        out.append(("A11 hubs joined", _with_edges(fr, [tuple(sorted(fr.hubs))[:2]])))
+    if len(view.hubs) >= 2:
+        out.append(("A11 hubs joined", _with_edges(fr, [tuple(sorted(view.hubs))[:2]])))
     return out
 
 
 def test_star_with_a_degree_four_center():
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     fr = Frame(g, frozenset({1, 2, 3, 4}), frozenset({(0, 1), (0, 2), (0, 3), (0, 4)}), 1)
-    assert_same_violations(outcome(validate_frame, fr), outcome(reference_validate_frame, fr))
+    assert_same_violations(outcome(validate_frame, fr), outcome(reference_validate_frame, set_view(fr)))
 
 
-def assert_regions_agree(fr: Frame) -> None:
-    """The derived (y, y_tilde) are the reference's regions, on any frame
-    whose F lies in its host."""
-    if min(fr.f_vertices) >= 0 and max(fr.f_vertices) < fr.host.n:
-        args = (fr.host, fr.f_vertices, fr.a_f | fr.hubs, fr.ell_hat)
-        assert (fr.y, fr.y_tilde) == reference_regions(*args)
+# Each mask of a Frame and the set of its set view that it replaces.
+DERIVED = [("f", "f_vertices"), ("a_f", "a_f"), ("a_bar", "a_bar"),
+           ("hubs", "hubs"), ("y", "y"), ("y_tilde", "y_tilde")]
+
+
+def assert_derivation_agrees(fr: Frame) -> None:
+    """Each mask's members are the set view's set, and the set view's
+    (y, y_tilde) are the reference's regions, on any frame whose F lies in
+    its host. A negative tree id is not a bit position: F cannot be derived."""
+    view = set_view(fr)
+    if min(view.f_vertices) < 0:
+        with pytest.raises(ValueError, match="negative shift count"):
+            fr.f
+        return
+    for mask, name in DERIVED:
+        assert frozenset(mask_members(getattr(fr, mask))) == getattr(view, name), mask
+    if max(view.f_vertices) < fr.host.n:
+        args = (fr.host, view.f_vertices, view.a_f | view.hubs, fr.ell_hat)
+        assert (view.y, view.y_tilde) == reference_regions(*args)
 
 
 @pytest.mark.parametrize("index", range(0, len(FRAMES), 7))
 def test_mutated_frames_agree(index):
     _, fr = FRAMES[index]
     for name, broken in mutations(fr):
+        view = set_view(broken)
         new = outcome(validate_frame, broken)
-        assert_same_violations(new, outcome(reference_validate_frame, broken))
+        assert_same_violations(new, outcome(reference_validate_frame, view))
         assert new != ("returned", []), name
-        assert outcome(check_frame_claims, broken) == outcome(reference_check_frame_claims, broken)
-        assert_regions_agree(broken)
+        claims = outcome(check_frame_claims, broken)
+        if name.startswith("A1 "):
+            # A1 is checked first, on the raw ids: the claims come back as its violations.
+            assert claims == new and {v.axiom for v in new[1]} == {"A1"}, name
+        else:
+            assert claims == outcome(reference_check_frame_claims, view), name
+        assert_derivation_agrees(broken)
 
 
 def test_every_mutation_is_exercised():
@@ -220,13 +245,13 @@ def test_regions_are_measured_in_f():
     # y. The vertex joins y_tilde instead, and the frame stays valid.
     shortcuts = 0
     for _, fr in FRAMES[::7]:
-        beyond = fr.f_vertices - fr.y
+        beyond = fr.f & ~fr.y
         if beyond:
             g = fr.host
-            wider = _with_edges(fr, [(min(fr.a_f), g.n), (min(beyond), g.n)], 1)
-            assert wider.y == fr.y and wider.y_tilde == fr.y_tilde | {g.n}
-            assert_regions_agree(wider)
-            assert validate_frame(wider) == reference_validate_frame(wider) == []
+            wider = _with_edges(fr, [(mask_members(fr.a_f)[0], g.n), (mask_members(beyond)[0], g.n)], 1)
+            assert wider.y == fr.y and wider.y_tilde == fr.y_tilde | 1 << g.n
+            assert_derivation_agrees(wider)
+            assert validate_frame(wider) == reference_validate_frame(set_view(wider)) == []
             shortcuts += 1
     assert shortcuts > 10
 
@@ -235,20 +260,21 @@ def path_mutations(g: Graph, fr: Frame, p):
     """(host, frame, path) triples, each breaking one extension property."""
     yield g, fr, p[1:]  # P1: no longer starts at an unprocessed terminal
     yield g, fr, p[::-1]  # P1/P2
-    into = [w for w in g.neighbors(p[-1]) if w in fr.f_vertices]
+    into = [w for w in g.neighbors(p[-1]) if fr.f >> w & 1]
     yield g, fr, p + (into[0],)  # P2/P3: runs on inside the frame
     yield g, replace(fr, terminals=fr.terminals | {p[-1]}), p  # P-hub: p ends at a leaf
     n = g.n
     if len(p) >= 4:
         # P4/P5: p[1] joined to a leaf, so it lies in y_tilde
-        h = Graph(n, list(g.edges()) + [(p[1], min(fr.a_f))])
+        h = Graph(n, list(g.edges()) + [(p[1], mask_members(fr.a_f)[0])])
         yield h, replace(fr, host=h), p
         # P6: an outside vertex sees p at two far-apart places
         h = Graph(n + 1, list(g.edges()) + [(p[0], n), (p[3], n)])
         yield h, replace(fr, host=h), p
     # P7: an outside vertex sees both the start of p and the frame
-    far = max(fr.f_vertices - fr.y - fr.hubs - fr.a_f, default=None)
-    if far is not None:
+    far = mask_members(fr.f & ~(fr.y | fr.hubs | fr.a_f))
+    if far:
+        far = far[-1]
         h = Graph(n + 1, list(g.edges()) + [(p[0], n), (far, n)])
         yield h, replace(fr, host=h), p
 
@@ -261,7 +287,7 @@ def test_extension_path_verdicts_agree():
             continue
         for h, broken, q in path_mutations(fr.host, fr, p):
             new = outcome(_check_extension_path, broken, q)
-            assert new == outcome(reference_check_extension_path, h, broken, q)
+            assert new == outcome(reference_check_extension_path, h, set_view(broken), q)
             assert new[0] == "raised", q
             checked += 1
     assert checked > 100
@@ -269,7 +295,7 @@ def test_extension_path_verdicts_agree():
 
 def test_extension_paths_agree():
     for a, fr in FRAMES:
-        assert find_extension(fr) == reference_find_extension(fr.host, a, fr)
+        assert find_extension(fr) == reference_find_extension(fr.host, a, set_view(fr))
 
 
 @given(st.integers(6, 10), st.sampled_from([0.25, 0.4]), st.integers(0, 10**6), st.sampled_from([2, 3]))
@@ -279,7 +305,7 @@ def test_extension_paths_agree_in_length(n, p, seed, ell):
     frames = []
     solve(g, a, SolveParams(3, ell), frame_observer=frames.append)
     for fr in frames:
-        got, want = find_extension(fr), reference_find_extension(fr.host, a, fr)
+        got, want = find_extension(fr), reference_find_extension(fr.host, a, set_view(fr))
         assert (got is None) == (want is None)
         if got is not None:
             assert len(got) == len(want)
@@ -301,12 +327,13 @@ def test_leaf_pairing_agrees_on_random_trees(n, seed):
 
 def test_leaf_pairing_agrees_on_frame_trees():
     for _, fr in FRAMES:
-        assert leaf_paths(fr.tree_edges, fr.a_f) == reference_leaf_paths(fr.tree_edges, fr.a_f)
+        leaves = mask_members(fr.a_f)
+        assert leaf_paths(fr.tree_edges, leaves) == reference_leaf_paths(fr.tree_edges, leaves)
 
 
 def test_extracted_paths_agree():
     for _, fr in FRAMES:
-        assert extract_frame_paths(fr) == reference_extract_frame_paths(fr)
+        assert extract_frame_paths(fr) == reference_extract_frame_paths(set_view(fr))
 
 
 def test_extraction_rejects_what_the_hub_tree_checks_reject():
@@ -316,7 +343,7 @@ def test_extraction_rejects_what_the_hub_tree_checks_reject():
     for _, fr in FRAMES[::7]:
         for name, broken in mutations(fr):
             new = outcome(extract_frame_paths, broken)
-            old = outcome(reference_extract_frame_paths, broken)
+            old = outcome(reference_extract_frame_paths, set_view(broken))
             if old[0] == "raised":
                 rejected.add(name)
                 assert new[:2] == ("raised", "FrameInvariantError"), name
