@@ -88,9 +88,9 @@ class Violation:
 @dataclass(frozen=True)
 class Frame:
     """The frame with tree T = tree_edges in host, for the terminal set
-    terminals. Only T is chosen: F, the leaves, the hubs, Y, Y~ and Abar are
-    int bitmasks derived from the four fields on first use, at most once per
-    Frame, and never copied from another frame. A mask needs nonnegative
+    terminals. Only T is chosen: A, F, the leaves, the hubs, Y, Y~ and Abar
+    are int bitmasks derived from the four fields on first use, at most once
+    per Frame, and never copied from another frame. A mask needs nonnegative
     ids, and y and y_tilde read the host's adjacency, so all of them need F
     and the terminals inside the host (A1)."""
 
@@ -113,14 +113,19 @@ class Frame:
         return to_mask(chain.from_iterable(self.tree_edges))
 
     @cached_property
+    def a(self) -> int:
+        """A: the terminals."""
+        return to_mask(self.terminals)
+
+    @cached_property
     def a_f(self) -> int:
         """The leaves: the terminals in F."""
-        return to_mask(self.terminals) & self.f
+        return self.a & self.f
 
     @cached_property
     def a_bar(self) -> int:
         """The terminals not yet in F."""
-        return to_mask(self.terminals) & ~self.f
+        return self.a & ~self.f
 
     @cached_property
     def hubs(self) -> int:

@@ -150,7 +150,9 @@ def solve(
         z1 = inner.z1.union(mask_members(fr.y))
         return _bounded_cover(z1, inner.z2.union(mask_members(fr.a_f | fr.hubs)), params)
 
-    return level(g, check_vertex_set(g, a), params)
+    cert = level(g, check_vertex_set(g, a), params)
+    del level  # it refers to itself: free it now, not at the next collection
+    return cert
 
 
 def _bounded_cover(z1: VertexSet, z2: VertexSet, params: SolveParams) -> Cover:

@@ -135,9 +135,10 @@ def verify_cover(
     the intersection removal plus both single-ball removals.
 
     The single-set checks are implied by the intersection form (removing a
-    superset cannot recreate an induced path on surviving vertices), but they
-    are recomputed independently anyway. One budget of `budget` nodes bounds
-    the three removal searches together.
+    superset cannot recreate an induced path on surviving vertices), but all
+    three are reported. Each distinct removed set is searched once, within
+    this call, and its result is reported for every check that removes it.
+    One budget of `budget` nodes bounds the distinct removal searches together.
     """
     a_set = check_vertex_set(g, a)
     z1_set = check_vertex_set(g, z1)
@@ -149,13 +150,15 @@ def verify_cover(
     shared = _Budget(budget, "verify_cover")
     b1 = ball(g, z1_set, 1)
     b2 = ball(g, z2_set, radius)
+    results: dict[VertexSet, tuple[bool, Path | None]] = {}
     for name, removed in (
         ("intersection.removal", b1 & b2),
         ("z1.removal", b1),
         ("z2.removal", b2),
     ):
-        ok, witness = _removal_check(g, a_set, removed, params.ell, shared)
-        report.add(f"{name}.path_free", ok, witness)
+        if removed not in results:
+            results[removed] = _removal_check(g, a_set, removed, params.ell, shared)
+        report.add(f"{name}.path_free", *results[removed])
     return report
 
 

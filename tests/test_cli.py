@@ -300,9 +300,10 @@ class TestVerifyBudget:
         assert self.run_verify(tmp_path, None) == EXIT_OK
 
     def test_small_budget_exits_3(self, tmp_path):
-        # Each of the three removal searches visits 539 paths of the grid,
-        # so the whole check does not fit in 1000 nodes.
-        assert self.run_verify(tmp_path, "1000") == EXIT_BUDGET
+        # The empty cover removes the empty set in all three checks: one
+        # search, which visits 539 paths of the grid.
+        assert self.run_verify(tmp_path, "539") == EXIT_OK
+        assert self.run_verify(tmp_path, "538") == EXIT_BUDGET
 
     def test_nonpositive_budget_exits_2(self, tmp_path):
         assert self.run_verify(tmp_path, "0") == EXIT_BAD_INPUT

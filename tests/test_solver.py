@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from apaths import (
     Packing,
     SolveParams,
     ball,
+    caterpillar_instance,
     complete_instance,
     dist,
     find_induced_apath_in_range,
@@ -102,6 +104,26 @@ class TestSolveTraces:
         g, a = random_instance(12, 0.3, 0.6, 7)
         params = SolveParams(3, 2)
         assert solve(g, a, params) == solve(g, a, params)
+
+
+    @pytest.mark.parametrize(
+        "instance,k,ell",
+        [
+            (complete_instance(5), 2, 1),
+            (random_instance(10, 0.3, 0.6, 34), 2, 2),  # peels a middle-length path
+            (caterpillar_instance(10, 0), 6, 3),  # recurses past a frame, to a cover
+        ],
+    )
+    def test_leaves_no_reference_cycles(self, instance, k, ell):
+        # The recursion is a closure that refers to itself; left alive, each
+        # solve would leave it to the cyclic collector.
+        gc.collect()
+        gc.disable()
+        try:
+            solve(*instance, SolveParams(k, ell))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 random_corpus = st.builds(

@@ -1,10 +1,12 @@
 import pytest
 
+import apaths.verify as verify
 from apaths import (
     BudgetExceededError,
     Cover,
     Graph,
     SolveParams,
+    ball,
     complete_instance,
     solve,
     verify_certificate,
@@ -97,7 +99,7 @@ class TestVerifyCover:
 
 
 class TestVerifyBudget:
-    """One budget bounds the three removal searches of a cover together."""
+    """One budget bounds the distinct removal searches of a cover together."""
 
     # 5x5 grid, corner terminals: the longest induced corner path has
     # length 16, so at ell 17 every search exhausts, in 539 nodes each.
@@ -108,16 +110,32 @@ class TestVerifyBudget:
     )
     CORNERS = {0, 4, 20, 24}
 
-    def test_searches_share_one_budget(self):
+    # The grid plus a terminal-free path 25..65 to place a cover on: z1 = {25}
+    # and z2 = {65} remove {25, 26} and 47..65 (radius 18 at ell 17), which
+    # meet nowhere, so the three removed sets are pairwise distinct. None of
+    # them touches the grid, so each search still spends 539 nodes.
+    GRID_AND_PATH = Graph(66, list(GRID.edges()) + [(v, v + 1) for v in range(25, 65)])
+
+    def test_empty_cover_is_one_search(self):
+        # The empty cover removes the empty set in all three checks.
         params = SolveParams(2, 17, node_budget=1000)
         cert = solve(self.GRID, self.CORNERS, params)
         assert cert == Cover(frozenset(), frozenset(), 1, 18)
-        assert verify_certificate(self.GRID, self.CORNERS, params, cert, budget=3 * 539).passed
+        report = verify_certificate(self.GRID, self.CORNERS, params, cert, budget=539)
+        assert report.passed and len(report.checks) == 6
+        with pytest.raises(BudgetExceededError, match="verify_cover"):
+            verify_certificate(self.GRID, self.CORNERS, params, cert, budget=538)
+
+    def test_searches_share_one_budget(self):
+        g, params = self.GRID_AND_PATH, SolveParams(2, 17)
+        b1, b2 = ball(g, {25}, 1), ball(g, {65}, params.cover_radius())
+        assert len({b1 & b2, b1, b2}) == 3
+        assert verify_cover(g, self.CORNERS, params, {25}, {65}, budget=3 * 539).passed
         with pytest.raises(BudgetExceededError):
-            verify_certificate(self.GRID, self.CORNERS, params, cert, budget=3 * 539 - 1)
+            verify_cover(g, self.CORNERS, params, {25}, {65}, budget=3 * 539 - 1)
         # Each search fits in 1000 nodes; the three together do not.
         with pytest.raises(BudgetExceededError, match="verify_cover"):
-            verify_certificate(self.GRID, self.CORNERS, params, cert, budget=1000)
+            verify_cover(g, self.CORNERS, params, {25}, {65}, budget=1000)
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_is_refused(self, budget):
@@ -127,6 +145,45 @@ class TestVerifyBudget:
             verify_cover(self.GRID, self.CORNERS, params, cert.z1, cert.z2, budget)
         with pytest.raises(ValueError, match="need a positive node budget"):
             verify_certificate(self.GRID, self.CORNERS, params, cert, budget)
+
+
+class TestRemovalSearches:
+    """verify_cover searches each distinct removed set once, within one call."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The arguments of every removal search verify_cover makes."""
+        calls = []
+        search = verify.find_induced_apath_in_range
+        monkeypatch.setattr(
+            verify, "find_induced_apath_in_range", lambda *args: calls.append(args) or search(*args)
+        )
+        return calls
+
+    @staticmethod
+    def verify_on_path(z1, z2):
+        # Path 0..11 at ell 2, so the cover radius is 4: z1 = z2 = {5} removes
+        # {4, 5, 6} inside 1..9, and z1 = {2}, z2 = {9} removes {1, 2, 3},
+        # 5..11 and, where they meet, nothing.
+        g = Graph(12, [(i, i + 1) for i in range(11)])
+        return verify_cover(g, {0, 5, 11}, SolveParams(2, 2), z1, z2)
+
+    @pytest.mark.parametrize(
+        "z1,z2,count",
+        [(set(), set(), 1), ({5}, {5}, 2), ({5}, set(), 2), (set(), {5}, 2), ({2}, {9}, 3)],
+    )
+    def test_one_search_per_distinct_set(self, searches, z1, z2, count):
+        report = self.verify_on_path(z1, z2)
+        assert len(searches) == count
+        assert len(report.checks) == 5
+
+    def test_nothing_is_kept_across_calls(self, searches):
+        # Each call builds a fresh Graph equal by value to the last one, so
+        # a memo across calls would make a later call search less.
+        for z1, z2, count in [({2}, {9}, 3), ({2}, {9}, 3), (set(), set(), 1), (set(), set(), 1)]:
+            searches.clear()
+            self.verify_on_path(z1, z2)
+            assert len(searches) == count
 
 
 class TestTightness:
