@@ -245,7 +245,7 @@ def _cmd_verify(args, out: TextIO) -> int:
     params = replace(params, node_budget=args.budget)
     inst = doc["instance"]
     digest = instance_digest(g, a, params)
-    report = verify_certificate(g, a, params, cert, params.node_budget)
+    report = verify_certificate(g, a, params, cert)
     for key in ("vertices", "edges", "terminals"):
         report.add(f"instance.{key}", inst[key] == digest[key], (inst[key], digest[key]))
     out.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -432,14 +432,15 @@ def leaf_paths(
     fails its edge count), and the leaves must be the degree-1 vertices;
     anything else raises ValueError.
 
-    Strategy: root at the smallest leaf, then repeatedly emit the path joining
-    the two leaves under the deepest vertex that still has live leaves in two
-    child subtrees (ties to the smallest id). Such a path never carries another
-    live leaf and never disconnects the survivors, so p//2 rounds always
-    succeed; the terminal round pairs the root with the last live leaf. On
-    T's BFS layers from the root, a vertex's children are its neighbours one
-    layer down, below[v] masks the leaves under v, a child subtree c is live
-    iff below[c] & alive, and each path is walked back up the layers.
+    Strategy: root at the smallest leaf and walk T's BFS layers from it in
+    one pass, deepest layer first and by id within a layer, so a vertex's
+    children (its neighbours one layer down) come before it. Each vertex
+    hands its parent at most one open leaf with that leaf's depth; a leaf
+    opens itself. A vertex that holds two open leaves pairs them by the path
+    through itself, each arm walked back up the layers, and hands up none.
+    Only a hub or the root can hold two, so this pairs at the deepest vertex
+    with open leaves in two branches, the root last, and leaves one leaf
+    unpaired iff p is odd.
     """
     edges = list(tree_edges)
     vertices = frozenset(v for e in edges for v in e)
@@ -455,42 +456,24 @@ def leaf_paths(
     if not leaf_set:  # no edges; any other tree has two leaves or more
         return []
     leaf_mask = to_mask(leaf_set)
-    root = min(leaf_set)
-    layers = mask_layers(tree, 1 << root)
-    depth = {v: d for d, layer in enumerate(layers) for v in mask_members(layer)}
-    # Only a degree-3 vertex has two child subtrees (the root is a leaf).
-    hubs = [v for layer in reversed(layers) for v in mask_members(layer) if tree[v].bit_count() == 3]
-    below = [0] * len(tree)
-    for v in reversed(depth):  # deepest first: v's children are done, its parent is still 0
-        below[v] = leaf_mask & 1 << v | mask_neighbors(below, tree[v])
-    alive = leaf_mask
-
-    def live_ends(x: int) -> list[int]:
-        # The live leaf under each live child subtree of x, by child id: unique,
-        # as a vertex below x with two live child subtrees would come first.
-        ends = (below[c] & alive for c in mask_members(tree[x] & layers[depth[x] + 1]))
-        return [e.bit_length() - 1 for e in ends if e]
-
-    def down(x: int, leaf: int) -> Path:
-        return walk_back(tree, layers[depth[x]:depth[leaf] + 1], leaf)
-
+    layers = mask_layers(tree, 1 << min(leaf_set))
+    up: list[tuple[int, int] | None] = [None] * len(tree)  # v's open leaf and its depth
     out: list[Path] = []
-    idx = 0
-    for _ in range(len(leaf_set) // 2):
-        while idx < len(hubs) and len(ends := live_ends(hubs[idx])) < 2:
-            idx += 1
-        if idx < len(hubs):
-            x = hubs[idx]
-            path = down(x, ends[0])[::-1] + down(x, ends[1])[1:]
-        else:
-            rest = alive & ~(1 << root)
-            if not alive >> root & 1 or rest.bit_count() != 1:
-                raise FrameInvariantError("leaf pairing invariant broken")
-            path = down(root, rest.bit_length() - 1)
-        if path[0] > path[-1]:
-            path = path[::-1]
-        out.append(path)
-        alive ^= 1 << path[0] | 1 << path[-1]
+    children = 0
+    for d in reversed(range(len(layers))):
+        for v in mask_members(layers[d]):
+            ends = [up[c] for c in mask_members(tree[v] & children) if up[c]]
+            if leaf_mask >> v & 1:
+                ends.append((v, d))
+            if len(ends) == 2:
+                s, t = (walk_back(tree, layers[d:depth + 1], leaf) for leaf, depth in ends)
+                path = s[::-1] + t[1:]
+                out.append(path if path[0] < path[-1] else path[::-1])
+            elif ends:
+                up[v] = ends[0]
+        children = layers[d]
+    if len(out) != len(leaf_set) // 2:
+        raise FrameInvariantError("leaf pairing invariant broken")
     return out
 
 

@@ -102,9 +102,6 @@ class LengthRange:
         if self.hi is not None and self.lo > self.hi:
             raise ValueError(f"empty length range [{self.lo}, {self.hi}]")
 
-    def contains(self, length: int) -> bool:
-        return length >= self.lo and (self.hi is None or length <= self.hi)
-
 
 def exists_apath(g: Graph, a: Iterable[int]) -> bool:
     """True iff some connected component contains at least two terminals."""
@@ -440,6 +437,7 @@ def _max_compatible_family(
             chosen.pop()
 
     rec((1 << len(compat)) - 1)
+    del rec  # it refers to itself: free it here, not in the cyclic collector
     return best, best_family
 
 

@@ -24,7 +24,6 @@ from .graph import (
     is_path,
 )
 from .search import (
-    DEFAULT_BUDGET,
     _Budget,
     LengthRange,
     find_induced_apath_in_range,
@@ -129,7 +128,6 @@ def verify_cover(
     params: SolveParams,
     z1: Iterable[int],
     z2: Iterable[int],
-    budget: int = DEFAULT_BUDGET,
 ) -> Report:
     """Check a claimed cover: size bounds, and long-induced-A-path freeness of
     the intersection removal plus both single-ball removals.
@@ -138,7 +136,8 @@ def verify_cover(
     superset cannot recreate an induced path on surviving vertices), but all
     three are reported. Each distinct removed set is searched once, within
     this call, and its result is reported for every check that removes it.
-    One budget of `budget` nodes bounds the distinct removal searches together.
+    One budget of params.node_budget nodes bounds the distinct removal
+    searches together.
     """
     a_set = check_vertex_set(g, a)
     z1_set = check_vertex_set(g, z1)
@@ -147,7 +146,7 @@ def verify_cover(
     report.add("z1.size", len(z1_set) <= params.z1_limit(), (len(z1_set), params.z1_limit()))
     report.add("z2.size", len(z2_set) <= params.z2_limit(), (len(z2_set), params.z2_limit()))
     radius = params.cover_radius()
-    shared = _Budget(budget, "verify_cover")
+    shared = _Budget(params.node_budget, "verify_cover")
     b1 = ball(g, z1_set, 1)
     b2 = ball(g, z2_set, radius)
     results: dict[VertexSet, tuple[bool, Path | None]] = {}
@@ -167,12 +166,11 @@ def verify_certificate(
     a: Iterable[int],
     params: SolveParams,
     cert: Certificate,
-    budget: int = DEFAULT_BUDGET,
 ) -> Report:
     """Dispatch on the certificate kind; also pins the cover radii."""
     if isinstance(cert, Packing):
         return verify_packing(g, a, params, cert.paths)
-    report = verify_cover(g, a, params, cert.z1, cert.z2, budget)
+    report = verify_cover(g, a, params, cert.z1, cert.z2)
     report.add("radii", cert.r1 == 1 and cert.r2 == params.cover_radius(), (cert.r1, cert.r2))
     return report
 

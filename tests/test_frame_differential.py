@@ -14,13 +14,15 @@ returns the A1 violations, which the reference does not look for. The
 reference still checks the axioms that are now definitions (A4..A7 and the
 first clause of A3) against the derived sets, and must find them hold on
 every frame. Leaf pairing must return the reference's pairs on random
-subcubic trees and on every frame's tree. Path extraction must return the
+subcubic trees, on a tree deeper than the recursion limit and on every
+frame's tree. Path extraction must return the
 reference's hub-tree paths on every frame, and reject every broken frame the
 hub-tree checks H1..H7 reject. find_extension must return the neighbour-list
 BFS's path on every observed frame; on frames of random instances, where
 ties may walk back another way, it must agree on None-ness and length."""
 
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -322,6 +324,19 @@ def test_leaf_pairing_agrees_on_random_trees(n, seed):
     ids = random.Random(seed).sample(range(2 * n), n)
     edges = [(ids[u], ids[v]) for u, v in edges]
     leaves = [ids[v] for v in leaves]
+    assert leaf_paths(edges, leaves) == reference_leaf_paths(edges, leaves)
+
+
+def test_leaf_pairing_agrees_on_a_deep_tree():
+    # A 5,000-vertex spine with a 2-edge leg at every tenth vertex: 502 leaves,
+    # depth far past the recursion limit, so the pairing pass must not recurse.
+    n = 5000
+    edges = [(v, v + 1) for v in range(n - 1)]
+    legs = range(5, n, 10)
+    for j, v in enumerate(legs):
+        edges += [(v, n + 2 * j), (n + 2 * j, n + 2 * j + 1)]
+    leaves = [0, n - 1] + [n + 2 * j + 1 for j in range(len(legs))]
+    assert len(leaves) == 502 and n > sys.getrecursionlimit()
     assert leaf_paths(edges, leaves) == reference_leaf_paths(edges, leaves)
 
 

@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations
 
 import pytest
@@ -414,3 +415,24 @@ class TestOracleBudget:
             enumeration,
             len(tried),
         )
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda g, a: max_anticomplete_packing_with_witness(g, a, 2, 3),
+        lambda g, a: max_vertex_disjoint_apath_packing(g, a, 5),
+    ],
+    ids=["packing-witness", "disjoint-packing"],
+)
+def test_family_search_leaves_no_reference_cycles(oracle):
+    # The family search is a closure that refers to itself; left alive, each
+    # oracle call would leave it to the cyclic collector.
+    g, a = TestOracleBudget.INSTANCE
+    gc.collect()
+    gc.disable()
+    try:
+        oracle(g, a)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

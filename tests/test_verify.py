@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import apaths.verify as verify
@@ -121,30 +123,33 @@ class TestVerifyBudget:
         params = SolveParams(2, 17, node_budget=1000)
         cert = solve(self.GRID, self.CORNERS, params)
         assert cert == Cover(frozenset(), frozenset(), 1, 18)
-        report = verify_certificate(self.GRID, self.CORNERS, params, cert, budget=539)
+        report = verify_certificate(self.GRID, self.CORNERS, replace(params, node_budget=539), cert)
         assert report.passed and len(report.checks) == 6
         with pytest.raises(BudgetExceededError, match="verify_cover"):
-            verify_certificate(self.GRID, self.CORNERS, params, cert, budget=538)
+            verify_certificate(self.GRID, self.CORNERS, replace(params, node_budget=538), cert)
+
+    def test_params_budget_bounds_the_verifier(self):
+        # No second budget: the params' node_budget is the verifier's.
+        params = SolveParams(2, 17, node_budget=538)
+        with pytest.raises(BudgetExceededError, match="verify_cover"):
+            verify_cover(self.GRID, self.CORNERS, params, set(), set())
 
     def test_searches_share_one_budget(self):
         g, params = self.GRID_AND_PATH, SolveParams(2, 17)
         b1, b2 = ball(g, {25}, 1), ball(g, {65}, params.cover_radius())
         assert len({b1 & b2, b1, b2}) == 3
-        assert verify_cover(g, self.CORNERS, params, {25}, {65}, budget=3 * 539).passed
+        assert verify_cover(g, self.CORNERS, replace(params, node_budget=3 * 539), {25}, {65}).passed
         with pytest.raises(BudgetExceededError):
-            verify_cover(g, self.CORNERS, params, {25}, {65}, budget=3 * 539 - 1)
+            verify_cover(g, self.CORNERS, replace(params, node_budget=3 * 539 - 1), {25}, {65})
         # Each search fits in 1000 nodes; the three together do not.
         with pytest.raises(BudgetExceededError, match="verify_cover"):
-            verify_cover(g, self.CORNERS, params, {25}, {65}, budget=1000)
+            verify_cover(g, self.CORNERS, replace(params, node_budget=1000), {25}, {65})
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_is_refused(self, budget):
-        params = SolveParams(2, 17)
-        cert = Cover(frozenset(), frozenset(), 1, 18)
+        # The verifier takes its budget from SolveParams, which refuses it.
         with pytest.raises(ValueError, match="need a positive node budget"):
-            verify_cover(self.GRID, self.CORNERS, params, cert.z1, cert.z2, budget)
-        with pytest.raises(ValueError, match="need a positive node budget"):
-            verify_certificate(self.GRID, self.CORNERS, params, cert, budget)
+            SolveParams(2, 17, node_budget=budget)
 
 
 class TestRemovalSearches:
