@@ -13,11 +13,11 @@ The engine keeps vertex sets as int bitmasks. A path on its stack carries
 blocked = path | N(path - tip), the vertices it may never use again, so its
 extensions are adj[tip] & ~blocked. Where a path has two or more extensions,
 a flood fill from each extension through the vertices still free drops that
-extension's whole subtree if the region holds no terminal above the root or
-is too small to reach the minimum length. Dropped subtrees contain no result,
-a path left out from its greater end was offered from its lesser end first,
-and extensions are taken in sorted order, so every caller's result is that
-of the full search.
+extension's whole subtree if the region, as far as a length cap lets a path
+reach, holds no terminal above the root or is too small to reach the
+minimum length. Dropped subtrees contain no result, a path left out from its
+greater end was offered from its lesser end first, and extensions are taken
+in sorted order, so every caller's result is that of the full search.
 
 The brute-force oracles enumerate their paths once and then work on
 bitmasks alone: path i is bit i of an int. The ball-cover oracle keeps, for
@@ -143,16 +143,21 @@ def shortest_apath(g: Graph, a: Iterable[int]) -> Path | None:
     return best
 
 
-def _live_extensions(adj: tuple[int, ...], ext: int, child_blocked: int, targets: int, need: int) -> int:
+def _live_extensions(
+    adj: tuple[int, ...], ext: int, child_blocked: int, targets: int, need: int, depth: int | None
+) -> int:
     """The extensions in ext whose subtrees can still emit a path of at
-    least need more edges.
+    least need and at most depth + 1 more edges (depth None: no cap).
 
     A child w adds w, and after it only vertices reachable from w outside
     child_blocked. Its subtree can emit only if w is a target long enough
     to be emitted itself (need <= 1), or if that region holds a target and
-    at least need - 1 vertices. The region is flooded one BFS level at a
-    time, stopping as soon as both hold, so a live extension's region is
-    rarely walked in full.
+    at least need - 1 vertices, both within depth BFS levels of w: a path
+    through w reaches level j of the region no sooner than j edges after w.
+    Under a cap those levels are one bounded mask_ball. Without one, the
+    region is flooded one BFS level at a time, stopping as soon as both
+    hold, so a live extension's region is rarely walked in full; this loop
+    is the hot path of exhaustive searches and takes no per-level test.
     """
     free = ~child_blocked
     live = ext
@@ -162,6 +167,11 @@ def _live_extensions(adj: tuple[int, ...], ext: int, child_blocked: int, targets
         if need <= 1 and low & targets:
             continue
         reach = frontier = adj[low.bit_length() - 1] & free
+        if depth is not None:
+            reach = mask_ball(adj, reach, free, depth - 1) if depth else 0
+            if not (reach & targets and reach.bit_count() >= need - 1):
+                live ^= low
+            continue
         while not (reach & targets and reach.bit_count() >= need - 1):
             grown = 0
             while frontier:
@@ -208,9 +218,11 @@ def _terminal_path_dfs(
     before it is visited (_live_extensions). After w the search can add only
     vertices reachable from w outside the child's mask, which already holds
     w's siblings; a subtree can emit only if that region holds a target and
-    enough vertices to reach length lo. Terminals below the root are no
-    targets but may still be interior vertices, and stop_at_terminals stops
-    at any terminal. Failing extensions are dropped with their whole
+    enough vertices to reach length lo. Under a cap C on path length
+    (ext_cap), a path through w ends within C - plen - 1 BFS levels of w, so
+    only those levels are flooded and counted. Terminals below the root are
+    no targets but may still be interior vertices, and stop_at_terminals
+    stops at any terminal. Failing extensions are dropped with their whole
     subtree. The test floods the region, so it runs only where the path
     branches: along a chain of single extensions the region ahead loses
     just the new tip at each step, so a test there would repeat the last
@@ -222,7 +234,8 @@ def _terminal_path_dfs(
     emit. A path from root s to a terminal t < s is never emitted, but its
     reverse has the same length and was already offered from the earlier
     root t. That changes no caller's answer: find stops at its first emit;
-    shortest keeps only strictly shorter paths, and its cap only shrinks;
+    shortest keeps only strictly shorter paths, and its cap only shrinks, so
+    an extension dropped under the cap would stay dropped under a later one;
     enumerate keeps only path[0] < path[-1]. So every result, witness and
     visible emit order is a full search's; only fewer paths are visited and
     paid for.
@@ -254,7 +267,8 @@ def _terminal_path_dfs(
                 ext = adj[tip] & ~blocked
                 after = blocked | adj[tip]
                 if ext & (ext - 1):
-                    ext = _live_extensions(adj, ext, after, targets, lo - plen)
+                    depth = None if ext_cap is None else ext_cap - plen - 1
+                    ext = _live_extensions(adj, ext, after, targets, lo - plen, depth)
             if ext:
                 child_blocked.append(after)
                 pending.append(ext)

@@ -15,6 +15,7 @@ from apaths import (
     Graph,
     anti_complete,
     build_maximal_frame,
+    caterpillar_instance,
     dist,
     extend_frame,
     extract_frame_paths,
@@ -268,6 +269,35 @@ class TestExtendFrame:
             "raised: extend_frame produced an invalid frame",
             "raised: the witnesses of (0, 2) do not connect 0 to 2",
         ]
+
+    def test_construction_validates_in_full_twice(self, monkeypatch):
+        # init_frame and the last frame are validated in full; the steps
+        # between are checked locally.
+        g, a = caterpillar_instance(12, 0)
+        calls = []
+        full = apaths.frame.validate_frame
+        monkeypatch.setattr(apaths.frame, "validate_frame", lambda fr: calls.append(fr.leaf_count) or full(fr))
+        fr = build_maximal_frame(g, a, 3)
+        assert fr.leaf_count == 12
+        assert calls == [2, 12]
+
+    def test_local_step_finds_a_leaf_with_two_frame_neighbours(self, monkeypatch):
+        # A path 0..16 with terminals at its ends (ell 3, so y is 0..3 and
+        # 13..16) and a terminal 17 joined to both 7 and 8, outside y. The
+        # step (17, 7) has P1..P7 and P-hub, but the new leaf 17 has two
+        # frame neighbours. The local check must report what the full
+        # validator reports on the grown frame, without calling it.
+        g = Graph(18, [(i, i + 1) for i in range(16)] + [(7, 17), (8, 17)])
+        spine = frozenset((i, i + 1) for i in range(16))
+        fr = apaths.frame._assert_valid(Frame(g, frozenset({0, 16, 17}), spine, 3), "init_frame")
+        p = find_extension(fr)
+        assert p == (17, 7)
+        want = validate_frame(Frame(g, fr.terminals, spine | {(7, 17)}, 3))
+        assert want == [Violation("A3", 17, "a_f differs from frame degree-1 vertices")]
+        monkeypatch.setattr(apaths.frame, "validate_frame", None)
+        with pytest.raises(FrameInvariantError, match="extend_frame produced an invalid frame") as err:
+            extend_frame(fr, p)
+        assert err.value.violations == want
 
     def test_claims_hold_at_every_step(self):
         g, a = double_pendant_instance()

@@ -354,6 +354,32 @@ class TestRootRule:
         assert spent(lambda b: enumerate_induced_apaths(g, {0, 1, 2}, 1, b)) == 5
 
 
+class TestLengthCap:
+    """Under a cap on path length, each liveness flood takes only the BFS
+    levels that a path within the cap can reach."""
+
+    # Terminal 0 and a fork at 1: the arm 2-4-6-8 ends at terminal 8 (a path
+    # of length 5), the arm 3-5-7 at terminal 7 (length 4).
+    FORK = Graph(9, [(0, 1), (1, 2), (2, 4), (4, 6), (6, 8), (1, 3), (3, 5), (5, 7)])
+
+    def test_an_arm_beyond_the_cap_is_dropped(self):
+        # At [0, 1] under the cap 4 a child may take two more levels. Arm 2
+        # holds no terminal within two levels and is dropped; arm 3 reaches 7
+        # at exactly two. Visited: [0], [0, 1], [0, 1, 3], [0, 1, 3, 5] and
+        # [0, 1, 3, 5, 7]. An uncapped flood would also walk 2, 4 and 6.
+        call = lambda b: find_induced_apath_in_range(self.FORK, {0, 7, 8}, (4, 4), b)
+        assert call(_Budget(10**9, "probe")) == (0, 1, 3, 5, 7)
+        assert spent(call) == 5
+
+    def test_shortest_search_keeps_a_path_at_the_cap(self):
+        # From 0 the arm 2-4-6-8-10 is found first (length 6), so the cap
+        # becomes 5. At [0, 1, 3] the children 5 and 9 may take one more
+        # level: 9 leads nowhere, and 5 reaches terminal 11 at exactly that
+        # level, which gives the shortest path.
+        g = Graph(12, [(0, 1), (1, 2), (2, 4), (4, 6), (6, 8), (8, 10), (1, 3), (3, 5), (5, 7), (7, 11), (3, 9)])
+        assert shortest_long_induced_apath(g, {0, 10, 11}, 4) == (0, 1, 3, 5, 7, 11)
+
+
 class TestOracleBudget:
     """One budget bounds the whole oracle call: the enumeration and the mask
     search after it can each fit while their sum does not. Each oracle pays
