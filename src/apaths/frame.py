@@ -22,23 +22,24 @@ walks adj[v] & F, so no induced subgraph is built, and the checks on
 outside vertices (A9, P6, P7) visit only the neighbours of F or of the new
 path, never the whole host.
 
-A frame built from its fields alone (Frame(...), dataclasses.replace)
-derives every set from scratch, and extending it re-checks every axiom on
-the grown frame. A frame whose validity this module established (what
-init_frame, extend_frame and extraction check and return) is extended in
-time proportional to the step: the grown frame starts from the old one's
-masks plus the new path, and only the axioms the step can break are
-re-checked. extend_frame's docstring has the lemma behind that; the greedy
-construction still validates its last frame in full.
+One checker, _axiom_violations, reads A3 and A8..A11 around a region of F:
+validate_frame runs it on all of F, and a step on the new path alone. A
+frame whose validity this module established (what init_frame,
+extend_frame and build_maximal_frame return) is validated in full again
+only as build_maximal_frame's last frame. A frame built from its fields
+alone (Frame(...), dataclasses.replace) is validated in full once, before
+it is extended or its paths are extracted. A step always grows the frame
+from the old one's masks plus the new path and checks only what the step
+can change; extend_frame's docstring has the lemma behind that.
 
 The construction is greedy: start from a shortest long induced A-path, then
 repeatedly attach a shortest path from an unprocessed terminal to the frame
 (avoiding Y~), each attachment adding one leaf and one hub. The loop stops
 exactly when Y~ separates the remaining terminals from F, which is what the
-solver's recursion needs. The packing paths come straight off T after one
-more full validation: leaves are paired on T's BFS layers, each tree path
-is re-routed by mask_layers and walk_back within its own vertices, and the
-pairs are checked against each other's closed neighbourhood masks.
+solver's recursion needs. The packing paths come straight off T: leaves are
+paired on T's BFS layers, each tree path is re-routed by mask_layers and
+walk_back within its own vertices, and the pairs are checked against each
+other's closed neighbourhood masks.
 """
 
 from __future__ import annotations
@@ -67,9 +68,8 @@ from .search import DEFAULT_BUDGET, _Budget, shortest_long_induced_apath
 
 # Successful validations, counted so the acceptance suite can confirm the
 # axioms were actually exercised during a corpus run. "extend_frame" counts
-# the steps, checked locally or in full; "build_maximal_frame" the last
-# frames of constructions that took a step; "hub_tree" the frames that paths
-# were extracted from.
+# the steps; "build_maximal_frame" the last frames of constructions that
+# took a step; "hub_tree" the frames that paths were extracted from.
 validation_stats = {"init_frame": 0, "extend_frame": 0, "build_maximal_frame": 0, "hub_tree": 0}
 
 
@@ -104,10 +104,9 @@ class Frame:
     and y_tilde read the host's adjacency, so all of them need F and the
     terminals inside the host (A1).
 
-    The one exception: a frame that extend_frame grows from a checked frame
-    (one whose validity this module established, see extend_frame) starts
-    with all of them set, carried from the old frame's masks and the new
-    path, and equal to what the fields derive."""
+    The one exception: a frame that extend_frame grows starts with all of
+    them set, carried from the old frame's masks and the new path, and
+    equal to what the fields derive."""
 
     host: Graph
     terminals: VertexSet
@@ -214,45 +213,6 @@ def _check_inside_host(fr: Frame) -> list[Violation]:
     return viol
 
 
-def _degree1_violations(a_f: int, tree_deg1: int, frame_deg1: int) -> list[Violation]:
-    """A3: the leaves a_f are the degree-1 vertices of T and of G[F], all
-    three read on the same vertices."""
-    return [
-        Violation("A3", _lowest(deg1 ^ a_f), f"a_f differs from {name} degree-1 vertices")
-        for name, deg1 in (("tree", tree_deg1), ("frame", frame_deg1))
-        if deg1 != a_f
-    ]
-
-
-def _tree_distance_violations(fr: Frame, edges: Iterable[tuple[int, int]], outside: int) -> list[Violation]:
-    """A8 on the non-tree F edges edges, each (u, v) with u < v: some hub
-    lies within tree-distance 2 of both ends. A9 on the outside vertices
-    outside: every two of a vertex's F neighbours lie within tree-distance
-    2 of each other. The tree balls of radius 2 are built once per call."""
-    tree, adj, f = fr.tree, fr.host.neighbor_masks(), fr.f
-    near: dict[int, int] = {}
-
-    def near_in_tree(v: int) -> int:
-        if v not in near:
-            near[v] = mask_ball(tree, 1 << v, -1, 2)
-        return near[v]
-
-    viol = []
-    for u, v in edges:
-        if not any(near_in_tree(x) >> v & 1 for x in mask_members(fr.hubs & near_in_tree(u))):
-            viol.append(Violation("A8", (u, v), "non-tree frame edge far from every hub"))
-    for v in mask_members(outside):
-        fn = mask_members(adj[v] & f)
-        for i, first in enumerate(fn[:-1]):
-            for second in fn[i + 1:]:
-                if not near_in_tree(first) >> second & 1:
-                    viol.append(
-                        Violation("A9", (v, first, second),
-                                  "outside vertex with tree-distant frame neighbours")
-                    )
-    return viol
-
-
 def _close_pairs(
     adj: Sequence[int], f: int, sources: int, among: int, lower: int, axiom: str, what: str
 ) -> list[Violation]:
@@ -264,6 +224,68 @@ def _close_pairs(
         for other in mask_members(mask_ball(adj, 1 << c, f, lower - 1) & among & ~(sources & (2 << c) - 1)):
             d = next(r for r in range(lower) if mask_ball(adj, 1 << c, f, r) >> other & 1)
             viol.append(Violation(axiom, (min(c, other), max(c, other)), f"{what} at distance {d} < {lower}"))
+    return viol
+
+
+def _axiom_violations(fr: Frame, region: int, leaf_sources: int, hub_sources: int) -> list[Violation]:
+    """The violations of A3 and A8..A11 that the vertices of region, a set of
+    F vertices, take part in: A3 on region and its F neighbours, A8 on the
+    non-tree F edges with an end in region, A9 on the neighbours of region
+    outside F and Y~, A10 on the leaf pairs with an end in leaf_sources and
+    A11 on the hub pairs with an end in hub_sources. On F and all leaves and
+    hubs, that is the whole frame. T must be a subcubic tree of host edges
+    (A1, A2), so T lies inside F's edges."""
+    adj, tree, f = fr.host.neighbor_masks(), fr.tree, fr.f
+    around = mask_neighbors(adj, region)
+    # One pass over region and its F neighbours, the vertices whose degrees
+    # region takes part in: their degree-1 vertices in T and in G[F] for
+    # A3, and the non-tree F edges at region for A8 (T lies inside F's
+    # edges), each named lowest end first, once.
+    touched = region | around & f
+    tree_deg1 = frame_deg1 = 0
+    edges = []
+    for v in mask_members(touched):
+        t, in_f = tree[v], adj[v] & f
+        if t.bit_count() == 1:
+            tree_deg1 |= 1 << v
+        if in_f.bit_count() == 1:
+            frame_deg1 |= 1 << v
+        if in_f != t and region >> v & 1:
+            edges.extend((min(u, v), max(u, v)) for u in mask_members(in_f & ~t & ~(region & (2 << v) - 1)))
+    # A3: the leaves are the degree-1 vertices of T and of G[F].
+    a_f = fr.a_f & touched
+    viol = [
+        Violation("A3", _lowest(deg1 ^ a_f), f"a_f differs from {name} degree-1 vertices")
+        for name, deg1 in (("tree", tree_deg1), ("frame", frame_deg1))
+        if deg1 != a_f
+    ]
+    near: dict[int, int] = {}  # T's radius-2 balls, built once per call
+
+    def near_in_tree(v: int) -> int:
+        if v not in near:
+            near[v] = mask_ball(tree, 1 << v, -1, 2)
+        return near[v]
+
+    # A8: some hub lies within tree-distance 2 of both ends of every non-tree
+    # F edge.
+    edges.sort()
+    for u, v in edges:
+        if not any(near_in_tree(x) >> v & 1 for x in mask_members(fr.hubs & near_in_tree(u))):
+            viol.append(Violation("A8", (u, v), "non-tree frame edge far from every hub"))
+    # A9: every two F neighbours of an outside vertex lie within
+    # tree-distance 2 of each other; Y~ is exempt.
+    for v in mask_members(around & ~f & ~fr.y_tilde):
+        fn = mask_members(adj[v] & f)
+        for i, first in enumerate(fn[:-1]):
+            for second in fn[i + 1:]:
+                if not near_in_tree(first) >> second & 1:
+                    viol.append(
+                        Violation("A9", (v, first, second),
+                                  "outside vertex with tree-distant frame neighbours")
+                    )
+    # A10/A11: leaves pairwise far (>= ell), hubs pairwise far (>= 3), in F.
+    viol.extend(_close_pairs(adj, f, leaf_sources, fr.a_f, fr.ell, "A10", "frame leaves"))
+    viol.extend(_close_pairs(adj, f, hub_sources, fr.hubs, 3, "A11", "hubs"))
     return viol
 
 
@@ -279,46 +301,12 @@ def validate_frame(fr: Frame) -> list[Violation]:
     viol = _check_inside_host(fr)
     if viol:
         return viol
-    g = fr.host
-
     # A2: T is a subcubic tree of host edges (spanning F = V(T) by definition)
     for u, v in fr.tree_edges:
-        if not g.has_edge(u, v):
+        if not fr.host.has_edge(u, v):
             viol.append(Violation("A2", (u, v), "tree edge is not an edge of the host"))
-    tree = fr.tree
-    viol.extend(_check_spanning_subcubic_tree(tree, fr.tree_edges))
-    if viol:
-        return viol
-
-    # One pass over F: the degree-1 vertices for A3, the ends of non-tree F
-    # edges for A8 (T is inside F's edges by A2), and the vertices with two
-    # or more F neighbours for A9.
-    adj = g.neighbor_masks()
-    f = fr.f
-    tree_deg1 = frame_deg1 = off_tree = seen_once = seen_twice = 0
-    for v in mask_members(f):
-        bit = 1 << v
-        t = tree[v]
-        if t.bit_count() == 1:
-            tree_deg1 |= bit
-        nb = adj[v]
-        in_f = nb & f
-        if in_f.bit_count() == 1:
-            frame_deg1 |= bit
-        if in_f != t:
-            off_tree |= bit
-        seen_twice |= seen_once & nb
-        seen_once |= nb
-
-    viol.extend(_degree1_violations(fr.a_f, tree_deg1, frame_deg1))
-    # A8 on every non-tree F edge, named from its lower end. A9 exempts Y~,
-    # and only a vertex with two or more frame neighbours can break it.
-    edges = [(u, v) for u in mask_members(off_tree) for v in mask_members(adj[u] & f & ~tree[u] & -(2 << u))]
-    viol.extend(_tree_distance_violations(fr, edges, seen_twice & ~f & ~fr.y_tilde))
-    # A10/A11: leaves pairwise far (>= ell), hubs pairwise far (>= 3), in F.
-    viol.extend(_close_pairs(adj, f, fr.a_f, fr.a_f, fr.ell, "A10", "frame leaves"))
-    viol.extend(_close_pairs(adj, f, fr.hubs, fr.hubs, 3, "A11", "hubs"))
-    return viol
+    viol.extend(_check_spanning_subcubic_tree(fr.tree, fr.tree_edges))
+    return viol or _axiom_violations(fr, fr.f, fr.a_f, fr.hubs)
 
 
 def _size_violations(fr: Frame) -> list[Violation]:
@@ -345,13 +333,18 @@ def _passed(fr: Frame, where: str, violations: list[Violation]) -> Frame:
     """fr, marked as checked, if violations is empty; raise otherwise."""
     if violations:
         raise FrameInvariantError(f"{where} produced an invalid frame", violations)
-    validation_stats[where] += 1
     object.__setattr__(fr, "_checked", True)  # not a field: Frame(...) and replace() start without it
     return fr
 
 
 def _assert_valid(fr: Frame, where: str) -> Frame:
-    return _passed(fr, where, validate_frame(fr) or check_frame_claims(fr))
+    """fr, validated in full and marked as checked."""
+    return _passed(fr, where, validate_frame(fr) or _size_violations(fr))
+
+
+def _trusted(fr: Frame, where: str) -> Frame:
+    """fr, validated in full first unless this module already checked it."""
+    return fr if getattr(fr, "_checked", False) else _assert_valid(fr, where)
 
 
 def init_frame(
@@ -367,7 +360,9 @@ def init_frame(
     path = shortest_long_induced_apath(g, a_set, ell, budget)
     if path is None:
         return None
-    return _assert_valid(Frame(g, a_set, _path_edges(path), ell), "init_frame")
+    fr = _assert_valid(Frame(g, a_set, _path_edges(path), ell), "init_frame")
+    validation_stats["init_frame"] += 1
+    return fr
 
 
 def _extension_violations(fr: Frame, p: Path) -> list[Violation]:
@@ -412,10 +407,12 @@ def _extension_violations(fr: Frame, p: Path) -> list[Violation]:
 
 
 def _check_extension_path(fr: Frame, p: Path) -> None:
-    """Assert the seven properties every shortest extension path must have.
+    """Assert the seven properties every shortest extension path must have,
+    and P-hub, for a host path p.
 
     BFS-minimality implies all of them; checking explicitly guards the BFS
-    tie-breaking choices. Failures raise, naming the property.
+    tie-breaking choices. Failures raise, naming the property. extend_frame
+    runs this on every path before it takes the step.
     """
     failed = _extension_violations(fr, p)
     if failed:
@@ -427,9 +424,10 @@ def find_extension(fr: Frame) -> Path | None:
 
     Returns None exactly when y_tilde separates a_bar from the frame, which is
     the loop's termination condition. The returned path starts at an a_bar
-    vertex, ends at its first frame contact, and satisfies P1..P7 (asserted).
-    It ends at the least frame vertex nearest to a_bar and is walked back
-    from there to the least neighbour one BFS layer closer at each step.
+    vertex and ends at its first frame contact; extend_frame checks that it
+    has P1..P7 and P-hub. It ends at the least frame vertex nearest to a_bar
+    and is walked back from there to the least neighbour one BFS layer
+    closer at each step.
     """
     adj = fr.host.neighbor_masks()
     outside = ~fr.y_tilde
@@ -437,10 +435,7 @@ def find_extension(fr: Frame) -> Path | None:
     hits = layers[-1] & fr.f
     if not hits:
         return None
-    result = walk_back(adj, layers, _lowest(hits))
-    _check_extension_path(fr, result)
-    object.__setattr__(fr, "_extension", result)  # so that extend_frame need not check it again
-    return result
+    return walk_back(adj, layers, _lowest(hits))
 
 
 def _grown(fr: Frame, p: Path) -> Frame:
@@ -463,52 +458,24 @@ def _grown(fr: Frame, p: Path) -> Frame:
     return new
 
 
-def _step_violations(new: Frame, p: Path) -> list[Violation]:
-    """The violations of the grown frame new in the places that extend_frame's
-    lemma says the step p can break it, in validate_frame's order and then
-    check_frame_claims'."""
-    adj, tree, f = new.host.neighbor_masks(), new.tree, new.f
-    x = p[-1]
-    if tree[x].bit_count() != 3:
-        return [Violation("A2", x, "attachment vertex did not have tree degree 2")]
-    fresh = to_mask(p[:-1])  # P, the new vertices
-    touched = fresh | mask_neighbors(adj, fresh) & f  # x among them
-    tree_deg1 = frame_deg1 = 0
-    for v in mask_members(touched):
-        if tree[v].bit_count() == 1:
-            tree_deg1 |= 1 << v
-        if (adj[v] & f).bit_count() == 1:
-            frame_deg1 |= 1 << v
-    viol = _degree1_violations(new.a_f & touched, tree_deg1, frame_deg1)
-    edges = sorted({
-        (min(u, v), max(u, v)) for u in mask_members(fresh) for v in mask_members(adj[u] & f & ~tree[u])
-    })
-    viol.extend(_tree_distance_violations(new, edges, mask_neighbors(adj, fresh) & ~f & ~new.y_tilde))
-    viol.extend(_close_pairs(adj, f, 1 << p[0], new.a_f, new.ell, "A10", "frame leaves"))
-    viol.extend(_close_pairs(adj, f, 1 << x, new.hubs, 3, "A11", "hubs"))
-    return viol or _size_violations(new)
-
-
 def extend_frame(fr: Frame, p: Path) -> Frame:
     """The frame grown by one extension path: one new leaf, one new hub.
 
     Only the tree grows, by p's edges: p[0] becomes a leaf, and the
     attachment vertex x = p[-1] had tree-degree 2 and becomes a hub of
-    degree 3. The grown frame is checked, and a violation raises
-    FrameInvariantError, also under python -O.
+    degree 3. Every check below raises FrameInvariantError on a violation,
+    also under python -O.
 
-    How it is checked depends on the inputs alone. Call fr checked if this
-    module established its validity: init_frame, extend_frame and
-    extract_frame_paths mark the frames they check, and Frame(...) or
-    dataclasses.replace makes an unchecked frame. If fr is checked and p is
-    a path with P1..P7 and P-hub (the path find_extension returned for fr
-    is, and is not checked again), the grown frame's masks are carried from
-    fr's and p, and only what the lemma below leaves open is checked: the
-    step costs O(|p| + |N(p)|) plus balls of radius at most ell_hat around
-    p[0] and x, whatever the size of F, apart from copying T's edge set and
-    masks into the new frame. Otherwise the grown frame derives its sets
-    from scratch and is validated in full, as validate_frame and
-    check_frame_claims.
+    How it is checked. fr is validated in full first, unless this module
+    established its validity: init_frame, extend_frame, build_maximal_frame
+    and extract_frame_paths mark the frames they check, and Frame(...) or
+    dataclasses.replace makes an unchecked frame. Then p must be a host path
+    with P1..P7 and P-hub (find_extension's path for fr is one). The grown
+    frame's masks are carried from fr's and p, and only what the lemma below
+    leaves open is checked, by the checker validate_frame runs on all of F:
+    the step costs O(|p| + |N(p)|) plus balls of radius at most ell_hat
+    around p[0] and x, whatever the size of F, apart from copying T's edge
+    set and masks into the new frame.
 
     Lemma. Let fr be valid and p have P1..P7 and P-hub. Write F' = F + V(p),
     P = V(p) - x for the new vertices, and primes for the grown frame. Then
@@ -543,18 +510,21 @@ def extend_frame(fr: Frame, p: Path) -> Frame:
     when p has one edge, and the size claims, can fail. All are checked
     anyway, as every axiom is.
 
-    build_maximal_frame still validates its last frame in full, and
-    extract_frame_paths validates the frame it reads.
+    build_maximal_frame still validates its last frame in full.
     """
-    if getattr(fr, "_checked", False) and (
-        p == getattr(fr, "_extension", None) or is_path(fr.host, p) and not _extension_violations(fr, p)
-    ):
-        new = _grown(fr, p)
-        _passed(new, "extend_frame", _step_violations(new, p))
+    fr = _trusted(fr, "extend_frame")
+    if not is_path(fr.host, p):
+        raise FrameInvariantError(f"extension {p!r} is not a path of the host")
+    _check_extension_path(fr, p)
+    new, x = _grown(fr, p), p[-1]
+    if new.tree[x].bit_count() != 3:
+        violations = [Violation("A2", x, "attachment vertex did not have tree degree 2")]
     else:
-        new = _assert_valid(replace(fr, tree_edges=fr.tree_edges | _path_edges(p)), "extend_frame")
+        violations = _axiom_violations(new, to_mask(p[:-1]), 1 << p[0], 1 << x) or _size_violations(new)
+    _passed(new, "extend_frame", violations)
     if new.leaf_count != fr.leaf_count + 1:
         raise FrameInvariantError(f"extension left {new.leaf_count} leaves, not {fr.leaf_count + 1}")
+    validation_stats["extend_frame"] += 1
     return new
 
 
@@ -568,7 +538,8 @@ def build_maximal_frame(
     leaf count by one, so the loop ends within |a| iterations. init_frame
     validates the first frame in full, each step is checked locally (see
     extend_frame), and the last frame, if any step was taken, is validated
-    in full once more.
+    in full once more, as the runtime guard on the lemma; extraction trusts
+    it.
     """
     start = fr = init_frame(g, a, ell, budget)
     if fr is None:
@@ -581,6 +552,7 @@ def build_maximal_frame(
             observer(fr)
     if fr is not start:
         _assert_valid(fr, "build_maximal_frame")
+        validation_stats["build_maximal_frame"] += 1
     return fr
 
 
@@ -644,14 +616,16 @@ def extract_frame_paths(fr: Frame) -> list[Path]:
     """floor(p/2) pairwise anti-complete induced leaf-to-leaf paths of a
     frame, each of length >= ell, in host ids.
 
-    The frame is validated in full first. leaf_paths pairs the tree's leaves,
+    The frame is validated in full first, unless this module already
+    checked it (see extend_frame). leaf_paths pairs the tree's leaves,
     and each tree path s..t is re-routed to a shortest s-t path inside its own
     vertices (mask_layers, then walk_back from t), which makes it induced
     without disturbing disjointness. Every promised property is checked on
     the outputs before returning; two paths touch iff one meets the other's
     closed neighbourhood, a mask_ball of radius 1.
     """
-    _assert_valid(fr, "hub_tree")
+    _trusted(fr, "hub_tree")
+    validation_stats["hub_tree"] += 1
     g = fr.host
     adj = g.neighbor_masks()
     out: list[Path] = []

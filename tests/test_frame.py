@@ -13,6 +13,8 @@ from apaths import (
     Frame,
     FrameInvariantError,
     Graph,
+    Packing,
+    SolveParams,
     anti_complete,
     build_maximal_frame,
     caterpillar_instance,
@@ -24,10 +26,11 @@ from apaths import (
     is_induced_path,
     leaf_paths,
     random_subcubic_tree,
+    solve,
     subdivided_complete_instance,
     validate_frame,
 )
-from apaths.frame import Violation, check_frame_claims
+from apaths.frame import Violation, _path_edges, check_frame_claims
 from apaths.graph import to_mask
 
 
@@ -241,7 +244,7 @@ class TestExtendFrame:
         # still raise.
         code = (
             "from dataclasses import replace\n"
-            "from apaths import FrameInvariantError, Graph, PowerGraphMap, extend_frame, find_extension,"
+            "from apaths import Frame, FrameInvariantError, Graph, PowerGraphMap, extend_frame, find_extension,"
             " init_frame, lift_path\n"
             "from test_frame import pendant_instance\n"
             "assert False, 'asserts are live, so this is not running under -O'\n"
@@ -258,6 +261,13 @@ class TestExtendFrame:
             "    lift_path(forged, (0, 2))\n"
             "except ValueError as exc:\n"
             "    print('raised:', exc)\n"
+            # The local step of test_local_step_finds_a_leaf_with_two_frame_neighbours.
+            "g = Graph(18, [(i, i + 1) for i in range(16)] + [(7, 17), (8, 17)])\n"
+            "fr = Frame(g, frozenset({0, 16, 17}), frozenset((i, i + 1) for i in range(16)), 3)\n"
+            "try:\n"
+            "    extend_frame(fr, find_extension(fr))\n"
+            "except FrameInvariantError as exc:\n"
+            "    print('raised:', ' | '.join(str(exc).splitlines()))\n"
         )
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
@@ -268,6 +278,8 @@ class TestExtendFrame:
         assert done.stdout.splitlines() == [
             "raised: extend_frame produced an invalid frame",
             "raised: the witnesses of (0, 2) do not connect 0 to 2",
+            "raised: extend_frame produced an invalid frame"
+            " | A3: a_f differs from frame degree-1 vertices (witness: 17)",
         ]
 
     def test_construction_validates_in_full_twice(self, monkeypatch):
@@ -298,6 +310,46 @@ class TestExtendFrame:
         with pytest.raises(FrameInvariantError, match="extend_frame produced an invalid frame") as err:
             extend_frame(fr, p)
         assert err.value.violations == want
+
+    def test_packing_solve_validates_in_full_twice(self, monkeypatch):
+        # init_frame and the last frame are validated in full; extraction
+        # trusts the last frame, which build_maximal_frame has just checked.
+        g, a = caterpillar_instance(12, 0)
+        calls = []
+        full = apaths.frame.validate_frame
+        monkeypatch.setattr(apaths.frame, "validate_frame", lambda fr: calls.append(fr.leaf_count) or full(fr))
+        assert isinstance(solve(g, a, SolveParams(2, 3)), Packing)
+        assert calls == [2, 12]
+
+    @pytest.mark.parametrize("k", [2, 7])
+    def test_each_step_is_counted_once(self, k):
+        g, a = caterpillar_instance(12, 0)
+        seen = []
+        before = dict(apaths.frame.validation_stats)
+        solve(g, a, SolveParams(k, 3), frame_observer=seen.append)
+        steps = sum(1 for fr in seen if fr.hubs)  # an init frame is a path, with no hub
+        assert steps >= 10
+        assert apaths.frame.validation_stats["extend_frame"] - before["extend_frame"] == steps
+
+    def test_path_to_a_hub_fails_before_the_step(self):
+        # A valid frame built from its fields, with hub 4, and a path from a
+        # new terminal 14 to that hub. The path is checked before the tree
+        # grows, so the error names P-hub (and P5: 18, next to the hub, lies
+        # in Y~), not the tree degree 4 the grown tree would have at 4 (A2).
+        g, a = pendant_instance()
+        g = Graph(19, list(g.edges()) + [(14, 15), (15, 16), (16, 17), (17, 18), (18, 4)])
+        tree = _path_edges(range(9)) | _path_edges((9, 10, 11, 12, 13, 4))
+        fr = Frame(g, a | {14}, tree, 3)
+        assert validate_frame(fr) == [] and fr.hubs == to_mask({4})
+        with pytest.raises(FrameInvariantError, match="find_extension produced a bad path") as err:
+            extend_frame(fr, (14, 15, 16, 17, 18, 4))
+        assert [v.axiom for v in err.value.violations] == ["P5", "P-hub"]
+
+    def test_non_path_raises(self):
+        g, a = pendant_instance()
+        fr = init_frame(g, a, 3)
+        with pytest.raises(FrameInvariantError, match="is not a path of the host"):
+            extend_frame(fr, (9, 10, 4))
 
     def test_claims_hold_at_every_step(self):
         g, a = double_pendant_instance()
