@@ -35,11 +35,12 @@ can change; extend_frame's docstring has the lemma behind that.
 The construction is greedy: start from a shortest long induced A-path, then
 repeatedly attach a shortest path from an unprocessed terminal to the frame
 (avoiding Y~), each attachment adding one leaf and one hub. The loop stops
-exactly when Y~ separates the remaining terminals from F, which is what the
-solver's recursion needs. The packing paths come straight off T: leaves are
-paired on T's BFS layers, each tree path is re-routed by mask_layers and
-walk_back within its own vertices, and the pairs are checked against each
-other's closed neighbourhood masks.
+when Y~ separates the remaining terminals from F, which is what the solver's
+recursion needs, or earlier, once the frame has the 2k leaves that pack the k
+paths the solver's level asks for. The packing paths come straight off T:
+leaves are paired on T's BFS layers, each tree path is re-routed by
+mask_layers and walk_back within its own vertices, and the pairs are checked
+against each other's closed neighbourhood masks.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .graph import (
     Graph,
     Path,
     VertexSet,
+    _chordless,
     check_vertex_set,
     is_induced_path,
     is_path,
@@ -366,10 +368,9 @@ def init_frame(
 
 
 def _extension_violations(fr: Frame, p: Path) -> list[Violation]:
-    """The properties among P1..P7 and P-hub that p fails, for a nonempty
-    p on host vertices."""
-    g = fr.host
-    adj = g.neighbor_masks()
+    """The properties among P1..P7 and P-hub that p fails, for a path p of
+    the host (so P3 asks only for no chord)."""
+    adj = fr.host.neighbor_masks()
     f = fr.f
     on_p = to_mask(p)
     head = to_mask(p[:-2])
@@ -377,7 +378,7 @@ def _extension_violations(fr: Frame, p: Path) -> list[Violation]:
     checks: list[tuple[str, bool, object]] = [
         ("P1", on_p & fr.a_bar == 1 << p[0], p[0]),
         ("P2", on_p & f == 1 << p[-1], p[-1]),
-        ("P3", is_induced_path(g, p), p),
+        ("P3", _chordless(adj, p), p),
         ("P4", not (head | mask_neighbors(adj, head)) & f, p),
         ("P5", not regions, frozenset(mask_members(regions))),
     ]
@@ -529,13 +530,17 @@ def extend_frame(fr: Frame, p: Path) -> Frame:
 
 
 def build_maximal_frame(
-    g: Graph, a: Iterable[int], ell: int, budget: int | _Budget = DEFAULT_BUDGET, observer=None
+    g: Graph, a: Iterable[int], ell: int, budget: int | _Budget = DEFAULT_BUDGET,
+    observer=None, k: int | None = None,
 ) -> Frame | None:
-    """Greedy construction: init, then extend until no extension path exists.
+    """Greedy construction: init, then extend until no extension path exists,
+    or, given k, until the frame has 2k leaves and so packs k paths.
 
     Greedy non-extendability is all the downstream separation argument needs;
     a globally leaf-maximum frame is not required. Each step increases the
-    leaf count by one, so the loop ends within |a| iterations. init_frame
+    leaf count by one, so the loop ends within |a| iterations. A frame that
+    stops at 2k leaves is the maximal construction cut short, step for step;
+    one with fewer than 2k leaves is maximal. init_frame
     validates the first frame in full, each step is checked locally (see
     extend_frame), and the last frame, if any step was taken, is validated
     in full once more, as the runtime guard on the lemma; extraction trusts
@@ -546,7 +551,7 @@ def build_maximal_frame(
         return None
     if observer is not None:
         observer(fr)
-    while (p := find_extension(fr)) is not None:
+    while (k is None or fr.leaf_count < 2 * k) and (p := find_extension(fr)) is not None:
         fr = extend_frame(fr, p)
         if observer is not None:
             observer(fr)

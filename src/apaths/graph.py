@@ -259,11 +259,13 @@ def is_path(g: Graph, p: Path) -> bool:
 
 def is_induced_path(g: Graph, p: Path) -> bool:
     """True iff p is a valid path with no chord between non-consecutive vertices."""
-    if not is_path(g, p):
-        return False
+    return is_path(g, p) and _chordless(g.neighbor_masks(), p)
+
+
+def _chordless(adj: Sequence[int], p: Path) -> bool:
+    """True iff no two non-consecutive vertices of the path p are adjacent."""
     # The path's own edges give its vertices 2(|p| - 1) neighbours on p; a
     # chord adds two more.
-    adj = g.neighbor_masks()
     on_p = to_mask(p)
     return sum((adj[v] & on_p).bit_count() for v in p) == 2 * (len(p) - 1)
 

@@ -429,29 +429,30 @@ def _max_compatible_family(
     plus candidates cannot beat the best family so far is cut. A cut subtree
     holds no family larger than the best, so the first family found of each
     size, and with it the witness, is that of the unpruned search.
-    budget.spend() is called once per family node.
+    budget.spend() is called once per family node. The search is a loop
+    over an explicit stack, so a family of any size fits.
     """
     best = 0
     best_family: tuple[int, ...] = ()
     chosen: list[int] = []
+    left = [(1 << len(compat)) - 1]  # the candidates still to try at each open node, root first
     spend = budget.spend
-
-    def rec(cands: int) -> None:
-        nonlocal best, best_family
-        if len(chosen) > best:
-            best = len(chosen)
-            best_family = tuple(chosen)
-        while cands and best < cap and len(chosen) + cands.bit_count() > best:
+    while left:
+        cands = left[-1]
+        if cands and best < cap and len(chosen) + cands.bit_count() > best:
             low = cands & -cands
-            cands ^= low
+            left[-1] = cands = cands ^ low
             i = low.bit_length() - 1
             spend()
             chosen.append(i)
-            rec(cands & compat[i])
-            chosen.pop()
-
-    rec((1 << len(compat)) - 1)
-    del rec  # it refers to itself: free it here, not in the cyclic collector
+            if len(chosen) > best:
+                best = len(chosen)
+                best_family = tuple(chosen)
+            left.append(cands & compat[i])
+        else:
+            left.pop()
+            if chosen:
+                chosen.pop()
     return best, best_family
 
 

@@ -6,9 +6,11 @@ solve() mirrors the inductive proof step by step. Intermediate-length paths
 every long induced A-path has length >= 2*ell, a frame is grown greedily and
 either yields enough pairwise anti-complete paths directly, or its
 neighbourhood separates the leftover terminals so the recursion can continue
-on a strictly smaller k. Every recursive call works on an induced subgraph
-that keeps the original graph's vertex ids, so its certificate is returned
-as it is.
+on a strictly smaller k. The frame stops growing once its 2k leaves pack the
+level's k paths; only a frame that runs out of extension paths before that
+is maximal, and only a maximal frame separates. Every recursive call works
+on an induced subgraph that keeps the original graph's vertex ids, so its
+certificate is returned as it is.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def solve(
                 return Packing((mid,) + inner.paths)
             return _bounded_cover(inner.z1 | frozenset(mid), inner.z2 | {mid[0], mid[-1]}, params)
 
-        fr = build_maximal_frame(g, a_set, ell, budget, observer=frame_observer)
+        fr = build_maximal_frame(g, a_set, ell, budget, observer=frame_observer, k=k)
         if fr is None:
             raise FrameInvariantError("a long induced A-path exists, so a frame must too")
         half = fr.leaf_count // 2

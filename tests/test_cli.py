@@ -7,7 +7,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apaths import Graph, SolveParams, cli, complete_instance, emit_graph, parse_graph, solve
+from apaths import (
+    Graph,
+    SolveParams,
+    caterpillar_instance,
+    cli,
+    complete_instance,
+    emit_graph,
+    parse_graph,
+    solve,
+)
 from apaths.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
@@ -181,6 +190,18 @@ class TestSolveVerifyPipeline:
         assert frames[1]["hubs"] == [4]
 
 
+    @pytest.mark.parametrize("k,leaves", [(2, [2, 3, 4]), (7, list(range(2, 13)))])
+    def test_dump_frames_stop_at_2k_leaves(self, tmp_path, capsys, k, leaves):
+        # A 12-leg caterpillar packs 2 paths from a 4-leaf frame; at k = 7
+        # the frame takes in every leg and the solve covers.
+        inp = self.write(tmp_path, "cat12.graph", emit_graph(*caterpillar_instance(12, 0)))
+        code, out = run_cli(["solve", "--input", inp, "--k", str(k), "--ell", "3", "--dump-frames"])
+        assert code == EXIT_OK
+        frames = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [len(f["leaves"]) for f in frames] == leaves
+        assert json.loads(out)["kind"] == ("packing" if k == 2 else "cover")
+
+
 class TestOracleCommand:
     def test_packing_oracle(self, tmp_path):
         f = tmp_path / "k5.graph"
@@ -196,6 +217,16 @@ class TestOracleCommand:
         code, out = run_cli(["oracle", "--input", str(f), "--ell", "1", "--cover", "--radius", "0"])
         assert code == EXIT_OK
         assert json.loads(out)["value"] == 4
+
+    def test_packing_oracle_chooses_more_paths_than_the_recursion_limit(self, tmp_path):
+        # 1,200 disjoint edges, every vertex a terminal: the family search
+        # goes 1,200 paths deep.
+        f = tmp_path / "matching.graph"
+        f.write_text(emit_graph(Graph(2400, [(v, v + 1) for v in range(0, 2400, 2)]), range(2400)))
+        code, out = run_cli(["oracle", "--input", str(f), "--ell", "1", "--packing", "--cap", "2000"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["value"] == 1200 and doc["witness"] == [[v, v + 1] for v in range(0, 2400, 2)]
 
     @pytest.mark.parametrize("mode", [["--packing", "--cap", "2"], ["--cover", "--radius", "0"]])
     def test_ell_below_one_exits_2(self, tmp_path, mode):

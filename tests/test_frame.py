@@ -314,22 +314,41 @@ class TestExtendFrame:
     def test_packing_solve_validates_in_full_twice(self, monkeypatch):
         # init_frame and the last frame are validated in full; extraction
         # trusts the last frame, which build_maximal_frame has just checked.
+        # At k = 2 the last frame is the first with 2k = 4 leaves.
         g, a = caterpillar_instance(12, 0)
         calls = []
         full = apaths.frame.validate_frame
         monkeypatch.setattr(apaths.frame, "validate_frame", lambda fr: calls.append(fr.leaf_count) or full(fr))
         assert isinstance(solve(g, a, SolveParams(2, 3)), Packing)
-        assert calls == [2, 12]
+        assert calls == [2, 4]
 
     @pytest.mark.parametrize("k", [2, 7])
     def test_each_step_is_counted_once(self, k):
+        # The frame grows from 2 leaves to 2k, or to all 12 legs if 2k > 12.
         g, a = caterpillar_instance(12, 0)
         seen = []
         before = dict(apaths.frame.validation_stats)
         solve(g, a, SolveParams(k, 3), frame_observer=seen.append)
         steps = sum(1 for fr in seen if fr.hubs)  # an init frame is a path, with no hub
-        assert steps >= 10
+        assert steps == min(2 * k, 12) - 2
         assert apaths.frame.validation_stats["extend_frame"] - before["extend_frame"] == steps
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 7])
+    def test_construction_stops_at_2k_leaves(self, k, monkeypatch):
+        # Given k, the construction is the maximal one cut off at 2k leaves,
+        # and its last frame is still validated in full. 12 legs make 12
+        # leaves at most, so from k = 6 on the frame is the maximal one.
+        g, a = caterpillar_instance(12, 0)
+        maximal = []
+        build_maximal_frame(g, a, 3, observer=maximal.append)
+        assert [fr.leaf_count for fr in maximal] == list(range(2, 13))
+        seen, calls = [], []
+        full = apaths.frame.validate_frame
+        monkeypatch.setattr(apaths.frame, "validate_frame", lambda fr: calls.append(fr.leaf_count) or full(fr))
+        last = build_maximal_frame(g, a, 3, observer=seen.append, k=k)
+        assert last is seen[-1] and last.leaf_count == min(2 * k, 12)
+        assert [fr.tree_edges for fr in seen] == [fr.tree_edges for fr in maximal[:len(seen)]]
+        assert calls == sorted({2, last.leaf_count})
 
     def test_path_to_a_hub_fails_before_the_step(self):
         # A valid frame built from its fields, with hub 4, and a path from a

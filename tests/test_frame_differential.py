@@ -33,6 +33,7 @@ from apaths import (
     Frame,
     Graph,
     SolveParams,
+    build_maximal_frame,
     caterpillar_instance,
     extract_frame_paths,
     find_extension,
@@ -86,8 +87,24 @@ def chorded_caterpillar_instance(legs: int, seed: int):
     return Graph(g.n, edges), tips
 
 
+def maximal_frames(g: Graph, a, k: int, ell: int) -> list[Frame]:
+    """Every frame of the maximal construction at each level of solve(g, a,
+    (k, ell)). solve stops a packing level's frame at 2k leaves, so its
+    observer sees a prefix of that level's construction; each level is
+    rerun from its init frame, the observed frame with two leaves, to
+    maximality."""
+    seen = []
+    solve(g, a, SolveParams(k, ell), frame_observer=seen.append)
+    frames = []
+    for init in seen:
+        if init.leaf_count == 2:
+            build_maximal_frame(init.host, init.terminals, init.ell, observer=frames.append)
+    return frames
+
+
 def observed_frames():
-    """(terminals, frame) for every frame solve passes through."""
+    """(terminals, frame) for every frame of the maximal constructions that
+    solve's levels start."""
     runs = [(caterpillar_instance(legs, seed), (3,)) for legs in (3, 4, 6) for seed in (0, 1)]
     runs += [(subdivided_random_instance(10, 0.3, seed), (2, 3)) for seed in range(60)]
     runs += [(chorded_caterpillar_instance(legs, seed), (3,)) for legs in (3, 4, 6) for seed in (0, 1)]
@@ -95,9 +112,7 @@ def observed_frames():
     for (g, a), ells in runs:
         for ell in ells:
             for k in (2, 3):
-                frames = []
-                solve(g, a, SolveParams(k, ell), frame_observer=frames.append)
-                out += [(a, fr) for fr in frames]
+                out += [(a, fr) for fr in maximal_frames(g, a, k, ell)]
     return out
 
 
@@ -304,9 +319,7 @@ def test_extension_paths_agree():
 @settings(max_examples=25, deadline=None)
 def test_extension_paths_agree_in_length(n, p, seed, ell):
     g, a = subdivided_random_instance(n, p, seed)
-    frames = []
-    solve(g, a, SolveParams(3, ell), frame_observer=frames.append)
-    for fr in frames:
+    for fr in maximal_frames(g, a, 3, ell):
         got, want = find_extension(fr), reference_find_extension(fr.host, a, set_view(fr))
         assert (got is None) == (want is None)
         if got is not None:

@@ -12,9 +12,12 @@ from apaths import (
     Packing,
     SolveParams,
     ball,
+    build_maximal_frame,
     caterpillar_instance,
     complete_instance,
     dist,
+    extract_frame_paths,
+    find_extension,
     find_induced_apath_in_range,
     has_long_induced_apath,
     induced_subgraph,
@@ -343,6 +346,55 @@ class TestFrameHeavyInstances:
             )
         )
         assert verify_certificate(g, a, params, cert).passed
+
+
+class TestFrameStop:
+    """A level's frame stops growing at the 2k leaves that pack its k paths;
+    only a frame that runs out of extensions first, the cover branch's, is
+    maximal."""
+
+    def test_packing_level_stops_at_2k_leaves(self):
+        g, a = caterpillar_instance(12, 0)
+        seen, maximal = [], []
+        cert = solve(g, a, SolveParams(2, 3), frame_observer=seen.append)
+        build_maximal_frame(g, a, 3, observer=maximal.append)
+        assert [fr.leaf_count for fr in seen] == [2, 3, 4]
+        assert [fr.tree_edges for fr in seen] == [fr.tree_edges for fr in maximal[:3]]
+        assert maximal[-1].leaf_count == 12
+        assert cert == Packing(tuple(extract_frame_paths(seen[-1])))
+
+    def test_inner_level_stops_at_its_own_k(self):
+        # A 12-leg caterpillar and, apart from it, a path of length 6 whose
+        # ends are terminals. The path is the shortest long A-path, so the
+        # k = 3 level's frame is the path alone: maximal, with one pair. The
+        # inner level, on the caterpillar, packs k = 2 from 4 leaves.
+        cat, tips = caterpillar_instance(12, 0)
+        n = cat.n
+        g = Graph(n + 7, list(cat.edges()) + [(v, v + 1) for v in range(n, n + 6)])
+        a = tips | {n, n + 6}
+        seen = []
+        cert = solve(g, a, SolveParams(3, 3), frame_observer=seen.append)
+        assert [fr.leaf_count for fr in seen] == [2, 2, 3, 4]
+        assert find_extension(seen[0]) is None and seen[1].terminals == tips
+        inner = []
+        build_maximal_frame(seen[1].host, seen[1].terminals, 3, observer=inner.append)
+        assert inner[-1].leaf_count == 12
+        assert [fr.tree_edges for fr in seen[1:]] == [fr.tree_edges for fr in inner[:3]]
+        assert isinstance(cert, Packing) and len(cert.paths) == 3
+        assert tuple(range(n, n + 7)) in cert.paths
+        assert verify_certificate(g, a, SolveParams(3, 3), cert).passed
+
+    def test_cover_level_reaches_the_maximal_frame(self):
+        # 12 legs pack 6 paths; at k = 7 the frame takes in every leg, and
+        # the cover is built from the maximal frame.
+        g, a = caterpillar_instance(12, 0)
+        seen, maximal = [], []
+        cert = solve(g, a, SolveParams(7, 3), frame_observer=seen.append)
+        build_maximal_frame(g, a, 3, observer=maximal.append)
+        assert [fr.tree_edges for fr in seen] == [fr.tree_edges for fr in maximal]
+        assert seen[-1].leaf_count == 12 and find_extension(seen[-1]) is None
+        assert isinstance(cert, Cover)
+        assert verify_certificate(g, a, SolveParams(7, 3), cert).passed
 
 
 class TestBoundArithmetic:
