@@ -35,12 +35,12 @@ can change; extend_frame's docstring has the lemma behind that.
 The construction is greedy: start from a shortest long induced A-path, then
 repeatedly attach a shortest path from an unprocessed terminal to the frame
 (avoiding Y~), each attachment adding one leaf and one hub. The loop stops
-when Y~ separates the remaining terminals from F, which is what the solver's
-recursion needs, or earlier, once the frame has the 2k leaves that pack the k
-paths the solver's level asks for. The packing paths come straight off T:
-leaves are paired on T's BFS layers, each tree path is re-routed by
-mask_layers and walk_back within its own vertices, and the pairs are checked
-against each other's closed neighbourhood masks.
+when Y~ separates the remaining terminals from F, so that the solver can go
+on at a smaller k, or earlier, once the frame has the 2k leaves that pack
+the k paths the solver's level asks for. The packing paths come straight
+off T: leaves are paired on T's BFS layers, each tree path is re-routed by
+mask_layers and walk_back within its own vertices, and the pairs are
+checked against each other's closed neighbourhood masks.
 """
 
 from __future__ import annotations
@@ -67,13 +67,6 @@ from .graph import (
     walk_back,
 )
 from .search import DEFAULT_BUDGET, _Budget, shortest_long_induced_apath
-
-# Successful validations, counted so the acceptance suite can confirm the
-# axioms were actually exercised during a corpus run. "extend_frame" counts
-# the steps; "build_maximal_frame" the last frames of constructions that
-# took a step; "hub_tree" the frames that paths were extracted from.
-validation_stats = {"init_frame": 0, "extend_frame": 0, "build_maximal_frame": 0, "hub_tree": 0}
-
 
 class FrameInvariantError(AssertionError):
     """A frame or extension path failed its invariants: upstream bug or
@@ -362,9 +355,7 @@ def init_frame(
     path = shortest_long_induced_apath(g, a_set, ell, budget)
     if path is None:
         return None
-    fr = _assert_valid(Frame(g, a_set, _path_edges(path), ell), "init_frame")
-    validation_stats["init_frame"] += 1
-    return fr
+    return _assert_valid(Frame(g, a_set, _path_edges(path), ell), "init_frame")
 
 
 def _extension_violations(fr: Frame, p: Path) -> list[Violation]:
@@ -525,7 +516,6 @@ def extend_frame(fr: Frame, p: Path) -> Frame:
     _passed(new, "extend_frame", violations)
     if new.leaf_count != fr.leaf_count + 1:
         raise FrameInvariantError(f"extension left {new.leaf_count} leaves, not {fr.leaf_count + 1}")
-    validation_stats["extend_frame"] += 1
     return new
 
 
@@ -557,7 +547,6 @@ def build_maximal_frame(
             observer(fr)
     if fr is not start:
         _assert_valid(fr, "build_maximal_frame")
-        validation_stats["build_maximal_frame"] += 1
     return fr
 
 
@@ -630,7 +619,6 @@ def extract_frame_paths(fr: Frame) -> list[Path]:
     closed neighbourhood, a mask_ball of radius 1.
     """
     _trusted(fr, "hub_tree")
-    validation_stats["hub_tree"] += 1
     g = fr.host
     adj = g.neighbor_masks()
     out: list[Path] = []

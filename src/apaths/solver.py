@@ -1,16 +1,16 @@
 """The constructive dichotomy: pack k far-apart long induced A-paths, or
 produce two small hitting sets whose ball-removal kills all of them.
 
-solve() mirrors the inductive proof step by step. Intermediate-length paths
-(length in [ell, 2*ell - 1]) are peeled off first with a radius-1 ball; once
-every long induced A-path has length >= 2*ell, a frame is grown greedily and
-either yields enough pairwise anti-complete paths directly, or its
-neighbourhood separates the leftover terminals so the recursion can continue
-on a strictly smaller k. The frame stops growing once its 2k leaves pack the
-level's k paths; only a frame that runs out of extension paths before that
-is maximal, and only a maximal frame separates. Every recursive call works
-on an induced subgraph that keeps the original graph's vertex ids, so its
-certificate is returned as it is.
+solve() mirrors the inductive proof step by step, one loop turn per step.
+Intermediate-length paths (length in [ell, 2*ell - 1]) are peeled off first
+with a radius-1 ball; once every long induced A-path has length >= 2*ell, a
+frame is grown greedily and either yields enough pairwise anti-complete
+paths directly, or its neighbourhood separates the leftover terminals so the
+loop can go on at a strictly smaller k. The frame stops growing once its 2k
+leaves pack the level's k paths; only a frame that runs out of extension
+paths before that is maximal, and only a maximal frame separates. Both cuts
+keep an induced subgraph on the original graph's vertex ids, so an inner
+level's certificate is used as it is.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .graph import (
     Graph,
     Path,
     VertexSet,
-    ball,
     check_vertex_set,
     induced_subgraph,
     mask_ball,
@@ -99,61 +98,69 @@ def solve(
 ) -> Certificate:
     """Either a Packing of k paths or a Cover (z1, z2) within the size bounds.
 
-    The recursion strictly decreases k, so it terminates on every input. A
-    returned Cover satisfies the strong intersection form: removing
-    N[z1] & N[z2, r2] already leaves no induced A-path of length >= ell (and
-    hence so does removing either ball family alone). frame_observer, when
-    given, is called with every frame the construction passes through.
+    One loop over levels: a level either answers, or cuts the instance to
+    the part a peeled path or a split frame leaves and goes on at a smaller
+    k, so the loop ends on every input. The cut levels are then replayed
+    innermost first, each adding its path, its frame's paths or its sets to
+    the answer of the level inside it. A returned Cover satisfies the strong
+    intersection form: removing N[z1] & N[z2, r2] already leaves no induced
+    A-path of length >= ell (and hence so does removing either ball family
+    alone). frame_observer, when given, is called with every frame the
+    construction passes through.
     """
     ell = params.ell
     budget = _Budget(params.node_budget, "solve")
     empty = Cover(frozenset(), frozenset(), 1, params.cover_radius())
-
-    def level(g: Graph, a_set: VertexSet, params: SolveParams) -> Certificate:
+    a_set = check_vertex_set(g, a)
+    cuts: list[tuple[SolveParams, Path | Frame]] = []  # (level params, peeled path or split frame)
+    while True:
         k = params.k
         if k == 0:
-            return Packing(())
+            cert: Certificate = Packing(())
+            break
         if k == 1:
             path = shortest_long_induced_apath(g, a_set, ell, budget)
-            return empty if path is None else Packing((path,))
+            cert = empty if path is None else Packing((path,))
+            break
         if not has_long_induced_apath(g, a_set, ell, budget):
-            return empty
+            cert = empty
+            break
 
+        adj = g.neighbor_masks()
         mid = find_induced_apath_in_range(g, a_set, LengthRange(ell, 2 * ell - 1), budget)
         if mid is not None:
-            removed = ball(g, mid, 1)
-            h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
-            inner = level(h, a_set - removed, replace(params, k=k - 1))
-            if isinstance(inner, Packing):
-                return Packing((mid,) + inner.paths)
-            return _bounded_cover(inner.z1 | frozenset(mid), inner.z2 | {mid[0], mid[-1]}, params)
+            cut, used = mid, 1
+            keep = ~mask_ball(adj, to_mask(mid), -1, 1) & ((1 << g.n) - 1)
+        else:
+            cut = build_maximal_frame(g, a_set, ell, budget, observer=frame_observer, k=k)
+            if cut is None:
+                raise FrameInvariantError("a long induced A-path exists, so a frame must too")
+            used = cut.leaf_count // 2
+            if used >= k:
+                cert = Packing(tuple(sorted(extract_frame_paths(cut))[:k]))
+                break
+            # The components of g - y_tilde holding a terminal still to process.
+            outside = ~cut.y_tilde
+            keep = mask_ball(adj, cut.a_bar & outside, outside)
+            if (keep | mask_neighbors(adj, keep)) & cut.f:
+                raise FrameInvariantError("remainder must be separated from the frame")
+        cuts.append((params, cut))
+        g, members = induced_subgraph(g, mask_members(keep))
+        a_set = a_set.intersection(members)
+        params = replace(params, k=k - used)
 
-        fr = build_maximal_frame(g, a_set, ell, budget, observer=frame_observer, k=k)
-        if fr is None:
-            raise FrameInvariantError("a long induced A-path exists, so a frame must too")
-        half = fr.leaf_count // 2
-
-        if half >= k:
-            paths = extract_frame_paths(fr)
-            return Packing(tuple(sorted(paths)[:k]))
-
-        # The components of g - y_tilde holding a terminal still to process.
-        adj = g.neighbor_masks()
-        outside = ~fr.y_tilde
-        reach = mask_ball(adj, fr.a_bar & outside, outside)
-        if (reach | mask_neighbors(adj, reach)) & fr.f:
-            raise FrameInvariantError("remainder must be separated from the frame")
-        keep = mask_members(reach)
-        h, _ = induced_subgraph(g, keep)
-        inner = level(h, a_set.intersection(keep), replace(params, k=k - half))
-        if isinstance(inner, Packing):
-            frame_paths = extract_frame_paths(fr)
-            return Packing(tuple(sorted(frame_paths + list(inner.paths))))
-        z1 = inner.z1.union(mask_members(fr.y))
-        return _bounded_cover(z1, inner.z2.union(mask_members(fr.a_f | fr.hubs)), params)
-
-    cert = level(g, check_vertex_set(g, a), params)
-    del level  # it refers to itself: free it now, not at the next collection
+    for params, cut in reversed(cuts):
+        if isinstance(cut, Frame):
+            if isinstance(cert, Packing):
+                cert = Packing(tuple(sorted(extract_frame_paths(cut) + list(cert.paths))))
+            else:
+                cert = _bounded_cover(
+                    cert.z1.union(mask_members(cut.y)), cert.z2.union(mask_members(cut.a_f | cut.hubs)), params
+                )
+        elif isinstance(cert, Packing):
+            cert = Packing((cut,) + cert.paths)
+        else:
+            cert = _bounded_cover(cert.z1 | frozenset(cut), cert.z2 | {cut[0], cut[-1]}, params)
     return cert
 
 

@@ -148,6 +148,18 @@ class TestSolveVerifyPipeline:
         assert code == EXIT_OK
         assert json.loads(out)["paths"] == [list(range(1500))]
 
+    def test_solve_peels_more_levels_than_the_recursion_limit(self, tmp_path):
+        # 1,200 disjoint edges, every vertex a terminal: each level peels one
+        # edge, so k = 1300 takes 1,201 levels and ends in a cover.
+        g = Graph(2400, [(v, v + 1) for v in range(0, 2400, 2)])
+        inp = self.write(tmp_path, "matching.graph", emit_graph(g, range(2400)))
+        code, out = run_cli(["solve", "--input", inp, "--k", "1300", "--ell", "1"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["kind"] == "cover" and doc["z1"] == list(range(2400))
+        cert_file = self.write(tmp_path, "matching.cert", out)
+        assert run_cli(["verify", "--input", inp, "--cert", cert_file])[0] == EXIT_OK
+
     def test_solve_then_verify_packing(self, tmp_path):
         inp = self.write(tmp_path, "m2.graph", "p 4\ne 0 1\ne 2 3\na 0\na 1\na 2\na 3\n")
         code, out = run_cli(["solve", "--input", inp, "--k", "2", "--ell", "1"])

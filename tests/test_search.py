@@ -452,8 +452,9 @@ class TestOracleBudget:
     ids=["packing-witness", "disjoint-packing"],
 )
 def test_family_search_leaves_no_reference_cycles(oracle):
-    # The family search is a closure that refers to itself; left alive, each
-    # oracle call would leave it to the cyclic collector.
+    # An oracle call that left cyclic garbage would hand it to the collector,
+    # whose next full pass could land inside the benchmark's reuse probe and
+    # read as reuse.
     g, a = TestOracleBudget.INSTANCE
     gc.collect()
     gc.disable()
