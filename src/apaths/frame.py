@@ -360,7 +360,8 @@ def init_frame(
 
 def _extension_violations(fr: Frame, p: Path) -> list[Violation]:
     """The properties among P1..P7 and P-hub that p fails, for a path p of
-    the host (so P3 asks only for no chord)."""
+    the host (so P3 asks only for no chord). BFS-minimality implies all of
+    them; checking explicitly guards the BFS tie-breaking choices."""
     adj = fr.host.neighbor_masks()
     f = fr.f
     on_p = to_mask(p)
@@ -396,19 +397,6 @@ def _extension_violations(fr: Frame, p: Path) -> list[Violation]:
         for name, ok, witness in checks
         if not ok
     ]
-
-
-def _check_extension_path(fr: Frame, p: Path) -> None:
-    """Assert the seven properties every shortest extension path must have,
-    and P-hub, for a host path p.
-
-    BFS-minimality implies all of them; checking explicitly guards the BFS
-    tie-breaking choices. Failures raise, naming the property. extend_frame
-    runs this on every path before it takes the step.
-    """
-    failed = _extension_violations(fr, p)
-    if failed:
-        raise FrameInvariantError("find_extension produced a bad path", failed)
 
 
 def find_extension(fr: Frame) -> Path | None:
@@ -507,7 +495,9 @@ def extend_frame(fr: Frame, p: Path) -> Frame:
     fr = _trusted(fr, "extend_frame")
     if not is_path(fr.host, p):
         raise FrameInvariantError(f"extension {p!r} is not a path of the host")
-    _check_extension_path(fr, p)
+    failed = _extension_violations(fr, p)
+    if failed:
+        raise FrameInvariantError("find_extension produced a bad path", failed)
     new, x = _grown(fr, p), p[-1]
     if new.tree[x].bit_count() != 3:
         violations = [Violation("A2", x, "attachment vertex did not have tree degree 2")]
@@ -550,42 +540,23 @@ def build_maximal_frame(
     return fr
 
 
-def leaf_paths(
-    tree_edges: Iterable[tuple[int, int]], leaves: Iterable[int]
-) -> list[Path]:
-    """floor(p/2) pairwise vertex-disjoint leaf-to-leaf paths of a subcubic tree.
+def _pair_leaves(tree: Sequence[int], leaf_mask: int) -> list[Path]:
+    """leaf_paths' pairing on a checked subcubic tree, given as one
+    adjacency mask per vertex, whose degree-1 vertices are leaf_mask.
 
-    The edges, on nonnegative ids (bit positions, so the cost grows with the
-    largest id), must pass A2's spanning subcubic tree check (a repeated edge
-    fails its edge count), and the leaves must be the degree-1 vertices;
-    anything else raises ValueError.
-
-    Strategy: root at the smallest leaf and walk T's BFS layers from it in
-    one pass, deepest layer first and by id within a layer, so a vertex's
-    children (its neighbours one layer down) come before it. Each vertex
-    hands its parent at most one open leaf with that leaf's depth; a leaf
-    opens itself. A vertex that holds two open leaves pairs them by the path
+    Root at the smallest leaf and walk T's BFS layers from it in one pass,
+    deepest layer first and by id within a layer, so a vertex's children
+    (its neighbours one layer down) come before it. Each vertex hands its
+    parent at most one open leaf with that leaf's depth; a leaf opens
+    itself. A vertex that holds two open leaves pairs them by the path
     through itself, each arm walked back up the layers, and hands up none.
     Only a hub or the root can hold two, so this pairs at the deepest vertex
     with open leaves in two branches, the root last, and leaves one leaf
     unpaired iff p is odd.
     """
-    edges = list(tree_edges)
-    vertices = frozenset(v for e in edges for v in e)
-    leaf_set = frozenset(leaves)
-    if min(vertices | leaf_set, default=0) < 0:
-        raise ValueError("tree vertex ids must be nonnegative")
-    tree = _tree_masks(max(vertices, default=-1) + 1, edges)
-    violations = _check_spanning_subcubic_tree(tree, edges)
-    if violations:
-        raise ValueError("not a spanning subcubic tree: " + "; ".join(map(str, violations)))
-    degree1 = frozenset(v for v in vertices if tree[v].bit_count() == 1)
-    if leaf_set != degree1:
-        raise ValueError(f"leaves {sorted(leaf_set)} are not the degree-1 vertices {sorted(degree1)}")
-    if not leaf_set:  # no edges; any other tree has two leaves or more
+    if not leaf_mask:  # no edges; any other tree has two leaves or more
         return []
-    leaf_mask = to_mask(leaf_set)
-    layers = mask_layers(tree, 1 << min(leaf_set))
+    layers = mask_layers(tree, leaf_mask & -leaf_mask)
     up: list[tuple[int, int] | None] = [None] * len(tree)  # v's open leaf and its depth
     out: list[Path] = []
     children = 0
@@ -601,9 +572,32 @@ def leaf_paths(
             elif ends:
                 up[v] = ends[0]
         children = layers[d]
-    if len(out) != len(leaf_set) // 2:
+    if len(out) != leaf_mask.bit_count() // 2:
         raise FrameInvariantError("leaf pairing invariant broken")
     return out
+
+
+def leaf_paths(tree_edges: Iterable[tuple[int, int]], leaves: Iterable[int]) -> list[Path]:
+    """floor(p/2) pairwise vertex-disjoint leaf-to-leaf paths of a subcubic tree.
+
+    The edges, on nonnegative ids (bit positions, so the cost grows with the
+    largest id), must pass A2's spanning subcubic tree check (a repeated edge
+    fails its edge count), and the leaves must be the degree-1 vertices;
+    anything else raises ValueError. Then _pair_leaves pairs the leaves.
+    """
+    edges = list(tree_edges)
+    vertices = frozenset(v for e in edges for v in e)
+    leaf_set = frozenset(leaves)
+    if min(vertices | leaf_set, default=0) < 0:
+        raise ValueError("tree vertex ids must be nonnegative")
+    tree = _tree_masks(max(vertices, default=-1) + 1, edges)
+    violations = _check_spanning_subcubic_tree(tree, edges)
+    if violations:
+        raise ValueError("not a spanning subcubic tree: " + "; ".join(map(str, violations)))
+    degree1 = frozenset(v for v in vertices if tree[v].bit_count() == 1)
+    if leaf_set != degree1:
+        raise ValueError(f"leaves {sorted(leaf_set)} are not the degree-1 vertices {sorted(degree1)}")
+    return _pair_leaves(tree, to_mask(leaf_set))
 
 
 def extract_frame_paths(fr: Frame) -> list[Path]:
@@ -611,18 +605,19 @@ def extract_frame_paths(fr: Frame) -> list[Path]:
     frame, each of length >= ell, in host ids.
 
     The frame is validated in full first, unless this module already
-    checked it (see extend_frame). leaf_paths pairs the tree's leaves,
-    and each tree path s..t is re-routed to a shortest s-t path inside its own
-    vertices (mask_layers, then walk_back from t), which makes it induced
-    without disturbing disjointness. Every promised property is checked on
-    the outputs before returning; two paths touch iff one meets the other's
-    closed neighbourhood, a mask_ball of radius 1.
+    checked it (see extend_frame). Either way T has passed A2 and A3, so
+    _pair_leaves pairs A_F on the frame's own tree masks, with no second
+    tree check. Each tree path s..t is re-routed to a shortest s-t path
+    inside its own vertices (mask_layers, then walk_back from t), which
+    makes it induced without disturbing disjointness. Every promised
+    property is checked on the outputs before returning; two paths touch
+    iff one meets the other's closed neighbourhood, a mask_ball of radius 1.
     """
-    _trusted(fr, "hub_tree")
+    _trusted(fr, "extract_frame_paths")
     g = fr.host
     adj = g.neighbor_masks()
     out: list[Path] = []
-    for tree_path in leaf_paths(fr.tree_edges, mask_members(fr.a_f)):
+    for tree_path in _pair_leaves(fr.tree, fr.a_f):
         s, t = tree_path[0], tree_path[-1]
         out.append(walk_back(adj, mask_layers(adj, 1 << s, to_mask(tree_path), 1 << t), t))
 

@@ -169,7 +169,7 @@ def mask_layers(
 
     The walk also ends at the first layer that meets targets, so a nonempty
     layers[-1] & targets holds the targets nearest to sources, and none
-    lies closer. No layer is empty.
+    lies closer. No layer is empty, unless sources is.
     """
     layers = [sources]
     reached = sources

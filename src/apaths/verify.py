@@ -72,8 +72,6 @@ class Report:
 
 
 def _jsonable(value):
-    if isinstance(value, frozenset):
-        return sorted(value)
     if isinstance(value, tuple):
         return list(value)
     return value
@@ -190,9 +188,9 @@ def verify_tightness_claims(kind: str, n_or_k: int, r: int = 0) -> Report:
     report = Report(f"tightness.{kind}")
     if kind == "complete":
         n = n_or_k
-        g, a = complete_instance(n)
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
+        g, a = complete_instance(n)
         packing = oracle_max_anticomplete_packing(g, a, ell=1, cap=2)
         report.add("max_anticomplete_packing", packing == 1, packing)
         size, z = oracle_min_ball_cover(g, a, ell=1, r=0)

@@ -7,11 +7,13 @@ leaves, Abar, the hubs, Y and Y~ that Frame used before it derived masks,
 one cached_property body each, frozen as they were. set_view(fr) builds it
 from a Frame's four fields, and every reference_* function reads a frame
 through it. reference_validate_frame, reference_check_frame_claims,
-reference_regions, reference_check_extension_path, reference_find_extension,
-reference_leaf_paths and reference_extract_frame_paths otherwise take the
-same arguments as apaths.frame.validate_frame, check_frame_claims, _regions,
-_check_extension_path, find_extension, leaf_paths and extract_frame_paths,
-so a test can run both on one input and compare what they return or raise.
+reference_find_extension, reference_leaf_paths and
+reference_extract_frame_paths otherwise take the same arguments as
+apaths.frame.validate_frame, check_frame_claims, find_extension, leaf_paths
+and extract_frame_paths, so a test can run both on one input and compare
+what they return or raise. reference_regions recomputes what Frame.y and
+Frame.y_tilde derive, and reference_check_extension_path raises as
+extend_frame does on a path that fails _extension_violations.
 reference_find_extension is the neighbour-list BFS that walks back along the
 first parent to discover each vertex. Every ball here is a dict BFS,
 on an induced subgraph built per call. reference_extract_frame_paths is the

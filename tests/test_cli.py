@@ -63,6 +63,20 @@ class TestParseGraph:
         with pytest.raises(GraphFormatError):
             parse_graph("e 0 1\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p 2\na 0 1\n", "a line must be"),
+            ("a 0\np 2\n", "a line before p line"),
+            ("c no p line\n", "missing p line"),
+            ("", "missing p line"),
+        ],
+        ids=["malformed-a", "a-before-p", "comment-only", "empty"],
+    )
+    def test_rejects_malformed_text(self, text, message):
+        with pytest.raises(GraphFormatError, match=message):
+            parse_graph(text)
+
     def test_comments_and_blanks_ignored(self):
         g, a = parse_graph("c hello\n\np 2\nc mid\ne 0 1\n")
         assert g.edge_count == 1

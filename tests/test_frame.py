@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +68,7 @@ class TestInitFrame:
 
     def test_no_apath_gives_none(self):
         assert init_frame(Graph(3, []), {0, 1}, 1) is None
+        assert build_maximal_frame(Graph(3, []), {0, 1}, 1) is None
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_is_refused(self, budget):
@@ -137,6 +139,15 @@ class TestValidateFrame:
             broken = replace(fr, tree_edges=fr.tree_edges | {edge})
             expected = [Violation("A1", bad, "frame vertex outside the host graph")]
             assert validate_frame(broken) == check_frame_claims(broken) == expected
+
+    def test_chords_in_f_break_size_y(self):
+        # A path frame whose first vertex is joined to every other frame
+        # vertex: Y, the ell_hat ball around the leaves in F, is all of F.
+        n, ell = 60, 3
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, v) for v in range(2, n)])
+        fr = Frame(g, frozenset({0, n - 1}), frozenset((i, i + 1) for i in range(n - 1)), ell)
+        bound = (4 * fr.ell_hat + 14) * 2
+        assert check_frame_claims(fr) == [Violation("SizeY", n, f"|y| = {n} > {bound}")]
 
     def test_terminal_inside_the_tree_names_a3(self):
         fr = init_frame(path_graph(7), {0, 6}, 3)
@@ -396,6 +407,9 @@ class TestLeafPaths:
         edges = [(4, 5), (0, 4), (1, 4), (2, 5), (3, 5)]
         assert leaf_paths(edges, [0, 1, 2, 3]) == [(2, 5, 3), (0, 4, 1)]
 
+    def test_no_edges_no_paths(self):
+        assert leaf_paths([], []) == []
+
     def test_rejects_supercubic(self):
         with pytest.raises(ValueError):
             leaf_paths([(0, 1), (0, 2), (0, 3), (0, 4)], [1, 2, 3, 4])
@@ -416,6 +430,7 @@ class TestLeafPaths:
         ([], [-1]),  # negative ids are not bit positions
         ([(-1, 0), (0, 1)], [-1, 1]),
         ([(-5, 0)], [-5, 0]),
+        ([(0, 1), (1, 2), (0, 2), (3, 4)], [3, 4]),  # right edge count, not connected
     ])
     def test_rejects_malformed_input(self, edges, leaves):
         with pytest.raises(ValueError):
@@ -480,10 +495,26 @@ class TestHubTreeExtraction:
         g, a = double_pendant_instance()
         fr = build_maximal_frame(g, a, 3)
         pairs = [tuple(range(13)), (13, 14, 15, 16, 17)]
-        monkeypatch.setattr(apaths.frame, "leaf_paths", lambda edges, leaves: pairs)
+        monkeypatch.setattr(apaths.frame, "_pair_leaves", lambda tree, leaf_mask: pairs)
         with pytest.raises(FrameInvariantError) as err:
             extract_frame_paths(fr)
         assert [v.witness for v in err.value.violations if v.axiom == "anti-complete"] == [(0, 1)]
+
+    def test_a_checked_frame_is_paired_on_its_own_masks(self, monkeypatch):
+        # A frame that build_maximal_frame returns is paired on its own tree
+        # masks, with no second tree check; the same frame built from its
+        # fields is validated in full once, then trusted.
+        g, a = double_pendant_instance()
+        built = build_maximal_frame(g, a, 3)
+        fresh = Frame(g, a, built.tree_edges, 3)
+        names = ("validate_frame", "_check_spanning_subcubic_tree", "_tree_masks")
+        spies = [mock.Mock(wraps=getattr(apaths.frame, name)) for name in names]
+        for name, spy in zip(names, spies):
+            monkeypatch.setattr(apaths.frame, name, spy)
+        paths = extract_frame_paths(built)
+        assert [spy.call_count for spy in spies] == [0, 0, 0]
+        assert extract_frame_paths(fresh) == extract_frame_paths(fresh) == paths
+        assert [spy.call_count for spy in spies] == [1, 1, 1]
 
     def test_validation_failure_raises(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])

@@ -35,6 +35,7 @@ from apaths import (
     SolveParams,
     build_maximal_frame,
     caterpillar_instance,
+    extend_frame,
     extract_frame_paths,
     find_extension,
     leaf_paths,
@@ -42,7 +43,7 @@ from apaths import (
     random_subcubic_tree,
     solve,
 )
-from apaths.frame import _check_extension_path, check_frame_claims, validate_frame
+from apaths.frame import _extension_violations, _passed, check_frame_claims, validate_frame
 from apaths.graph import mask_members
 from reference_frame import (
     reference_check_extension_path,
@@ -303,7 +304,9 @@ def test_extension_path_verdicts_agree():
         if p is None:
             continue
         for h, broken, q in path_mutations(fr.host, fr, p):
-            new = outcome(_check_extension_path, broken, q)
+            # Marked as checked, so extend_frame goes straight to the path
+            # checks, whatever the mutation did to the frame itself.
+            new = outcome(extend_frame, _passed(broken, "path_mutations", []), q)
             assert new == outcome(reference_check_extension_path, h, set_view(broken), q)
             assert new[0] == "raised", q
             checked += 1
@@ -324,8 +327,7 @@ def test_extension_paths_agree_in_length(n, p, seed, ell):
         assert (got is None) == (want is None)
         if got is not None:
             assert len(got) == len(want)
-            _check_extension_path(fr, got)
-            _check_extension_path(fr, want)
+            assert _extension_violations(fr, got) == _extension_violations(fr, want) == []
 
 
 @given(st.integers(2, 300), st.integers(0, 50_000))

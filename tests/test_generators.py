@@ -101,6 +101,10 @@ class TestRandomSubcubicTree:
     def test_seed_replays(self):
         assert random_subcubic_tree(40, 7) == random_subcubic_tree(40, 7)
 
+    def test_rejects_no_vertices(self):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            random_subcubic_tree(0, 3)
+
     @given(st.integers(1, 200), st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
     def test_always_a_subcubic_tree(self, n, seed):

@@ -52,6 +52,20 @@ class TestGraphConstruction:
         with pytest.raises(GraphError):
             Graph(3, [(0, 5)])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Graph(-1, []),
+            lambda: ball(path_graph(3), [99], 1),  # an id outside the graph
+            lambda: ball(path_graph(3), [0], -1),
+            lambda: power_graph(path_graph(3), 0),
+        ],
+        ids=["negative-count", "vertex-out-of-range", "negative-radius", "power-zero"],
+    )
+    def test_bad_arguments_are_graph_errors(self, call):
+        with pytest.raises(GraphError):
+            call()
+
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph(4, [(2, 0), (3, 0), (0, 1)])
         assert g.neighbors(0) == (1, 2, 3)

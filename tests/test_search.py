@@ -144,6 +144,13 @@ class TestFindInRange:
         with pytest.raises(ValueError):
             find_induced_apath_in_range(path(3), {0, 2}, LengthRange(0, 2))
 
+    @pytest.mark.parametrize(
+        "lo, hi, message", [(-1, None, "must be nonnegative"), (3, 2, "empty length range")]
+    )
+    def test_rejects_malformed_range(self, lo, hi, message):
+        with pytest.raises(ValueError, match=message):
+            LengthRange(lo, hi)
+
     @given(random_instances, st.integers(1, 3), st.integers(0, 3))
     @settings(max_examples=80, deadline=None)
     def test_exact_against_enumeration(self, inst, lo, extra):
@@ -271,6 +278,28 @@ class TestEllBelowOne:
             max_anticomplete_packing_with_witness(g, a, ell, 2)
         with pytest.raises(ValueError, match="need ell >= 1"):
             oracle_max_anticomplete_packing(g, a, ell, 2)
+
+    @pytest.mark.parametrize("ell", [0, -3])
+    def test_long_path_searches_raise(self, ell):
+        g, a = complete_instance(4)
+        for search in (has_long_induced_apath, shortest_long_induced_apath):
+            with pytest.raises(ValueError, match="need ell >= 1"):
+                search(g, a, ell)
+
+
+class TestOracleArguments:
+    @pytest.mark.parametrize("cap", [0, -2])
+    def test_packing_oracles_refuse_cap_below_one(self, cap):
+        g, a = complete_instance(4)
+        with pytest.raises(ValueError, match="need cap >= 1"):
+            oracle_max_anticomplete_packing(g, a, 1, cap)
+        with pytest.raises(ValueError, match="need cap >= 1"):
+            max_vertex_disjoint_apath_packing(g, a, cap)
+
+    def test_cover_oracle_refuses_negative_radius(self):
+        g, a = complete_instance(4)
+        with pytest.raises(ValueError, match="need r >= 0"):
+            oracle_min_ball_cover(g, a, 1, -1)
 
 
 class TestBudget:

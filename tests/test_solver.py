@@ -211,6 +211,16 @@ class TestReduceAndLift:
         assert lifted[0] == 0 and lifted[-1] == 6
         assert len(lifted) - 1 <= 6
 
+    def test_d_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="need d >= 1"):
+            reduce_to_d3(cycle(5), 0)
+
+    def test_lift_refuses_a_pair_that_is_not_a_power_edge(self):
+        # 0 and 4 lie 4 apart on C9, beyond the power d = 3
+        pmap = reduce_to_d3(cycle(9), 3)
+        with pytest.raises(ValueError, match="is not an edge of the powered graph"):
+            lift_path(pmap, (0, 4))
+
     def test_lift_of_base_edges_path(self):
         g = cycle(9)
         pmap = reduce_to_d3(g, 3)
@@ -316,20 +326,40 @@ def spider_instance(seed: int):
 SPIDER_SEEDS = range(30)
 
 
+def double_spider_instance(seed: int):
+    """Two centres joined by a path of 4-7 edges, each with two legs of 4-7
+    edges, terminals at the four leg tips."""
+    rng = random.Random(3000 + seed)
+    edges = []  # a tree grown from vertex 0, so edge i adds vertex i + 1
+
+    def walk(start: int) -> int:
+        for _ in range(rng.randint(4, 7)):
+            edges.append((start, len(edges) + 1))
+            start = len(edges)
+        return start
+
+    centres = (0, walk(0))
+    tips = [walk(c) for c in centres for _ in range(2)]
+    return Graph(len(edges) + 1, edges), frozenset(tips)
+
+
 class TestFrameHeavyInstances:
     def test_spiders_exercise_extension_and_extraction(self):
         # spiders (paths glued at a hub, terminals at the tips) force the
-        # solver through frame extension
+        # solver through frame extension; a single-centre spider's frame
+        # stops at 3 leaves, so only the double spiders, whose frames reach
+        # 4 leaves, pack k = 2 paths through extraction
         seen = []
-        for seed in SPIDER_SEEDS:
-            g, a = spider_instance(seed)
-            for k in (2, 3):
-                for ell in (1, 2, 3):
-                    params = SolveParams(k, ell)
-                    cert = solve(g, a, params, frame_observer=seen.append)
-                    report = verify_certificate(g, a, params, cert)
-                    assert report.passed, (seed, k, ell)
+        runs = [(spider_instance(seed), k, ell) for seed in SPIDER_SEEDS for k in (2, 3) for ell in (1, 2, 3)]
+        doubles = [(double_spider_instance(seed), 2, ell) for seed in range(10) for ell in (1, 2, 3)]
+        with mock.patch.object(solver_module, "extract_frame_paths", wraps=extract_frame_paths) as spy:
+            for (g, a), k, ell in runs + doubles:
+                params = SolveParams(k, ell)
+                cert = solve(g, a, params, frame_observer=seen.append)
+                report = verify_certificate(g, a, params, cert)
+                assert report.passed, (a, k, ell)
         assert any(fr.hubs for fr in seen)  # an init frame is a path, with no hub
+        assert spy.call_count == len(doubles)
 
     def test_four_leaf_frame_packs_directly(self):
         # two pendant terminals on a long path: the frame reaches four

@@ -200,6 +200,12 @@ class TestTightness:
     def test_subdivided_family(self, k, r):
         assert verify_tightness_claims("subdivided", k, r).passed
 
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_complete_family_needs_two_vertices(self, n):
+        # checked before K_n is built, so n = -1 is not a GraphError
+        with pytest.raises(ValueError, match="need n >= 2"):
+            verify_tightness_claims("complete", n)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             verify_tightness_claims("moebius", 3)
