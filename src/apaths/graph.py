@@ -56,7 +56,7 @@ class Graph:
     @classmethod
     def _from_masks(cls, adj: Iterable[int]) -> Graph:
         """A graph from adjacency masks that are already loop-free and
-        symmetric, skipping __init__'s checks; only induced_subgraph and
+        symmetric, skipping __init__'s checks; only _kept_subgraph and
         power_graph build such masks."""
         g = cls.__new__(cls)
         g._adj = tuple(adj)
@@ -226,12 +226,13 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     members is tuple(sorted(s)).
     """
     members = sorted(check_vertex_set(g, s))
-    keep = to_mask(members)
-    host = g.neighbor_masks()
-    adj = [0] * g.n
-    for v in members:
-        adj[v] = host[v] & keep
-    return Graph._from_masks(adj), tuple(members)
+    return _kept_subgraph(g, to_mask(members)), tuple(members)
+
+
+def _kept_subgraph(g: Graph, keep: int) -> Graph:
+    """induced_subgraph on the vertex mask keep, for callers that hold a
+    mask already: g's ids, the edges inside keep, the rest isolated."""
+    return Graph._from_masks([m & keep if keep >> v & 1 else 0 for v, m in enumerate(g.neighbor_masks())])
 
 
 def components(g: Graph) -> list[VertexSet]:

@@ -12,12 +12,14 @@ searched from its lesser end only.
 The engine keeps vertex sets as int bitmasks. A path on its stack carries
 blocked = path | N(path - tip), the vertices it may never use again, so its
 extensions are adj[tip] & ~blocked. Where a path has two or more extensions,
-a flood fill from each extension through the vertices still free drops that
-extension's whole subtree if the region, as far as a length cap lets a path
-reach, holds no terminal above the root or is too small to reach the
-minimum length. Dropped subtrees contain no result, a path left out from its
-greater end was offered from its lesser end first, and extensions are taken
-in sorted order, so every caller's result is that of the full search.
+an extension's whole subtree is dropped if the region it can still reach
+through the free vertices, as far as a length cap lets a path reach, holds
+no terminal above the root or is too small to reach the minimum length.
+One check of the whole free region can drop all the extensions at once,
+and uncapped floods each stay in one component, which siblings share.
+Dropped subtrees contain no result, a path left out from its greater end
+was offered from its lesser end first, and extensions are taken in sorted
+order, so every caller's result is that of the full search.
 
 The brute-force oracles enumerate their paths once and then work on
 bitmasks alone: path i is bit i of an int. The ball-cover oracle keeps, for
@@ -154,35 +156,63 @@ def _live_extensions(
     to be emitted itself (need <= 1), or if that region holds a target and
     at least need - 1 vertices, both within depth BFS levels of w: a path
     through w reaches level j of the region no sooner than j edges after w.
-    Under a cap those levels are one bounded mask_ball. Without one, the
-    region is flooded one BFS level at a time, stopping as soon as both
-    hold, so a live extension's region is rarely walked in full; this loop
-    is the hot path of exhaustive searches and takes no per-level test.
+    Every region lies in the free region ~child_blocked, so if all of it
+    is too small or holds no target, every child but such a target dies
+    unflooded. Under a cap each child's levels are one bounded mask_ball.
+
+    Without a cap a child's region is the union of the components of the
+    free region that its seeds, adj[w] outside child_blocked, meet. A flood
+    starts at one seed, so it stays in one component. If it alone meets the
+    bound, it proves live every sibling with a seed in it (good); if it
+    runs out, it is a whole component, which later siblings reuse (spent)
+    and which counts towards the union. This is the hot path of exhaustive
+    searches.
     """
     free = ~child_blocked
+    if len(adj) - child_blocked.bit_count() < need - 1 or not free & targets:
+        return ext & targets if need <= 1 else 0
     live = ext
+    good = 0  # the floods that met the bound on their own
+    spent: list[int] = []  # the floods that ran out: whole components
     while ext:
         low = ext & -ext
         ext ^= low
         if need <= 1 and low & targets:
             continue
-        reach = frontier = adj[low.bit_length() - 1] & free
+        seeds = adj[low.bit_length() - 1] & free
         if depth is not None:
-            reach = mask_ball(adj, reach, free, depth - 1) if depth else 0
+            reach = mask_ball(adj, seeds, free, depth - 1) if depth else 0
             if not (reach & targets and reach.bit_count() >= need - 1):
                 live ^= low
             continue
-        while not (reach & targets and reach.bit_count() >= need - 1):
-            grown = 0
-            while frontier:
-                bit = frontier & -frontier
-                grown |= adj[bit.bit_length() - 1]
-                frontier ^= bit
-            frontier = grown & free & ~reach
-            if not frontier:
+        if seeds & good:
+            continue
+        region = 0
+        for comp in spent:
+            if comp & seeds:
+                region |= comp
+        seeds &= ~region
+        while not (region & targets and region.bit_count() >= need - 1):
+            if not seeds:
                 live ^= low
                 break
-            reach |= frontier
+            reach = frontier = seeds & -seeds
+            while not (reach & targets and reach.bit_count() >= need - 1):
+                grown = 0
+                while frontier:
+                    bit = frontier & -frontier
+                    grown |= adj[bit.bit_length() - 1]
+                    frontier ^= bit
+                frontier = grown & free & ~reach
+                if not frontier:
+                    break
+                reach |= frontier
+            if frontier:  # met the bound on its own
+                good |= reach
+                break
+            spent.append(reach)
+            region |= reach
+            seeds &= ~reach
     return live
 
 
@@ -223,15 +253,20 @@ def _terminal_path_dfs(
     only those levels are flooded and counted. Terminals below the root are
     no targets but may still be interior vertices, and stop_at_terminals
     stops at any terminal. Failing extensions are dropped with their whole
-    subtree. The test floods the region, so it runs only where the path
-    branches: along a chain of single extensions the region ahead loses
-    just the new tip at each step, so a test there would repeat the last
-    verdict at a cost linear in the region, which is quadratic along long
-    chains.
+    subtree. Every sibling's region lies in the free region outside the
+    child's mask, so if that whole region fails, all siblings fail
+    unflooded. Uncapped, w's region is the union of the components of the
+    free region that w's neighbours meet, and siblings in one component
+    share its floods. The test runs only where the path branches: along a
+    chain of single extensions
+    the region ahead loses just the new tip at each step, so a test there
+    would repeat the last verdict at a cost linear in the region, which is
+    quadratic along long chains.
 
     Soundness: roots are taken in increasing order and extensions lowest
     bit first, i.e. in sorted-neighbour order. A dropped subtree holds no
-    emit. A path from root s to a terminal t < s is never emitted, but its
+    emit, and shared floods give each extension its own region's verdict.
+    A path from root s to a terminal t < s is never emitted, but its
     reverse has the same length and was already offered from the earlier
     root t. That changes no caller's answer: find stops at its first emit;
     shortest keeps only strictly shorter paths, and its cap only shrinks, so

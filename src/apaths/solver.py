@@ -23,8 +23,8 @@ from .graph import (
     Graph,
     Path,
     VertexSet,
+    _kept_subgraph,
     check_vertex_set,
-    induced_subgraph,
     mask_ball,
     mask_layers,
     mask_members,
@@ -145,8 +145,8 @@ def solve(
             if (keep | mask_neighbors(adj, keep)) & cut.f:
                 raise FrameInvariantError("remainder must be separated from the frame")
         cuts.append((params, cut))
-        g, members = induced_subgraph(g, mask_members(keep))
-        a_set = a_set.intersection(members)
+        g = _kept_subgraph(g, keep)
+        a_set = frozenset([v for v in a_set if keep >> v & 1])
         params = replace(params, k=k - used)
 
     for params, cut in reversed(cuts):

@@ -16,12 +16,13 @@ from .graph import (
     Graph,
     Path,
     VertexSet,
+    _kept_subgraph,
     anti_complete,
-    ball,
     check_vertex_set,
-    induced_subgraph,
     is_induced_path,
     is_path,
+    mask_ball,
+    to_mask,
 )
 from .search import (
     _Budget,
@@ -111,12 +112,14 @@ def verify_packing(
 def _removal_check(
     g: Graph,
     a_set: VertexSet,
-    removed: VertexSet,
+    removed: int,
     ell: int,
     budget: _Budget,
 ) -> tuple[bool, Path | None]:
-    h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
-    witness = find_induced_apath_in_range(h, a_set - removed, LengthRange(ell, None), budget)
+    """Search g minus the vertex mask removed for a long induced A-path."""
+    h = _kept_subgraph(g, ~removed)
+    a_left = [v for v in a_set if not removed >> v & 1]
+    witness = find_induced_apath_in_range(h, a_left, LengthRange(ell, None), budget)
     return witness is None, witness
 
 
@@ -145,9 +148,10 @@ def verify_cover(
     report.add("z2.size", len(z2_set) <= params.z2_limit(), (len(z2_set), params.z2_limit()))
     radius = params.cover_radius()
     shared = _Budget(params.node_budget, "verify_cover")
-    b1 = ball(g, z1_set, 1)
-    b2 = ball(g, z2_set, radius)
-    results: dict[VertexSet, tuple[bool, Path | None]] = {}
+    adj = g.neighbor_masks()
+    b1 = mask_ball(adj, to_mask(z1_set), -1, 1)
+    b2 = mask_ball(adj, to_mask(z2_set), -1, radius)
+    results: dict[int, tuple[bool, Path | None]] = {}
     for name, removed in (
         ("intersection.removal", b1 & b2),
         ("z1.removal", b1),

@@ -12,6 +12,11 @@ a fresh exact decision for every subset it tries, and the packing oracles test
 compatibility one frozenset pair at a time. They call the live enumeration
 and decision searches, which the engine tests above guard.
 
+reference_live_extensions is the engine's liveness test as it was when it
+flooded each extension's whole region from all of its seeds at once. It has
+the signature of apaths.search._live_extensions, so a test can compare live
+masks directly or swap it into the engine and compare nodes spent.
+
 reference_shortest_apath is shortest_apath as a BFS over sorted neighbour
 lists from each terminal, ending at the first terminal it discovers and
 walking back along the first parent to discover each vertex.
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from apaths.graph import ball, check_vertex_set, induced_subgraph, is_induced_path
+from apaths.graph import ball, check_vertex_set, induced_subgraph, is_induced_path, mask_ball
 from apaths.search import (
     DEFAULT_BUDGET,
     _as_budget,
@@ -97,6 +102,49 @@ def reference_terminal_path_dfs(
             on_path[s] = 0
     except _Stop:
         pass
+
+
+def reference_live_extensions(
+    adj: tuple[int, ...], ext: int, child_blocked: int, targets: int, need: int, depth: int | None
+) -> int:
+    """The extensions in ext whose subtrees can still emit a path of at
+    least need and at most depth + 1 more edges (depth None: no cap).
+
+    A child w adds w, and after it only vertices reachable from w outside
+    child_blocked. Its subtree can emit only if w is a target long enough
+    to be emitted itself (need <= 1), or if that region holds a target and
+    at least need - 1 vertices, both within depth BFS levels of w: a path
+    through w reaches level j of the region no sooner than j edges after w.
+    Under a cap those levels are one bounded mask_ball. Without one, the
+    region is flooded one BFS level at a time, stopping as soon as both
+    hold, so a live extension's region is rarely walked in full; this loop
+    is the hot path of exhaustive searches and takes no per-level test.
+    """
+    free = ~child_blocked
+    live = ext
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        if need <= 1 and low & targets:
+            continue
+        reach = frontier = adj[low.bit_length() - 1] & free
+        if depth is not None:
+            reach = mask_ball(adj, reach, free, depth - 1) if depth else 0
+            if not (reach & targets and reach.bit_count() >= need - 1):
+                live ^= low
+            continue
+        while not (reach & targets and reach.bit_count() >= need - 1):
+            grown = 0
+            while frontier:
+                bit = frontier & -frontier
+                grown |= adj[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = grown & free & ~reach
+            if not frontier:
+                live ^= low
+                break
+            reach |= frontier
+    return live
 
 
 def reference_max_compatible_family(paths, path_sets, forbidden, cap, budget):

@@ -17,6 +17,7 @@ from apaths import (
     power_graph,
     random_instance,
 )
+from apaths.graph import _kept_subgraph
 
 
 def path_graph(n):
@@ -261,6 +262,17 @@ class TestInducedSubgraph:
         assert h.edge_count == expected.edge_count
         assert all(h.neighbor_set(v) == expected.neighbor_set(v) for v in range(h.n))
         assert members == tuple(sorted(s))
+
+    @given(random_graphs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kept_subgraph_takes_the_mask_a_caller_holds(self, g, data):
+        # The solver passes its keep mask, and the verifier the complement
+        # ~removed, a negative int with every bit above g's ids set.
+        removed = data.draw(st.integers(0, 2**g.n - 1))
+        s = frozenset(v for v in range(g.n) if not removed >> v & 1)
+        expected, _ = induced_subgraph(g, s)
+        assert _kept_subgraph(g, ~removed) == expected
+        assert _kept_subgraph(g, ~removed & (2**g.n - 1)) == expected
 
 
 class TestComponentsAndPaths:

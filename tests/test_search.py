@@ -26,7 +26,8 @@ from apaths import (
     shortest_long_induced_apath,
     subdivided_complete_instance,
 )
-from apaths.search import _Budget, _max_compatible_family
+from apaths.search import _Budget, _live_extensions, _max_compatible_family
+from reference_search import reference_live_extensions
 
 
 def cycle(n):
@@ -407,6 +408,75 @@ class TestLengthCap:
         # level, which gives the shortest path.
         g = Graph(12, [(0, 1), (1, 2), (2, 4), (4, 6), (6, 8), (8, 10), (1, 3), (3, 5), (5, 7), (7, 11), (3, 9)])
         assert shortest_long_induced_apath(g, {0, 10, 11}, 4) == (0, 1, 3, 5, 7, 11)
+
+
+class CountingAdj(tuple):
+    """Adjacency masks that count how often they are read: the flood work."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def bits(*vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+class TestLiveExtensions:
+    """One case per rule of _live_extensions. Each verdict is also the
+    reference's, and the read counts show the floods a rule saves."""
+
+    # Tip 0 with children 1, 2 and 3; the free region is 4-5 and 6-7.
+    # Child 1 sees only 4, child 2 only 6, and child 3 both.
+    TWO_PARTS = CountingAdj(
+        Graph(8, [(0, 1), (0, 2), (0, 3), (1, 4), (3, 4), (3, 6), (2, 6), (4, 5), (6, 7)]).neighbor_masks()
+    )
+    CHILDREN, BLOCKED = bits(1, 2, 3), bits(0, 1, 2, 3)
+
+    def live(self, adj, ext, child_blocked, targets, need, depth=None):
+        adj.reads = 0
+        got = _live_extensions(adj, ext, child_blocked, targets, need, depth)
+        assert got == reference_live_extensions(tuple(adj), ext, child_blocked, targets, need, depth)
+        return got
+
+    @pytest.mark.parametrize("depth", [None, 0, 3])
+    def test_a_small_free_region_kills_every_child_unflooded(self, depth):
+        # Four free vertices cannot hold the need - 1 = 5 a child requires,
+        # whatever it is: target child 2 dies too, as it is too short to
+        # be emitted. At need <= 1 target child 2 is kept.
+        adj = self.TWO_PARTS
+        assert self.live(adj, self.CHILDREN, self.BLOCKED, bits(2, 5), 6, depth) == 0
+        assert adj.reads == 0
+        assert self.live(adj, self.CHILDREN, self.BLOCKED, bits(2), 1, depth) == bits(2)
+        assert adj.reads == 0
+
+    @pytest.mark.parametrize("depth", [None, 3])
+    @pytest.mark.parametrize("need", [-1, 0, 1, 2, 4])
+    def test_a_free_region_without_a_target_kills_every_child_unflooded(self, need, depth):
+        adj = self.TWO_PARTS
+        expect = bits(2) if need <= 1 else 0
+        assert self.live(adj, self.CHILDREN, self.BLOCKED, bits(0, 2), need, depth) == expect
+        assert adj.reads == 0
+
+    def test_a_sibling_with_a_seed_in_a_flood_that_met_the_bound_is_live(self):
+        # Children 1 and 2 of tip 0 see 3 and 4 on the free path 3-4-5-6,
+        # which ends at target 6. Child 1's flood meets need - 1 = 3 at 6,
+        # and child 2's seed 4 lies in it, so child 2 reads only its own
+        # neighbours; flooding it again would take 3 more reads.
+        adj = CountingAdj(Graph(7, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6)]).neighbor_masks())
+        assert self.live(adj, bits(1, 2), bits(0, 1, 2), bits(6), 4) == bits(1, 2)
+        assert adj.reads == 5
+
+    def test_spent_components_count_together(self):
+        # Children 1 and 2 each flood one free part to its end: 4-5 holds
+        # target 5 and 6-7 none, and neither has need - 1 = 4 vertices.
+        # Child 3 meets both, whose union is big enough and holds a target,
+        # so it is live, and it floods nothing: one read of its neighbours.
+        adj = self.TWO_PARTS
+        assert self.live(adj, self.CHILDREN, self.BLOCKED, bits(5), 5) == bits(3)
+        assert adj.reads == 3 + 3 + 1
 
 
 class TestOracleBudget:

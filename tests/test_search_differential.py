@@ -5,6 +5,11 @@ skip subtrees that hold no result, so every public search must return
 exactly what the reference returns (the same path, not just a path of the
 same length) and may never spend more budget.
 
+The liveness test against the whole-region flood it replaced: on branch
+points taken from real path states it must return the same live mask, so
+the engine run with either visits the same paths and spends exactly the
+same nodes.
+
 The mask oracles against the per-subset and frozenset oracles they replaced:
 the same cover size and lexicographically first Z, the same packing count
 and witness, the same disjoint-packing value. Their budgets are charged
@@ -35,6 +40,7 @@ from apaths import (
     shortest_long_induced_apath,
 )
 from reference_search import (
+    reference_live_extensions,
     reference_max_anticomplete_packing_with_witness,
     reference_max_vertex_disjoint_apath_packing,
     reference_oracle_min_ball_cover,
@@ -106,6 +112,99 @@ class TestAgainstReference:
         )
         assert got is None and want is None
         assert spent < ref_spent
+
+
+# Sparse graphs with few terminals split the free region into several
+# components, some of them without a target.
+sparse_instances = st.builds(
+    random_instance,
+    st.integers(4, 14),
+    st.sampled_from([0.15, 0.25, 0.35]),
+    st.sampled_from([0.1, 0.25, 0.5]),
+    st.integers(0, 100_000),
+)
+
+
+@st.composite
+def branch_points(draw):
+    """The arguments of one liveness test, at the tip of an induced path
+    drawn step by step as the engine grows it: each step goes to a free
+    neighbour of the tip and blocks the old tip's neighbourhood."""
+    g, a = draw(sparse_instances)
+    adj = g.neighbor_masks()
+    tip = draw(st.integers(0, g.n - 1))
+    blocked = 1 << tip
+    for _ in range(draw(st.integers(0, g.n))):
+        ext = adj[tip] & ~blocked
+        if not ext:
+            break
+        blocked |= adj[tip]
+        tip = draw(st.sampled_from([v for v in range(g.n) if ext >> v & 1]))
+    ext = adj[tip] & ~blocked & draw(st.one_of(st.just(-1), st.integers(0, 2**g.n - 1)))
+    targets = sum(1 << v for v in a)
+    need = draw(st.integers(-1, g.n + 1))
+    depth = draw(st.one_of(st.none(), st.integers(0, g.n)))
+    return adj, ext, blocked | adj[tip], targets, need, depth
+
+
+def spent_under(live_extensions, call):
+    """(result, nodes spent) of call(budget) with the engine's liveness test
+    swapped for live_extensions."""
+    budget = search._Budget(10**9, "differential")
+    with mock.patch.object(search, "_live_extensions", live_extensions):
+        result = call(budget)
+    return result, budget.limit - budget.remaining
+
+
+class TestLiveExtensionsAgainstReference:
+    @given(branch_points())
+    @settings(max_examples=600, deadline=None)
+    def test_same_live_mask(self, args):
+        assert search._live_extensions(*args) == reference_live_extensions(*args)
+
+    def assert_same_search(self, call):
+        assert spent_under(search._live_extensions, call) == spent_under(reference_live_extensions, call)
+
+    @given(instances, st.integers(1, 8), st.one_of(st.none(), st.integers(0, 4)))
+    @settings(max_examples=150, deadline=None)
+    def test_find_in_range(self, inst, lo, width):
+        g, a = inst
+        rng = LengthRange(lo, None if width is None else lo + width)
+        self.assert_same_search(lambda b: find_induced_apath_in_range(g, a, rng, b))
+
+    @given(instances, st.integers(1, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_shortest_long(self, inst, ell):
+        g, a = inst
+        self.assert_same_search(lambda b: shortest_long_induced_apath(g, a, ell, b))
+
+    @given(instances, st.integers(1, 7), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_enumerate(self, inst, ell, no_interior_terminals):
+        g, a = inst
+        self.assert_same_search(
+            lambda b: enumerate_induced_apaths(
+                g, a, ell, b, no_interior_terminals=no_interior_terminals
+            )
+        )
+
+    def test_grid_exhausts_in_the_same_nodes(self):
+        # The 5x5 grid with corner terminals has no induced corner path of
+        # length 17, so the search exhausts. The counting wrapper shows the
+        # reference really ran in the engine.
+        edges = [(r * 5 + c, r * 5 + c + 1) for r in range(5) for c in range(4)]
+        edges += [(r * 5 + c, r * 5 + c + 5) for r in range(4) for c in range(5)]
+        g, a = Graph(25, edges), {0, 4, 20, 24}
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return reference_live_extensions(*args)
+
+        call = lambda b: find_induced_apath_in_range(g, a, LengthRange(17, None), b)
+        assert spent_under(search._live_extensions, call) == (None, 539)
+        assert spent_under(counted, call) == (None, 539)
+        assert calls
 
 
 class TestLesserEndFirst:
