@@ -56,7 +56,6 @@ from .graph import (
     Path,
     VertexSet,
     _chordless,
-    check_vertex_set,
     is_induced_path,
     is_path,
     mask_ball,
@@ -64,6 +63,7 @@ from .graph import (
     mask_members,
     mask_neighbors,
     to_mask,
+    vertex_mask,
     walk_back,
 )
 from .search import DEFAULT_BUDGET, _Budget, shortest_long_induced_apath
@@ -343,19 +343,20 @@ def _trusted(fr: Frame, where: str) -> Frame:
 
 
 def init_frame(
-    g: Graph, a: Iterable[int], ell: int, budget: int | _Budget = DEFAULT_BUDGET
+    g: Graph, a: Iterable[int] | int, ell: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> Frame | None:
-    """Frame around a shortest induced A-path of length >= ell, or None.
+    """Frame around a shortest induced A-path of length >= ell, or None,
+    for the terminals a, given as vertex ids or as their mask.
 
     Precondition (established upstream by eliminating intermediate lengths):
     every induced A-path of length >= ell has length >= 2*ell. Validation
     failure here signals that breach, not a recoverable state.
     """
-    a_set = check_vertex_set(g, a)
-    path = shortest_long_induced_apath(g, a_set, ell, budget)
+    terminals = vertex_mask(g, a)
+    path = shortest_long_induced_apath(g, terminals, ell, budget)
     if path is None:
         return None
-    return _assert_valid(Frame(g, a_set, _path_edges(path), ell), "init_frame")
+    return _assert_valid(Frame(g, frozenset(mask_members(terminals)), _path_edges(path), ell), "init_frame")
 
 
 def _extension_violations(fr: Frame, p: Path) -> list[Violation]:
@@ -510,7 +511,7 @@ def extend_frame(fr: Frame, p: Path) -> Frame:
 
 
 def build_maximal_frame(
-    g: Graph, a: Iterable[int], ell: int, budget: int | _Budget = DEFAULT_BUDGET,
+    g: Graph, a: Iterable[int] | int, ell: int, budget: int | _Budget = DEFAULT_BUDGET,
     observer=None, k: int | None = None,
 ) -> Frame | None:
     """Greedy construction: init, then extend until no extension path exists,
@@ -520,11 +521,11 @@ def build_maximal_frame(
     a globally leaf-maximum frame is not required. Each step increases the
     leaf count by one, so the loop ends within |a| iterations. A frame that
     stops at 2k leaves is the maximal construction cut short, step for step;
-    one with fewer than 2k leaves is maximal. init_frame
-    validates the first frame in full, each step is checked locally (see
-    extend_frame), and the last frame, if any step was taken, is validated
-    in full once more, as the runtime guard on the lemma; extraction trusts
-    it.
+    one with fewer than 2k leaves is maximal. init_frame, given a as vertex
+    ids or their mask, validates the first frame in full, each step is
+    checked locally (see extend_frame), and the last frame, if any step was
+    taken, is validated in full once more, as the runtime guard on the
+    lemma; extraction trusts it.
     """
     start = fr = init_frame(g, a, ell, budget)
     if fr is None:

@@ -10,10 +10,11 @@ deleting a vertex set X is expressed as the subgraph induced on the rest,
 adj[v] & keep for every v, which keeps g's ids and leaves X isolated, so
 paths, balls and certificates found in it speak g's ids unchanged.
 
-to_mask, mask_members and mask_neighbors are the set operations, and
-mask_ball is the BFS; mask_layers keeps that BFS's layers, and walk_back
-turns them into a shortest path, always stepping to the least neighbour one
-layer closer. ball, dist, components and power_graph are calls on them.
+vertex_mask, to_mask, mask_members and mask_neighbors are the set
+operations, and mask_ball is the BFS; mask_layers keeps that BFS's layers,
+and walk_back turns them into a shortest path, always stepping to the least
+neighbour one layer closer. ball, dist, components and power_graph are
+calls on them. A caller's vertex set, ids or a mask, is checked once.
 """
 
 from __future__ import annotations
@@ -108,13 +109,18 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def check_vertex_set(g: Graph, x: Iterable[int]) -> frozenset[int]:
-    """Coerce x to a frozenset and check every member is a vertex of g."""
-    s = frozenset(x)
-    for v in s:
+def vertex_mask(g: Graph, x: Iterable[int] | int) -> int:
+    """The bitmask of the vertex set x of g, given as ids or as a mask (an int), checked."""
+    if type(x) is int:
+        if x < 0 or x >> g.n:
+            raise GraphError(f"mask {x:#x} is not a vertex set of a graph with {g.n} vertices")
+        return x
+    mask = 0
+    for v in x:
         if not (0 <= v < g.n):
             raise GraphError(f"vertex {v} not in graph with {g.n} vertices")
-    return s
+        mask |= 1 << v
+    return mask
 
 
 def to_mask(vertices: Iterable[int]) -> int:
@@ -196,37 +202,36 @@ def walk_back(adj: Sequence[int], layers: Sequence[int], end: int) -> Path:
     return tuple(path)
 
 
-def ball(g: Graph, x: Iterable[int], r: int) -> VertexSet:
+def ball(g: Graph, x: Iterable[int] | int, r: int) -> VertexSet:
     """All vertices at distance at most r from the set x (the closed ball N[x, r])."""
     if r < 0:
         raise GraphError(f"radius must be nonnegative, got {r}")
-    sources = check_vertex_set(g, x)
-    return frozenset(mask_members(mask_ball(g.neighbor_masks(), to_mask(sources), -1, r)))
+    return frozenset(mask_members(mask_ball(g.neighbor_masks(), vertex_mask(g, x), -1, r)))
 
 
-def dist(g: Graph, x: Iterable[int], y: Iterable[int]) -> int | float:
+def dist(g: Graph, x: Iterable[int] | int, y: Iterable[int] | int) -> int | float:
     """Length of a shortest path between the sets x and y (0 on overlap, inf if none)."""
-    targets = to_mask(check_vertex_set(g, y))
-    layers = mask_layers(g.neighbor_masks(), to_mask(check_vertex_set(g, x)), -1, targets)
+    targets = vertex_mask(g, y)
+    layers = mask_layers(g.neighbor_masks(), vertex_mask(g, x), -1, targets)
     return len(layers) - 1 if layers[-1] & targets else INF
 
 
-def anti_complete(g: Graph, x: Iterable[int], y: Iterable[int]) -> bool:
+def anti_complete(g: Graph, x: Iterable[int] | int, y: Iterable[int] | int) -> bool:
     """True iff x and y are disjoint and no edge of g joins them."""
-    xs = to_mask(check_vertex_set(g, x))
-    ys = to_mask(check_vertex_set(g, y))
+    xs = vertex_mask(g, x)
+    ys = vertex_mask(g, y)
     return not (xs | mask_neighbors(g.neighbor_masks(), xs)) & ys
 
 
-def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
+def induced_subgraph(g: Graph, s: Iterable[int] | int) -> tuple[Graph, tuple[int, ...]]:
     """The subgraph induced on s, on g's own vertex ids, plus s sorted.
 
     Returns (h, members): h has h.n == g.n and keeps exactly the edges of g
     with both ends in s, so every vertex outside s is isolated in h.
     members is tuple(sorted(s)).
     """
-    members = sorted(check_vertex_set(g, s))
-    return _kept_subgraph(g, to_mask(members)), tuple(members)
+    keep = vertex_mask(g, s)
+    return _kept_subgraph(g, keep), tuple(mask_members(keep))
 
 
 def _kept_subgraph(g: Graph, keep: int) -> Graph:

@@ -7,7 +7,8 @@ query (find in a length range, shortest long path, enumeration, and the
 brute-force oracles built on them) runs one engine, _terminal_path_dfs: an
 iterative depth-first search over chordless paths from each terminal but
 the largest, which targets only the terminals above it, so each A-path is
-searched from its lesser end only.
+searched from its lesser end only. Every query takes its terminal set a
+as vertex ids or as their mask, and checks it once (graph.vertex_mask).
 
 The engine keeps vertex sets as int bitmasks. A path on its stack carries
 blocked = path | N(path - tip), the vertices it may never use again, so its
@@ -45,12 +46,12 @@ from .graph import (
     Graph,
     Path,
     VertexSet,
-    check_vertex_set,
     is_induced_path,
     mask_ball,
     mask_layers,
     mask_members,
     to_mask,
+    vertex_mask,
     walk_back,
 )
 
@@ -105,10 +106,10 @@ class LengthRange:
             raise ValueError(f"empty length range [{self.lo}, {self.hi}]")
 
 
-def exists_apath(g: Graph, a: Iterable[int]) -> bool:
+def exists_apath(g: Graph, a: Iterable[int] | int) -> bool:
     """True iff some connected component contains at least two terminals."""
     adj = g.neighbor_masks()
-    left = to_mask(check_vertex_set(g, a))
+    left = vertex_mask(g, a)
     while left:
         low = left & -left
         reach = mask_ball(adj, low)
@@ -118,7 +119,7 @@ def exists_apath(g: Graph, a: Iterable[int]) -> bool:
     return False
 
 
-def shortest_apath(g: Graph, a: Iterable[int]) -> Path | None:
+def shortest_apath(g: Graph, a: Iterable[int] | int) -> Path | None:
     """A minimum-length path joining two distinct terminals, or None.
 
     The result of minimisation is necessarily chordless with no interior
@@ -127,11 +128,10 @@ def shortest_apath(g: Graph, a: Iterable[int]) -> Path | None:
     from it, and the path is walked back from there to the least neighbour
     one BFS layer closer at each step.
     """
-    a_set = check_vertex_set(g, a)
+    terminals = vertex_mask(g, a)
     adj = g.neighbor_masks()
-    terminals = to_mask(a_set)
     best: Path | None = None
-    for s in sorted(a_set):
+    for s in mask_members(terminals):
         # Only a strictly shorter path improves on the incumbent.
         radius = None if best is None else len(best) - 2
         layers = mask_layers(adj, 1 << s, -1, terminals ^ 1 << s, radius)
@@ -140,7 +140,7 @@ def shortest_apath(g: Graph, a: Iterable[int]) -> Path | None:
             best = walk_back(adj, layers, (ends & -ends).bit_length() - 1)
     if best is not None and not is_induced_path(g, best):
         raise AssertionError(f"shortest A-path {best} has a chord")
-    if best is not None and set(best[1:-1]) & a_set:
+    if best is not None and to_mask(best[1:-1]) & terminals:
         raise AssertionError(f"shortest A-path {best} has an interior terminal")
     return best
 
@@ -218,14 +218,14 @@ def _live_extensions(
 
 def _terminal_path_dfs(
     g: Graph,
-    a_set: VertexSet,
+    terminals: int,
     lo: int,
     accept_hi: int | None,
     budget: _Budget,
     emit,
     stop_at_terminals: bool = False,
 ) -> None:
-    """Depth-first search over chordless paths anchored at a terminal.
+    """Depth-first search over chordless paths anchored at a member of terminals.
 
     Every visited path is induced. The roots are the terminals but the
     largest, and root s targets the terminals above it. emit(path) is called
@@ -276,13 +276,13 @@ def _terminal_path_dfs(
     paid for.
     """
     adj = g.neighbor_masks()
-    terminals = to_mask(a_set)
     spend = budget.spend
     ext_cap = accept_hi
-    for s in sorted(a_set)[:-1]:
-        targets = terminals & -(2 << s)
-        path = [s]
-        blocked = 1 << s
+    targets = terminals
+    while targets & (targets - 1):  # the largest terminal is never a root
+        blocked = targets & -targets  # the root, lowest first
+        targets ^= blocked  # the terminals above the root
+        path = [blocked.bit_length() - 1]
         # One entry per path vertex with extensions left to try: the mask its
         # children start from, and those extensions.
         child_blocked: list[int] = []
@@ -326,7 +326,7 @@ def _terminal_path_dfs(
 
 def find_induced_apath_in_range(
     g: Graph,
-    a: Iterable[int],
+    a: Iterable[int] | int,
     length_range: LengthRange | tuple[int, int | None],
     budget: int | _Budget = DEFAULT_BUDGET,
 ) -> Path | None:
@@ -335,22 +335,20 @@ def find_induced_apath_in_range(
         length_range = LengthRange(*length_range)
     if length_range.lo < 1:
         raise ValueError("A-paths have at least one edge; need lo >= 1")
-    a_set = check_vertex_set(g, a)
+    terminals = vertex_mask(g, a)
     b = _as_budget(budget, "find_induced_apath_in_range")
-    if len(a_set) < 2:
-        return None
     found: list[Path] = []
 
     def emit(path: Path):
         found.append(path)
         return "stop"
 
-    _terminal_path_dfs(g, a_set, length_range.lo, length_range.hi, b, emit)
+    _terminal_path_dfs(g, terminals, length_range.lo, length_range.hi, b, emit)
     return found[0] if found else None
 
 
 def has_long_induced_apath(
-    g: Graph, a: Iterable[int], ell: int, budget: int | _Budget = DEFAULT_BUDGET
+    g: Graph, a: Iterable[int] | int, ell: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> bool:
     """Exact decision: does g contain an induced A-path of length >= ell?"""
     if ell < 1:
@@ -362,7 +360,7 @@ def has_long_induced_apath(
 
 
 def shortest_long_induced_apath(
-    g: Graph, a: Iterable[int], ell: int, budget: int | _Budget = DEFAULT_BUDGET
+    g: Graph, a: Iterable[int] | int, ell: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> Path | None:
     """A minimum-length induced A-path among those of length >= ell, or None.
 
@@ -372,10 +370,8 @@ def shortest_long_induced_apath(
     """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
-    a_set = check_vertex_set(g, a)
+    terminals = vertex_mask(g, a)
     b = _as_budget(budget, "shortest_long_induced_apath")
-    if len(a_set) < 2:
-        return None
     best: list[Path] = []
 
     def emit(path: Path):
@@ -385,13 +381,13 @@ def shortest_long_induced_apath(
             return "stop"
         return len(best[0]) - 2  # only explore strictly shorter paths
 
-    _terminal_path_dfs(g, a_set, ell, None, b, emit)
+    _terminal_path_dfs(g, terminals, ell, None, b, emit)
     return best[0] if best else None
 
 
 def enumerate_induced_apaths(
     g: Graph,
-    a: Iterable[int],
+    a: Iterable[int] | int,
     ell: int,
     budget: int | _Budget = DEFAULT_BUDGET,
     no_interior_terminals: bool = False,
@@ -399,7 +395,7 @@ def enumerate_induced_apaths(
     """All induced A-paths of length >= ell, one orientation each, sorted."""
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
-    a_set = check_vertex_set(g, a)
+    terminals = vertex_mask(g, a)
     out: list[Path] = []
 
     def emit(path: Path):
@@ -408,7 +404,7 @@ def enumerate_induced_apaths(
         return None
 
     _terminal_path_dfs(
-        g, a_set, ell, None,
+        g, terminals, ell, None,
         _as_budget(budget, "enumerate_induced_apaths"), emit,
         stop_at_terminals=no_interior_terminals,
     )
@@ -417,7 +413,7 @@ def enumerate_induced_apaths(
 
 def _path_masks(
     g: Graph,
-    a: Iterable[int],
+    a: Iterable[int] | int,
     ell: int,
     budget: _Budget,
     no_interior_terminals: bool = False,
@@ -492,7 +488,7 @@ def _max_compatible_family(
 
 
 def max_anticomplete_packing_with_witness(
-    g: Graph, a: Iterable[int], ell: int, cap: int, budget: int | _Budget = DEFAULT_BUDGET
+    g: Graph, a: Iterable[int] | int, ell: int, cap: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> tuple[int, tuple[Path, ...]]:
     """Maximum family (up to cap) of pairwise anti-complete induced A-paths
     of length >= ell, and the first such family in lexicographic path order.
@@ -513,14 +509,14 @@ def max_anticomplete_packing_with_witness(
 
 
 def oracle_max_anticomplete_packing(
-    g: Graph, a: Iterable[int], ell: int, cap: int, budget: int | _Budget = DEFAULT_BUDGET
+    g: Graph, a: Iterable[int] | int, ell: int, cap: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> int:
     """Ground-truth packing number: see max_anticomplete_packing_with_witness."""
     return max_anticomplete_packing_with_witness(g, a, ell, cap, budget)[0]
 
 
 def max_vertex_disjoint_apath_packing(
-    g: Graph, a: Iterable[int], cap: int, budget: int | _Budget = DEFAULT_BUDGET
+    g: Graph, a: Iterable[int] | int, cap: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> int:
     """Classical brute-force baseline: maximum number of vertex-disjoint A-paths.
 
@@ -535,7 +531,7 @@ def max_vertex_disjoint_apath_packing(
 
 
 def oracle_min_ball_cover(
-    g: Graph, a: Iterable[int], ell: int, r: int, budget: int | _Budget = DEFAULT_BUDGET
+    g: Graph, a: Iterable[int] | int, ell: int, r: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> tuple[int, VertexSet]:
     """Smallest Z such that deleting the radius-r ball around Z kills every
     induced A-path of length >= ell; found by subset enumeration by size.
@@ -550,13 +546,13 @@ def oracle_min_ball_cover(
     iff the OR of hit over Z is all ones. The budget pays for the
     enumeration and one node per subset tried.
     """
-    a_set = check_vertex_set(g, a)
+    terminals = vertex_mask(g, a)
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
     b = _as_budget(budget, "oracle_min_ball_cover")
-    paths, _, through = _path_masks(g, a_set, ell, b, no_interior_terminals=ell == 1)
+    paths, _, through = _path_masks(g, terminals, ell, b, no_interior_terminals=ell == 1)
     adj = g.neighbor_masks()
     hit = [_paths_meeting(mask_ball(adj, 1 << v, -1, r), through) for v in range(g.n)]
     full = (1 << len(paths)) - 1

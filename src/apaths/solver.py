@@ -24,13 +24,13 @@ from .graph import (
     Path,
     VertexSet,
     _kept_subgraph,
-    check_vertex_set,
     mask_ball,
     mask_layers,
     mask_members,
     mask_neighbors,
     power_graph,
     to_mask,
+    vertex_mask,
     walk_back,
 )
 from .search import (
@@ -92,26 +92,27 @@ FrameObserver = Callable[[Frame], None]
 
 def solve(
     g: Graph,
-    a: Iterable[int],
+    a: Iterable[int] | int,
     params: SolveParams,
     frame_observer: FrameObserver | None = None,
 ) -> Certificate:
-    """Either a Packing of k paths or a Cover (z1, z2) within the size bounds.
+    """Either a Packing of k paths or a Cover (z1, z2) within the size bounds,
+    for the terminals a, given as vertex ids or as their mask.
 
     One loop over levels: a level either answers, or cuts the instance to
-    the part a peeled path or a split frame leaves and goes on at a smaller
-    k, so the loop ends on every input. The cut levels are then replayed
-    innermost first, each adding its path, its frame's paths or its sets to
-    the answer of the level inside it. A returned Cover satisfies the strong
-    intersection form: removing N[z1] & N[z2, r2] already leaves no induced
-    A-path of length >= ell (and hence so does removing either ball family
-    alone). frame_observer, when given, is called with every frame the
-    construction passes through.
+    the part a peeled path or a split frame leaves, and its terminal mask to
+    that part, and goes on at a smaller k, so the loop ends on every input.
+    The cut levels are then replayed innermost first, each adding its path,
+    its frame's paths or its sets to the answer of the level inside it. A
+    returned Cover satisfies the strong intersection form: removing N[z1] &
+    N[z2, r2] already leaves no induced A-path of length >= ell (and hence
+    so does removing either ball family alone). frame_observer, when given,
+    is called with every frame the construction passes through.
     """
     ell = params.ell
     budget = _Budget(params.node_budget, "solve")
     empty = Cover(frozenset(), frozenset(), 1, params.cover_radius())
-    a_set = check_vertex_set(g, a)
+    terminals = vertex_mask(g, a)
     cuts: list[tuple[SolveParams, Path | Frame]] = []  # (level params, peeled path or split frame)
     while True:
         k = params.k
@@ -119,20 +120,20 @@ def solve(
             cert: Certificate = Packing(())
             break
         if k == 1:
-            path = shortest_long_induced_apath(g, a_set, ell, budget)
+            path = shortest_long_induced_apath(g, terminals, ell, budget)
             cert = empty if path is None else Packing((path,))
             break
-        if not has_long_induced_apath(g, a_set, ell, budget):
+        if not has_long_induced_apath(g, terminals, ell, budget):
             cert = empty
             break
 
         adj = g.neighbor_masks()
-        mid = find_induced_apath_in_range(g, a_set, LengthRange(ell, 2 * ell - 1), budget)
+        mid = find_induced_apath_in_range(g, terminals, LengthRange(ell, 2 * ell - 1), budget)
         if mid is not None:
             cut, used = mid, 1
-            keep = ~mask_ball(adj, to_mask(mid), -1, 1) & ((1 << g.n) - 1)
+            keep = ~mask_ball(adj, to_mask(mid), -1, 1)
         else:
-            cut = build_maximal_frame(g, a_set, ell, budget, observer=frame_observer, k=k)
+            cut = build_maximal_frame(g, terminals, ell, budget, observer=frame_observer, k=k)
             if cut is None:
                 raise FrameInvariantError("a long induced A-path exists, so a frame must too")
             used = cut.leaf_count // 2
@@ -146,7 +147,7 @@ def solve(
                 raise FrameInvariantError("remainder must be separated from the frame")
         cuts.append((params, cut))
         g = _kept_subgraph(g, keep)
-        a_set = frozenset([v for v in a_set if keep >> v & 1])
+        terminals &= keep
         params = replace(params, k=k - used)
 
     for params, cut in reversed(cuts):

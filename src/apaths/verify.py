@@ -15,14 +15,12 @@ from .generators import complete_instance, subdivided_complete_instance
 from .graph import (
     Graph,
     Path,
-    VertexSet,
     _kept_subgraph,
     anti_complete,
-    check_vertex_set,
     is_induced_path,
     is_path,
     mask_ball,
-    to_mask,
+    vertex_mask,
 )
 from .search import (
     _Budget,
@@ -80,22 +78,23 @@ def _jsonable(value):
 
 def verify_packing(
     g: Graph,
-    a: Iterable[int],
+    a: Iterable[int] | int,
     params: SolveParams,
     paths: Iterable[Path],
 ) -> Report:
     """Check a claimed packing: k paths, each a valid induced A-path of
-    length >= ell, pairwise anti-complete."""
-    a_set = check_vertex_set(g, a)
+    length >= ell, pairwise anti-complete; a is vertex ids or their mask."""
+    terminals = vertex_mask(g, a)
     paths = [tuple(p) for p in paths]
+    valid = [is_path(g, p) for p in paths]
     report = Report("packing")
     report.add("count", len(paths) == params.k, (len(paths), params.k))
     for i, p in enumerate(paths):
-        report.add(f"path[{i}].valid", is_path(g, p), p)
+        report.add(f"path[{i}].valid", valid[i], p)
         report.add(f"path[{i}].induced", is_induced_path(g, p), p)
         report.add(
             f"path[{i}].endpoints_in_terminals",
-            len(p) >= 2 and p[0] in a_set and p[-1] in a_set,
+            len(p) >= 2 and all(0 <= v < g.n and terminals >> v & 1 for v in (p[0], p[-1])),
             (p[0], p[-1]) if p else (),
         )
         report.add(f"path[{i}].length", len(p) - 1 >= params.ell, len(p) - 1)
@@ -103,7 +102,7 @@ def verify_packing(
         for j in range(i + 1, len(paths)):
             report.add(
                 f"pair[{i},{j}].anti_complete",
-                anti_complete(g, paths[i], paths[j]),
+                valid[i] and valid[j] and anti_complete(g, paths[i], paths[j]),
                 (paths[i], paths[j]),
             )
     return report
@@ -111,24 +110,23 @@ def verify_packing(
 
 def _removal_check(
     g: Graph,
-    a_set: VertexSet,
+    terminals: int,
     removed: int,
     ell: int,
     budget: _Budget,
 ) -> tuple[bool, Path | None]:
     """Search g minus the vertex mask removed for a long induced A-path."""
     h = _kept_subgraph(g, ~removed)
-    a_left = [v for v in a_set if not removed >> v & 1]
-    witness = find_induced_apath_in_range(h, a_left, LengthRange(ell, None), budget)
+    witness = find_induced_apath_in_range(h, terminals & ~removed, LengthRange(ell, None), budget)
     return witness is None, witness
 
 
 def verify_cover(
     g: Graph,
-    a: Iterable[int],
+    a: Iterable[int] | int,
     params: SolveParams,
-    z1: Iterable[int],
-    z2: Iterable[int],
+    z1: Iterable[int] | int,
+    z2: Iterable[int] | int,
 ) -> Report:
     """Check a claimed cover: size bounds, and long-induced-A-path freeness of
     the intersection removal plus both single-ball removals.
@@ -138,19 +136,18 @@ def verify_cover(
     three are reported. Each distinct removed set is searched once, within
     this call, and its result is reported for every check that removes it.
     One budget of params.node_budget nodes bounds the distinct removal
-    searches together.
+    searches together. a, z1 and z2 are vertex ids or their masks.
     """
-    a_set = check_vertex_set(g, a)
-    z1_set = check_vertex_set(g, z1)
-    z2_set = check_vertex_set(g, z2)
+    terminals = vertex_mask(g, a)
+    z1_mask = vertex_mask(g, z1)
+    z2_mask = vertex_mask(g, z2)
     report = Report("cover")
-    report.add("z1.size", len(z1_set) <= params.z1_limit(), (len(z1_set), params.z1_limit()))
-    report.add("z2.size", len(z2_set) <= params.z2_limit(), (len(z2_set), params.z2_limit()))
-    radius = params.cover_radius()
+    report.add("z1.size", z1_mask.bit_count() <= params.z1_limit(), (z1_mask.bit_count(), params.z1_limit()))
+    report.add("z2.size", z2_mask.bit_count() <= params.z2_limit(), (z2_mask.bit_count(), params.z2_limit()))
     shared = _Budget(params.node_budget, "verify_cover")
     adj = g.neighbor_masks()
-    b1 = mask_ball(adj, to_mask(z1_set), -1, 1)
-    b2 = mask_ball(adj, to_mask(z2_set), -1, radius)
+    b1 = mask_ball(adj, z1_mask, -1, 1)
+    b2 = mask_ball(adj, z2_mask, -1, params.cover_radius())
     results: dict[int, tuple[bool, Path | None]] = {}
     for name, removed in (
         ("intersection.removal", b1 & b2),
@@ -158,18 +155,18 @@ def verify_cover(
         ("z2.removal", b2),
     ):
         if removed not in results:
-            results[removed] = _removal_check(g, a_set, removed, params.ell, shared)
+            results[removed] = _removal_check(g, terminals, removed, params.ell, shared)
         report.add(f"{name}.path_free", *results[removed])
     return report
 
 
 def verify_certificate(
     g: Graph,
-    a: Iterable[int],
+    a: Iterable[int] | int,
     params: SolveParams,
     cert: Certificate,
 ) -> Report:
-    """Dispatch on the certificate kind; also pins the cover radii."""
+    """Dispatch on the certificate kind, for a as ids or a mask; also pins the cover radii."""
     if isinstance(cert, Packing):
         return verify_packing(g, a, params, cert.paths)
     report = verify_cover(g, a, params, cert.z1, cert.z2)

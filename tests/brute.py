@@ -11,9 +11,20 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from apaths import Graph
+from apaths import Graph, GraphError
 
 INF = float("inf")
+
+
+def check_vertex_set(g: Graph, x) -> frozenset[int]:
+    """Coerce x to a frozenset and check every member is a vertex of g: the
+    package's coercion as it was before vertex sets became checked masks,
+    frozen here for the reference implementations."""
+    s = frozenset(x)
+    for v in s:
+        if not (0 <= v < g.n):
+            raise GraphError(f"vertex {v} not in graph with {g.n} vertices")
+    return s
 
 
 def adjacency_matrix(g: Graph) -> list[list[bool]]:

@@ -1,9 +1,11 @@
 """Frozen references for the differential tests, kept verbatim in behaviour.
 
 reference_terminal_path_dfs is the original recursive, set-based
-chordless-path search. It has the same signature as
-apaths.search._terminal_path_dfs, so a test can swap it in and compare what
-the public searches return and how many nodes they spend. It recurses once
+chordless-path search. It has the signature of
+apaths.search._terminal_path_dfs, except that it takes the terminals as a
+set where the engine takes their mask, so a test can swap it in, behind a
+conversion, and compare what the public searches return and how many nodes
+they spend. It recurses once
 per path vertex, so it only serves small graphs.
 
 The reference_* oracles are the brute-force oracles as they were before they
@@ -28,13 +30,14 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from apaths.graph import ball, check_vertex_set, induced_subgraph, is_induced_path, mask_ball
+from apaths.graph import ball, induced_subgraph, is_induced_path, mask_ball
 from apaths.search import (
     DEFAULT_BUDGET,
     _as_budget,
     enumerate_induced_apaths,
     has_long_induced_apath,
 )
+from brute import check_vertex_set
 
 
 def reference_terminal_path_dfs(

@@ -30,7 +30,6 @@ from apaths.graph import (
     Path,
     VertexSet,
     ball,
-    check_vertex_set,
     induced_subgraph,
     mask_ball,
     mask_members,
@@ -51,6 +50,7 @@ from apaths.solver import (
     PowerGraphMap,
     SolveParams,
 )
+from brute import check_vertex_set
 
 
 def reference_solve(

@@ -11,7 +11,8 @@ checks. Do not optimise it: its whole value is that it does not change.
 
 from __future__ import annotations
 
-from apaths.graph import ball, check_vertex_set, induced_subgraph
+from apaths.graph import ball, induced_subgraph
+from brute import check_vertex_set
 from apaths.search import DEFAULT_BUDGET, _Budget, LengthRange, find_induced_apath_in_range
 from apaths.solver import Packing
 from apaths.verify import Report, verify_packing

@@ -193,6 +193,18 @@ class TestSolveVerifyPipeline:
         assert code == EXIT_VERIFY_FAIL
         assert json.loads(out2)["passed"] is False
 
+    @pytest.mark.parametrize("paths", [[[0, -1]], [[0, 4]], [[0, 1], [2, -1]], [[0, 1], [2, 4]]])
+    def test_verify_fails_out_of_range_path_ids(self, tmp_path, paths):
+        inp = self.write(tmp_path, "m2.graph", "p 4\ne 0 1\ne 2 3\na 0\na 1\na 2\na 3\n")
+        _, out = run_cli(["solve", "--input", inp, "--k", "2", "--ell", "1"])
+        doc = json.loads(out)
+        doc["instance"]["k"] = len(paths)
+        doc["paths"] = paths
+        cert_file = self.write(tmp_path, "bad.cert", json.dumps(doc))
+        code, out2 = run_cli(["verify", "--input", inp, "--cert", cert_file])
+        assert code == EXIT_VERIFY_FAIL
+        assert json.loads(out2)["passed"] is False
+
     def test_certificate_roundtrip_byte_identical(self, tmp_path):
         from apaths.cli import certificate_document, emit_certificate
 

@@ -17,7 +17,14 @@ from apaths import (
     power_graph,
     random_instance,
 )
-from apaths.graph import _kept_subgraph
+from apaths.graph import _kept_subgraph, to_mask
+from apaths.search import (
+    _Budget,
+    enumerate_induced_apaths,
+    find_induced_apath_in_range,
+    has_long_induced_apath,
+    shortest_long_induced_apath,
+)
 
 
 def path_graph(n):
@@ -58,14 +65,28 @@ class TestGraphConstruction:
         [
             lambda: Graph(-1, []),
             lambda: ball(path_graph(3), [99], 1),  # an id outside the graph
+            lambda: ball(path_graph(3), [-1], 1),
+            lambda: ball(path_graph(3), -1, 1),  # an int is taken as a mask
+            lambda: ball(path_graph(3), 1 << 3, 1),  # bit n of a mask
             lambda: ball(path_graph(3), [0], -1),
             lambda: power_graph(path_graph(3), 0),
         ],
-        ids=["negative-count", "vertex-out-of-range", "negative-radius", "power-zero"],
+        ids=[
+            "negative-count", "vertex-out-of-range", "negative-vertex", "negative-mask",
+            "mask-bit-out-of-range", "negative-radius", "power-zero",
+        ],
     )
     def test_bad_arguments_are_graph_errors(self, call):
         with pytest.raises(GraphError):
             call()
+
+    def test_a_bad_id_is_named(self):
+        with pytest.raises(GraphError, match="vertex -1 not in graph with 3 vertices"):
+            ball(path_graph(3), [0, -1], 1)
+
+    def test_a_bool_is_no_vertex_set(self):
+        with pytest.raises(TypeError):
+            ball(path_graph(3), True, 1)
 
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph(4, [(2, 0), (3, 0), (0, 1)])
@@ -148,6 +169,47 @@ class TestAccessors:
             if not any(v in c for c in expected):
                 expected.append(frozenset(w for w in range(g.n) if d[v][w] != brute.INF))
         assert components(g) == expected
+
+
+class TestIdsOrMask:
+    """Every query that takes a vertex set takes its mask as well, with the
+    same result, and a search spends the same nodes either way."""
+
+    @given(
+        st.builds(
+            random_instance,
+            st.integers(1, 10),
+            st.sampled_from([0.2, 0.35, 0.5]),
+            st.sampled_from([0.3, 0.6, 1.0]),
+            st.integers(0, 100_000),
+        ),
+        st.integers(1, 6),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_a_set_and_its_mask_agree(self, inst, ell, r):
+        g, a = inst
+        x = frozenset(v for v in range(g.n) if v % 3 == 0)
+        y = frozenset(v for v in range(g.n) if v % 3 == 1)
+        for call in (
+            lambda s, t: ball(g, s, r),
+            lambda s, t: dist(g, s, t),
+            lambda s, t: anti_complete(g, s, t),
+            lambda s, t: induced_subgraph(g, s),
+        ):
+            assert call(x, y) == call(to_mask(x), to_mask(y))
+        queries = (
+            lambda s, b: find_induced_apath_in_range(g, s, (ell, ell + r), b),
+            lambda s, b: has_long_induced_apath(g, s, ell, b),
+            lambda s, b: shortest_long_induced_apath(g, s, ell, b),
+            lambda s, b: enumerate_induced_apaths(g, s, ell, b),
+        )
+        for query in queries:
+            spent = []
+            for terminals in (a, to_mask(a)):
+                budget = _Budget(10**9, "ids-or-mask")
+                spent.append((query(terminals, budget), budget.limit - budget.remaining))
+            assert spent[0] == spent[1]
 
 
 class TestBall:

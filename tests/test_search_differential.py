@@ -24,7 +24,7 @@ Correctness against independent brute force is tested in test_search.py.
 
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import apaths.search as search
 from apaths import (
@@ -39,6 +39,7 @@ from apaths import (
     shortest_apath,
     shortest_long_induced_apath,
 )
+from apaths.graph import mask_members, to_mask
 from reference_search import (
     reference_live_extensions,
     reference_max_anticomplete_packing_with_witness,
@@ -57,13 +58,19 @@ instances = st.builds(
 )
 
 
+def reference_on_mask(g, terminals, *args, **kwargs):
+    """reference_terminal_path_dfs behind the engine's signature: the
+    terminal mask is turned back into a set."""
+    return reference_terminal_path_dfs(g, frozenset(mask_members(terminals)), *args, **kwargs)
+
+
 def both_engines(call):
     """(result, nodes spent) of call(budget) under the engine and the reference."""
     out = []
     for reference in (False, True):
         budget = search._Budget(10**9, "differential")
         if reference:
-            with mock.patch.object(search, "_terminal_path_dfs", reference_terminal_path_dfs):
+            with mock.patch.object(search, "_terminal_path_dfs", reference_on_mask):
                 result = call(budget)
         else:
             result = call(budget)
@@ -147,6 +154,51 @@ def branch_points(draw):
     return adj, ext, blocked | adj[tip], targets, need, depth
 
 
+@st.composite
+def spent_union_points(draw):
+    """The arguments of one uncapped liveness test whose last child is live
+    only by a union: its seeds meet two or more components of the free
+    region, each flooded to its end by an earlier sibling and each too small
+    alone, while together they hold a target and need - 1 vertices.
+
+    Vertex 0 is the tip, 1..c its children, the last child c, and the
+    components follow, each a random tree plus random chords. Each
+    component has one or two siblings with seeds in it, and up to two more
+    siblings have no free neighbour at all."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    met = draw(st.lists(st.sampled_from(range(len(sizes))), min_size=2, unique=True))
+    union = sum(sizes[i] for i in met)
+    assume(union > max(sizes))
+    owners = [i for i in range(len(sizes)) for _ in range(draw(st.integers(1, 2)))]
+    siblings = draw(st.permutations(owners + [None] * draw(st.integers(0, 2))))  # each one's component
+    c = len(siblings) + 1
+    start = [c + 1 + sum(sizes[:i]) for i in range(len(sizes))]
+    parts = [list(range(s, s + size)) for s, size in zip(start, sizes)]
+    edges = {(0, w) for w in range(1, c + 1)}
+    for part in parts:
+        for j in range(1, len(part)):
+            edges.add((draw(st.sampled_from(part[:j])), part[j]))
+        chords = [(u, v) for j, u in enumerate(part) for v in part[j + 1:]]
+        if chords:
+            edges |= set(draw(st.lists(st.sampled_from(chords), max_size=2)))
+
+    def some(part):
+        return draw(st.lists(st.sampled_from(part), min_size=1, unique=True))
+
+    for w, i in enumerate(siblings, start=1):
+        if i is not None:
+            edges |= {(w, v) for v in some(parts[i])}
+    for i in met:
+        edges |= {(c, v) for v in some(parts[i])}
+    free = [v for part in parts for v in part]
+    sure = draw(st.sampled_from([v for i in met for v in parts[i]]))  # a target in the union
+    targets = sum(1 << v for v in {sure, *draw(st.lists(st.sampled_from(free)))})
+    need = draw(st.integers(max(sizes) + 2, union + 1))
+    g = Graph(start[-1] + sizes[-1], edges)
+    ext = (2 << c) - 2
+    return g.neighbor_masks(), ext, ext | 1, targets, need, None
+
+
 def spent_under(live_extensions, call):
     """(result, nodes spent) of call(budget) with the engine's liveness test
     swapped for live_extensions."""
@@ -161,6 +213,13 @@ class TestLiveExtensionsAgainstReference:
     @settings(max_examples=600, deadline=None)
     def test_same_live_mask(self, args):
         assert search._live_extensions(*args) == reference_live_extensions(*args)
+
+    @given(spent_union_points())
+    @settings(max_examples=200, deadline=None)
+    def test_same_live_mask_on_spent_unions(self, args):
+        last = args[1].bit_length() - 1
+        assert reference_live_extensions(*args) == 1 << last
+        assert search._live_extensions(*args) == 1 << last
 
     def assert_same_search(self, call):
         assert spent_under(search._live_extensions, call) == spent_under(reference_live_extensions, call)
@@ -221,7 +280,7 @@ class TestLesserEndFirst:
             emitted.append(path)
 
         search._terminal_path_dfs(
-            g, frozenset(a), ell, None, search._Budget(10**9, "orientation"), emit,
+            g, to_mask(a), ell, None, search._Budget(10**9, "orientation"), emit,
             stop_at_terminals=no_interior_terminals,
         )
         assert all(p[0] < p[-1] for p in emitted)

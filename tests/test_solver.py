@@ -1,5 +1,7 @@
 import gc
 import random
+import sys
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import pytest
@@ -31,9 +33,11 @@ from apaths import (
     solve,
     subdivided_complete_instance,
     verify_certificate,
+    verify_cover,
 )
 import apaths.solver as solver_module
 import reference_solver
+from apaths.graph import vertex_mask
 from apaths.search import _Budget
 from reference_solver import reference_lift_path, reference_reduce_to_d3, reference_solve
 from test_search import spent
@@ -399,6 +403,29 @@ def traced_solve(solver, module, g, a, params):
     return cert, [fr.tree_edges for fr in seen], budget.limit - budget.remaining
 
 
+@contextmanager
+def vertex_sets_checked():
+    """The sets handed to vertex_mask, in every apaths module that binds it,
+    while the block runs; a mask (an int) already passed its check."""
+    modules = [
+        m for name, m in sys.modules.items() if name.startswith("apaths") and vars(m).get("vertex_mask")
+    ]
+    assert {"apaths.graph", "apaths.search", "apaths.frame", "apaths.solver", "apaths.verify"} <= {
+        m.__name__ for m in modules
+    }
+    sets = []
+
+    def spy(g, x):
+        if type(x) is not int:
+            sets.append(x)
+        return vertex_mask(g, x)
+
+    with ExitStack() as stack:
+        for m in modules:
+            stack.enter_context(mock.patch.object(m, "vertex_mask", spy))
+        yield sets
+
+
 def assert_matches_recursion(g, a, params):
     loop = traced_solve(solve, solver_module, g, a, params)
     assert loop == traced_solve(reference_solve, reference_solver, g, a, params)
@@ -433,8 +460,18 @@ class TestLoopMatchesRecursion:
     def test_many_peels(self, k):
         # 200 disjoint edges, all terminals: one middle-length peel per
         # level, so k = 150 packs and k = 250 covers after 200 levels.
-        g = Graph(400, [(v, v + 1) for v in range(0, 400, 2)])
-        assert_matches_recursion(g, range(400), SolveParams(k, 1))
+        g, a = Graph(400, [(v, v + 1) for v in range(0, 400, 2)]), range(400)
+        assert_matches_recursion(g, a, SolveParams(k, 1))
+        # The caller's set is checked once in all those levels; every level
+        # hands its searches a mask, and so does the verifier.
+        with vertex_sets_checked() as sets:
+            cert = solve(g, a, SolveParams(k, 1))
+        assert len(sets) == 1 and sets[0] is a
+        assert isinstance(cert, Packing if k == 150 else Cover)
+        if isinstance(cert, Cover):
+            with vertex_sets_checked() as sets:
+                assert verify_cover(g, a, SolveParams(k, 1), cert.z1, cert.z2).passed
+            assert len(sets) == 3 and all(x is y for x, y in zip(sets, (a, cert.z1, cert.z2)))
 
 
 class TestFrameStop:

@@ -58,6 +58,18 @@ class TestVerifyPacking:
         report = verify_packing(g, {0, 1}, SolveParams(1, 1), [()])
         assert any(c.name == "path[0].valid" for c in report.failures())
 
+    @pytest.mark.parametrize("paths", [[(0, -1)], [(0, 4)], [(0, 1), (2, -1)], [(0, 1), (2, 4)]])
+    def test_out_of_range_id_fails_without_raising(self, paths):
+        # An id outside 0..n-1 fails the checks of its own path and of every
+        # pair its path is in, and is never looked up in the terminal mask.
+        g = Graph(4, [(0, 1), (2, 3)])
+        report = verify_packing(g, {0, 1, 2, 3}, SolveParams(len(paths), 1), paths)
+        last = len(paths) - 1
+        failed = {c.name for c in report.failures()}
+        assert {f"path[{last}].valid", f"path[{last}].endpoints_in_terminals"} <= failed
+        assert ("pair[0,1].anti_complete" in failed) == (last == 1)
+        assert all(name.startswith(f"path[{last}]") or name.startswith("pair") for name in failed)
+
 
 class TestVerifyCover:
     def test_empty_cover_on_pathfree_graph(self):
