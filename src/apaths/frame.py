@@ -56,12 +56,11 @@ from .graph import (
     Path,
     VertexSet,
     _chordless,
-    is_induced_path,
-    is_path,
     mask_ball,
     mask_layers,
     mask_members,
     mask_neighbors,
+    path_mask,
     to_mask,
     vertex_mask,
     walk_back,
@@ -359,19 +358,18 @@ def init_frame(
     return _assert_valid(Frame(g, frozenset(mask_members(terminals)), _path_edges(path), ell), "init_frame")
 
 
-def _extension_violations(fr: Frame, p: Path) -> list[Violation]:
-    """The properties among P1..P7 and P-hub that p fails, for a path p of
-    the host (so P3 asks only for no chord). BFS-minimality implies all of
-    them; checking explicitly guards the BFS tie-breaking choices."""
+def _extension_violations(fr: Frame, p: Path, on_p: int) -> list[Violation]:
+    """The properties among P1..P7 and P-hub that p, a host path with mask
+    on_p, fails (so P3 asks only for no chord). BFS-minimality implies all
+    of them; checking explicitly guards the BFS tie-breaking choices."""
     adj = fr.host.neighbor_masks()
     f = fr.f
-    on_p = to_mask(p)
     head = to_mask(p[:-2])
     regions = on_p & (fr.y | fr.y_tilde)
     checks: list[tuple[str, bool, object]] = [
         ("P1", on_p & fr.a_bar == 1 << p[0], p[0]),
         ("P2", on_p & f == 1 << p[-1], p[-1]),
-        ("P3", _chordless(adj, p), p),
+        ("P3", _chordless(adj, p, on_p), p),
         ("P4", not (head | mask_neighbors(adj, head)) & f, p),
         ("P5", not regions, frozenset(mask_members(regions))),
     ]
@@ -419,12 +417,12 @@ def find_extension(fr: Frame) -> Path | None:
     return walk_back(adj, layers, _lowest(hits))
 
 
-def _grown(fr: Frame, p: Path) -> Frame:
-    """fr grown by p, with every mask carried forward as extend_frame's
-    lemma gives it."""
+def _grown(fr: Frame, p: Path, on_p: int) -> Frame:
+    """fr grown by p (mask on_p), with every mask carried forward as
+    extend_frame's lemma gives it."""
     adj = fr.host.neighbor_masks()
     x = p[-1]
-    f = fr.f | to_mask(p)
+    f = fr.f | on_p
     tree = list(fr.tree)
     for u, v in zip(p, p[1:]):
         tree[u] |= 1 << v
@@ -451,12 +449,12 @@ def extend_frame(fr: Frame, p: Path) -> Frame:
     established its validity: init_frame, extend_frame, build_maximal_frame
     and extract_frame_paths mark the frames they check, and Frame(...) or
     dataclasses.replace makes an unchecked frame. Then p must be a host path
-    with P1..P7 and P-hub (find_extension's path for fr is one). The grown
-    frame's masks are carried from fr's and p, and only what the lemma below
-    leaves open is checked, by the checker validate_frame runs on all of F:
-    the step costs O(|p| + |N(p)|) plus balls of radius at most ell_hat
-    around p[0] and x, whatever the size of F, apart from copying T's edge
-    set and masks into the new frame.
+    (checked once, into its mask) with P1..P7 and P-hub (find_extension's
+    path is one). The grown frame's masks are carried from fr's and p, and
+    only what the lemma below leaves open is checked, by the checker
+    validate_frame runs on all of F: the step costs O(|p| + |N(p)|) plus
+    balls of radius at most ell_hat around p[0] and x, whatever the size of
+    F, apart from copying T's edge set and masks into the new frame.
 
     Lemma. Let fr be valid and p have P1..P7 and P-hub. Write F' = F + V(p),
     P = V(p) - x for the new vertices, and primes for the grown frame. Then
@@ -494,16 +492,17 @@ def extend_frame(fr: Frame, p: Path) -> Frame:
     build_maximal_frame still validates its last frame in full.
     """
     fr = _trusted(fr, "extend_frame")
-    if not is_path(fr.host, p):
+    on_p = path_mask(fr.host, p)
+    if not on_p:
         raise FrameInvariantError(f"extension {p!r} is not a path of the host")
-    failed = _extension_violations(fr, p)
+    failed = _extension_violations(fr, p, on_p)
     if failed:
         raise FrameInvariantError("find_extension produced a bad path", failed)
-    new, x = _grown(fr, p), p[-1]
+    new, x = _grown(fr, p, on_p), p[-1]
     if new.tree[x].bit_count() != 3:
         violations = [Violation("A2", x, "attachment vertex did not have tree degree 2")]
     else:
-        violations = _axiom_violations(new, to_mask(p[:-1]), 1 << p[0], 1 << x) or _size_violations(new)
+        violations = _axiom_violations(new, on_p ^ 1 << x, 1 << p[0], 1 << x) or _size_violations(new)
     _passed(new, "extend_frame", violations)
     if new.leaf_count != fr.leaf_count + 1:
         raise FrameInvariantError(f"extension left {new.leaf_count} leaves, not {fr.leaf_count + 1}")
@@ -605,28 +604,28 @@ def extract_frame_paths(fr: Frame) -> list[Path]:
     """floor(p/2) pairwise anti-complete induced leaf-to-leaf paths of a
     frame, each of length >= ell, in host ids.
 
-    The frame is validated in full first, unless this module already
-    checked it (see extend_frame). Either way T has passed A2 and A3, so
+    The frame is validated in full first, unless this module already checked
+    it (see extend_frame). Either way T has passed A2 and A3, so
     _pair_leaves pairs A_F on the frame's own tree masks, with no second
     tree check. Each tree path s..t is re-routed to a shortest s-t path
     inside its own vertices (mask_layers, then walk_back from t), which
     makes it induced without disturbing disjointness. Every promised
-    property is checked on the outputs before returning; two paths touch
-    iff one meets the other's closed neighbourhood, a mask_ball of radius 1.
+    property is checked on the outputs before returning, each path once into
+    its vertex mask; two paths touch iff one meets the other's closed
+    neighbourhood, a mask_ball of radius 1.
     """
     _trusted(fr, "extract_frame_paths")
-    g = fr.host
-    adj = g.neighbor_masks()
+    adj = fr.host.neighbor_masks()
     out: list[Path] = []
     for tree_path in _pair_leaves(fr.tree, fr.a_f):
         s, t = tree_path[0], tree_path[-1]
         out.append(walk_back(adj, mask_layers(adj, 1 << s, to_mask(tree_path), 1 << t), t))
 
-    masks = [to_mask(path) for path in out]
+    masks = [path_mask(fr.host, path) for path in out]
     closed = [mask_ball(adj, m, -1, 1) for m in masks]
     failed = []
     for i, path in enumerate(out):
-        if not is_induced_path(g, path):
+        if not _chordless(adj, path, masks[i]):
             failed.append(Violation("induced", path, "extracted path has a chord"))
         if len(path) - 1 < fr.ell:
             failed.append(Violation("length", path, f"length {len(path) - 1} < {fr.ell}"))

@@ -10,11 +10,11 @@ deleting a vertex set X is expressed as the subgraph induced on the rest,
 adj[v] & keep for every v, which keeps g's ids and leaves X isolated, so
 paths, balls and certificates found in it speak g's ids unchanged.
 
-vertex_mask, to_mask, mask_members and mask_neighbors are the set
-operations, and mask_ball is the BFS; mask_layers keeps that BFS's layers,
-and walk_back turns them into a shortest path, always stepping to the least
-neighbour one layer closer. ball, dist, components and power_graph are
-calls on them. A caller's vertex set, ids or a mask, is checked once.
+vertex_mask, path_mask, to_mask, mask_members and mask_neighbors are the
+set operations, and mask_ball is the BFS; mask_layers keeps its layers, and
+walk_back turns them into a shortest path, stepping to the least neighbour
+one layer closer. ball, dist, components and power_graph are calls on them.
+A caller's vertex set (ids or a mask) or path is checked once, into a mask.
 """
 
 from __future__ import annotations
@@ -71,12 +71,18 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
+    def _vertex(self, v: int) -> int:
+        """v, checked to be a vertex of the graph."""
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} not in graph with {self.n} vertices")
+        return v
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         """N(v) in increasing order."""
-        return tuple(mask_members(self._adj[v]))
+        return tuple(mask_members(self._adj[self._vertex(v)]))
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        return frozenset(mask_members(self._adj[v]))
+        return frozenset(mask_members(self._adj[self._vertex(v)]))
 
     def neighbor_masks(self) -> tuple[int, ...]:
         """N(v) for every vertex v as an int bitmask, bit w set iff w ~ v.
@@ -86,10 +92,10 @@ class Graph:
         return self._adj
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self._adj[self._vertex(v)].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._adj[u] >> v & 1 == 1
+        return self._adj[self._vertex(u)] >> self._vertex(v) & 1 == 1
 
     def edges(self) -> Iterator[Edge]:
         """Yield each edge once, as (u, v) with u < v, in sorted order."""
@@ -252,28 +258,31 @@ def components(g: Graph) -> list[VertexSet]:
     return out
 
 
+def path_mask(g: Graph, p: Path) -> int:
+    """The vertex mask of p if is_path(g, p), and 0 otherwise."""
+    adj, mask = g.neighbor_masks(), 0
+    for i, v in enumerate(p):
+        if not (0 <= v < g.n and (i == 0 or adj[p[i - 1]] >> v & 1)):
+            return 0
+        mask |= 1 << v
+    return mask if mask.bit_count() == len(p) else 0
+
+
 def is_path(g: Graph, p: Path) -> bool:
     """True iff p is a nonempty sequence of distinct vertices with consecutive edges."""
-    if len(p) == 0:
-        return False
-    if len(set(p)) != len(p):
-        return False
-    if any(not (0 <= v < g.n) for v in p):
-        return False
-    return all(g.has_edge(p[i], p[i + 1]) for i in range(len(p) - 1))
+    return path_mask(g, p) != 0
 
 
 def is_induced_path(g: Graph, p: Path) -> bool:
     """True iff p is a valid path with no chord between non-consecutive vertices."""
-    return is_path(g, p) and _chordless(g.neighbor_masks(), p)
+    return _chordless(g.neighbor_masks(), p, path_mask(g, p))
 
 
-def _chordless(adj: Sequence[int], p: Path) -> bool:
-    """True iff no two non-consecutive vertices of the path p are adjacent."""
+def _chordless(adj: Sequence[int], p: Path, on_p: int) -> bool:
+    """is_induced_path for on_p = path_mask(g, p) and adj = g.neighbor_masks()."""
     # The path's own edges give its vertices 2(|p| - 1) neighbours on p; a
     # chord adds two more.
-    on_p = to_mask(p)
-    return sum((adj[v] & on_p).bit_count() for v in p) == 2 * (len(p) - 1)
+    return on_p != 0 and sum((adj[v] & on_p).bit_count() for v in p) == 2 * (len(p) - 1)
 
 
 def power_graph(g: Graph, d: int) -> Graph:

@@ -46,10 +46,12 @@ from .graph import (
     Graph,
     Path,
     VertexSet,
-    is_induced_path,
+    _chordless,
     mask_ball,
     mask_layers,
     mask_members,
+    mask_neighbors,
+    path_mask,
     to_mask,
     vertex_mask,
     walk_back,
@@ -138,9 +140,12 @@ def shortest_apath(g: Graph, a: Iterable[int] | int) -> Path | None:
         ends = layers[-1] & terminals
         if len(layers) > 1 and ends:
             best = walk_back(adj, layers, (ends & -ends).bit_length() - 1)
-    if best is not None and not is_induced_path(g, best):
+    if best is None:
+        return None
+    on_best = path_mask(g, best)
+    if not _chordless(adj, best, on_best):
         raise AssertionError(f"shortest A-path {best} has a chord")
-    if best is not None and to_mask(best[1:-1]) & terminals:
+    if on_best & terminals != 1 << best[0] | 1 << best[-1]:
         raise AssertionError(f"shortest A-path {best} has an interior terminal")
     return best
 
@@ -430,21 +435,13 @@ def _path_masks(
     return paths, [to_mask(p) for p in paths], through
 
 
-def _paths_meeting(vertices: int, through: list[int]) -> int:
-    """The mask of the paths through some vertex of the mask vertices."""
-    met = 0
-    for v in mask_members(vertices):
-        met |= through[v]
-    return met
-
-
 def _compatibility(forbidden: list[int], through: list[int]) -> list[int]:
     """One mask per path i: the later paths j > i whose vertices avoid
     forbidden[i]. The relation must be symmetric; it is for closed
     neighbourhoods (anti-completeness) and for the paths themselves
     (disjointness)."""
     top = 1 << len(forbidden)
-    return [(top - (2 << i)) & ~_paths_meeting(f, through) for i, f in enumerate(forbidden)]
+    return [(top - (2 << i)) & ~mask_neighbors(through, f) for i, f in enumerate(forbidden)]
 
 
 def _max_compatible_family(
@@ -554,7 +551,7 @@ def oracle_min_ball_cover(
     b = _as_budget(budget, "oracle_min_ball_cover")
     paths, _, through = _path_masks(g, terminals, ell, b, no_interior_terminals=ell == 1)
     adj = g.neighbor_masks()
-    hit = [_paths_meeting(mask_ball(adj, 1 << v, -1, r), through) for v in range(g.n)]
+    hit = [mask_neighbors(through, mask_ball(adj, 1 << v, -1, r)) for v in range(g.n)]
     full = (1 << len(paths)) - 1
     b.spend()  # the empty set
     if not full:

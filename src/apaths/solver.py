@@ -103,11 +103,12 @@ def solve(
     the part a peeled path or a split frame leaves, and its terminal mask to
     that part, and goes on at a smaller k, so the loop ends on every input.
     The cut levels are then replayed innermost first, each adding its path,
-    its frame's paths or its sets to the answer of the level inside it. A
-    returned Cover satisfies the strong intersection form: removing N[z1] &
-    N[z2, r2] already leaves no induced A-path of length >= ell (and hence
-    so does removing either ball family alone). frame_observer, when given,
-    is called with every frame the construction passes through.
+    its frame's paths or its sets (ORed into masks, checked against each
+    level's bounds) to the answer of the level inside it. A returned Cover
+    satisfies the strong intersection form: removing N[z1] & N[z2, r2]
+    already leaves no induced A-path of length >= ell (and hence so does
+    removing either ball family alone). frame_observer, when given, is
+    called with every frame the construction passes through.
     """
     ell = params.ell
     budget = _Budget(params.node_budget, "solve")
@@ -150,30 +151,27 @@ def solve(
         terminals &= keep
         params = replace(params, k=k - used)
 
-    for params, cut in reversed(cuts):
-        if isinstance(cut, Frame):
-            if isinstance(cert, Packing):
+    if not cuts:
+        return cert
+    if isinstance(cert, Packing):
+        for _, cut in reversed(cuts):
+            if isinstance(cut, Frame):
                 cert = Packing(tuple(sorted(extract_frame_paths(cut) + list(cert.paths))))
             else:
-                cert = _bounded_cover(
-                    cert.z1.union(mask_members(cut.y)), cert.z2.union(mask_members(cut.a_f | cut.hubs)), params
-                )
-        elif isinstance(cert, Packing):
-            cert = Packing((cut,) + cert.paths)
+                cert = Packing((cut,) + cert.paths)
+        return cert
+    z1, z2 = to_mask(cert.z1), to_mask(cert.z2)
+    for params, cut in reversed(cuts):
+        if isinstance(cut, Frame):
+            z1, z2 = z1 | cut.y, z2 | cut.a_f | cut.hubs
         else:
-            cert = _bounded_cover(cert.z1 | frozenset(cut), cert.z2 | {cut[0], cut[-1]}, params)
-    return cert
-
-
-def _bounded_cover(z1: VertexSet, z2: VertexSet, params: SolveParams) -> Cover:
-    """The cover (z1, z2) at radii 1 and cover_radius, checked against the
-    size bounds of params."""
-    if len(z1) > params.z1_limit() or len(z2) > params.z2_limit():
-        raise FrameInvariantError(
-            f"cover sizes |z1| = {len(z1)}, |z2| = {len(z2)} exceed the bounds "
-            f"{params.z1_limit()}, {params.z2_limit()} at k = {params.k}"
-        )
-    return Cover(z1, z2, 1, params.cover_radius())
+            z1, z2 = z1 | to_mask(cut), z2 | 1 << cut[0] | 1 << cut[-1]
+        if z1.bit_count() > params.z1_limit() or z2.bit_count() > params.z2_limit():
+            raise FrameInvariantError(
+                f"cover sizes |z1| = {z1.bit_count()}, |z2| = {z2.bit_count()} exceed the bounds "
+                f"{params.z1_limit()}, {params.z2_limit()} at k = {params.k}"
+            )
+    return Cover(frozenset(mask_members(z1)), frozenset(mask_members(z2)), 1, params.cover_radius())
 
 
 @dataclass(frozen=True)
@@ -217,6 +215,8 @@ def reduce_to_d3(g: Graph, d: int) -> PowerGraphMap:
 def lift_path(pmap: PowerGraphMap, p_h: Path) -> Path:
     """A base-graph path with the same endpoints, inside the union of the
     witness paths of p_h's edges; its length is at most d times p_h's."""
+    if not p_h:
+        raise ValueError("an empty sequence is not a path of the powered graph")
     if len(p_h) == 1:
         return p_h
     allowed: set[int] = set()

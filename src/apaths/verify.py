@@ -14,12 +14,12 @@ from typing import Iterable
 from .generators import complete_instance, subdivided_complete_instance
 from .graph import (
     Graph,
+    GraphError,
     Path,
+    _chordless,
     _kept_subgraph,
-    anti_complete,
-    is_induced_path,
-    is_path,
     mask_ball,
+    path_mask,
     vertex_mask,
 )
 from .search import (
@@ -83,15 +83,18 @@ def verify_packing(
     paths: Iterable[Path],
 ) -> Report:
     """Check a claimed packing: k paths, each a valid induced A-path of
-    length >= ell, pairwise anti-complete; a is vertex ids or their mask."""
+    length >= ell, pairwise anti-complete; a is vertex ids or their mask.
+    Each path is checked once, into its mask, and pairs on closed balls."""
     terminals = vertex_mask(g, a)
+    adj = g.neighbor_masks()
     paths = [tuple(p) for p in paths]
-    valid = [is_path(g, p) for p in paths]
+    masks = [path_mask(g, p) for p in paths]
+    closed = [mask_ball(adj, m, -1, 1) for m in masks]
     report = Report("packing")
     report.add("count", len(paths) == params.k, (len(paths), params.k))
     for i, p in enumerate(paths):
-        report.add(f"path[{i}].valid", valid[i], p)
-        report.add(f"path[{i}].induced", is_induced_path(g, p), p)
+        report.add(f"path[{i}].valid", masks[i], p)
+        report.add(f"path[{i}].induced", _chordless(adj, p, masks[i]), p)
         report.add(
             f"path[{i}].endpoints_in_terminals",
             len(p) >= 2 and all(0 <= v < g.n and terminals >> v & 1 for v in (p[0], p[-1])),
@@ -102,7 +105,7 @@ def verify_packing(
         for j in range(i + 1, len(paths)):
             report.add(
                 f"pair[{i},{j}].anti_complete",
-                valid[i] and valid[j] and anti_complete(g, paths[i], paths[j]),
+                masks[i] and masks[j] and not closed[i] & masks[j],
                 (paths[i], paths[j]),
             )
     return report
@@ -136,14 +139,26 @@ def verify_cover(
     three are reported. Each distinct removed set is searched once, within
     this call, and its result is reported for every check that removes it.
     One budget of params.node_budget nodes bounds the distinct removal
-    searches together. a, z1 and z2 are vertex ids or their masks.
+    searches together. a, z1 and z2 are vertex ids or their masks. A z1 or
+    z2 that is no vertex set of g fails one check instead of its size check,
+    z1.in_graph or z2.in_graph, with its ids outside g (or the mask) as the
+    witness, and then no removal is searched.
     """
     terminals = vertex_mask(g, a)
-    z1_mask = vertex_mask(g, z1)
-    z2_mask = vertex_mask(g, z2)
     report = Report("cover")
-    report.add("z1.size", z1_mask.bit_count() <= params.z1_limit(), (z1_mask.bit_count(), params.z1_limit()))
-    report.add("z2.size", z2_mask.bit_count() <= params.z2_limit(), (z2_mask.bit_count(), params.z2_limit()))
+    masks = []
+    for name, z, limit in (("z1", z1, params.z1_limit()), ("z2", z2, params.z2_limit())):
+        try:
+            mask = vertex_mask(g, z)
+        except GraphError:
+            outside = z if type(z) is int else sorted(v for v in z if not 0 <= v < g.n)
+            report.add(f"{name}.in_graph", False, outside)
+            continue
+        masks.append(mask)
+        report.add(f"{name}.size", mask.bit_count() <= limit, (mask.bit_count(), limit))
+    if len(masks) < 2:
+        return report
+    z1_mask, z2_mask = masks
     shared = _Budget(params.node_budget, "verify_cover")
     adj = g.neighbor_masks()
     b1 = mask_ball(adj, z1_mask, -1, 1)

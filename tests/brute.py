@@ -27,6 +27,32 @@ def check_vertex_set(g: Graph, x) -> frozenset[int]:
     return s
 
 
+def is_path(g: Graph, p: tuple[int, ...]) -> bool:
+    """True iff p is a nonempty sequence of distinct vertices with
+    consecutive edges: the package's path check as it was before paths
+    became checked masks, frozen here for the reference implementations."""
+    if len(p) == 0:
+        return False
+    if len(set(p)) != len(p):
+        return False
+    if any(not (0 <= v < g.n) for v in p):
+        return False
+    return all(g.has_edge(p[i], p[i + 1]) for i in range(len(p) - 1))
+
+
+def is_induced_path(g: Graph, p: tuple[int, ...]) -> bool:
+    """True iff p is a valid path with no chord between non-consecutive
+    vertices, frozen as is_path is."""
+    if not is_path(g, p):
+        return False
+    # The path's own edges give its vertices 2(|p| - 1) neighbours on p; a
+    # chord adds two more.
+    adj, on_p = g.neighbor_masks(), 0
+    for v in p:
+        on_p |= 1 << v
+    return sum((adj[v] & on_p).bit_count() for v in p) == 2 * (len(p) - 1)
+
+
 def adjacency_matrix(g: Graph) -> list[list[bool]]:
     return [[g.has_edge(u, v) for v in range(g.n)] for u in range(g.n)]
 

@@ -205,6 +205,22 @@ class TestSolveVerifyPipeline:
         assert code == EXIT_VERIFY_FAIL
         assert json.loads(out2)["passed"] is False
 
+    @pytest.mark.parametrize("key", ["z1", "z2"])
+    def test_verify_fails_out_of_range_cover_ids(self, tmp_path, key):
+        inp = self.write(tmp_path, "p4.graph", "p 4\ne 0 1\ne 1 2\ne 2 3\na 0\na 3\n")
+        _, out = run_cli(["solve", "--input", inp, "--k", "2", "--ell", "1"])
+        doc = json.loads(out)
+        assert doc["kind"] == "cover"
+        doc[key] = [99]
+        cert_file = self.write(tmp_path, "bad.cert", json.dumps(doc))
+        code, out2 = run_cli(["verify", "--input", inp, "--cert", cert_file])
+        assert code == EXIT_VERIFY_FAIL
+        report = json.loads(out2)
+        assert report["passed"] is False
+        assert [c for c in report["checks"] if not c["ok"]] == [
+            {"name": f"{key}.in_graph", "ok": False, "witness": [99]}
+        ]
+
     def test_certificate_roundtrip_byte_identical(self, tmp_path):
         from apaths.cli import certificate_document, emit_certificate
 

@@ -44,7 +44,7 @@ from apaths import (
     solve,
 )
 from apaths.frame import _extension_violations, _passed, check_frame_claims, validate_frame
-from apaths.graph import mask_members
+from apaths.graph import mask_members, path_mask
 from reference_frame import (
     reference_check_extension_path,
     reference_check_frame_claims,
@@ -327,7 +327,8 @@ def test_extension_paths_agree_in_length(n, p, seed, ell):
         assert (got is None) == (want is None)
         if got is not None:
             assert len(got) == len(want)
-            assert _extension_violations(fr, got) == _extension_violations(fr, want) == []
+            on_got, on_want = path_mask(fr.host, got), path_mask(fr.host, want)
+            assert _extension_violations(fr, got, on_got) == _extension_violations(fr, want, on_want) == []
 
 
 @given(st.integers(2, 300), st.integers(0, 50_000))

@@ -24,10 +24,11 @@ import random
 import pytest
 
 import apaths.frame
-from apaths import Frame, Graph, build_maximal_frame, caterpillar_instance, extend_frame, find_extension
+from apaths import Frame, Graph, build_maximal_frame, caterpillar_instance, extend_frame, find_extension, init_frame
 from apaths.frame import _assert_valid, _extension_violations, _path_edges, check_frame_claims, validate_frame
-from apaths.graph import mask_ball, mask_members, mask_neighbors, to_mask
+from apaths.graph import mask_ball, mask_members, mask_neighbors, path_mask, to_mask
 from test_frame_differential import FRAMES, outcome
+from test_solver import PATH_MASK_MODULES, calls_of
 
 # The masks a step carries forward, as Frame's cached properties.
 CARRIED = ("f", "a", "a_f", "a_bar", "hubs", "tree", "y", "y_tilde")
@@ -82,6 +83,17 @@ def test_caterpillar_steps_carry_their_masks(legs, seed):
         assert_carried_masks_agree(fr)
 
 
+def test_a_step_checks_its_path_once():
+    # p is checked once, into the mask every later check of the step reads.
+    g, a = shuffled_caterpillar(10, 0)
+    fr = init_frame(g, a, 3)
+    while (p := find_extension(fr)) is not None:
+        with calls_of("path_mask", PATH_MASK_MODULES) as calls:
+            fr = extend_frame(fr, p)
+        assert calls == [(g, p)]
+    assert fr.leaf_count == 10
+
+
 def targets(fr: Frame, p) -> list[int]:
     """Vertices to join to a new vertex of p: the lowest leaf; the frame
     vertices outside y within tree-distance 2 of p[-1], and the lowest and
@@ -112,7 +124,8 @@ def mutated_steps():
                     continue
                 h = Graph(g.n, list(g.edges()) + [(v, w)])
                 before = fresh(fr, h)
-                if validate_frame(before) or check_frame_claims(before) or _extension_violations(before, p):
+                on_p = path_mask(h, p)
+                if validate_frame(before) or check_frame_claims(before) or _extension_violations(before, p, on_p):
                     continue
                 yield before, p, h
 

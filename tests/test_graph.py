@@ -17,7 +17,7 @@ from apaths import (
     power_graph,
     random_instance,
 )
-from apaths.graph import _kept_subgraph, to_mask
+from apaths.graph import _kept_subgraph, path_mask, to_mask
 from apaths.search import (
     _Budget,
     enumerate_induced_apaths,
@@ -88,6 +88,20 @@ class TestGraphConstruction:
         with pytest.raises(TypeError):
             ball(path_graph(3), True, 1)
 
+    @pytest.mark.parametrize("v", [-1, -3, 3, 7])
+    def test_an_accessor_names_a_bad_id(self, v):
+        # An id outside 0..n-1, negative or not, is named, never read as another vertex.
+        g = Graph(3, [(1, 2)])
+        for call in (
+            lambda: g.has_edge(v, 1),
+            lambda: g.has_edge(1, v),
+            lambda: g.neighbors(v),
+            lambda: g.neighbor_set(v),
+            lambda: g.degree(v),
+        ):
+            with pytest.raises(GraphError, match=f"vertex {v} not in graph with 3 vertices"):
+                call()
+
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph(4, [(2, 0), (3, 0), (0, 1)])
         assert g.neighbors(0) == (1, 2, 3)
@@ -138,7 +152,7 @@ class TestAccessors:
         if agree:
             assert hash(g) == hash(h)
 
-    @given(edge_lists(), st.lists(st.integers(0, 11), max_size=6), st.randoms(use_true_random=False))
+    @given(edge_lists(), st.lists(st.integers(-1, 12), max_size=6), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
     def test_is_induced_path_matches_brute(self, inst, seq, rng):
         n, edges = inst
@@ -156,6 +170,7 @@ class TestAccessors:
                 len(p) > 0 and len(set(p)) == len(p) and all(0 <= v < n for v in p)
                 and all(matrix[u][v] for u, v in zip(p, p[1:]))
             )
+            assert path_mask(g, p) == (to_mask(p) if valid else 0)
             assert is_path(g, p) == valid
             assert is_induced_path(g, p) == (valid and brute.is_induced_seq(matrix, p))
 
@@ -357,6 +372,9 @@ class TestComponentsAndPaths:
         assert not is_path(g, (0, 1, 0))
         assert not is_path(g, ())
         assert is_path(g, (2,))
+        assert [path_mask(g, p) for p in [(0, 1, 0), (1, 2, 1), (-1, 0), (3, 4), (2,), (3, 2, 1)]] == [
+            0, 0, 0, 0, 0b100, 0b1110
+        ]
 
 
 class TestPowerGraph:

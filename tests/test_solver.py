@@ -11,6 +11,7 @@ import brute
 from apaths import (
     BudgetExceededError,
     Cover,
+    FrameInvariantError,
     Graph,
     Packing,
     SolveParams,
@@ -34,14 +35,20 @@ from apaths import (
     subdivided_complete_instance,
     verify_certificate,
     verify_cover,
+    verify_packing,
 )
+import apaths.graph
 import apaths.solver as solver_module
 import reference_solver
-from apaths.graph import vertex_mask
 from apaths.search import _Budget
 from reference_solver import reference_lift_path, reference_reduce_to_d3, reference_solve
 from test_search import spent
 
+
+# The apaths modules that check a vertex set with vertex_mask, and a path
+# with path_mask.
+VERTEX_MASK_MODULES = ("apaths.graph", "apaths.search", "apaths.frame", "apaths.solver", "apaths.verify")
+PATH_MASK_MODULES = ("apaths.graph", "apaths.search", "apaths.frame", "apaths.verify")
 
 # The verify_certificate checks that make up the two single-set theorem forms.
 SINGLE_SET_FORMS = ("z1.size", "z1.removal.path_free", "z2.size", "z2.removal.path_free", "radii")
@@ -225,6 +232,12 @@ class TestReduceAndLift:
         with pytest.raises(ValueError, match="is not an edge of the powered graph"):
             lift_path(pmap, (0, 4))
 
+    @pytest.mark.parametrize("p_h", [(), (-1, 2), (2, -1), (0, 9)])
+    def test_lift_refuses_a_sequence_that_is_no_powered_path(self, p_h):
+        pmap = reduce_to_d3(cycle(9), 3)
+        with pytest.raises(ValueError):
+            lift_path(pmap, p_h)
+
     def test_lift_of_base_edges_path(self):
         g = cycle(9)
         pmap = reduce_to_d3(g, 3)
@@ -404,26 +417,33 @@ def traced_solve(solver, module, g, a, params):
 
 
 @contextmanager
-def vertex_sets_checked():
-    """The sets handed to vertex_mask, in every apaths module that binds it,
-    while the block runs; a mask (an int) already passed its check."""
-    modules = [
-        m for name, m in sys.modules.items() if name.startswith("apaths") and vars(m).get("vertex_mask")
-    ]
-    assert {"apaths.graph", "apaths.search", "apaths.frame", "apaths.solver", "apaths.verify"} <= {
-        m.__name__ for m in modules
-    }
-    sets = []
+def calls_of(name, bound_in=()):
+    """The argument tuples of the calls of apaths.graph's function name, in
+    every apaths module that binds it (the modules bound_in among them),
+    while the block runs."""
+    real = vars(apaths.graph)[name]
+    modules = [m for key, m in sys.modules.items() if key.startswith("apaths") and vars(m).get(name) is real]
+    assert set(bound_in) <= {m.__name__ for m in modules}
+    calls = []
 
-    def spy(g, x):
-        if type(x) is not int:
-            sets.append(x)
-        return vertex_mask(g, x)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
     with ExitStack() as stack:
         for m in modules:
-            stack.enter_context(mock.patch.object(m, "vertex_mask", spy))
+            stack.enter_context(mock.patch.object(m, name, spy))
+        yield calls
+
+
+@contextmanager
+def vertex_sets_checked():
+    """The sets handed to vertex_mask, in every apaths module that binds it,
+    while the block runs; a mask (an int) already passed its check."""
+    sets = []
+    with calls_of("vertex_mask", VERTEX_MASK_MODULES) as calls:
         yield sets
+    sets.extend(x for _, x in calls if type(x) is not int)
 
 
 def assert_matches_recursion(g, a, params):
@@ -472,6 +492,12 @@ class TestLoopMatchesRecursion:
             with vertex_sets_checked() as sets:
                 assert verify_cover(g, a, SolveParams(k, 1), cert.z1, cert.z2).passed
             assert len(sets) == 3 and all(x is y for x, y in zip(sets, (a, cert.z1, cert.z2)))
+        else:
+            # Each of the k paths is checked once, and no pair calls
+            # anti_complete: the pairs are read off the paths' masks.
+            with calls_of("path_mask", PATH_MASK_MODULES) as paths, calls_of("anti_complete") as pairs:
+                assert verify_packing(g, a, SolveParams(k, 1), cert.paths).passed
+            assert [p for _, p in paths] == list(cert.paths) and not pairs
 
 
 class TestFrameStop:
@@ -535,6 +561,19 @@ class TestBoundArithmetic:
             ell_hat = max(ell, 3)
             assert len(cert.z1) <= (12 * ell_hat + 42) * (k - 1)
             assert len(cert.z2) <= 4 * (k - 1)
+
+    def test_each_level_checks_its_own_bounds(self):
+        # 20 disjoint edges at k = 25: 20 peels, at k = 25 down to 6, then
+        # the empty cover. With every bound but the outermost level's z2
+        # bound cut to 0, the innermost cut level's two ends break its own
+        # bound, though the whole cover meets the outermost one.
+        g, a = Graph(40, [(v, v + 1) for v in range(0, 40, 2)]), range(40)
+        real = SolveParams.z2_limit
+        with mock.patch.object(SolveParams, "z2_limit", lambda self: real(self) if self.k == 25 else 0):
+            for solver in (solve, reference_solve):
+                with pytest.raises(FrameInvariantError, match=r"\|z2\| = 2 exceed the bounds 390, 0 at k = 6$"):
+                    solver(g, a, SolveParams(25, 1))
+        assert len(solve(g, a, SolveParams(25, 1)).z2) == 40 <= real(SolveParams(25, 1))
 
 
 class TestDeepPaths:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -7,6 +8,7 @@ from apaths import (
     BudgetExceededError,
     Cover,
     Graph,
+    GraphError,
     SolveParams,
     ball,
     complete_instance,
@@ -72,6 +74,33 @@ class TestVerifyPacking:
 
 
 class TestVerifyCover:
+    @pytest.mark.parametrize(
+        "z1, z2, failed",
+        [
+            ([99], [], {"z1.in_graph": [99]}),
+            ([0], [-1, 4, 2], {"z2.in_graph": [-1, 4]}),
+            ([5, 99], [7], {"z1.in_graph": [5, 99], "z2.in_graph": [7]}),
+            (1 << 4, 0, {"z1.in_graph": 1 << 4}),
+            (0, -1, {"z2.in_graph": -1}),
+        ],
+    )
+    def test_out_of_range_id_fails_without_raising(self, z1, z2, failed):
+        # A set naming an id outside 0..n-1 fails one check, with those ids
+        # (or the mask) as witness, and no removal is searched.
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        with mock.patch.object(verify, "find_induced_apath_in_range") as search:
+            report = verify_cover(g, {0, 3}, SolveParams(2, 1), z1, z2)
+        assert not search.called and not report.passed
+        assert {c.name: c.witness for c in report.failures()} == failed
+        assert [c.name for c in report.checks] == [
+            f"{name}.in_graph" if f"{name}.in_graph" in failed else f"{name}.size" for name in ("z1", "z2")
+        ]
+
+    def test_out_of_range_terminal_still_raises(self):
+        # The terminals come from the instance, not the certificate.
+        with pytest.raises(GraphError, match="vertex 9"):
+            verify_cover(Graph(4, [(0, 1)]), {0, 9}, SolveParams(2, 1), [], [])
+
     def test_empty_cover_on_pathfree_graph(self):
         g = Graph(3, [])
         report = verify_cover(g, {0, 1}, SolveParams(2, 1), set(), set())

@@ -1,10 +1,13 @@
 """Differential tests against the frozen verifier in reference_verify.py.
 
 verify_cover searches each distinct removed set once and reports the result
-for every check that removes it; the reference searches all three. Every
+for every check that removes it; the reference searches all three.
+verify_packing checks each path once, into its mask, and each pair on the
+masks; the reference runs is_path, is_induced_path and anti_complete. Every
 report must be equal to the reference's, check by check and witness by
-witness, on every corpus certificate, on hand-built failing covers, and on
-random covers.
+witness, on every corpus certificate, on hand-built failing covers, on
+random covers, on every oracle packing witness of the corpus, and on
+mutated packings.
 """
 
 from collections import Counter
@@ -16,12 +19,14 @@ from apaths import (
     Graph,
     SolveParams,
     ball,
+    max_anticomplete_packing_with_witness,
     random_instance,
     solve,
     verify_certificate,
     verify_cover,
+    verify_packing,
 )
-from reference_verify import reference_verify_certificate, reference_verify_cover
+from reference_verify import reference_verify_certificate, reference_verify_cover, reference_verify_packing
 from test_acceptance import ELLS, KS, corpus
 
 
@@ -91,3 +96,74 @@ def test_random_covers_agree(case):
     g, a, params, z1, z2 = case
     got = verify_cover(g, a, params, z1, z2).to_dict()
     assert got == reference_verify_cover(g, a, params, z1, z2).to_dict()
+
+
+def test_oracle_witnesses_agree():
+    sizes = Counter()
+    for g, a in corpus():
+        for ell in ELLS:
+            size, paths = max_anticomplete_packing_with_witness(g, a, ell, 3)
+            sizes[size] += 1
+            for k in {size, size + 1}:
+                params = SolveParams(k, ell)
+                got = verify_packing(g, a, params, paths).to_dict()
+                assert got == reference_verify_packing(g, a, params, paths).to_dict()
+    assert all(sizes[size] for size in range(4))
+
+
+# How one path of a mutated packing is drawn from an interval i..j of the
+# spine 0..n-1 (a path, possibly with chords), or from the path before it.
+MUTATIONS = (
+    "interval",  # i..j, in either direction
+    "repeat",  # one id twice
+    "minus_one",  # -1 inserted
+    "n",  # n inserted
+    "empty",  # ()
+    "single",  # one vertex
+    "reverse",  # the path before it, reversed
+    "share",  # an interval that starts on the last vertex of the path before it
+    "edge",  # ... one past it: joined to it by one edge
+    "distance_2",  # ... two past it
+)
+
+
+@st.composite
+def mutated_packings(draw):
+    """(g, a, params, paths): intervals of a spine with up to two chords,
+    each mutated, and a count that may be off by one."""
+    n = draw(st.integers(2, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: abs(e[0] - e[1]) > 1)
+    chords = {(min(e), max(e)) for e in draw(st.lists(pairs, max_size=2))}
+    g = Graph(n, [(i, i + 1) for i in range(n - 1)] + sorted(chords))
+    a = draw(st.sets(st.integers(0, n - 1)))
+    paths = []
+    for _ in range(draw(st.integers(0, 4))):
+        mutation = draw(st.sampled_from(MUTATIONS))
+        last = paths[-1] if paths and paths[-1] else (0,)
+        start = draw(st.integers(0, n - 1))
+        if mutation in ("share", "edge", "distance_2"):
+            start = max(0, min(n - 1, last[-1] + ("share", "edge", "distance_2").index(mutation)))
+        p = list(range(start, draw(st.integers(start, min(n - 1, start + 5))) + 1))
+        if mutation == "interval" and draw(st.booleans()):
+            p.reverse()
+        elif mutation == "repeat":
+            p.insert(draw(st.integers(0, len(p))), draw(st.sampled_from(p)))
+        elif mutation in ("minus_one", "n"):
+            p.insert(draw(st.integers(0, len(p))), -1 if mutation == "minus_one" else n)
+        elif mutation == "empty":
+            p = []
+        elif mutation == "single":
+            p = p[:1]
+        elif mutation == "reverse":
+            p = list(reversed(last))
+        paths.append(tuple(p))
+    k = max(0, len(paths) + draw(st.sampled_from([0, 0, -1, 1])))
+    return g, a, SolveParams(k, draw(st.integers(1, 3))), paths
+
+
+@given(mutated_packings())
+@settings(max_examples=400, deadline=None)
+def test_mutated_packings_agree(case):
+    g, a, params, paths = case
+    got = verify_packing(g, a, params, paths).to_dict()
+    assert got == reference_verify_packing(g, a, params, paths).to_dict()
