@@ -335,20 +335,24 @@ def find_induced_apath_in_range(
     length_range: LengthRange | tuple[int, int | None],
     budget: int | _Budget = DEFAULT_BUDGET,
 ) -> Path | None:
-    """Some induced A-path whose length lies in the range, or None (exact)."""
-    if isinstance(length_range, tuple):
-        length_range = LengthRange(*length_range)
-    if length_range.lo < 1:
+    """Some induced A-path whose length lies in the range, or None (exact).
+    The range is a LengthRange or a (lo, hi) pair, which is read as it is."""
+    lo, hi = (length_range.lo, length_range.hi) if isinstance(length_range, LengthRange) else length_range
+    if lo < 1 or hi is not None and lo > hi:
+        LengthRange(lo, hi)  # raises for a negative or empty range; lo = 0 falls through
         raise ValueError("A-paths have at least one edge; need lo >= 1")
-    terminals = vertex_mask(g, a)
-    b = _as_budget(budget, "find_induced_apath_in_range")
+    return _first_path(g, vertex_mask(g, a), lo, hi, _as_budget(budget, "find_induced_apath_in_range"))
+
+
+def _first_path(g: Graph, terminals: int, lo: int, hi: int | None, budget: _Budget) -> Path | None:
+    """The first induced A-path the engine emits with length in [lo, hi], or None."""
     found: list[Path] = []
 
     def emit(path: Path):
         found.append(path)
         return "stop"
 
-    _terminal_path_dfs(g, terminals, length_range.lo, length_range.hi, b, emit)
+    _terminal_path_dfs(g, terminals, lo, hi, budget, emit)
     return found[0] if found else None
 
 
@@ -361,7 +365,7 @@ def has_long_induced_apath(
     if ell == 1:
         _as_budget(budget, "has_long_induced_apath")  # exists_apath spends no node, but the budget is still checked
         return exists_apath(g, a)
-    return find_induced_apath_in_range(g, a, LengthRange(ell, None), budget) is not None
+    return _first_path(g, vertex_mask(g, a), ell, None, _as_budget(budget, "has_long_induced_apath")) is not None
 
 
 def shortest_long_induced_apath(

@@ -15,7 +15,7 @@ level's certificate is used as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .frame import Frame, FrameInvariantError, build_maximal_frame, extract_frame_paths
@@ -36,7 +36,6 @@ from .graph import (
 from .search import (
     DEFAULT_BUDGET,
     _Budget,
-    LengthRange,
     find_induced_apath_in_range,
     has_long_induced_apath,
     shortest_long_induced_apath,
@@ -112,7 +111,6 @@ def solve(
     """
     ell = params.ell
     budget = _Budget(params.node_budget, "solve")
-    empty = Cover(frozenset(), frozenset(), 1, params.cover_radius())
     terminals = vertex_mask(g, a)
     cuts: list[tuple[SolveParams, Path | Frame]] = []  # (level params, peeled path or split frame)
     while True:
@@ -122,14 +120,14 @@ def solve(
             break
         if k == 1:
             path = shortest_long_induced_apath(g, terminals, ell, budget)
-            cert = empty if path is None else Packing((path,))
+            cert = Cover(frozenset(), frozenset(), 1, params.cover_radius()) if path is None else Packing((path,))
             break
         if not has_long_induced_apath(g, terminals, ell, budget):
-            cert = empty
+            cert = Cover(frozenset(), frozenset(), 1, params.cover_radius())
             break
 
         adj = g.neighbor_masks()
-        mid = find_induced_apath_in_range(g, terminals, LengthRange(ell, 2 * ell - 1), budget)
+        mid = find_induced_apath_in_range(g, terminals, (ell, 2 * ell - 1), budget)
         if mid is not None:
             cut, used = mid, 1
             keep = ~mask_ball(adj, to_mask(mid), -1, 1)
@@ -149,7 +147,7 @@ def solve(
         cuts.append((params, cut))
         g = _kept_subgraph(g, keep)
         terminals &= keep
-        params = replace(params, k=k - used)
+        params = SolveParams(k - used, ell, params.node_budget)
 
     if not cuts:
         return cert
@@ -218,6 +216,7 @@ def lift_path(pmap: PowerGraphMap, p_h: Path) -> Path:
     if not p_h:
         raise ValueError("an empty sequence is not a path of the powered graph")
     if len(p_h) == 1:
+        vertex_mask(pmap.powered, p_h)  # raises GraphError for an id outside the graph
         return p_h
     allowed: set[int] = set()
     for u, v in zip(p_h, p_h[1:]):

@@ -9,7 +9,7 @@ exactly what broke instead of returning a bare boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .generators import complete_instance, subdivided_complete_instance
 from .graph import (
@@ -24,7 +24,6 @@ from .graph import (
 )
 from .search import (
     _Budget,
-    LengthRange,
     find_induced_apath_in_range,
     oracle_max_anticomplete_packing,
     oracle_min_ball_cover,
@@ -32,8 +31,7 @@ from .search import (
 from .solver import Certificate, Packing, SolveParams
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     witness: object = None
@@ -118,9 +116,9 @@ def _removal_check(
     ell: int,
     budget: _Budget,
 ) -> tuple[bool, Path | None]:
-    """Search g minus the vertex mask removed for a long induced A-path."""
-    h = _kept_subgraph(g, ~removed)
-    witness = find_induced_apath_in_range(h, terminals & ~removed, LengthRange(ell, None), budget)
+    """Search g minus the vertex mask removed (g itself if none) for a long induced A-path."""
+    h = _kept_subgraph(g, ~removed) if removed else g
+    witness = find_induced_apath_in_range(h, terminals & ~removed, (ell, None), budget)
     return witness is None, witness
 
 

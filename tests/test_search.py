@@ -152,6 +152,30 @@ class TestFindInRange:
         with pytest.raises(ValueError, match=message):
             LengthRange(lo, hi)
 
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            (-1, None, "must be nonnegative"),
+            (3, 2, "empty length range"),
+            (0, -1, "empty length range"),
+            (0, 2, "at least one edge"),
+            (0, None, "at least one edge"),
+        ],
+    )
+    def test_rejects_malformed_pair(self, lo, hi, message):
+        with pytest.raises(ValueError, match=message):
+            find_induced_apath_in_range(path(3), {0, 2}, (lo, hi))
+
+    def test_pair_is_read_as_it_is(self, monkeypatch):
+        # A (lo, hi) pair finds what the LengthRange finds, and builds none.
+        rng, built = LengthRange(2, 3), []
+        check = LengthRange.__post_init__
+        monkeypatch.setattr(LengthRange, "__post_init__", lambda r: built.append(r) or check(r))
+        g, a = path(5), {0, 2, 4}
+        assert find_induced_apath_in_range(g, a, (2, 3)) == find_induced_apath_in_range(g, a, rng) == (0, 1, 2)
+        assert has_long_induced_apath(g, a, 4) and not has_long_induced_apath(g, a, 5)
+        assert built == []
+
     @given(random_instances, st.integers(1, 3), st.integers(0, 3))
     @settings(max_examples=80, deadline=None)
     def test_exact_against_enumeration(self, inst, lo, extra):
@@ -319,6 +343,17 @@ class TestBudget:
             assert "shortest_long_induced_apath" in str(exc)
         else:
             pytest.fail("expected the budget to trip")
+
+    def test_has_long_budget_error_names_itself(self):
+        # Corner terminals of the 5x5 grid at ell 17: the longest induced
+        # corner path has length 16, so the search exhausts.
+        grid = Graph(
+            25,
+            [(5 * r + c, 5 * r + c + 1) for r in range(5) for c in range(4)]
+            + [(5 * r + c, 5 * r + c + 5) for r in range(4) for c in range(5)],
+        )
+        with pytest.raises(BudgetExceededError, match="has_long_induced_apath"):
+            has_long_induced_apath(grid, {0, 4, 20, 24}, 17, 5)
 
     @pytest.mark.parametrize("budget", [0, -5])
     @pytest.mark.parametrize(

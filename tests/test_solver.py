@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import sys
@@ -13,6 +14,7 @@ from apaths import (
     Cover,
     FrameInvariantError,
     Graph,
+    LengthRange,
     Packing,
     SolveParams,
     ball,
@@ -232,11 +234,15 @@ class TestReduceAndLift:
         with pytest.raises(ValueError, match="is not an edge of the powered graph"):
             lift_path(pmap, (0, 4))
 
-    @pytest.mark.parametrize("p_h", [(), (-1, 2), (2, -1), (0, 9)])
+    @pytest.mark.parametrize("p_h", [(), (-1, 2), (2, -1), (0, 9), (99,), (-1,)])
     def test_lift_refuses_a_sequence_that_is_no_powered_path(self, p_h):
         pmap = reduce_to_d3(cycle(9), 3)
         with pytest.raises(ValueError):
             lift_path(pmap, p_h)
+
+    def test_lift_of_one_vertex_is_itself(self):
+        pmap = reduce_to_d3(cycle(9), 3)
+        assert lift_path(pmap, (3,)) == (3,)
 
     def test_lift_of_base_edges_path(self):
         g = cycle(9)
@@ -574,6 +580,34 @@ class TestBoundArithmetic:
                 with pytest.raises(FrameInvariantError, match=r"\|z2\| = 2 exceed the bounds 390, 0 at k = 6$"):
                     solver(g, a, SolveParams(25, 1))
         assert len(solve(g, a, SolveParams(25, 1)).z2) == 40 <= real(SolveParams(25, 1))
+
+
+class TestPerCallObjects:
+    """A solve passes its middle-length range as a pair and builds each
+    level's params afresh; the verifier's removal searches take pairs too."""
+
+    def test_multi_level_solve_and_verify_build_no_range_and_no_replace(self, monkeypatch):
+        ranges, replaced = [], []
+        check_range = LengthRange.__post_init__
+        monkeypatch.setattr(LengthRange, "__post_init__", lambda r: ranges.append(r) or check_range(r))
+        real_replace = dataclasses.replace
+
+        def replace_spy(*args, **kwargs):
+            replaced.append(args)
+            return real_replace(*args, **kwargs)
+
+        for m in [dataclasses] + [m for key, m in sys.modules.items() if key.startswith("apaths")]:
+            for attr, value in list(vars(m).items()):
+                if value is real_replace:
+                    monkeypatch.setattr(m, attr, replace_spy)
+        # Two disjoint edges at k = 3, ell = 1: two levels each peel an edge,
+        # the third finds no path, and the cover replayed over both cuts is
+        # checked by a search of g minus everything.
+        g, a, params = Graph(4, [(0, 1), (2, 3)]), {0, 1, 2, 3}, SolveParams(3, 1)
+        cert = solve(g, a, params)
+        assert cert == Cover(frozenset(range(4)), frozenset(range(4)), 1, 4)
+        assert verify_certificate(g, a, params, cert).passed
+        assert ranges == [] and replaced == []
 
 
 class TestDeepPaths:

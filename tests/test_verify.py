@@ -6,9 +6,11 @@ import pytest
 import apaths.verify as verify
 from apaths import (
     BudgetExceededError,
+    Check,
     Cover,
     Graph,
     GraphError,
+    Report,
     SolveParams,
     ball,
     complete_instance,
@@ -223,6 +225,17 @@ class TestRemovalSearches:
         assert len(searches) == count
         assert len(report.checks) == 5
 
+    def test_empty_cover_searches_g_itself(self, searches, monkeypatch):
+        # The empty cover removes nothing, so no subgraph is built: the one
+        # search runs on g, with all of its terminals.
+        cuts = []
+        kept_subgraph = verify._kept_subgraph
+        monkeypatch.setattr(verify, "_kept_subgraph", lambda *args: cuts.append(args) or kept_subgraph(*args))
+        g = Graph(4, [(0, 1), (2, 3)])
+        assert verify_cover(g, {0, 2}, SolveParams(2, 1), set(), set()).passed
+        assert cuts == []
+        assert len(searches) == 1 and searches[0][0] is g and searches[0][1] == 0b101
+
     def test_nothing_is_kept_across_calls(self, searches):
         # Each call builds a fresh Graph equal by value to the last one, so
         # a memo across calls would make a later call search less.
@@ -230,6 +243,31 @@ class TestRemovalSearches:
             searches.clear()
             self.verify_on_path(z1, z2)
             assert len(searches) == count
+
+
+class TestCheck:
+    """A check is an immutable value: a name, a verdict and an optional witness."""
+
+    def test_witness_defaults_to_none(self):
+        assert Check("count", True).witness is None
+        assert Check("count", True) == Check("count", True, None)
+
+    def test_text_names_the_verdict(self):
+        assert str(Check("count", True, (2, 2))) == "count: ok"
+        assert str(Check("count", False)) == "count: FAIL"
+        assert str(Check("count", False, (1, 2))) == "count: FAIL witness=(1, 2)"
+
+    def test_equality_is_by_value(self):
+        assert Check("count", True, (2, 2)) == Check("count", True, (2, 2))
+        assert Check("count", True) != Check("count", False)
+        assert Check("count", False, (1, 2)) != Check("count", False, (2, 1))
+        assert Report("cover", [Check("count", True)]) == Report("cover", [Check("count", True)])
+        assert Report("cover", [Check("count", True)]) != Report("cover", [Check("count", False)])
+
+    def test_is_immutable(self):
+        check = Check("count", True)
+        with pytest.raises(AttributeError):
+            check.ok = False
 
 
 class TestTightness:
