@@ -23,11 +23,17 @@ was offered from its lesser end first, and extensions are taken in sorted
 order, so every caller's result is that of the full search.
 
 The brute-force oracles enumerate their paths once and then work on
-bitmasks alone: path i is bit i of an int. The ball-cover oracle keeps, for
-each vertex v, the mask of the paths that ball(v, r) meets, and a subset Z
-covers iff the OR of its masks is all ones. The packing oracles keep one
-mask per path of the later paths compatible with it, and search families
-bit-parallel, as in bit-parallel maximum clique.
+bitmasks alone: path i is bit i of an int. Those that return a number or a
+cover enumerate only the minimal long paths, which have no interior
+terminal at distance >= ell along them from either end. Cutting a long path
+at such a terminal, again and again, leaves a minimal one on a subset of its
+vertices, so a set meets every long path iff it meets every minimal one, and
+an anti-complete family stays one when each path becomes a minimal subpath.
+The ball-cover oracle keeps, for each vertex v, the mask of the paths that
+ball(v, r) meets, and a subset Z covers iff the OR of its masks is all
+ones. The packing oracles keep one mask per path of the later paths
+compatible with it, and search families bit-parallel, as in bit-parallel
+maximum clique.
 
 A node budget bounds every call, shared by all searches one oracle, solve
 or verify call makes, so runaway searches end in an explicit
@@ -228,7 +234,7 @@ def _terminal_path_dfs(
     accept_hi: int | None,
     budget: _Budget,
     emit,
-    stop_at_terminals: bool = False,
+    minimal: bool = False,
 ) -> None:
     """Depth-first search over chordless paths anchored at a member of terminals.
 
@@ -237,9 +243,10 @@ def _terminal_path_dfs(
     whenever the tip is a target and the length falls in [lo, accept_hi], so
     path[0] < path[-1] for every emitted path. Its return value is the new
     cap on path length to keep exploring (None for unbounded), or the string
-    "stop" to abort. With stop_at_terminals, paths are never extended past a
-    terminal tip, which restricts the search to A-paths without interior
-    terminals. budget.spend() is called once per visited path.
+    "stop" to abort. With minimal, a terminal tip is not extended once the
+    length is at least lo, and a path is emitted only if none of
+    path[1 : plen - lo + 1] is a terminal. budget.spend() is called once
+    per visited path.
 
     Vertex sets are int bitmasks, and adjacency is g's own
     neighbor_masks. The search is iterative, so its depth is bounded by
@@ -256,17 +263,16 @@ def _terminal_path_dfs(
     enough vertices to reach length lo. Under a cap C on path length
     (ext_cap), a path through w ends within C - plen - 1 BFS levels of w, so
     only those levels are flooded and counted. Terminals below the root are
-    no targets but may still be interior vertices, and stop_at_terminals
-    stops at any terminal. Failing extensions are dropped with their whole
-    subtree. Every sibling's region lies in the free region outside the
-    child's mask, so if that whole region fails, all siblings fail
+    no targets but may still be interior vertices. The test ignores minimal,
+    which only emits fewer paths. Failing extensions are dropped with their
+    whole subtree. Every sibling's region lies in the free region outside
+    the child's mask, so if that whole region fails, all siblings fail
     unflooded. Uncapped, w's region is the union of the components of the
     free region that w's neighbours meet, and siblings in one component
     share its floods. The test runs only where the path branches: along a
-    chain of single extensions
-    the region ahead loses just the new tip at each step, so a test there
-    would repeat the last verdict at a cost linear in the region, which is
-    quadratic along long chains.
+    chain of single extensions the region ahead loses just the new tip at
+    each step, so a test there would repeat the last verdict at a cost
+    linear in the region, which is quadratic along long chains.
 
     Soundness: roots are taken in increasing order and extensions lowest
     bit first, i.e. in sorted-neighbour order. A dropped subtree holds no
@@ -296,14 +302,15 @@ def _terminal_path_dfs(
             spend()
             tip = path[-1]
             plen = len(path) - 1
-            at_terminal = plen >= 1 and terminals >> tip & 1
-            if targets >> tip & 1 and plen >= lo and (accept_hi is None or plen <= accept_hi):
+            if targets >> tip & 1 and plen >= lo and (accept_hi is None or plen <= accept_hi) and not (
+                minimal and any(terminals >> v & 1 for v in path[1 : plen - lo + 1])
+            ):
                 signal = emit(tuple(path))
                 if signal == "stop":
                     return
                 ext_cap = signal
             ext = 0
-            if (ext_cap is None or plen < ext_cap) and not (stop_at_terminals and at_terminal):
+            if (ext_cap is None or plen < ext_cap) and not (minimal and plen >= lo and terminals >> tip & 1):
                 ext = adj[tip] & ~blocked
                 after = blocked | adj[tip]
                 if ext & (ext - 1):
@@ -399,9 +406,10 @@ def enumerate_induced_apaths(
     a: Iterable[int] | int,
     ell: int,
     budget: int | _Budget = DEFAULT_BUDGET,
-    no_interior_terminals: bool = False,
+    minimal: bool = False,
 ) -> list[Path]:
-    """All induced A-paths of length >= ell, one orientation each, sorted."""
+    """All induced A-paths of length >= ell, one orientation each, sorted;
+    with minimal, only the minimal ones (see the module docstring)."""
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
     terminals = vertex_mask(g, a)
@@ -414,8 +422,7 @@ def enumerate_induced_apaths(
 
     _terminal_path_dfs(
         g, terminals, ell, None,
-        _as_budget(budget, "enumerate_induced_apaths"), emit,
-        stop_at_terminals=no_interior_terminals,
+        _as_budget(budget, "enumerate_induced_apaths"), emit, minimal,
     )
     return sorted(out)
 
@@ -425,12 +432,12 @@ def _path_masks(
     a: Iterable[int] | int,
     ell: int,
     budget: _Budget,
-    no_interior_terminals: bool = False,
+    minimal: bool,
 ) -> tuple[list[Path], list[int], list[int]]:
-    """The induced A-paths of length >= ell, enumerated once: (paths, the
-    vertex mask of each path, and through[v], the mask of the paths through
-    v). Path i is bit i of every path mask."""
-    paths = enumerate_induced_apaths(g, a, ell, budget, no_interior_terminals)
+    """The induced A-paths of length >= ell, or the minimal ones, enumerated
+    once: (paths, the vertex mask of each path, and through[v], the mask of
+    the paths through v). Path i is bit i of every path mask."""
+    paths = enumerate_induced_apaths(g, a, ell, budget, minimal)
     through = [0] * g.n
     for i, p in enumerate(paths):
         bit = 1 << i
@@ -499,21 +506,29 @@ def max_anticomplete_packing_with_witness(
     radius-1 ball and the family search runs on masks alone. The budget pays
     for the enumeration and the family search.
     """
-    if cap < 1:
-        raise ValueError(f"need cap >= 1, got {cap}")
-    b = _as_budget(budget, "oracle_max_anticomplete_packing")
-    paths, masks, through = _path_masks(g, a, ell, b)
-    adj = g.neighbor_masks()
-    closed = [mask_ball(adj, m, -1, 1) for m in masks]
-    size, family = _max_compatible_family(_compatibility(closed, through), cap, b)
-    return size, tuple(paths[i] for i in family)
+    return _anticomplete_family(g, a, ell, cap, budget, False)
 
 
 def oracle_max_anticomplete_packing(
     g: Graph, a: Iterable[int] | int, ell: int, cap: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> int:
-    """Ground-truth packing number: see max_anticomplete_packing_with_witness."""
-    return max_anticomplete_packing_with_witness(g, a, ell, cap, budget)[0]
+    """The packing number of max_anticomplete_packing_with_witness, searched
+    among the minimal paths alone (see the module docstring)."""
+    return _anticomplete_family(g, a, ell, cap, budget, True)[0]
+
+
+def _anticomplete_family(
+    g: Graph, a: Iterable[int] | int, ell: int, cap: int, budget: int | _Budget, minimal: bool
+) -> tuple[int, tuple[Path, ...]]:
+    """The largest anti-complete family among all paths or the minimal ones."""
+    if cap < 1:
+        raise ValueError(f"need cap >= 1, got {cap}")
+    b = _as_budget(budget, "oracle_max_anticomplete_packing")
+    paths, masks, through = _path_masks(g, a, ell, b, minimal)
+    adj = g.neighbor_masks()
+    closed = [mask_ball(adj, m, -1, 1) for m in masks]
+    size, family = _max_compatible_family(_compatibility(closed, through), cap, b)
+    return size, tuple(paths[i] for i in family)
 
 
 def max_vertex_disjoint_apath_packing(
@@ -527,7 +542,7 @@ def max_vertex_disjoint_apath_packing(
     if cap < 1:
         raise ValueError(f"need cap >= 1, got {cap}")
     b = _as_budget(budget, "max_vertex_disjoint_apath_packing")
-    _, masks, through = _path_masks(g, a, 1, b, no_interior_terminals=True)
+    _, masks, through = _path_masks(g, a, 1, b, minimal=True)
     return _max_compatible_family(_compatibility(masks, through), cap, b)[0]
 
 
@@ -540,12 +555,12 @@ def oracle_min_ball_cover(
     Returns (|Z|, Z) for the lexicographically first minimum Z.
 
     An induced path of g - X is an induced path of g, so deleting ball(Z, r)
-    kills every long induced A-path iff the ball meets each of them. The
-    paths are enumerated once as bitmasks (at ell = 1 only those without
-    interior terminals: every A-path holds one). hit[v] is the mask of the
-    paths within distance r of v, i.e. met by ball(v, r), and Z is a cover
-    iff the OR of hit over Z is all ones. The budget pays for the
-    enumeration and one node per subset tried.
+    kills every long induced A-path iff the ball meets each minimal one,
+    since every long path holds one (see the module docstring). They are
+    enumerated once, as bitmasks. hit[v] is the mask of the paths
+    within distance r of v, i.e. met by ball(v, r), and Z is a cover iff
+    the OR of hit over Z is all ones. The budget pays for the enumeration
+    and one node per subset tried.
     """
     terminals = vertex_mask(g, a)
     if r < 0:
@@ -553,7 +568,7 @@ def oracle_min_ball_cover(
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
     b = _as_budget(budget, "oracle_min_ball_cover")
-    paths, _, through = _path_masks(g, terminals, ell, b, no_interior_terminals=ell == 1)
+    paths, _, through = _path_masks(g, terminals, ell, b, minimal=True)
     adj = g.neighbor_masks()
     hit = [mask_neighbors(through, mask_ball(adj, 1 << v, -1, r)) for v in range(g.n)]
     full = (1 << len(paths)) - 1

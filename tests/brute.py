@@ -123,6 +123,15 @@ def brute_induced_apaths(g: Graph, a, lo: int = 1, hi: int | None = None) -> lis
     return [p for p in simple_apaths(g, a, lo, hi) if is_induced_seq(adj, p)]
 
 
+def is_minimal_apath(p: tuple[int, ...], a, ell: int) -> bool:
+    """True iff no interior vertex of the A-path p is a terminal that splits
+    off a piece of length >= ell, i.e. lies at distance >= ell along p from
+    one of its ends."""
+    a_set = set(a)
+    last = len(p) - 1
+    return not any(p[i] in a_set and (i >= ell or last - i >= ell) for i in range(1, last))
+
+
 def pair_anticomplete(g: Graph, p: tuple[int, ...], q: tuple[int, ...]) -> bool:
     ps, qs = set(p), set(q)
     if ps & qs:

@@ -206,7 +206,7 @@ def reference_max_vertex_disjoint_apath_packing(g, a, cap, budget=DEFAULT_BUDGET
     if cap < 1:
         raise ValueError(f"need cap >= 1, got {cap}")
     b = _as_budget(budget, "max_vertex_disjoint_apath_packing")
-    paths = enumerate_induced_apaths(g, a, 1, budget=b, no_interior_terminals=True)
+    paths = enumerate_induced_apaths(g, a, 1, budget=b, minimal=True)
     path_sets = [frozenset(p) for p in paths]
     size, _ = reference_max_compatible_family(paths, path_sets, path_sets, cap, b)
     return size

@@ -1,15 +1,25 @@
 """Byte-for-byte pins of the certificates emitted over the acceptance corpus,
-and of the verifier's reports on them."""
+of the verifier's reports on them, and of the brute-force oracles' answers
+on fixed random instances."""
 
 import hashlib
 import json
 
-from apaths import SolveParams, solve, verify_certificate
+from apaths import (
+    SolveParams,
+    max_anticomplete_packing_with_witness,
+    oracle_max_anticomplete_packing,
+    oracle_min_ball_cover,
+    random_instance,
+    solve,
+    verify_certificate,
+)
 from apaths.cli import certificate_document, emit_certificate
 from test_acceptance import ELLS, KS, corpus
 
 CORPUS_CERTIFICATES_SHA256 = "df6bbfa8943a5e358c43458d3ceb70ed89ec5a059edf96f10fbc4fceb63d66fb"
 CORPUS_REPORTS_SHA256 = "7dfed217c5889845c50acb883fc30c9788b76958e3cafa8c0e31197f5c166475"
+ORACLE_ANSWERS_SHA256 = "c6c2add763f722c54b2e19aa9a774ac86f4e1ea2dd078cc7a5eca69bda39217e"
 
 
 def test_corpus_certificates_are_pinned():
@@ -46,3 +56,32 @@ def test_corpus_reports_are_pinned():
                 report = verify_certificate(g, a, params, solve(g, a, params))
                 digest.update((json.dumps(report.to_dict(), sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == CORPUS_REPORTS_SHA256
+
+
+def test_oracle_answers_are_pinned():
+    """sha256 over the oracles' answers on 48 fixed random instances at ell
+    in 1..3, one JSON line each: the ball cover (|Z| and Z) at r = 0 and 1,
+    the packing count and witness at cap 3, and the count-only packing
+    oracle at cap 3.
+
+    The instances are those of the benchmark's oracle workload: n 11 and 12,
+    edge probability 0.25 and 0.4, terminal probability 0.6, 12 of each, the
+    shape's index as the seed. The oracles may search fewer paths, but
+    their answers must not move.
+    """
+    shapes = [(n, p) for n in (11, 12) for p in (0.25, 0.4) for _ in range(12)]
+    digest = hashlib.sha256()
+
+    def add(line):
+        digest.update((json.dumps(line) + "\n").encode())
+
+    for seed, (n, p) in enumerate(shapes):
+        g, a = random_instance(n, p, 0.6, seed)
+        for ell in (1, 2, 3):
+            for r in (0, 1):
+                size, z = oracle_min_ball_cover(g, a, ell, r)
+                add(["cover", ell, r, size, sorted(z)])
+            count, witness = max_anticomplete_packing_with_witness(g, a, ell, 3)
+            add(["packing", ell, count, [list(q) for q in witness]])
+            add(["count", ell, oracle_max_anticomplete_packing(g, a, ell, 3)])
+    assert digest.hexdigest() == ORACLE_ANSWERS_SHA256

@@ -223,13 +223,15 @@ class TestPackingOracle:
         g, a = subdivided_complete_instance(2, 1)
         assert oracle_max_anticomplete_packing(g, a, 1, 2) == 1
 
-    @given(random_instances, st.integers(1, 2))
-    @settings(max_examples=40, deadline=None)
+    @given(random_instances, st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
     def test_matches_brute(self, inst, ell):
+        # The count oracle searches the minimal paths; the witness oracle
+        # and brute force, all of them.
         g, a = inst
-        assert oracle_max_anticomplete_packing(g, a, ell, 3) == brute.brute_max_anticomplete(
-            g, a, ell, 3
-        )
+        count = oracle_max_anticomplete_packing(g, a, ell, 3)
+        assert count == max_anticomplete_packing_with_witness(g, a, ell, 3)[0]
+        assert count == brute.brute_max_anticomplete(g, a, ell, 3)
 
     @given(random_instances, st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
@@ -238,6 +240,39 @@ class TestPackingOracle:
         value = oracle_max_anticomplete_packing(g, a, ell, 3)
         if value >= 1:
             assert has_long_induced_apath(g, a, ell)
+
+
+class TestMinimalPaths:
+    """A long induced A-path is minimal if no interior vertex is a terminal
+    at distance >= ell along it from either end. random_instances draws
+    terminal probability 1 a third of the time, so every vertex is a
+    terminal there."""
+
+    @given(random_instances, st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_enumeration_matches_brute(self, inst, ell):
+        g, a = inst
+        want = [p for p in brute.brute_induced_apaths(g, a, lo=ell) if brute.is_minimal_apath(p, a, ell)]
+        assert enumerate_induced_apaths(g, a, ell, minimal=True) == want
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4])
+    def test_all_terminals_leave_paths_of_length_ell(self, ell):
+        # With every vertex a terminal, a path longer than ell splits at
+        # its vertex ell, so the minimal paths of a path graph are its
+        # windows of exactly ell edges; those of a cycle, the same arcs.
+        assert enumerate_induced_apaths(path(7), range(7), ell, minimal=True) == [
+            tuple(range(s, s + ell + 1)) for s in range(7 - ell)
+        ]
+        arcs = enumerate_induced_apaths(cycle(9), range(9), ell, minimal=True)
+        assert len(arcs) == 9 and all(len(p) == ell + 1 for p in arcs)
+
+    def test_an_early_terminal_is_allowed(self):
+        # 0-1-2-3 with terminals 0, 1, 3 at ell 3: the only long path has
+        # terminal 1 inside, at distance 1 and 2 from its ends, so it is
+        # minimal; at ell 2 it splits at 1 into 1-2-3.
+        g = path(4)
+        assert enumerate_induced_apaths(g, {0, 1, 3}, 3, minimal=True) == [(0, 1, 2, 3)]
+        assert enumerate_induced_apaths(g, {0, 1, 3}, 2, minimal=True) == [(1, 2, 3)]
 
 
 class TestCoverOracle:
@@ -517,8 +552,9 @@ class TestLiveExtensions:
 class TestOracleBudget:
     """One budget bounds the whole oracle call: the enumeration and the mask
     search after it can each fit while their sum does not. Each oracle pays
-    one node per path the enumeration visits, then the packings one per
-    family node and the cover one per subset it tries."""
+    one node per path the enumeration visits (the minimal enumeration, for
+    all but the witness oracle), then the packings one per family node and
+    the cover one per subset it tries."""
 
     INSTANCE = random_instance(10, 0.4, 0.6, 0)
 
@@ -549,11 +585,11 @@ class TestOracleBudget:
 
     def test_disjoint_packing_oracle(self):
         g, a = self.INSTANCE
-        paths = enumerate_induced_apaths(g, a, 1, no_interior_terminals=True)
+        paths = enumerate_induced_apaths(g, a, 1, minimal=True)
         sets = [frozenset(p) for p in paths]
         self.assert_shared(
             lambda limit: max_vertex_disjoint_apath_packing(g, a, 5, budget=limit),
-            spent(lambda b: enumerate_induced_apaths(g, a, 1, b, no_interior_terminals=True)),
+            spent(lambda b: enumerate_induced_apaths(g, a, 1, b, minimal=True)),
             spent(lambda b: _max_compatible_family(self.compatibility(paths, sets), 5, b)),
         )
 
@@ -561,11 +597,12 @@ class TestOracleBudget:
         g, a = self.INSTANCE
         ell, r = 2, 0
         size, z = oracle_min_ball_cover(g, a, ell, r)
-        # Replay the oracle: one enumeration, then one node for every subset
-        # up to z in its order.
+        # Replay the oracle: one enumeration of the minimal paths, then one
+        # node for every subset up to z in its order.
         tried = [c for s in range(size) for c in combinations(range(g.n), s)]
         tried += [c for c in combinations(range(g.n), size) if c <= tuple(sorted(z))]
-        enumeration = spent(lambda b: enumerate_induced_apaths(g, a, ell, b))
+        enumeration = spent(lambda b: enumerate_induced_apaths(g, a, ell, b, minimal=True))
+        assert enumeration < spent(lambda b: enumerate_induced_apaths(g, a, ell, b))
         total = enumeration + len(tried)
         assert oracle_min_ball_cover(g, a, ell, r, budget=total) == (size, z)
         with pytest.raises(BudgetExceededError):
@@ -576,14 +613,33 @@ class TestOracleBudget:
             len(tried),
         )
 
+    def test_count_packing_oracle(self):
+        # The count oracle pays for the minimal enumeration and its own
+        # family search over the minimal paths, to the node.
+        g, a = self.INSTANCE
+        paths = enumerate_induced_apaths(g, a, 2, minimal=True)
+        closed = [ball(g, p, 1) for p in paths]
+        enumeration = spent(lambda b: enumerate_induced_apaths(g, a, 2, b, minimal=True))
+        assert enumeration < spent(lambda b: enumerate_induced_apaths(g, a, 2, b))
+        family = spent(lambda b: _max_compatible_family(self.compatibility(paths, closed), 3, b))
+        total = enumeration + family
+        count = oracle_max_anticomplete_packing(g, a, 2, 3)
+        assert oracle_max_anticomplete_packing(g, a, 2, 3, budget=total) == count
+        with pytest.raises(BudgetExceededError):
+            oracle_max_anticomplete_packing(g, a, 2, 3, budget=total - 1)
+        self.assert_shared(
+            lambda limit: oracle_max_anticomplete_packing(g, a, 2, 3, budget=limit), enumeration, family
+        )
+
 
 @pytest.mark.parametrize(
     "oracle",
     [
         lambda g, a: max_anticomplete_packing_with_witness(g, a, 2, 3),
+        lambda g, a: oracle_max_anticomplete_packing(g, a, 2, 3),
         lambda g, a: max_vertex_disjoint_apath_packing(g, a, 5),
     ],
-    ids=["packing-witness", "disjoint-packing"],
+    ids=["packing-witness", "packing-count", "disjoint-packing"],
 )
 def test_family_search_leaves_no_reference_cycles(oracle):
     # An oracle call that left cyclic garbage would hand it to the collector,

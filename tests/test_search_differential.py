@@ -3,7 +3,9 @@
 The bitset search engine against the recursive reference: pruning may only
 skip subtrees that hold no result, so every public search must return
 exactly what the reference returns (the same path, not just a path of the
-same length) and may never spend more budget.
+same length) and may never spend more budget. The engine's minimal mode is
+compared with the reference's full search, its emits filtered by
+brute.is_minimal_apath.
 
 The liveness test against the whole-region flood it replaced: on branch
 points taken from real path states it must return the same live mask, so
@@ -12,8 +14,9 @@ same nodes.
 
 The mask oracles against the per-subset and frozenset oracles they replaced:
 the same cover size and lexicographically first Z, the same packing count
-and witness, the same disjoint-packing value. Their budgets are charged
-differently, so only answers are compared.
+and witness, the same disjoint-packing value. The cover and count oracles
+search minimal paths, while their references search every path. Their
+budgets are charged differently, so only answers are compared.
 
 shortest_apath against the neighbour-list BFS it replaced: ties may now end
 at another terminal or walk back another way, so only None-ness and length
@@ -34,16 +37,19 @@ from apaths import (
     find_induced_apath_in_range,
     max_anticomplete_packing_with_witness,
     max_vertex_disjoint_apath_packing,
+    oracle_max_anticomplete_packing,
     oracle_min_ball_cover,
     random_instance,
     shortest_apath,
     shortest_long_induced_apath,
 )
 from apaths.graph import mask_members, to_mask
+from brute import is_minimal_apath
 from reference_search import (
     reference_live_extensions,
     reference_max_anticomplete_packing_with_witness,
     reference_max_vertex_disjoint_apath_packing,
+    reference_oracle_max_anticomplete_packing,
     reference_oracle_min_ball_cover,
     reference_shortest_apath,
     reference_terminal_path_dfs,
@@ -58,10 +64,18 @@ instances = st.builds(
 )
 
 
-def reference_on_mask(g, terminals, *args, **kwargs):
+def reference_on_mask(g, terminals, lo, accept_hi, budget, emit, minimal=False):
     """reference_terminal_path_dfs behind the engine's signature: the
-    terminal mask is turned back into a set."""
-    return reference_terminal_path_dfs(g, frozenset(mask_members(terminals)), *args, **kwargs)
+    terminal mask is turned back into a set, and minimal filters the full
+    search's emits with brute.is_minimal_apath."""
+    a_set = frozenset(mask_members(terminals))
+    if minimal:
+        full_emit = emit
+
+        def emit(path):
+            return full_emit(path) if is_minimal_apath(path, a_set, lo) else None
+
+    return reference_terminal_path_dfs(g, a_set, lo, accept_hi, budget, emit)
 
 
 def both_engines(call):
@@ -100,13 +114,9 @@ class TestAgainstReference:
 
     @given(instances, st.integers(1, 7), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_enumerate(self, inst, ell, no_interior_terminals):
+    def test_enumerate(self, inst, ell, minimal):
         g, a = inst
-        assert_same(
-            lambda b: enumerate_induced_apaths(
-                g, a, ell, b, no_interior_terminals=no_interior_terminals
-            )
-        )
+        assert_same(lambda b: enumerate_induced_apaths(g, a, ell, b, minimal=minimal))
 
     def test_reference_is_really_swapped_in(self):
         # Guard against the patch silently missing: on a 4x4 grid with
@@ -239,13 +249,9 @@ class TestLiveExtensionsAgainstReference:
 
     @given(instances, st.integers(1, 7), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_enumerate(self, inst, ell, no_interior_terminals):
+    def test_enumerate(self, inst, ell, minimal):
         g, a = inst
-        self.assert_same_search(
-            lambda b: enumerate_induced_apaths(
-                g, a, ell, b, no_interior_terminals=no_interior_terminals
-            )
-        )
+        self.assert_same_search(lambda b: enumerate_induced_apaths(g, a, ell, b, minimal=minimal))
 
     def test_grid_exhausts_in_the_same_nodes(self):
         # The 5x5 grid with corner terminals has no induced corner path of
@@ -272,7 +278,7 @@ class TestLesserEndFirst:
 
     @given(instances, st.integers(1, 7), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_engine_emits_one_orientation(self, inst, ell, no_interior_terminals):
+    def test_engine_emits_one_orientation(self, inst, ell, minimal):
         g, a = inst
         emitted = []
 
@@ -281,12 +287,10 @@ class TestLesserEndFirst:
 
         search._terminal_path_dfs(
             g, to_mask(a), ell, None, search._Budget(10**9, "orientation"), emit,
-            stop_at_terminals=no_interior_terminals,
+            minimal=minimal,
         )
         assert all(p[0] < p[-1] for p in emitted)
-        assert sorted(emitted) == enumerate_induced_apaths(
-            g, a, ell, no_interior_terminals=no_interior_terminals
-        )
+        assert sorted(emitted) == enumerate_induced_apaths(g, a, ell, minimal=minimal)
 
     @given(instances, st.integers(1, 7), st.one_of(st.none(), st.integers(0, 4)))
     @settings(max_examples=150, deadline=None)
@@ -326,6 +330,15 @@ class TestOraclesAgainstReference:
         assert max_anticomplete_packing_with_witness(
             g, a, ell, cap
         ) == reference_max_anticomplete_packing_with_witness(g, a, ell, cap)
+
+    @given(instances, st.integers(1, 3), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_anticomplete_packing_count(self, inst, ell, cap):
+        # The count oracle searches the minimal paths; the reference, all.
+        g, a = inst
+        assert oracle_max_anticomplete_packing(
+            g, a, ell, cap
+        ) == reference_oracle_max_anticomplete_packing(g, a, ell, cap)
 
     @given(instances, st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
