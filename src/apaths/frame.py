@@ -65,7 +65,7 @@ from .graph import (
     vertex_mask,
     walk_back,
 )
-from .search import DEFAULT_BUDGET, _Budget, shortest_long_induced_apath
+from .search import DEFAULT_BUDGET, _as_budget, _Budget, shortest_long_induced_apath
 
 class FrameInvariantError(AssertionError):
     """A frame or extension path failed its invariants: upstream bug or
@@ -211,7 +211,10 @@ def _close_pairs(
     adj: Sequence[int], f: int, sources: int, among: int, lower: int, axiom: str, what: str
 ) -> list[Violation]:
     """A10/A11: the pairs of among with an end in sources (a subset of
-    among) at distance below lower in F, each named lowest id first, once."""
+    among) at distance below lower in F, each named lowest id first, once.
+    No pair lies closer than a lower bound <= 0."""
+    if lower < 1:
+        return []
     viol = []
     for c in mask_members(sources):
         # A pair of two sources is named from its lower end.
@@ -352,7 +355,7 @@ def init_frame(
     failure here signals that breach, not a recoverable state.
     """
     terminals = vertex_mask(g, a)
-    path = shortest_long_induced_apath(g, terminals, ell, budget)
+    path = shortest_long_induced_apath(g, terminals, ell, _as_budget(budget, "init_frame"))
     if path is None:
         return None
     return _assert_valid(Frame(g, frozenset(mask_members(terminals)), _path_edges(path), ell), "init_frame")
@@ -526,7 +529,7 @@ def build_maximal_frame(
     taken, is validated in full once more, as the runtime guard on the
     lemma; extraction trusts it.
     """
-    start = fr = init_frame(g, a, ell, budget)
+    start = fr = init_frame(g, a, ell, _as_budget(budget, "build_maximal_frame"))
     if fr is None:
         return None
     if observer is not None:
@@ -602,7 +605,7 @@ def leaf_paths(tree_edges: Iterable[tuple[int, int]], leaves: Iterable[int]) -> 
 
 def extract_frame_paths(fr: Frame) -> list[Path]:
     """floor(p/2) pairwise anti-complete induced leaf-to-leaf paths of a
-    frame, each of length >= ell, in host ids.
+    frame, each of length >= ell, in host ids, in sorted order.
 
     The frame is validated in full first, unless this module already checked
     it (see extend_frame). Either way T has passed A2 and A3, so

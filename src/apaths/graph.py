@@ -158,8 +158,9 @@ def mask_neighbors(adj: Sequence[int], mask: int) -> int:
 
 
 def mask_ball(adj: Sequence[int], sources: int, within: int = -1, radius: int | None = None) -> int:
-    """The vertices within radius steps of sources (unbounded for None),
-    moving along adj only through vertices of within (-1: everywhere).
+    """The vertices within radius steps of sources (unbounded for None, and
+    for a negative radius too), moving along adj only through vertices of
+    within (-1: everywhere).
 
     adj is a bitmask adjacency, a graph's neighbor_masks or any other list
     indexed by vertex, such as a tree's. The sources are always included.

@@ -506,7 +506,7 @@ def max_anticomplete_packing_with_witness(
     radius-1 ball and the family search runs on masks alone. The budget pays
     for the enumeration and the family search.
     """
-    return _anticomplete_family(g, a, ell, cap, budget, False)
+    return _anticomplete_family(g, a, ell, cap, budget, False, "max_anticomplete_packing_with_witness")
 
 
 def oracle_max_anticomplete_packing(
@@ -514,16 +514,17 @@ def oracle_max_anticomplete_packing(
 ) -> int:
     """The packing number of max_anticomplete_packing_with_witness, searched
     among the minimal paths alone (see the module docstring)."""
-    return _anticomplete_family(g, a, ell, cap, budget, True)[0]
+    return _anticomplete_family(g, a, ell, cap, budget, True, "oracle_max_anticomplete_packing")[0]
 
 
 def _anticomplete_family(
-    g: Graph, a: Iterable[int] | int, ell: int, cap: int, budget: int | _Budget, minimal: bool
+    g: Graph, a: Iterable[int] | int, ell: int, cap: int, budget: int | _Budget, minimal: bool, where: str
 ) -> tuple[int, tuple[Path, ...]]:
-    """The largest anti-complete family among all paths or the minimal ones."""
+    """The largest anti-complete family among all paths or the minimal ones;
+    a fresh budget is named where, after the caller."""
     if cap < 1:
         raise ValueError(f"need cap >= 1, got {cap}")
-    b = _as_budget(budget, "oracle_max_anticomplete_packing")
+    b = _as_budget(budget, where)
     paths, masks, through = _path_masks(g, a, ell, b, minimal)
     adj = g.neighbor_masks()
     closed = [mask_ball(adj, m, -1, 1) for m in masks]

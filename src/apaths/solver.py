@@ -101,9 +101,11 @@ def solve(
     One loop over levels: a level either answers, or cuts the instance to
     the part a peeled path or a split frame leaves, and its terminal mask to
     that part, and goes on at a smaller k, so the loop ends on every input.
-    The cut levels are then replayed innermost first, each adding its path,
-    its frame's paths or its sets (ORed into masks, checked against each
-    level's bounds) to the answer of the level inside it. A returned Cover
+    The answering level hands over the paths it packs (none at k = 0), or
+    nothing, an empty cover. One fold over the cut levels, innermost first,
+    then makes the answer: a Packing gets each peeled path in front and each
+    split frame's paths merged in sorted order; a Cover ORs each level's
+    sets into two masks, checked against that level's bounds. A returned Cover
     satisfies the strong intersection form: removing N[z1] & N[z2, r2]
     already leaves no induced A-path of length >= ell (and hence so does
     removing either ball family alone). frame_observer, when given, is
@@ -113,17 +115,15 @@ def solve(
     budget = _Budget(params.node_budget, "solve")
     terminals = vertex_mask(g, a)
     cuts: list[tuple[SolveParams, Path | Frame]] = []  # (level params, peeled path or split frame)
-    while True:
+    packed: tuple[Path, ...] | None = ()  # the answering level's paths; None: an empty cover
+    while params.k > 0:
         k = params.k
-        if k == 0:
-            cert: Certificate = Packing(())
-            break
         if k == 1:
             path = shortest_long_induced_apath(g, terminals, ell, budget)
-            cert = Cover(frozenset(), frozenset(), 1, params.cover_radius()) if path is None else Packing((path,))
+            packed = None if path is None else (path,)
             break
         if not has_long_induced_apath(g, terminals, ell, budget):
-            cert = Cover(frozenset(), frozenset(), 1, params.cover_radius())
+            packed = None
             break
 
         adj = g.neighbor_masks()
@@ -137,7 +137,7 @@ def solve(
                 raise FrameInvariantError("a long induced A-path exists, so a frame must too")
             used = cut.leaf_count // 2
             if used >= k:
-                cert = Packing(tuple(sorted(extract_frame_paths(cut))[:k]))
+                packed = tuple(extract_frame_paths(cut)[:k])
                 break
             # The components of g - y_tilde holding a terminal still to process.
             outside = ~cut.y_tilde
@@ -149,16 +149,14 @@ def solve(
         terminals &= keep
         params = SolveParams(k - used, ell, params.node_budget)
 
-    if not cuts:
-        return cert
-    if isinstance(cert, Packing):
+    if packed is not None:
         for _, cut in reversed(cuts):
             if isinstance(cut, Frame):
-                cert = Packing(tuple(sorted(extract_frame_paths(cut) + list(cert.paths))))
+                packed = tuple(sorted(extract_frame_paths(cut) + list(packed)))
             else:
-                cert = Packing((cut,) + cert.paths)
-        return cert
-    z1, z2 = to_mask(cert.z1), to_mask(cert.z2)
+                packed = (cut,) + packed
+        return Packing(packed)
+    z1 = z2 = 0
     for params, cut in reversed(cuts):
         if isinstance(cut, Frame):
             z1, z2 = z1 | cut.y, z2 | cut.a_f | cut.hubs

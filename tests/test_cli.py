@@ -316,13 +316,15 @@ class TestExitCodes:
     def test_missing_file_exits_2(self):
         assert run_cli(["solve", "--input", "/nonexistent", "--k", "1", "--ell", "1"])[0] == EXIT_BAD_INPUT
 
-    def test_budget_exits_3(self, tmp_path):
+    def test_budget_exits_3(self, tmp_path, capsys):
         f = tmp_path / "big.graph"
         f.write_text(emit_graph(*complete_instance(9)))
         code, _ = run_cli(
             ["oracle", "--input", str(f), "--ell", "1", "--packing", "--cap", "3", "--budget", "5"]
         )
         assert code == EXIT_BUDGET
+        # The error names the oracle that ran.
+        assert capsys.readouterr().err.endswith("exhausted in max_anticomplete_packing_with_witness\n")
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     @pytest.mark.parametrize(

@@ -155,6 +155,14 @@ class TestValidateFrame:
         assert broken.a_f == to_mask({0, 3, 6})
         assert {(v.axiom, v.witness) for v in validate_frame(broken)} == {("A3", 3)}
 
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_no_pair_is_closer_than_a_bound_below_one(self, ell):
+        # A10 asks for leaves at distance >= ell, which every pair meets at
+        # ell <= 0, and the one leaf pair is long enough.
+        fr = Frame(path_graph(4), frozenset({0, 3}), frozenset({(0, 1), (1, 2), (2, 3)}), ell)
+        assert validate_frame(fr) == []
+        assert extract_frame_paths(fr) == [(0, 1, 2, 3)]
+
 
 class TestFindExtension:
     def test_no_unprocessed_terminals(self):

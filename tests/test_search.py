@@ -1,21 +1,26 @@
 import gc
+import inspect
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import apaths.frame
+import apaths.search
 import brute
 from apaths import (
     BudgetExceededError,
     Graph,
     LengthRange,
     ball,
+    build_maximal_frame,
     complete_instance,
     enumerate_induced_apaths,
     exists_apath,
     find_induced_apath_in_range,
     has_long_induced_apath,
     induced_subgraph,
+    init_frame,
     is_induced_path,
     max_anticomplete_packing_with_witness,
     max_vertex_disjoint_apath_packing,
@@ -362,6 +367,28 @@ class TestOracleArguments:
             oracle_min_ball_cover(g, a, 1, -1)
 
 
+GRID5 = Graph(
+    25,
+    [(5 * r + c, 5 * r + c + 1) for r in range(5) for c in range(4)]
+    + [(5 * r + c, 5 * r + c + 5) for r in range(4) for c in range(5)],
+)
+
+# Every public function of search.py and frame.py that takes a budget, called
+# on (g, a, budget), at ell 17 where it takes an ell.
+BUDGETED = {
+    "find_induced_apath_in_range": lambda g, a, b: find_induced_apath_in_range(g, a, (17, None), b),
+    "has_long_induced_apath": lambda g, a, b: has_long_induced_apath(g, a, 17, b),
+    "shortest_long_induced_apath": lambda g, a, b: shortest_long_induced_apath(g, a, 17, b),
+    "enumerate_induced_apaths": lambda g, a, b: enumerate_induced_apaths(g, a, 17, b),
+    "max_anticomplete_packing_with_witness": lambda g, a, b: max_anticomplete_packing_with_witness(g, a, 17, 2, b),
+    "oracle_max_anticomplete_packing": lambda g, a, b: oracle_max_anticomplete_packing(g, a, 17, 2, b),
+    "max_vertex_disjoint_apath_packing": lambda g, a, b: max_vertex_disjoint_apath_packing(g, a, 2, b),
+    "oracle_min_ball_cover": lambda g, a, b: oracle_min_ball_cover(g, a, 17, 0, b),
+    "init_frame": lambda g, a, b: init_frame(g, a, 17, b),
+    "build_maximal_frame": lambda g, a, b: build_maximal_frame(g, a, 17, b),
+}
+
+
 class TestBudget:
     def test_budget_exceeded_raises(self):
         g, a = complete_instance(9)
@@ -379,16 +406,23 @@ class TestBudget:
         else:
             pytest.fail("expected the budget to trip")
 
-    def test_has_long_budget_error_names_itself(self):
+    @pytest.mark.parametrize("name", sorted(BUDGETED))
+    def test_has_long_budget_error_names_itself(self, name):
         # Corner terminals of the 5x5 grid at ell 17: the longest induced
-        # corner path has length 16, so the search exhausts.
-        grid = Graph(
-            25,
-            [(5 * r + c, 5 * r + c + 1) for r in range(5) for c in range(4)]
-            + [(5 * r + c, 5 * r + c + 5) for r in range(4) for c in range(5)],
-        )
-        with pytest.raises(BudgetExceededError, match="has_long_induced_apath"):
-            has_long_induced_apath(grid, {0, 4, 20, 24}, 17, 5)
+        # corner path has length 16, so every search exhausts. A budget
+        # built from an int names the function the caller called.
+        with pytest.raises(BudgetExceededError, match=f"exhausted in {name}$"):
+            BUDGETED[name](GRID5, {0, 4, 20, 24}, 5)
+
+    def test_every_public_budgeted_function_is_named(self):
+        public = {
+            name
+            for module in (apaths.search, apaths.frame)
+            for name, fn in vars(module).items()
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_")
+            and "budget" in inspect.signature(fn).parameters
+        }
+        assert public == set(BUDGETED)
 
     @pytest.mark.parametrize("budget", [0, -5])
     @pytest.mark.parametrize(

@@ -331,6 +331,20 @@ class TestOraclesAgainstReference:
             g, a, ell, cap
         ) == reference_max_anticomplete_packing_with_witness(g, a, ell, cap)
 
+    def test_witness_is_the_first_family_over_every_path(self):
+        # Each instance's first family over all paths holds a path that is
+        # not minimal, so it differs from the first over the minimal paths.
+        # Planted: on the path 0-1-2-3 at ell 2, terminal 1 lies 2 steps
+        # from 3, so (0, 1, 2, 3) holds the minimal (1, 2, 3) and comes
+        # first. Drawn: the oracle workload's first instance.
+        for (g, a), ell, cap in (
+            ((Graph(4, [(0, 1), (1, 2), (2, 3)]), {0, 1, 3}), 2, 1),
+            (random_instance(11, 0.25, 0.6, 0), 2, 3),
+        ):
+            witness = max_anticomplete_packing_with_witness(g, a, ell, cap)
+            assert witness == reference_max_anticomplete_packing_with_witness(g, a, ell, cap)
+            assert not all(is_minimal_apath(p, a, ell) for p in witness[1])
+
     @given(instances, st.integers(1, 3), st.integers(1, 4))
     @settings(max_examples=150, deadline=None)
     def test_anticomplete_packing_count(self, inst, ell, cap):

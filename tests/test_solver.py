@@ -610,6 +610,40 @@ class TestPerCallObjects:
         assert ranges == [] and replaced == []
 
 
+def caterpillar_and_path():
+    """A 12-leg caterpillar and, apart from it, a terminal-ended path of
+    length 6: at ell 3 the path is a maximal frame of its own, split off
+    first."""
+    cat, tips = caterpillar_instance(12, 0)
+    n = cat.n
+    return Graph(n + 7, list(cat.edges()) + [(v, v + 1) for v in range(n, n + 6)]), tips | {n, n + 6}
+
+
+class TestOneAnswer:
+    """The answering level hands over its paths or nothing, and one fold
+    over the cut levels builds the one Packing or Cover."""
+
+    @pytest.mark.parametrize(
+        "instance, params, kind, cuts",
+        [
+            ((Graph(40, [(v, v + 1) for v in range(0, 40, 2)]), range(40)), SolveParams(25, 1), Cover, 20),
+            ((Graph(400, [(v, v + 1) for v in range(0, 400, 2)]), range(400)), SolveParams(150, 1), Packing, 149),
+            (caterpillar_and_path(), SolveParams(3, 3), Packing, 1),
+            (caterpillar_instance(12, 0), SolveParams(7, 3), Cover, 1),
+        ],
+        ids=["peels-cover", "peels-packing", "split-packing", "split-cover"],
+    )
+    def test_a_solve_builds_one_certificate(self, monkeypatch, instance, params, kind, cuts):
+        built, kept = [], []
+        for cls in (Packing, Cover):
+            monkeypatch.setattr(solver_module, cls.__name__, lambda *args, cls=cls: built.append(cls) or cls(*args))
+        real_kept = solver_module._kept_subgraph
+        monkeypatch.setattr(solver_module, "_kept_subgraph", lambda g, keep: kept.append(keep) or real_kept(g, keep))
+        cert = solve(*instance, params)
+        assert built == [kind] and type(cert) is kind and len(kept) == cuts
+        assert cert == reference_solve(*instance, params)
+
+
 class TestDeepPaths:
     def test_1500_vertex_path_packs(self):
         # far longer than the interpreter's recursion limit
