@@ -11,7 +11,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from apaths import (
-    LengthRange,
     complete_instance,
     find_induced_apath_in_range,
     has_long_induced_apath,
@@ -50,7 +49,7 @@ g, a = subdivided_complete_instance(2, 1)
 print("  shortest A-path in the 9-cycle instance:", shortest_apath(g, a))
 print("  shortest induced A-path of length >= 3:", shortest_long_induced_apath(g, a, 3))
 print("  any induced A-path of length in [4, 6]:",
-      find_induced_apath_in_range(g, a, LengthRange(4, 6)))
+      find_induced_apath_in_range(g, a, (4, 6)))
 print("  exists one of length >= 7?", has_long_induced_apath(g, a, 7))
 
 k5, a5 = complete_instance(5)

@@ -25,7 +25,6 @@ from .graph import (
 from .search import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    LengthRange,
     enumerate_induced_apaths,
     exists_apath,
     find_induced_apath_in_range,
@@ -80,7 +79,7 @@ __all__ = [
     "Graph", "GraphError", "Path", "VertexSet",
     "ball", "dist", "anti_complete", "induced_subgraph", "components",
     "is_path", "is_induced_path", "power_graph",
-    "LengthRange", "BudgetExceededError", "DEFAULT_BUDGET",
+    "BudgetExceededError", "DEFAULT_BUDGET",
     "exists_apath", "shortest_apath", "shortest_long_induced_apath",
     "find_induced_apath_in_range", "has_long_induced_apath",
     "enumerate_induced_apaths", "oracle_max_anticomplete_packing",

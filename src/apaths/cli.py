@@ -28,7 +28,7 @@ from .generators import (
     random_subcubic_tree,
     subdivided_complete_instance,
 )
-from .graph import Graph, GraphError, VertexSet, mask_members
+from .graph import Graph, GraphError, VertexSet, mask_members, vertex_mask
 from .search import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -119,11 +119,12 @@ def parse_graph(text: str) -> tuple[Graph, VertexSet]:
     return Graph(n, edges), frozenset(terminals)
 
 
-def emit_graph(g: Graph, a: Iterable[int] = ()) -> str:
-    """Deterministic text for a graph plus terminal set; parse round-trips it."""
+def emit_graph(g: Graph, a: Iterable[int] | int = ()) -> str:
+    """Deterministic text for a graph plus terminal set, given as vertex ids
+    or as their mask; parse round-trips it."""
     lines = [f"p {g.n}"]
     lines.extend(f"e {u} {v}" for u, v in g.edges())
-    lines.extend(f"a {v}" for v in sorted(set(a)))
+    lines.extend(f"a {v}" for v in mask_members(vertex_mask(g, a)))
     return "\n".join(lines) + "\n"
 
 

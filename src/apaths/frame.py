@@ -409,8 +409,10 @@ def find_extension(fr: Frame) -> Path | None:
     vertex and ends at its first frame contact; extend_frame checks that it
     has P1..P7 and P-hub. It ends at the least frame vertex nearest to a_bar
     and is walked back from there to the least neighbour one BFS layer
-    closer at each step.
+    closer at each step. A frame this module did not check is validated in
+    full first, as its derived masks need A1.
     """
+    _trusted(fr, "find_extension")
     adj = fr.host.neighbor_masks()
     outside = ~fr.y_tilde
     layers = mask_layers(adj, fr.a_bar & outside, outside, fr.f)

@@ -44,7 +44,6 @@ node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -98,20 +97,6 @@ def _as_budget(budget: int | _Budget, where: str) -> _Budget:
     that searches made inside one oracle, solve or verify call all draw on
     the same nodes."""
     return _Budget(budget, where) if isinstance(budget, int) else budget
-
-
-@dataclass(frozen=True)
-class LengthRange:
-    """Closed interval of path lengths; hi=None means unbounded above."""
-
-    lo: int
-    hi: int | None = None
-
-    def __post_init__(self):
-        if self.lo < 0:
-            raise ValueError(f"length bound must be nonnegative, got lo={self.lo}")
-        if self.hi is not None and self.lo > self.hi:
-            raise ValueError(f"empty length range [{self.lo}, {self.hi}]")
 
 
 def exists_apath(g: Graph, a: Iterable[int] | int) -> bool:
@@ -246,7 +231,9 @@ def _terminal_path_dfs(
     "stop" to abort. With minimal, a terminal tip is not extended once the
     length is at least lo, and a path is emitted only if none of
     path[1 : plen - lo + 1] is a terminal. budget.spend() is called once
-    per visited path.
+    per visited path. Every length query runs here, so this is the one
+    check of its bound: lo < 1 or accept_hi below lo raises ValueError
+    before any node is spent.
 
     Vertex sets are int bitmasks, and adjacency is g's own
     neighbor_masks. The search is iterative, so its depth is bounded by
@@ -286,6 +273,10 @@ def _terminal_path_dfs(
     visible emit order is a full search's; only fewer paths are visited and
     paid for.
     """
+    if accept_hi is not None and accept_hi < lo:
+        raise ValueError(f"empty length range [{lo}, {accept_hi}]")
+    if lo < 1:
+        raise ValueError(f"need ell >= 1, got {lo}")
     adj = g.neighbor_masks()
     spend = budget.spend
     ext_cap = accept_hi
@@ -339,15 +330,12 @@ def _terminal_path_dfs(
 def find_induced_apath_in_range(
     g: Graph,
     a: Iterable[int] | int,
-    length_range: LengthRange | tuple[int, int | None],
+    length_range: tuple[int, int | None],
     budget: int | _Budget = DEFAULT_BUDGET,
 ) -> Path | None:
-    """Some induced A-path whose length lies in the range, or None (exact).
-    The range is a LengthRange or a (lo, hi) pair, which is read as it is."""
-    lo, hi = (length_range.lo, length_range.hi) if isinstance(length_range, LengthRange) else length_range
-    if lo < 1 or hi is not None and lo > hi:
-        LengthRange(lo, hi)  # raises for a negative or empty range; lo = 0 falls through
-        raise ValueError("A-paths have at least one edge; need lo >= 1")
+    """Some induced A-path whose length lies in the closed range (lo, hi),
+    or None (exact); hi None means no upper bound."""
+    lo, hi = length_range
     return _first_path(g, vertex_mask(g, a), lo, hi, _as_budget(budget, "find_induced_apath_in_range"))
 
 
@@ -367,8 +355,6 @@ def has_long_induced_apath(
     g: Graph, a: Iterable[int] | int, ell: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> bool:
     """Exact decision: does g contain an induced A-path of length >= ell?"""
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
     if ell == 1:
         _as_budget(budget, "has_long_induced_apath")  # exists_apath spends no node, but the budget is still checked
         return exists_apath(g, a)
@@ -384,8 +370,6 @@ def shortest_long_induced_apath(
     length is found, extensions are pruned to strictly shorter candidates, and
     a path of length exactly ell ends the search immediately.
     """
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
     terminals = vertex_mask(g, a)
     b = _as_budget(budget, "shortest_long_induced_apath")
     best: list[Path] = []
@@ -410,8 +394,6 @@ def enumerate_induced_apaths(
 ) -> list[Path]:
     """All induced A-paths of length >= ell, one orientation each, sorted;
     with minimal, only the minimal ones (see the module docstring)."""
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
     terminals = vertex_mask(g, a)
     out: list[Path] = []
 
@@ -566,8 +548,6 @@ def oracle_min_ball_cover(
     terminals = vertex_mask(g, a)
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
     b = _as_budget(budget, "oracle_min_ball_cover")
     paths, _, through = _path_masks(g, terminals, ell, b, minimal=True)
     adj = g.neighbor_masks()

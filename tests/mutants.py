@@ -1,0 +1,108 @@
+"""A standing catalogue of mutants of src/apaths, each with the test that
+kills it.
+
+A mutant is one exact replacement in the source of one function. For each
+entry, tests/test_mutants.py rebuilds the function from inspect.getsource
+with the replacement made, patches the mutated code into the live function,
+and runs the killer in-process: the killer must pass on the real code and
+fail on the mutant. If the snippet no longer occurs exactly once, that test
+fails and names the mutant, so a rewrite re-expresses its mutants here.
+
+List only mutants that a test kills; an equivalent mutant has no killer.
+A killer is named "module::function" or "module::Class::method", with the
+test module as imported from tests/. It takes no fixtures, so it runs by a
+plain call; a parametrized killer gets one case's values as args.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    function: str  # "module:function", e.g. "apaths.search:_terminal_path_dfs"
+    snippet: str  # occurs exactly once in the function's source
+    replacement: str
+    killer: str
+    args: tuple = ()
+
+
+MUTANTS = (
+    # The one check of a length bound, in the engine.
+    Mutant(
+        "bound-accepts-lo-0",
+        "apaths.search:_terminal_path_dfs",
+        "if lo < 1:",
+        "if lo < 0:",
+        "test_search::TestFindInRange::test_rejects_zero_lo",
+    ),
+    Mutant(
+        "bound-refuses-hi-equal-to-lo",
+        "apaths.search:_terminal_path_dfs",
+        "accept_hi < lo:",
+        "accept_hi <= lo:",
+        "test_search::TestFindInRange::test_k4_single_edges",
+    ),
+    # The liveness bound of the engine's branch points.
+    Mutant(
+        "region-bound-without-its-target-test",
+        "apaths.search:_live_extensions",
+        " or not free & targets:",
+        ":",
+        "test_search::TestLiveExtensions::test_a_free_region_without_a_target_kills_every_child_unflooded",
+        (2, None),
+    ),
+    Mutant(
+        "region-bound-without-its-size-test",
+        "apaths.search:_live_extensions",
+        "len(adj) - child_blocked.bit_count() < need - 1 or ",
+        "",
+        "test_search::TestLiveExtensions::test_a_small_free_region_kills_every_child_unflooded",
+        (None,),
+    ),
+    Mutant(
+        "flood-stops-without-a-target",
+        "apaths.search:_live_extensions",
+        "while not (reach & targets and reach.bit_count() >= need - 1):",
+        "while not (reach.bit_count() >= need - 1):",
+        "test_search::TestLiveExtensions::test_a_sibling_with_a_seed_in_a_flood_that_met_the_bound_is_live",
+    ),
+    Mutant(
+        "spent-components-not-unioned",
+        "apaths.search:_live_extensions",
+        "region |= comp",
+        "region = comp",
+        "test_search::TestLiveExtensions::test_spent_components_count_together",
+    ),
+    Mutant(
+        "seed-in-a-met-flood-is-dead",
+        "apaths.search:_live_extensions",
+        "if seeds & good:\n            continue",
+        "if seeds & good:\n            live ^= low\n            continue",
+        "test_search::TestLiveExtensions::test_a_sibling_with_a_seed_in_a_flood_that_met_the_bound_is_live",
+    ),
+    # The solver's loop and its fold over the cut levels.
+    Mutant(
+        "packing-fold-runs-forward",
+        "apaths.solver:solve",
+        "for _, cut in reversed(cuts):",
+        "for _, cut in cuts:",
+        "test_solver::TestLoopMatchesRecursion::test_many_peels",
+        (150,),
+    ),
+    Mutant(
+        "peel-appended",
+        "apaths.solver:solve",
+        "packed = (cut,) + packed",
+        "packed = packed + (cut,)",
+        "test_solver::TestSolveTraces::test_two_disjoint_edges_pack",
+    ),
+    Mutant(
+        "radius-0-peel",
+        "apaths.solver:solve",
+        "keep = ~mask_ball(adj, to_mask(mid), -1, 1)",
+        "keep = ~mask_ball(adj, to_mask(mid), -1, 0)",
+        "test_solver::TestSolveTraces::test_k5_cover_is_one_edge",
+    ),
+)

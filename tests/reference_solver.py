@@ -37,7 +37,6 @@ from apaths.graph import (
 )
 from apaths.search import (
     _Budget,
-    LengthRange,
     find_induced_apath_in_range,
     has_long_induced_apath,
     shortest_long_induced_apath,
@@ -81,7 +80,7 @@ def reference_solve(
         if not has_long_induced_apath(g, a_set, ell, budget):
             return empty
 
-        mid = find_induced_apath_in_range(g, a_set, LengthRange(ell, 2 * ell - 1), budget)
+        mid = find_induced_apath_in_range(g, a_set, (ell, 2 * ell - 1), budget)
         if mid is not None:
             removed = ball(g, mid, 1)
             h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])

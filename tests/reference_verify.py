@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from apaths.graph import anti_complete, ball, induced_subgraph, vertex_mask
 from brute import check_vertex_set, is_induced_path, is_path
-from apaths.search import DEFAULT_BUDGET, _Budget, LengthRange, find_induced_apath_in_range
+from apaths.search import DEFAULT_BUDGET, _Budget, find_induced_apath_in_range
 from apaths.solver import Packing
 from apaths.verify import Report
 
@@ -53,7 +53,7 @@ def reference_verify_packing(g, a, params, paths) -> Report:
 
 def _reference_removal_check(g, a_set, removed, ell, budget):
     h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
-    witness = find_induced_apath_in_range(h, a_set - removed, LengthRange(ell, None), budget)
+    witness = find_induced_apath_in_range(h, a_set - removed, (ell, None), budget)
     return witness is None, witness
 
 

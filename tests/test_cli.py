@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from apaths import (
     Graph,
+    GraphError,
     SolveParams,
     caterpillar_instance,
     cli,
@@ -85,6 +86,28 @@ class TestParseGraph:
         text = emit_graph(Graph(4, [(0, 2), (1, 3)]), {1, 2})
         g, a = parse_graph(text)
         assert emit_graph(g, a) == text
+
+    @pytest.mark.parametrize(
+        "a, members",
+        [
+            (0b0110, {1, 2}),
+            ((), set()),
+            (0, set()),
+            (range(4), {0, 1, 2, 3}),
+            (0b1111, {0, 1, 2, 3}),
+        ],
+    )
+    def test_roundtrip_of_ids_and_masks(self, a, members):
+        g0 = Graph(4, [(0, 2), (1, 3)])
+        text = emit_graph(g0, a)
+        g, parsed = parse_graph(text)
+        assert (g, parsed) == (g0, members)
+        assert emit_graph(g, parsed) == text
+
+    @pytest.mark.parametrize("a", [{5}, {-1}, 0b1000])
+    def test_emit_refuses_terminals_outside_the_graph(self, a):
+        with pytest.raises(GraphError):
+            emit_graph(Graph(3, [(0, 1)]), a)
 
 
 class TestGen:

@@ -208,6 +208,18 @@ class TestFindExtension:
         assert p == (1, 5, 15)
         assert validate_frame(extend_frame(fr, p)) == []
 
+    @pytest.mark.parametrize(
+        "terminals, extra_edges",
+        [({-1, 0, 3}, set()), ({0, 3, 9}, set()), ({0, 3}, {(2, 7)})],
+        ids=["negative-terminal", "terminal-above-n", "tree-edge-outside"],
+    )
+    def test_frame_outside_the_host_names_a1(self, terminals, extra_edges):
+        # The derived masks need A1, so it is checked before any is read.
+        tree = frozenset({(0, 1), (1, 2), (2, 3)} | extra_edges)
+        fr = Frame(path_graph(4), frozenset(terminals), tree, 1)
+        with pytest.raises(FrameInvariantError, match="A1: .* outside the host graph"):
+            find_extension(fr)
+
 
 class TestExtendFrame:
     def test_pendant_adds_leaf_and_hub(self):

@@ -11,7 +11,6 @@ import brute
 from apaths import (
     BudgetExceededError,
     Graph,
-    LengthRange,
     ball,
     build_maximal_frame,
     complete_instance,
@@ -134,59 +133,47 @@ class TestShortestLongInducedApath:
 class TestFindInRange:
     def test_k4_single_edges(self):
         g, a = complete_instance(4)
-        p = find_induced_apath_in_range(g, a, LengthRange(1, 1))
+        p = find_induced_apath_in_range(g, a, (1, 1))
         assert p is not None and len(p) == 2
 
     def test_star_leaf_to_leaf(self):
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        p = find_induced_apath_in_range(g, {1, 2, 3, 4}, LengthRange(2, 3))
+        p = find_induced_apath_in_range(g, {1, 2, 3, 4}, (2, 3))
         assert p is not None and len(p) - 1 == 2 and p[1] == 0
 
     def test_k4_no_length_two(self):
         g, a = complete_instance(4)
-        assert find_induced_apath_in_range(g, a, LengthRange(2, 3)) is None
+        assert find_induced_apath_in_range(g, a, (2, 3)) is None
 
     def test_rejects_zero_lo(self):
         with pytest.raises(ValueError):
-            find_induced_apath_in_range(path(3), {0, 2}, LengthRange(0, 2))
-
-    @pytest.mark.parametrize(
-        "lo, hi, message", [(-1, None, "must be nonnegative"), (3, 2, "empty length range")]
-    )
-    def test_rejects_malformed_range(self, lo, hi, message):
-        with pytest.raises(ValueError, match=message):
-            LengthRange(lo, hi)
+            find_induced_apath_in_range(path(3), {0, 2}, (0, 2))
 
     @pytest.mark.parametrize(
         "lo, hi, message",
         [
-            (-1, None, "must be nonnegative"),
+            (-1, None, "need ell >= 1"),
             (3, 2, "empty length range"),
             (0, -1, "empty length range"),
-            (0, 2, "at least one edge"),
-            (0, None, "at least one edge"),
+            (0, 2, "need ell >= 1"),
+            (0, None, "need ell >= 1"),
         ],
     )
     def test_rejects_malformed_pair(self, lo, hi, message):
         with pytest.raises(ValueError, match=message):
             find_induced_apath_in_range(path(3), {0, 2}, (lo, hi))
 
-    def test_pair_is_read_as_it_is(self, monkeypatch):
-        # A (lo, hi) pair finds what the LengthRange finds, and builds none.
-        rng, built = LengthRange(2, 3), []
-        check = LengthRange.__post_init__
-        monkeypatch.setattr(LengthRange, "__post_init__", lambda r: built.append(r) or check(r))
+    def test_pair_is_read_as_it_is(self):
         g, a = path(5), {0, 2, 4}
-        assert find_induced_apath_in_range(g, a, (2, 3)) == find_induced_apath_in_range(g, a, rng) == (0, 1, 2)
+        assert find_induced_apath_in_range(g, a, (2, 3)) == (0, 1, 2)
         assert has_long_induced_apath(g, a, 4) and not has_long_induced_apath(g, a, 5)
-        assert built == []
 
     @given(random_instances, st.integers(1, 3), st.integers(0, 3))
     @settings(max_examples=80, deadline=None)
     def test_exact_against_enumeration(self, inst, lo, extra):
         g, a = inst
         hi = lo + extra
-        found = find_induced_apath_in_range(g, a, LengthRange(lo, hi))
+        found = find_induced_apath_in_range(g, a, (lo, hi))
         expected = brute.brute_induced_apaths(g, a, lo=lo, hi=hi)
         if found is None:
             assert expected == []
@@ -327,8 +314,33 @@ class TestDisjointPackingDuality:
         assert size <= 2 * nu
 
 
+BAD_BOUNDS = {
+    "find-lo-0": lambda g, a, b: find_induced_apath_in_range(g, a, (0, None), b),
+    "find-lo-minus-1": lambda g, a, b: find_induced_apath_in_range(g, a, (-1, None), b),
+    "find-empty": lambda g, a, b: find_induced_apath_in_range(g, a, (3, 2), b),
+    "has_long": lambda g, a, b: has_long_induced_apath(g, a, 0, b),
+    "shortest": lambda g, a, b: shortest_long_induced_apath(g, a, 0, b),
+    "enumerate": lambda g, a, b: enumerate_induced_apaths(g, a, 0, b),
+    "enumerate-minimal": lambda g, a, b: enumerate_induced_apaths(g, a, 0, b, minimal=True),
+    "witness-packing": lambda g, a, b: max_anticomplete_packing_with_witness(g, a, 0, 2, b),
+    "count-packing": lambda g, a, b: oracle_max_anticomplete_packing(g, a, 0, 2, b),
+    "ball-cover": lambda g, a, b: oracle_min_ball_cover(g, a, 0, 1, b),
+    "init_frame": lambda g, a, b: init_frame(g, a, 0, b),
+    "build_maximal_frame": lambda g, a, b: build_maximal_frame(g, a, 0, b),
+}
+
+
 class TestEllBelowOne:
     """Every long-path query refuses ell < 1 rather than answer for ell = 1."""
+
+    @pytest.mark.parametrize("name", BAD_BOUNDS)
+    def test_bad_bound_spends_no_node(self, name):
+        # The engine checks the bound before its first node, whatever the
+        # query spends its budget on around it.
+        b = _Budget(100, "probe")
+        with pytest.raises(ValueError, match=r"need ell >= 1, got|empty length range \[3, 2\]"):
+            BAD_BOUNDS[name](path(5), {0, 2, 4}, b)
+        assert b.remaining == b.limit
 
     @pytest.mark.parametrize("ell", [0, -3])
     def test_enumeration_raises(self, ell):

@@ -32,7 +32,6 @@ from hypothesis import assume, given, settings, strategies as st
 import apaths.search as search
 from apaths import (
     Graph,
-    LengthRange,
     enumerate_induced_apaths,
     find_induced_apath_in_range,
     max_anticomplete_packing_with_witness,
@@ -103,7 +102,7 @@ class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     def test_find_in_range(self, inst, lo, width):
         g, a = inst
-        rng = LengthRange(lo, None if width is None else lo + width)
+        rng = (lo, None if width is None else lo + width)
         assert_same(lambda b: find_induced_apath_in_range(g, a, rng, b))
 
     @given(instances, st.integers(1, 7))
@@ -125,7 +124,7 @@ class TestAgainstReference:
         edges += [(r * 4 + c, r * 4 + c + 4) for r in range(3) for c in range(4)]
         g, a = Graph(16, edges), {0, 3, 12, 15}
         (got, spent), (want, ref_spent) = both_engines(
-            lambda b: find_induced_apath_in_range(g, a, LengthRange(12, None), b)
+            lambda b: find_induced_apath_in_range(g, a, (12, None), b)
         )
         assert got is None and want is None
         assert spent < ref_spent
@@ -238,7 +237,7 @@ class TestLiveExtensionsAgainstReference:
     @settings(max_examples=150, deadline=None)
     def test_find_in_range(self, inst, lo, width):
         g, a = inst
-        rng = LengthRange(lo, None if width is None else lo + width)
+        rng = (lo, None if width is None else lo + width)
         self.assert_same_search(lambda b: find_induced_apath_in_range(g, a, rng, b))
 
     @given(instances, st.integers(1, 7))
@@ -266,7 +265,7 @@ class TestLiveExtensionsAgainstReference:
             calls.append(args)
             return reference_live_extensions(*args)
 
-        call = lambda b: find_induced_apath_in_range(g, a, LengthRange(17, None), b)
+        call = lambda b: find_induced_apath_in_range(g, a, (17, None), b)
         assert spent_under(search._live_extensions, call) == (None, 539)
         assert spent_under(counted, call) == (None, 539)
         assert calls
@@ -296,7 +295,7 @@ class TestLesserEndFirst:
     @settings(max_examples=150, deadline=None)
     def test_queries_return_one_orientation(self, inst, ell, width):
         g, a = inst
-        rng = LengthRange(ell, None if width is None else ell + width)
+        rng = (ell, None if width is None else ell + width)
         found = [
             find_induced_apath_in_range(g, a, rng),
             shortest_long_induced_apath(g, a, ell),

@@ -14,7 +14,6 @@ from apaths import (
     Cover,
     FrameInvariantError,
     Graph,
-    LengthRange,
     Packing,
     SolveParams,
     ball,
@@ -587,9 +586,7 @@ class TestPerCallObjects:
     level's params afresh; the verifier's removal searches take pairs too."""
 
     def test_multi_level_solve_and_verify_build_no_range_and_no_replace(self, monkeypatch):
-        ranges, replaced = [], []
-        check_range = LengthRange.__post_init__
-        monkeypatch.setattr(LengthRange, "__post_init__", lambda r: ranges.append(r) or check_range(r))
+        replaced = []
         real_replace = dataclasses.replace
 
         def replace_spy(*args, **kwargs):
@@ -607,7 +604,7 @@ class TestPerCallObjects:
         cert = solve(g, a, params)
         assert cert == Cover(frozenset(range(4)), frozenset(range(4)), 1, 4)
         assert verify_certificate(g, a, params, cert).passed
-        assert ranges == [] and replaced == []
+        assert replaced == []
 
 
 def caterpillar_and_path():
