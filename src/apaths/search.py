@@ -29,11 +29,10 @@ terminal at distance >= ell along them from either end. Cutting a long path
 at such a terminal, again and again, leaves a minimal one on a subset of its
 vertices, so a set meets every long path iff it meets every minimal one, and
 an anti-complete family stays one when each path becomes a minimal subpath.
-The ball-cover oracle keeps, for each vertex v, the mask of the paths that
-ball(v, r) meets, and a subset Z covers iff the OR of its masks is all
-ones. The packing oracles keep one mask per path of the later paths
-compatible with it, and search families bit-parallel, as in bit-parallel
-maximum clique.
+Each oracle ORs per-vertex masks, the paths that meet ball(v, r), and
+builds no ball: Z covers iff its OR at radius r is all ones, and path j is
+compatible with path i iff path i's OR at radius 1 (0 for disjointness)
+misses j. Families are searched as in bit-parallel maximum clique.
 
 A node budget bounds every call, shared by all searches one oracle, solve
 or verify call makes, so runaway searches end in an explicit
@@ -57,7 +56,6 @@ from .graph import (
     mask_members,
     mask_neighbors,
     path_mask,
-    to_mask,
     vertex_mask,
     walk_back,
 )
@@ -410,31 +408,38 @@ def enumerate_induced_apaths(
 
 
 def _path_masks(
-    g: Graph,
-    a: Iterable[int] | int,
-    ell: int,
-    budget: _Budget,
-    minimal: bool,
-) -> tuple[list[Path], list[int], list[int]]:
+    g: Graph, a: Iterable[int] | int, ell: int, budget: _Budget, minimal: bool
+) -> tuple[list[Path], list[int]]:
     """The induced A-paths of length >= ell, or the minimal ones, enumerated
-    once: (paths, the vertex mask of each path, and through[v], the mask of
-    the paths through v). Path i is bit i of every path mask."""
+    once, and through[v], the mask of the paths through v (path i is bit i)."""
     paths = enumerate_induced_apaths(g, a, ell, budget, minimal)
     through = [0] * g.n
     for i, p in enumerate(paths):
         bit = 1 << i
         for v in p:
             through[v] |= bit
-    return paths, [to_mask(p) for p in paths], through
+    return paths, through
 
 
-def _compatibility(forbidden: list[int], through: list[int]) -> list[int]:
-    """One mask per path i: the later paths j > i whose vertices avoid
-    forbidden[i]. The relation must be symmetric; it is for closed
-    neighbourhoods (anti-completeness) and for the paths themselves
-    (disjointness)."""
-    top = 1 << len(forbidden)
-    return [(top - (2 << i)) & ~mask_neighbors(through, f) for i, f in enumerate(forbidden)]
+def _meeting_balls(adj: tuple[int, ...], hit: list[int], r: int) -> list[int]:
+    """The paths that meet ball(v, r), for each v, grown from hit = through:
+    a path meets ball(v, r + 1) iff it meets ball(u, r) for a u in N[v]."""
+    for _ in range(r):
+        hit = [h | mask_neighbors(hit, nbrs) for h, nbrs in zip(hit, adj)]
+    return hit
+
+
+def _compatibility(paths: list[Path], near: list[int]) -> list[int]:
+    """Per path i, the later paths j > i in no near[v] over v in path i, a
+    symmetric relation: disjointness for near = through, anti-completeness at radius 1."""
+    top = 1 << len(paths)
+    compat = []
+    for i, p in enumerate(paths):
+        hit = 0
+        for v in p:
+            hit |= near[v]
+        compat.append((top - (2 << i)) & ~hit)
+    return compat
 
 
 def _max_compatible_family(
@@ -483,10 +488,9 @@ def max_anticomplete_packing_with_witness(
     """Maximum family (up to cap) of pairwise anti-complete induced A-paths
     of length >= ell, and the first such family in lexicographic path order.
 
-    Two paths are anti-complete iff one avoids the other's closed
-    neighbourhood, so each path's compatibility mask is built once from its
-    radius-1 ball and the family search runs on masks alone. The budget pays
-    for the enumeration and the family search.
+    Paths i and j are anti-complete iff j meets the radius-1 ball of no
+    vertex of i, so one mask per vertex is built, and no ball per path.
+    The budget pays for the enumeration and the family search.
     """
     return _anticomplete_family(g, a, ell, cap, budget, False, "max_anticomplete_packing_with_witness")
 
@@ -507,10 +511,9 @@ def _anticomplete_family(
     if cap < 1:
         raise ValueError(f"need cap >= 1, got {cap}")
     b = _as_budget(budget, where)
-    paths, masks, through = _path_masks(g, a, ell, b, minimal)
-    adj = g.neighbor_masks()
-    closed = [mask_ball(adj, m, -1, 1) for m in masks]
-    size, family = _max_compatible_family(_compatibility(closed, through), cap, b)
+    paths, through = _path_masks(g, a, ell, b, minimal)
+    compat = _compatibility(paths, _meeting_balls(g.neighbor_masks(), through, 1))
+    size, family = _max_compatible_family(compat, cap, b)
     return size, tuple(paths[i] for i in family)
 
 
@@ -525,8 +528,8 @@ def max_vertex_disjoint_apath_packing(
     if cap < 1:
         raise ValueError(f"need cap >= 1, got {cap}")
     b = _as_budget(budget, "max_vertex_disjoint_apath_packing")
-    _, masks, through = _path_masks(g, a, 1, b, minimal=True)
-    return _max_compatible_family(_compatibility(masks, through), cap, b)[0]
+    paths, through = _path_masks(g, a, 1, b, minimal=True)
+    return _max_compatible_family(_compatibility(paths, through), cap, b)[0]
 
 
 def oracle_min_ball_cover(
@@ -539,19 +542,16 @@ def oracle_min_ball_cover(
 
     An induced path of g - X is an induced path of g, so deleting ball(Z, r)
     kills every long induced A-path iff the ball meets each minimal one,
-    since every long path holds one (see the module docstring). They are
-    enumerated once, as bitmasks. hit[v] is the mask of the paths
-    within distance r of v, i.e. met by ball(v, r), and Z is a cover iff
-    the OR of hit over Z is all ones. The budget pays for the enumeration
-    and one node per subset tried.
+    since every long path holds one (see the module docstring): iff the OR
+    of hit[v], the paths that meet ball(v, r), over Z is all ones. The
+    budget pays for the enumeration and one node per subset tried.
     """
     terminals = vertex_mask(g, a)
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
     b = _as_budget(budget, "oracle_min_ball_cover")
-    paths, _, through = _path_masks(g, terminals, ell, b, minimal=True)
-    adj = g.neighbor_masks()
-    hit = [mask_neighbors(through, mask_ball(adj, 1 << v, -1, r)) for v in range(g.n)]
+    paths, through = _path_masks(g, terminals, ell, b, minimal=True)
+    hit = _meeting_balls(g.neighbor_masks(), through, r)
     full = (1 << len(paths)) - 1
     b.spend()  # the empty set
     if not full:

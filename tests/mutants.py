@@ -82,6 +82,45 @@ MUTANTS = (
         "if seeds & good:\n            live ^= low\n            continue",
         "test_search::TestLiveExtensions::test_a_sibling_with_a_seed_in_a_flood_that_met_the_bound_is_live",
     ),
+    # The oracles' per-vertex masks: the paths through each vertex, the
+    # paths that meet each ball, and one OR of them per path.
+    Mutant(
+        "through-keeps-only-the-last-path",
+        "apaths.search:_path_masks",
+        "through[v] |= bit",
+        "through[v] = bit",
+        "test_search::TestCoverOracle::test_complete_radius_zero",
+        (5,),
+    ),
+    Mutant(
+        "meeting-balls-one-round-short",
+        "apaths.search:_meeting_balls",
+        "for _ in range(r):",
+        "for _ in range(r - 1):",
+        "test_search::TestPerVertexMasks::test_one_joining_edge_is_incompatible_only_when_anti_complete",
+    ),
+    Mutant(
+        "compatibility-ors-only-the-last-vertex",
+        "apaths.search:_compatibility",
+        "hit |= near[v]",
+        "hit = near[v]",
+        "test_search::TestPerVertexMasks::test_one_joining_edge_is_incompatible_only_when_anti_complete",
+    ),
+    Mutant(
+        "anti-complete-at-radius-0",
+        "apaths.search:_anticomplete_family",
+        "through, 1))",
+        "through, 0))",
+        "test_search::TestPerVertexMasks::test_one_joining_edge_is_incompatible_only_when_anti_complete",
+    ),
+    Mutant(
+        "cover-one-radius-too-far",
+        "apaths.search:oracle_min_ball_cover",
+        "_meeting_balls(g.neighbor_masks(), through, r)",
+        "_meeting_balls(g.neighbor_masks(), through, r + 1)",
+        "test_search::TestCoverOracle::test_complete_radius_zero",
+        (5,),
+    ),
     # The solver's loop and its fold over the cut levels.
     Mutant(
         "packing-fold-runs-forward",

@@ -30,6 +30,7 @@ from apaths import (
     shortest_long_induced_apath,
     subdivided_complete_instance,
 )
+from apaths.graph import mask_ball, mask_neighbors
 from apaths.search import _Budget, _live_extensions, _max_compatible_family
 from reference_search import reference_live_extensions
 
@@ -312,6 +313,68 @@ class TestDisjointPackingDuality:
         nu = max_vertex_disjoint_apath_packing(g, a, g.n)
         size, _ = oracle_min_ball_cover(g, a, 1, 0)
         assert size <= 2 * nu
+
+
+class TestPerVertexMasks:
+    """The oracles build one mask per vertex, the paths that meet its
+    radius-r ball, and OR those; they build no ball per path or vertex."""
+
+    INSTANCE = random_instance(12, 0.3, 0.6, 1)  # 89 paths at ell 2, 30 minimal; 25 minimal at ell 1
+
+    ORACLES = {
+        "packing-witness": lambda g, a: max_anticomplete_packing_with_witness(g, a, 2, 3),
+        "packing-count": lambda g, a: oracle_max_anticomplete_packing(g, a, 2, 3),
+        "disjoint-packing": lambda g, a: max_vertex_disjoint_apath_packing(g, a, 5),
+        "ball-cover-r1": lambda g, a: oracle_min_ball_cover(g, a, 2, 1),
+        "ball-cover-r2": lambda g, a: oracle_min_ball_cover(g, a, 2, 2),
+    }
+
+    @pytest.mark.parametrize("name", ORACLES)
+    def test_no_ball_per_path(self, name, monkeypatch):
+        # A count, not a clock: the uncapped enumeration floods without
+        # mask_ball, so every call counted here would be one per path or
+        # per vertex.
+        g, a = self.INSTANCE
+        assert len(enumerate_induced_apaths(g, a, 1, minimal=True)) >= 24
+        calls = []
+        real = apaths.search.mask_ball
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(apaths.search, "mask_ball", counting)
+        answer = self.ORACLES[name](g, a)
+        monkeypatch.undo()
+        assert calls == []
+        assert answer == self.ORACLES[name](g, a)
+
+    def test_a_shared_vertex_is_incompatible_in_both_searches(self):
+        # 0-1-2-3-4 with terminals 0, 2, 4: every A-path holds vertex 2.
+        g, a = path(5), {0, 2, 4}
+        assert enumerate_induced_apaths(g, a, 2) == [(0, 1, 2), (0, 1, 2, 3, 4), (2, 3, 4)]
+        assert max_anticomplete_packing_with_witness(g, a, 2, 3) == (1, ((0, 1, 2),))
+        assert oracle_max_anticomplete_packing(g, a, 2, 3) == 1
+        assert max_vertex_disjoint_apath_packing(g, a, 3) == 1
+
+    def test_one_joining_edge_is_incompatible_only_when_anti_complete(self):
+        # 0-1-2 and 3-4-5 are joined by the one edge 1-4; without it they pack.
+        a = {0, 2, 3, 5}
+        apart = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        joined = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (1, 4)])
+        assert max_anticomplete_packing_with_witness(apart, a, 2, 3) == (2, ((0, 1, 2), (3, 4, 5)))
+        assert max_anticomplete_packing_with_witness(joined, a, 2, 3) == (1, ((0, 1, 2),))
+        assert oracle_max_anticomplete_packing(joined, a, 2, 3) == 1
+        assert max_vertex_disjoint_apath_packing(joined, a, 3) == 2
+
+    @given(random_instances, st.integers(1, 3), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_meeting_balls_match_one_ball_per_vertex(self, inst, ell, r):
+        g, a = inst
+        paths, through = apaths.search._path_masks(g, a, ell, _Budget(10**9, "probe"), True)
+        adj = g.neighbor_masks()
+        want = [mask_neighbors(through, mask_ball(adj, 1 << v, -1, r)) for v in range(g.n)]
+        assert apaths.search._meeting_balls(adj, through, r) == want
 
 
 BAD_BOUNDS = {

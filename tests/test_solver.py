@@ -28,6 +28,7 @@ from apaths import (
     induced_subgraph,
     is_path,
     lift_path,
+    max_anticomplete_packing_with_witness,
     oracle_max_anticomplete_packing,
     random_instance,
     reduce_to_d3,
@@ -178,6 +179,20 @@ class TestSolveDichotomy:
         cert = solve(g, a, params)
         if isinstance(cert, Packing):
             assert oracle_max_anticomplete_packing(g, a, ell, k) >= k
+
+    def test_a_cover_may_coexist_with_k_anti_complete_paths(self):
+        """The theorem is an "or": a solve may return a cover although k
+        pairwise anti-complete paths exist. On the path 1-3-0-4-2, all
+        terminals, k 2, ell 1, the first peel is the middle-length path
+        0-3, whose radius-1 ball takes every vertex but 2. What is left
+        holds no A-path, so the solve covers, while 1-3 and 2-4 pack."""
+        g, a = Graph(5, [(1, 3), (3, 0), (0, 4), (4, 2)]), set(range(5))
+        params = SolveParams(2, 1)
+        cert = solve(g, a, params)
+        assert cert == Cover(frozenset({0, 3}), frozenset({0, 3}), 1, 4)
+        assert ball(g, {0, 3}, 1) == frozenset(range(5)) - {2}
+        assert verify_certificate(g, a, params, cert).passed
+        assert max_anticomplete_packing_with_witness(g, a, 1, 2) == (2, ((1, 3), (2, 4)))
 
     @given(random_corpus, st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
