@@ -22,17 +22,18 @@ Dropped subtrees contain no result, a path left out from its greater end
 was offered from its lesser end first, and extensions are taken in sorted
 order, so every caller's result is that of the full search.
 
-The brute-force oracles enumerate their paths once and then work on
-bitmasks alone: path i is bit i of an int. Those that return a number or a
-cover enumerate only the minimal long paths, which have no interior
-terminal at distance >= ell along them from either end. Cutting a long path
-at such a terminal, again and again, leaves a minimal one on a subset of its
-vertices, so a set meets every long path iff it meets every minimal one, and
-an anti-complete family stays one when each path becomes a minimal subpath.
-Each oracle ORs per-vertex masks, the paths that meet ball(v, r), and
-builds no ball: Z covers iff its OR at radius r is all ones, and path j is
-compatible with path i iff path i's OR at radius 1 (0 for disjointness)
-misses j. Families are searched as in bit-parallel maximum clique.
+The brute-force oracles run one pipeline. They enumerate the minimal long
+paths once, which have no interior terminal at distance >= ell along them
+from either end, and then work on bitmasks alone: path i is bit i of an
+int. Cutting a long path at such a terminal, again and again, leaves a
+minimal one on a subset of its vertices, so a set meets every long path iff
+it meets every minimal one, and an anti-complete (or disjoint) family stays
+one, of the same size, when each path becomes a minimal subpath; a
+witness family names minimal paths. Each oracle ORs per-vertex masks, the
+paths that meet ball(v, r), and builds no ball: Z covers iff its OR at
+radius r is all ones, and path j is compatible with path i iff path i's OR
+at radius 1 (0 for disjointness) misses j. Families are searched as in
+bit-parallel maximum clique.
 
 A node budget bounds every call, shared by all searches one oracle, solve
 or verify call makes, so runaway searches end in an explicit
@@ -408,30 +409,30 @@ def enumerate_induced_apaths(
 
 
 def _path_masks(
-    g: Graph, a: Iterable[int] | int, ell: int, budget: _Budget, minimal: bool
+    g: Graph, a: Iterable[int] | int, ell: int, budget: _Budget, r: int
 ) -> tuple[list[Path], list[int]]:
-    """The induced A-paths of length >= ell, or the minimal ones, enumerated
-    once, and through[v], the mask of the paths through v (path i is bit i)."""
-    paths = enumerate_induced_apaths(g, a, ell, budget, minimal)
-    through = [0] * g.n
+    """The minimal induced A-paths of length >= ell, enumerated once, and
+    near[v], the mask of those that meet ball(v, r) (path i is bit i).
+
+    near starts as the paths through v, and grows one round at a time: a
+    path meets ball(v, j + 1) iff it meets ball(u, j) for a u in N[v].
+    ball(v, n) is v's whole component, so at most n rounds are run.
+    """
+    paths = enumerate_induced_apaths(g, a, ell, budget, minimal=True)
+    near = [0] * g.n
     for i, p in enumerate(paths):
         bit = 1 << i
         for v in p:
-            through[v] |= bit
-    return paths, through
-
-
-def _meeting_balls(adj: tuple[int, ...], hit: list[int], r: int) -> list[int]:
-    """The paths that meet ball(v, r), for each v, grown from hit = through:
-    a path meets ball(v, r + 1) iff it meets ball(u, r) for a u in N[v]."""
-    for _ in range(r):
-        hit = [h | mask_neighbors(hit, nbrs) for h, nbrs in zip(hit, adj)]
-    return hit
+            near[v] |= bit
+    adj = g.neighbor_masks()
+    for _ in range(min(r, g.n)):
+        near = [h | mask_neighbors(near, nbrs) for h, nbrs in zip(near, adj)]
+    return paths, near
 
 
 def _compatibility(paths: list[Path], near: list[int]) -> list[int]:
     """Per path i, the later paths j > i in no near[v] over v in path i, a
-    symmetric relation: disjointness for near = through, anti-completeness at radius 1."""
+    symmetric relation: disjointness at radius 0, anti-completeness at radius 1."""
     top = 1 << len(paths)
     compat = []
     for i, p in enumerate(paths):
@@ -482,54 +483,44 @@ def _max_compatible_family(
     return best, best_family
 
 
+def _max_family(
+    g: Graph, a: Iterable[int] | int, ell: int, cap: int, r: int, budget: int | _Budget, where: str
+) -> tuple[int, tuple[Path, ...]]:
+    """The largest family (up to cap) of minimal long paths, no one of which
+    meets another's radius-r ball, and the first in lexicographic path
+    order; a fresh budget is named where, after the caller, and pays for the
+    enumeration and the family search."""
+    if cap < 1:
+        raise ValueError(f"need cap >= 1, got {cap}")
+    b = _as_budget(budget, where)
+    paths, near = _path_masks(g, a, ell, b, r)
+    size, family = _max_compatible_family(_compatibility(paths, near), cap, b)
+    return size, tuple(paths[i] for i in family)
+
+
 def max_anticomplete_packing_with_witness(
     g: Graph, a: Iterable[int] | int, ell: int, cap: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> tuple[int, tuple[Path, ...]]:
     """Maximum family (up to cap) of pairwise anti-complete induced A-paths
-    of length >= ell, and the first such family in lexicographic path order.
-
-    Paths i and j are anti-complete iff j meets the radius-1 ball of no
-    vertex of i, so one mask per vertex is built, and no ball per path.
-    The budget pays for the enumeration and the family search.
-    """
-    return _anticomplete_family(g, a, ell, cap, budget, False, "max_anticomplete_packing_with_witness")
+    of length >= ell, and the first such family in lexicographic order over
+    the minimal paths (see the module docstring): radius 1."""
+    return _max_family(g, a, ell, cap, 1, budget, "max_anticomplete_packing_with_witness")
 
 
 def oracle_max_anticomplete_packing(
     g: Graph, a: Iterable[int] | int, ell: int, cap: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> int:
-    """The packing number of max_anticomplete_packing_with_witness, searched
-    among the minimal paths alone (see the module docstring)."""
-    return _anticomplete_family(g, a, ell, cap, budget, True, "oracle_max_anticomplete_packing")[0]
-
-
-def _anticomplete_family(
-    g: Graph, a: Iterable[int] | int, ell: int, cap: int, budget: int | _Budget, minimal: bool, where: str
-) -> tuple[int, tuple[Path, ...]]:
-    """The largest anti-complete family among all paths or the minimal ones;
-    a fresh budget is named where, after the caller."""
-    if cap < 1:
-        raise ValueError(f"need cap >= 1, got {cap}")
-    b = _as_budget(budget, where)
-    paths, through = _path_masks(g, a, ell, b, minimal)
-    compat = _compatibility(paths, _meeting_balls(g.neighbor_masks(), through, 1))
-    size, family = _max_compatible_family(compat, cap, b)
-    return size, tuple(paths[i] for i in family)
+    """The packing number of max_anticomplete_packing_with_witness."""
+    return _max_family(g, a, ell, cap, 1, budget, "oracle_max_anticomplete_packing")[0]
 
 
 def max_vertex_disjoint_apath_packing(
     g: Graph, a: Iterable[int] | int, cap: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> int:
-    """Classical brute-force baseline: maximum number of vertex-disjoint A-paths.
-
-    Restricting to chordless A-paths without interior terminals loses no
-    generality, since every A-path contains one on a subset of its vertices.
-    """
-    if cap < 1:
-        raise ValueError(f"need cap >= 1, got {cap}")
-    b = _as_budget(budget, "max_vertex_disjoint_apath_packing")
-    paths, through = _path_masks(g, a, 1, b, minimal=True)
-    return _max_compatible_family(_compatibility(paths, through), cap, b)[0]
+    """Classical brute-force baseline: maximum number of vertex-disjoint
+    A-paths, searched among the minimal ones at ell = 1 (chordless, with no
+    interior terminal) at radius 0."""
+    return _max_family(g, a, 1, cap, 0, budget, "max_vertex_disjoint_apath_packing")[0]
 
 
 def oracle_min_ball_cover(
@@ -550,8 +541,7 @@ def oracle_min_ball_cover(
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
     b = _as_budget(budget, "oracle_min_ball_cover")
-    paths, through = _path_masks(g, terminals, ell, b, minimal=True)
-    hit = _meeting_balls(g.neighbor_masks(), through, r)
+    paths, hit = _path_masks(g, terminals, ell, b, r)
     full = (1 << len(paths)) - 1
     b.spend()  # the empty set
     if not full:

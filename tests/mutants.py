@@ -82,22 +82,62 @@ MUTANTS = (
         "if seeds & good:\n            live ^= low\n            continue",
         "test_search::TestLiveExtensions::test_a_sibling_with_a_seed_in_a_flood_that_met_the_bound_is_live",
     ),
-    # The oracles' per-vertex masks: the paths through each vertex, the
-    # paths that meet each ball, and one OR of them per path.
+    # The minimal-path rules of the engine, on which every oracle rests: a
+    # terminal tip at length >= lo is not extended (rule a), and a path is
+    # emitted only if none of path[1 : plen - lo + 1] is a terminal (rule b).
+    Mutant(
+        "rule-b-one-vertex-short",
+        "apaths.search:_terminal_path_dfs",
+        "v in path[1 : plen - lo + 1]",
+        "v in path[1 : plen - lo]",
+        "test_search::TestMinimalPaths::test_an_early_terminal_is_allowed",
+    ),
+    Mutant(
+        "rule-b-dropped",
+        "apaths.search:_terminal_path_dfs",
+        "minimal and any(terminals >> v & 1 for v in path[1 : plen - lo + 1])",
+        "False",
+        "test_search::TestMinimalPaths::test_an_early_terminal_is_allowed",
+    ),
+    Mutant(
+        "rule-a-at-any-length",
+        "apaths.search:_terminal_path_dfs",
+        "minimal and plen >= lo and",
+        "minimal and plen >= 1 and",
+        "test_search::TestMinimalPaths::test_all_terminals_leave_paths_of_length_ell",
+        (2,),
+    ),
+    # The oracles' one pipeline: the minimal paths, the paths that meet each
+    # vertex's ball, grown one round at a time from the paths through it,
+    # and one OR of those per path.
+    Mutant(
+        "witness-over-every-path",
+        "apaths.search:_path_masks",
+        "minimal=True",
+        "minimal=False",
+        "test_search_differential::TestOraclesAgainstReference::test_witness_is_the_first_family_over_the_minimal_paths",
+    ),
     Mutant(
         "through-keeps-only-the-last-path",
         "apaths.search:_path_masks",
-        "through[v] |= bit",
-        "through[v] = bit",
+        "near[v] |= bit",
+        "near[v] = bit",
         "test_search::TestCoverOracle::test_complete_radius_zero",
         (5,),
     ),
     Mutant(
         "meeting-balls-one-round-short",
-        "apaths.search:_meeting_balls",
-        "for _ in range(r):",
-        "for _ in range(r - 1):",
+        "apaths.search:_path_masks",
+        "range(min(r, g.n))",
+        "range(min(r, g.n) - 1)",
         "test_search::TestPerVertexMasks::test_one_joining_edge_is_incompatible_only_when_anti_complete",
+    ),
+    Mutant(
+        "rounds-capped-too-low",
+        "apaths.search:_path_masks",
+        "min(r, g.n)",
+        "min(r, g.n // 2)",
+        "test_search::TestPerVertexMasks::test_a_radius_above_n_reaches_the_whole_component",
     ),
     Mutant(
         "compatibility-ors-only-the-last-vertex",
@@ -108,16 +148,16 @@ MUTANTS = (
     ),
     Mutant(
         "anti-complete-at-radius-0",
-        "apaths.search:_anticomplete_family",
-        "through, 1))",
-        "through, 0))",
+        "apaths.search:max_anticomplete_packing_with_witness",
+        "cap, 1, budget",
+        "cap, 0, budget",
         "test_search::TestPerVertexMasks::test_one_joining_edge_is_incompatible_only_when_anti_complete",
     ),
     Mutant(
         "cover-one-radius-too-far",
         "apaths.search:oracle_min_ball_cover",
-        "_meeting_balls(g.neighbor_masks(), through, r)",
-        "_meeting_balls(g.neighbor_masks(), through, r + 1)",
+        "_path_masks(g, terminals, ell, b, r)",
+        "_path_masks(g, terminals, ell, b, r + 1)",
         "test_search::TestCoverOracle::test_complete_radius_zero",
         (5,),
     ),

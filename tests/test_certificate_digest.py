@@ -19,7 +19,8 @@ from test_acceptance import ELLS, KS, corpus
 
 CORPUS_CERTIFICATES_SHA256 = "df6bbfa8943a5e358c43458d3ceb70ed89ec5a059edf96f10fbc4fceb63d66fb"
 CORPUS_REPORTS_SHA256 = "7dfed217c5889845c50acb883fc30c9788b76958e3cafa8c0e31197f5c166475"
-ORACLE_ANSWERS_SHA256 = "c6c2add763f722c54b2e19aa9a774ac86f4e1ea2dd078cc7a5eca69bda39217e"
+ORACLE_ANSWERS_SHA256 = "0d175d77db7456b03c8637b8a3eba16af1f03551c60acd4cb0f29fd22b85b480"
+ORACLE_VALUES_SHA256 = "7205c959f2abbbd3f1250a6080000eaf61be1633178a2b565fcf474783853df4"
 
 
 def test_corpus_certificates_are_pinned():
@@ -58,30 +59,53 @@ def test_corpus_reports_are_pinned():
     assert digest.hexdigest() == CORPUS_REPORTS_SHA256
 
 
-def test_oracle_answers_are_pinned():
-    """sha256 over the oracles' answers on 48 fixed random instances at ell
-    in 1..3, one JSON line each: the ball cover (|Z| and Z) at r = 0 and 1,
-    the packing count and witness at cap 3, and the count-only packing
-    oracle at cap 3.
+def oracle_lines():
+    """The oracles' answers on 48 fixed random instances at ell in 1..3, one
+    line each: the ball cover (|Z| and Z) at r = 0 and 1, the packing count
+    and witness at cap 3, and the count-only packing oracle at cap 3.
 
     The instances are those of the benchmark's oracle workload: n 11 and 12,
     edge probability 0.25 and 0.4, terminal probability 0.6, 12 of each, the
-    shape's index as the seed. The oracles may search fewer paths, but
-    their answers must not move.
+    shape's index as the seed.
     """
     shapes = [(n, p) for n in (11, 12) for p in (0.25, 0.4) for _ in range(12)]
-    digest = hashlib.sha256()
-
-    def add(line):
-        digest.update((json.dumps(line) + "\n").encode())
-
     for seed, (n, p) in enumerate(shapes):
         g, a = random_instance(n, p, 0.6, seed)
         for ell in (1, 2, 3):
             for r in (0, 1):
                 size, z = oracle_min_ball_cover(g, a, ell, r)
-                add(["cover", ell, r, size, sorted(z)])
+                yield ["cover", ell, r, size, sorted(z)]
             count, witness = max_anticomplete_packing_with_witness(g, a, ell, 3)
-            add(["packing", ell, count, [list(q) for q in witness]])
-            add(["count", ell, oracle_max_anticomplete_packing(g, a, ell, 3)])
-    assert digest.hexdigest() == ORACLE_ANSWERS_SHA256
+            yield ["packing", ell, count, [list(q) for q in witness]]
+            yield ["count", ell, oracle_max_anticomplete_packing(g, a, ell, 3)]
+
+
+def json_lines_digest(lines) -> str:
+    """sha256 over the lines, each as JSON plus a newline."""
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update((json.dumps(line) + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_oracle_answers_are_pinned():
+    """sha256 over every line of oracle_lines, witnesses included.
+
+    The oracles may search fewer paths, but their answers must not move.
+    A deliberate change to which family a witness names moves this digest
+    alone (see test_oracle_values_are_pinned) and is recorded, with why,
+    in CHANGES.md.
+    """
+    assert json_lines_digest(oracle_lines()) == ORACLE_ANSWERS_SHA256
+
+
+def test_oracle_values_are_pinned():
+    """sha256 over oracle_lines with each packing witness dropped: every
+    cover, and both packing oracles' counts.
+
+    The counts and covers are the oracles' mathematical values, so no
+    change of search, witness choice included, may move this digest.
+    """
+    assert json_lines_digest(line[:3] if line[0] == "packing" else line for line in oracle_lines()) == (
+        ORACLE_VALUES_SHA256
+    )

@@ -288,6 +288,16 @@ class TestOracleCommand:
         doc = json.loads(out)
         assert doc["value"] == 1 and len(doc["witness"]) == 1
 
+    def test_packing_witness_names_minimal_paths(self, tmp_path):
+        # On the path 0-1-2-3 with terminals 0, 1, 3, the one long path at
+        # ell 2 has terminal 1 two steps from 3, so the witness is 1-2-3.
+        f = tmp_path / "p4.graph"
+        f.write_text(emit_graph(Graph(4, [(0, 1), (1, 2), (2, 3)]), {0, 1, 3}))
+        code, out = run_cli(["oracle", "--input", str(f), "--ell", "2", "--packing", "--cap", "1"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["value"] == 1 and doc["witness"] == [[1, 2, 3]]
+
     def test_cover_oracle(self, tmp_path):
         f = tmp_path / "k5.graph"
         f.write_text(emit_graph(*complete_instance(5)))

@@ -219,8 +219,7 @@ class TestPackingOracle:
     @given(random_instances, st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute(self, inst, ell):
-        # The count oracle searches the minimal paths; the witness oracle
-        # and brute force, all of them.
+        # Both oracles search the minimal paths; brute force, all of them.
         g, a = inst
         count = oracle_max_anticomplete_packing(g, a, ell, 3)
         assert count == max_anticomplete_packing_with_witness(g, a, ell, 3)[0]
@@ -369,12 +368,37 @@ class TestPerVertexMasks:
 
     @given(random_instances, st.integers(1, 3), st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
-    def test_meeting_balls_match_one_ball_per_vertex(self, inst, ell, r):
+    def test_path_masks_match_one_ball_per_vertex(self, inst, ell, r):
         g, a = inst
-        paths, through = apaths.search._path_masks(g, a, ell, _Budget(10**9, "probe"), True)
+        paths, near = apaths.search._path_masks(g, a, ell, _Budget(10**9, "probe"), r)
+        assert paths == enumerate_induced_apaths(g, a, ell, minimal=True)
+        through = [sum(1 << i for i, p in enumerate(paths) if v in p) for v in range(g.n)]
         adj = g.neighbor_masks()
-        want = [mask_neighbors(through, mask_ball(adj, 1 << v, -1, r)) for v in range(g.n)]
-        assert apaths.search._meeting_balls(adj, through, r) == want
+        assert near == [mask_neighbors(through, mask_ball(adj, 1 << v, -1, r)) for v in range(g.n)]
+
+    def test_rounds_stop_at_n(self, monkeypatch):
+        # A count, not a clock: ball(v, n) is v's whole component, so a
+        # radius far above n runs at most n rounds of n ORs, and answers as
+        # radius n does.
+        g, a = random_instance(11, 0.25, 0.6, 0)
+        calls = []
+        real = apaths.search.mask_neighbors
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(apaths.search, "mask_neighbors", counting)
+        answer = oracle_min_ball_cover(g, a, 2, 10**4, budget=10**4)
+        monkeypatch.undo()
+        assert 0 < len(calls) <= g.n**2
+        assert answer == oracle_min_ball_cover(g, a, 2, g.n)
+
+    def test_a_radius_above_n_reaches_the_whole_component(self):
+        # On the path 0-...-7 only 6-7 is an A-path, 6 steps from 0, so
+        # vertex 0 covers it only at radius 6 or more.
+        assert oracle_min_ball_cover(path(8), {6, 7}, 1, 10**4) == (1, frozenset({0}))
+        assert oracle_min_ball_cover(path(8), {6, 7}, 1, 5) == (1, frozenset({1}))
 
 
 BAD_BOUNDS = {
@@ -661,9 +685,8 @@ class TestLiveExtensions:
 class TestOracleBudget:
     """One budget bounds the whole oracle call: the enumeration and the mask
     search after it can each fit while their sum does not. Each oracle pays
-    one node per path the enumeration visits (the minimal enumeration, for
-    all but the witness oracle), then the packings one per family node and
-    the cover one per subset it tries."""
+    one node per path the minimal enumeration visits, then the packings one
+    per family node and the cover one per subset it tries."""
 
     INSTANCE = random_instance(10, 0.4, 0.6, 0)
 
@@ -683,13 +706,20 @@ class TestOracleBudget:
         ]
 
     def test_packing_oracle(self):
+        # The witness oracle pays for the minimal enumeration and the family
+        # search over the minimal paths, to the node.
         g, a = self.INSTANCE
-        paths = enumerate_induced_apaths(g, a, 2)
+        paths = enumerate_induced_apaths(g, a, 2, minimal=True)
         closed = [ball(g, p, 1) for p in paths]
+        enumeration = spent(lambda b: enumerate_induced_apaths(g, a, 2, b, minimal=True))
+        family = spent(lambda b: _max_compatible_family(self.compatibility(paths, closed), 3, b))
+        total = enumeration + family
+        answer = max_anticomplete_packing_with_witness(g, a, 2, 3)
+        assert max_anticomplete_packing_with_witness(g, a, 2, 3, budget=total) == answer
+        with pytest.raises(BudgetExceededError):
+            max_anticomplete_packing_with_witness(g, a, 2, 3, budget=total - 1)
         self.assert_shared(
-            lambda limit: max_anticomplete_packing_with_witness(g, a, 2, 3, budget=limit),
-            spent(lambda b: enumerate_induced_apaths(g, a, 2, b)),
-            spent(lambda b: _max_compatible_family(self.compatibility(paths, closed), 3, b)),
+            lambda limit: max_anticomplete_packing_with_witness(g, a, 2, 3, budget=limit), enumeration, family
         )
 
     def test_disjoint_packing_oracle(self):

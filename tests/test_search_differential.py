@@ -13,10 +13,12 @@ the engine run with either visits the same paths and spends exactly the
 same nodes.
 
 The mask oracles against the per-subset and frozenset oracles they replaced:
-the same cover size and lexicographically first Z, the same packing count
-and witness, the same disjoint-packing value. The cover and count oracles
-search minimal paths, while their references search every path. Their
-budgets are charged differently, so only answers are compared.
+the same cover size and lexicographically first Z, the same packing counts,
+the same disjoint-packing value. Every oracle searches the minimal paths,
+while those references search every path, so the packing witness, which
+names minimal paths, is compared with the first family over the minimal
+paths of brute.py. Budgets are charged differently, so only answers are
+compared.
 
 shortest_apath against the neighbour-list BFS it replaced: ties may now end
 at another terminal or walk back another way, so only None-ness and length
@@ -43,9 +45,10 @@ from apaths import (
     shortest_long_induced_apath,
 )
 from apaths.graph import mask_members, to_mask
-from brute import is_minimal_apath
+from brute import brute_ball, brute_induced_apaths, is_minimal_apath
 from reference_search import (
     reference_live_extensions,
+    reference_max_compatible_family,
     reference_max_anticomplete_packing_with_witness,
     reference_max_vertex_disjoint_apath_packing,
     reference_oracle_max_anticomplete_packing,
@@ -315,6 +318,39 @@ def test_shortest_apath_matches_reference_length(inst):
         assert got[0] in a and got[-1] in a and got[0] != got[-1]
 
 
+@st.composite
+def planted_long_paths(draw):
+    """((g, a), ell) whose first long path is not minimal: the path
+    0-1-...-m with terminals 0, t and m, where t lies fewer than ell steps
+    from 0 and at least ell from m, so (0, ..., m) comes first in path
+    order and holds the minimal (t, ..., m). Up to three more vertices,
+    above m, join the path and each other at random and may be terminals."""
+    ell = draw(st.integers(2, 3))
+    t = draw(st.integers(1, ell - 1))
+    m = t + draw(st.integers(ell, ell + 2))
+    n = m + 1 + draw(st.integers(0, 3))
+    extra = range(m + 1, n)
+    edges = {(i, i + 1) for i in range(m)}
+    pairs = [(u, v) for v in extra for u in range(v)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=6)))
+        a = {0, t, m} | draw(st.sets(st.sampled_from(extra)))
+    else:
+        a = {0, t, m}
+    return (Graph(n, sorted(edges)), a), ell
+
+
+def minimal_family_reference(g, a, ell, cap):
+    """The first maximum anti-complete family over the minimal paths, from
+    brute.py alone: brute_induced_apaths filtered by is_minimal_apath, each
+    path's closed neighbourhood by brute_ball, and the frozen recursive
+    family search."""
+    paths = [p for p in brute_induced_apaths(g, a, lo=ell) if is_minimal_apath(p, a, ell)]
+    closed = [brute_ball(g, p, 1) for p in paths]
+    sets = [frozenset(p) for p in paths]
+    return reference_max_compatible_family(paths, sets, closed, cap, search._Budget(10**9, "reference"))
+
+
 class TestOraclesAgainstReference:
     @given(instances, st.integers(1, 3), st.integers(0, 2))
     @settings(max_examples=150, deadline=None)
@@ -322,27 +358,28 @@ class TestOraclesAgainstReference:
         g, a = inst
         assert oracle_min_ball_cover(g, a, ell, r) == reference_oracle_min_ball_cover(g, a, ell, r)
 
-    @given(instances, st.integers(1, 3), st.integers(1, 4))
+    @given(st.one_of(st.tuples(instances, st.integers(1, 3)), planted_long_paths()), st.integers(1, 4))
     @settings(max_examples=150, deadline=None)
-    def test_anticomplete_packing(self, inst, ell, cap):
-        g, a = inst
-        assert max_anticomplete_packing_with_witness(
-            g, a, ell, cap
-        ) == reference_max_anticomplete_packing_with_witness(g, a, ell, cap)
+    def test_anticomplete_packing(self, case, cap):
+        # The witness is the first family over the minimal paths; its size
+        # is the packing number over every path (see search.py).
+        (g, a), ell = case
+        got = max_anticomplete_packing_with_witness(g, a, ell, cap)
+        assert got == minimal_family_reference(g, a, ell, cap)
+        assert got[0] == reference_oracle_max_anticomplete_packing(g, a, ell, cap)
 
-    def test_witness_is_the_first_family_over_every_path(self):
-        # Each instance's first family over all paths holds a path that is
-        # not minimal, so it differs from the first over the minimal paths.
-        # Planted: on the path 0-1-2-3 at ell 2, terminal 1 lies 2 steps
-        # from 3, so (0, 1, 2, 3) holds the minimal (1, 2, 3) and comes
-        # first. Drawn: the oracle workload's first instance.
-        for (g, a), ell, cap in (
-            ((Graph(4, [(0, 1), (1, 2), (2, 3)]), {0, 1, 3}), 2, 1),
-            (random_instance(11, 0.25, 0.6, 0), 2, 3),
-        ):
+    def test_witness_is_the_first_family_over_the_minimal_paths(self):
+        # Each instance's first family over every path holds a path that is
+        # not minimal, so the witness differs from it. Planted: on the path
+        # 0-1-2-3 at ell 2, terminal 1 lies 2 steps from 3, so (0, 1, 2, 3)
+        # comes first over every path, and its minimal subpath (1, 2, 3) is
+        # the witness. Drawn: the oracle workload's first instance.
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert max_anticomplete_packing_with_witness(g, {0, 1, 3}, 2, 1) == (1, ((1, 2, 3),))
+        for (g, a), ell, cap in (((g, {0, 1, 3}), 2, 1), (random_instance(11, 0.25, 0.6, 0), 2, 3)):
             witness = max_anticomplete_packing_with_witness(g, a, ell, cap)
-            assert witness == reference_max_anticomplete_packing_with_witness(g, a, ell, cap)
-            assert not all(is_minimal_apath(p, a, ell) for p in witness[1])
+            assert witness == minimal_family_reference(g, a, ell, cap)
+            assert witness != reference_max_anticomplete_packing_with_witness(g, a, ell, cap)
 
     @given(instances, st.integers(1, 3), st.integers(1, 4))
     @settings(max_examples=150, deadline=None)
