@@ -58,20 +58,12 @@ class Report:
         return [c for c in self.checks if not c.ok]
 
     def to_dict(self) -> dict:
+        """The report as plain data, each witness handed on as it is."""
         return {
             "kind": self.kind,
             "passed": self.passed,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "witness": _jsonable(c.witness)}
-                for c in self.checks
-            ],
+            "checks": [{"name": c.name, "ok": c.ok, "witness": c.witness} for c in self.checks],
         }
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def verify_packing(
@@ -82,7 +74,10 @@ def verify_packing(
 ) -> Report:
     """Check a claimed packing: k paths, each a valid induced A-path of
     length >= ell, pairwise anti-complete; a is vertex ids or their mask.
-    Each path is checked once, into its mask, and pairs on closed balls."""
+
+    Each path is checked once, into its mask. One check whatever k,
+    pairs.anti_complete, lists the touching pairs [i, j] (i < j, in order):
+    a pair touches iff a path is invalid or j meets i's closed ball."""
     terminals = vertex_mask(g, a)
     adj = g.neighbor_masks()
     paths = [tuple(p) for p in paths]
@@ -99,13 +94,13 @@ def verify_packing(
             (p[0], p[-1]) if p else (),
         )
         report.add(f"path[{i}].length", len(p) - 1 >= params.ell, len(p) - 1)
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            report.add(
-                f"pair[{i},{j}].anti_complete",
-                masks[i] and masks[j] and not closed[i] & masks[j],
-                (paths[i], paths[j]),
-            )
+    touching = [
+        [i, j]
+        for i in range(len(paths))
+        for j in range(i + 1, len(paths))
+        if not (masks[i] and masks[j]) or closed[i] & masks[j]
+    ]
+    report.add("pairs.anti_complete", not touching, touching)
     return report
 
 
@@ -146,6 +141,7 @@ def verify_cover(
     report = Report("cover")
     masks = []
     for name, z, limit in (("z1", z1, params.z1_limit()), ("z2", z2, params.z2_limit())):
+        z = tuple(z) if type(z) is not int and iter(z) is z else z  # an iterator is read once
         try:
             mask = vertex_mask(g, z)
         except GraphError:

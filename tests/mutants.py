@@ -161,6 +161,30 @@ MUTANTS = (
         "test_search::TestCoverOracle::test_complete_radius_zero",
         (5,),
     ),
+    # The packing verifier's one pass over the pairs: a pair touches iff a
+    # path is invalid or path j meets path i's closed neighbourhood.
+    Mutant(
+        "pairs-skip-the-next-path",
+        "apaths.verify:verify_packing",
+        "range(i + 1,",
+        "range(i + 2,",
+        "test_verify::TestVerifyPacking::test_shared_vertex_pair_fails_named",
+    ),
+    Mutant(
+        "pairs-test-overlap-only",
+        "apaths.verify:verify_packing",
+        "closed[i] & masks[j]",
+        "masks[i] & masks[j]",
+        "test_verify::TestVerifyPacking::test_paths_joined_by_one_edge_fail_named",
+    ),
+    Mutant(
+        "pairs-let-an-invalid-path-pass",
+        "apaths.verify:verify_packing",
+        "not (masks[i] and masks[j]) or ",
+        "",
+        "test_verify::TestVerifyPacking::test_out_of_range_id_fails_without_raising",
+        ([(0, 1), (2, 4)],),
+    ),
     # The solver's loop and its fold over the cut levels.
     Mutant(
         "packing-fold-runs-forward",

@@ -206,6 +206,21 @@ class TestSolveVerifyPipeline:
         cert_file = self.write(tmp_path, "m2.cert", out)
         assert run_cli(["verify", "--input", inp, "--cert", cert_file])[0] == EXIT_OK
 
+    def test_verify_reports_four_checks_per_path_and_five_more(self, tmp_path):
+        # 200 disjoint edges, every vertex a terminal, packed at k = 200: a
+        # count, four checks per path, one anti-completeness check and the
+        # three instance checks.
+        g = Graph(400, [(v, v + 1) for v in range(0, 400, 2)])
+        inp = self.write(tmp_path, "matching.graph", emit_graph(g, range(400)))
+        code, out = run_cli(["solve", "--input", inp, "--k", "200", "--ell", "1"])
+        assert code == EXIT_OK and json.loads(out)["kind"] == "packing"
+        cert_file = self.write(tmp_path, "matching.cert", out)
+        code, out = run_cli(["verify", "--input", inp, "--cert", cert_file])
+        report = json.loads(out)
+        assert code == EXIT_OK and report["passed"] is True
+        assert len(report["checks"]) == 4 * 200 + 2 + 3
+        assert {"name": "pairs.anti_complete", "ok": True, "witness": []} in report["checks"]
+
     def test_verify_rejects_tampered_cert(self, tmp_path):
         inp = self.write(tmp_path, "m2.graph", "p 4\ne 0 1\ne 2 3\na 0\na 1\na 2\na 3\n")
         _, out = run_cli(["solve", "--input", inp, "--k", "2", "--ell", "1"])

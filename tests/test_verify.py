@@ -35,7 +35,35 @@ class TestVerifyPacking:
             g, {0, 1, 2, 3, 4}, SolveParams(2, 1), [(0, 1), (1, 2)]
         )
         assert not report.passed
-        assert any(c.name == "pair[0,1].anti_complete" for c in report.failures())
+        assert {c.name: c.witness for c in report.failures()} == {"pairs.anti_complete": [[0, 1]]}
+
+    def test_paths_joined_by_one_edge_fail_named(self):
+        # Disjoint, each a valid path, but 1-2 joins them: only the pair fails.
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        report = verify_packing(g, {0, 1, 2, 3}, SolveParams(2, 1), [(0, 1), (2, 3)])
+        assert {c.name: c.witness for c in report.failures()} == {"pairs.anti_complete": [[0, 1]]}
+
+    def test_touching_pairs_are_listed_in_order(self):
+        # On the path 0..10: paths 0 and 2 share vertex 1, paths 1 and 3 are
+        # joined by 5-6, path 4 lies at distance 2 from path 3, and path 5
+        # is no path, so it touches every other.
+        g = Graph(11, [(i, i + 1) for i in range(10)])
+        paths = [(0, 1), (4, 5), (2, 1), (6, 7), (9, 10), (3, 5)]
+        report = verify_packing(g, range(11), SolveParams(6, 1), paths)
+        failed = {c.name: c.witness for c in report.failures()}
+        assert failed.keys() == {"path[5].valid", "path[5].induced", "pairs.anti_complete"}
+        assert failed["pairs.anti_complete"] == [[0, 2], [0, 5], [1, 3], [1, 5], [2, 5], [3, 5], [4, 5]]
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 900])
+    def test_report_holds_four_checks_per_path_and_two_more(self, k):
+        # k paths (2v, 2v + 1) on a matching of 1,200 edges: a count, four
+        # checks per path and one anti-completeness check, whatever k.
+        g = Graph(2400, [(v, v + 1) for v in range(0, 2400, 2)])
+        paths = [(2 * v, 2 * v + 1) for v in range(k)]
+        report = verify_packing(g, range(2400), SolveParams(k, 1), paths)
+        assert report.passed and len(report.checks) == 4 * k + 2
+        assert report.checks[-1] == Check("pairs.anti_complete", True, [])
+        assert not any(c.name.startswith("pair[") for c in report.checks)
 
     def test_chorded_path_fails_induced(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -64,15 +92,16 @@ class TestVerifyPacking:
 
     @pytest.mark.parametrize("paths", [[(0, -1)], [(0, 4)], [(0, 1), (2, -1)], [(0, 1), (2, 4)]])
     def test_out_of_range_id_fails_without_raising(self, paths):
-        # An id outside 0..n-1 fails the checks of its own path and of every
-        # pair its path is in, and is never looked up in the terminal mask.
+        # An id outside 0..n-1 fails the checks of its own path, puts every
+        # pair its path is in among the touching pairs, and is never looked
+        # up in the terminal mask.
         g = Graph(4, [(0, 1), (2, 3)])
         report = verify_packing(g, {0, 1, 2, 3}, SolveParams(len(paths), 1), paths)
         last = len(paths) - 1
-        failed = {c.name for c in report.failures()}
-        assert {f"path[{last}].valid", f"path[{last}].endpoints_in_terminals"} <= failed
-        assert ("pair[0,1].anti_complete" in failed) == (last == 1)
-        assert all(name.startswith(f"path[{last}]") or name.startswith("pair") for name in failed)
+        failed = {c.name: c.witness for c in report.failures()}
+        assert {f"path[{last}].valid", f"path[{last}].endpoints_in_terminals"} <= failed.keys()
+        assert failed.get("pairs.anti_complete") == ([[0, 1]] if last == 1 else None)
+        assert all(name.startswith(f"path[{last}]") or name == "pairs.anti_complete" for name in failed)
 
 
 class TestVerifyCover:
@@ -97,6 +126,22 @@ class TestVerifyCover:
         assert [c.name for c in report.checks] == [
             f"{name}.in_graph" if f"{name}.in_graph" in failed else f"{name}.size" for name in ("z1", "z2")
         ]
+
+    @pytest.mark.parametrize(
+        "z1, z2, failed",
+        [
+            ([0, 99, 98], [], {"z1.in_graph": [98, 99]}),
+            ([], [7, 1, -1], {"z2.in_graph": [-1, 7]}),
+            ([1, 2], [1], {}),
+        ],
+    )
+    def test_one_shot_iterable_names_every_id_outside(self, z1, z2, failed):
+        # Each set comes as an iterator, which can be read only once; the
+        # witness names the ids after the first bad one too, and a cover
+        # inside the graph passes.
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        report = verify_cover(g, {0, 3}, SolveParams(2, 1), iter(z1), iter(z2))
+        assert {c.name: c.witness for c in report.failures()} == failed
 
     def test_out_of_range_terminal_still_raises(self):
         # The terminals come from the instance, not the certificate.

@@ -2,19 +2,23 @@
 
 verify_cover searches each distinct removed set once and reports the result
 for every check that removes it; the reference searches all three.
-verify_packing checks each path once, into its mask, and each pair on the
-masks; the reference runs is_path, is_induced_path and anti_complete. Every
-report must be equal to the reference's, check by check and witness by
-witness, on every corpus certificate, on hand-built failing covers, on
-random covers, on every oracle packing witness of the corpus, and on
-mutated packings.
+verify_packing checks each path once, into its mask, and reports every
+touching pair in one pairs.anti_complete check; the reference runs is_path,
+is_induced_path and one anti_complete check per pair. Every report must be
+equal to the reference's, check by check and witness by witness, apart from
+the pair checks, on every corpus certificate, on hand-built failing covers,
+on random covers, on every oracle packing witness of the corpus, and on
+mutated packings; and its one pairs.anti_complete check must list exactly
+the pairs whose reference check fails (see assert_agrees).
 """
 
+import re
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 from apaths import (
+    Check,
     Cover,
     Graph,
     SolveParams,
@@ -30,6 +34,20 @@ from reference_verify import reference_verify_certificate, reference_verify_cove
 from test_acceptance import ELLS, KS, corpus
 
 
+def assert_agrees(got, want) -> None:
+    """got is want with its pair[i,j].anti_complete checks, which come last,
+    replaced by one pairs.anti_complete check whose witness lists the [i, j]
+    of each failing one, in order. A cover report has no pair checks, so it
+    must equal the reference's outright."""
+    pairs = [re.fullmatch(r"pair\[(\d+),(\d+)\]\.anti_complete", c.name) for c in want.checks]
+    rest = [c for c, pair in zip(want.checks, pairs) if not pair]
+    touching = [[int(pair[1]), int(pair[2])] for c, pair in zip(want.checks, pairs) if pair and not c.ok]
+    if want.kind == "packing":
+        rest.append(Check("pairs.anti_complete", not touching, touching))
+    assert (got.kind, got.passed) == (want.kind, want.passed)
+    assert got.checks == rest
+
+
 def distinct_removals(g, params, z1, z2) -> int:
     b1, b2 = ball(g, z1, 1), ball(g, z2, params.cover_radius())
     return len({b1 & b2, b1, b2})
@@ -42,8 +60,8 @@ def test_corpus_certificates_agree():
             for ell in ELLS:
                 params = SolveParams(k, ell)
                 cert = solve(g, a, params)
-                got = verify_certificate(g, a, params, cert).to_dict()
-                assert got == reference_verify_certificate(g, a, params, cert).to_dict()
+                got = verify_certificate(g, a, params, cert)
+                assert_agrees(got, reference_verify_certificate(g, a, params, cert))
                 if isinstance(cert, Cover):
                     distinct[distinct_removals(g, params, cert.z1, cert.z2)] += 1
     # Covers that share one removed set and covers with two both occur.
@@ -106,8 +124,8 @@ def test_oracle_witnesses_agree():
             sizes[size] += 1
             for k in {size, size + 1}:
                 params = SolveParams(k, ell)
-                got = verify_packing(g, a, params, paths).to_dict()
-                assert got == reference_verify_packing(g, a, params, paths).to_dict()
+                got = verify_packing(g, a, params, paths)
+                assert_agrees(got, reference_verify_packing(g, a, params, paths))
     assert all(sizes[size] for size in range(4))
 
 
@@ -165,5 +183,5 @@ def mutated_packings(draw):
 @settings(max_examples=400, deadline=None)
 def test_mutated_packings_agree(case):
     g, a, params, paths = case
-    got = verify_packing(g, a, params, paths).to_dict()
-    assert got == reference_verify_packing(g, a, params, paths).to_dict()
+    got = verify_packing(g, a, params, paths)
+    assert_agrees(got, reference_verify_packing(g, a, params, paths))
