@@ -16,8 +16,6 @@ extensions are adj[tip] & ~blocked. Where a path has two or more extensions,
 an extension's whole subtree is dropped if the region it can still reach
 through the free vertices, as far as a length cap lets a path reach, holds
 no terminal above the root or is too small to reach the minimum length.
-One check of the whole free region can drop all the extensions at once,
-and uncapped floods each stay in one component, which siblings share.
 Dropped subtrees contain no result, a path left out from its greater end
 was offered from its lesser end first, and extensions are taken in sorted
 order, so every caller's result is that of the full search.
@@ -29,10 +27,11 @@ int. Cutting a long path at such a terminal, again and again, leaves a
 minimal one on a subset of its vertices, so a set meets every long path iff
 it meets every minimal one, and an anti-complete (or disjoint) family stays
 one, of the same size, when each path becomes a minimal subpath; a
-witness family names minimal paths. Each oracle ORs per-vertex masks, the
-paths that meet ball(v, r), and builds no ball: Z covers iff its OR at
-radius r is all ones, and path j is compatible with path i iff path i's OR
-at radius 1 (0 for disjointness) misses j. Families are searched as in
+witness family names minimal paths. The engine extends no path past the
+first terminal that splits it. Each oracle ORs per-vertex masks, the paths
+that meet ball(v, r), and builds no ball: Z covers iff its OR at radius r
+is all ones, and path j is compatible with path i iff path i's OR at
+radius 1 (0 for disjointness) misses j. Families are searched as in
 bit-parallel maximum clique.
 
 A node budget bounds every call, shared by all searches one oracle, solve
@@ -151,9 +150,9 @@ def _live_extensions(
     to be emitted itself (need <= 1), or if that region holds a target and
     at least need - 1 vertices, both within depth BFS levels of w: a path
     through w reaches level j of the region no sooner than j edges after w.
-    Every region lies in the free region ~child_blocked, so if all of it
-    is too small or holds no target, every child but such a target dies
-    unflooded. Under a cap each child's levels are one bounded mask_ball.
+    If the whole free region ~child_blocked is too small or holds no
+    target, every child but such a target dies unflooded. Under a cap,
+    emit's or a minimal path's, each child's levels are one mask_ball.
 
     Without a cap a child's region is the union of the components of the
     free region that its seeds, adj[w] outside child_blocked, meet. A flood
@@ -227,12 +226,14 @@ def _terminal_path_dfs(
     whenever the tip is a target and the length falls in [lo, accept_hi], so
     path[0] < path[-1] for every emitted path. Its return value is the new
     cap on path length to keep exploring (None for unbounded), or the string
-    "stop" to abort. With minimal, a terminal tip is not extended once the
-    length is at least lo, and a path is emitted only if none of
-    path[1 : plen - lo + 1] is a terminal. budget.spend() is called once
-    per visited path. Every length query runs here, so this is the one
-    check of its bound: lo < 1 or accept_hi below lo raises ValueError
-    before any node is spent.
+    "stop" to abort. With minimal, a terminal at index f >= 1 also caps
+    every path through it, at f if f >= lo and else at f + lo - 1, since a
+    longer path holds it at distance >= lo from one end. No path beyond
+    the least of its caps and emit's is visited. Each visited path costs
+    one node, counted locally and settled into budget on every exit, so
+    emit must not spend from budget. Every length query runs here, so this
+    is the one check of its bound: lo < 1 or accept_hi below lo raises
+    ValueError before any node is spent.
 
     Vertex sets are int bitmasks, and adjacency is g's own
     neighbor_masks. The search is iterative, so its depth is bounded by
@@ -245,24 +246,19 @@ def _terminal_path_dfs(
     Pruning: at a path with two or more extensions, each extension is tested
     before it is visited (_live_extensions). After w the search can add only
     vertices reachable from w outside the child's mask, which already holds
-    w's siblings; a subtree can emit only if that region holds a target and
-    enough vertices to reach length lo. Under a cap C on path length
-    (ext_cap), a path through w ends within C - plen - 1 BFS levels of w, so
-    only those levels are flooded and counted. Terminals below the root are
-    no targets but may still be interior vertices. The test ignores minimal,
-    which only emits fewer paths. Failing extensions are dropped with their
-    whole subtree. Every sibling's region lies in the free region outside
-    the child's mask, so if that whole region fails, all siblings fail
-    unflooded. Uncapped, w's region is the union of the components of the
-    free region that w's neighbours meet, and siblings in one component
-    share its floods. The test runs only where the path branches: along a
-    chain of single extensions the region ahead loses just the new tip at
+    w's siblings, and under a cap C only within C - plen - 1 BFS levels of
+    w; a subtree can emit only if that region holds a target and enough
+    vertices to reach length lo. Terminals below the root are no targets
+    but may still be interior vertices. Failing extensions are dropped with
+    their whole subtree. The test runs only where the path branches: along
+    a chain of single extensions the region ahead loses just the new tip at
     each step, so a test there would repeat the last verdict at a cost
     linear in the region, which is quadratic along long chains.
 
     Soundness: roots are taken in increasing order and extensions lowest
     bit first, i.e. in sorted-neighbour order. A dropped subtree holds no
     emit, and shared floods give each extension its own region's verdict.
+    With minimal, no path past a terminal's cap, or its extension, is minimal.
     A path from root s to a terminal t < s is never emitted, but its
     reverse has the same length and was already offered from the earlier
     root t. That changes no caller's answer: find stops at its first emit;
@@ -277,53 +273,67 @@ def _terminal_path_dfs(
     if lo < 1:
         raise ValueError(f"need ell >= 1, got {lo}")
     adj = g.neighbor_masks()
-    spend = budget.spend
+    left = budget.remaining  # nodes are counted here, and settled into budget on every exit
     ext_cap = accept_hi
     targets = terminals
-    while targets & (targets - 1):  # the largest terminal is never a root
-        blocked = targets & -targets  # the root, lowest first
-        targets ^= blocked  # the terminals above the root
-        path = [blocked.bit_length() - 1]
-        # One entry per path vertex with extensions left to try: the mask its
-        # children start from, and those extensions.
-        child_blocked: list[int] = []
-        pending: list[int] = []
-        while True:
-            spend()
-            tip = path[-1]
-            plen = len(path) - 1
-            if targets >> tip & 1 and plen >= lo and (accept_hi is None or plen <= accept_hi) and not (
-                minimal and any(terminals >> v & 1 for v in path[1 : plen - lo + 1])
-            ):
-                signal = emit(tuple(path))
-                if signal == "stop":
-                    return
-                ext_cap = signal
-            ext = 0
-            if (ext_cap is None or plen < ext_cap) and not (minimal and plen >= lo and terminals >> tip & 1):
-                ext = adj[tip] & ~blocked
-                after = blocked | adj[tip]
-                if ext & (ext - 1):
-                    depth = None if ext_cap is None else ext_cap - plen - 1
-                    ext = _live_extensions(adj, ext, after, targets, lo - plen, depth)
-            if ext:
-                child_blocked.append(after)
-                pending.append(ext)
-            else:
-                path.pop()
-            while pending:
-                ext = pending[-1]
+    # With minimal, caps[i] is the least cap of the terminals in path[1 : i + 1], or n; the root reads caps[-1].
+    caps = [len(adj)] * (len(adj) + 1) if minimal else []
+    try:
+        while targets & (targets - 1):  # the largest terminal is never a root
+            blocked = targets & -targets  # the root, lowest first
+            targets ^= blocked  # the terminals above the root
+            path = [blocked.bit_length() - 1]
+            # One entry per path vertex with extensions left to try: the mask its
+            # children start from, and those extensions.
+            child_blocked: list[int] = []
+            pending: list[int] = []
+            while True:
+                left -= 1
+                if left < 0:
+                    raise BudgetExceededError(budget.limit, budget.where)
+                tip = path[-1]
+                plen = len(path) - 1
+                if targets >> tip & 1 and plen >= lo and (accept_hi is None or plen <= accept_hi):
+                    signal = emit(tuple(path))
+                    if signal == "stop":
+                        return
+                    ext_cap = signal
+                cap = ext_cap
+                if minimal:
+                    term_cap = caps[plen - 1]
+                    if plen and terminals >> tip & 1:
+                        own = plen if plen >= lo else plen + lo - 1
+                        term_cap = own if own < term_cap else term_cap
+                    caps[plen] = term_cap
+                    if term_cap < (len(adj) if cap is None else cap):
+                        cap = term_cap
+                ext = 0
+                if cap is None or plen < cap:
+                    ext = adj[tip] & ~blocked
+                    after = blocked | adj[tip]
+                    if ext & (ext - 1):
+                        depth = None if cap is None else cap - plen - 1
+                        ext = _live_extensions(adj, ext, after, targets, lo - plen, depth)
                 if ext:
-                    low = ext & -ext
-                    pending[-1] = ext ^ low
-                    path.append(low.bit_length() - 1)
-                    blocked = child_blocked[-1]
+                    child_blocked.append(after)
+                    pending.append(ext)
+                else:
+                    path.pop()
+                while pending:
+                    ext = pending[-1]
+                    if ext:
+                        low = ext & -ext
+                        pending[-1] = ext ^ low
+                        path.append(low.bit_length() - 1)
+                        blocked = child_blocked[-1]
+                        break
+                    pending.pop()
+                    child_blocked.pop()
+                    path.pop()
+                else:
                     break
-                pending.pop()
-                child_blocked.pop()
-                path.pop()
-            else:
-                break
+    finally:
+        budget.remaining = left
 
 
 def find_induced_apath_in_range(

@@ -82,30 +82,61 @@ MUTANTS = (
         "if seeds & good:\n            live ^= low\n            continue",
         "test_search::TestLiveExtensions::test_a_sibling_with_a_seed_in_a_flood_that_met_the_bound_is_live",
     ),
-    # The minimal-path rules of the engine, on which every oracle rests: a
-    # terminal tip at length >= lo is not extended (rule a), and a path is
-    # emitted only if none of path[1 : plen - lo + 1] is a terminal (rule b).
+    # The engine's minimal-path cap, on which every oracle rests: a terminal
+    # at index f >= 1 caps every path through it at f if f >= lo (rule a: a
+    # longer path is not minimal from its root), else at f + lo - 1 (rule b:
+    # a longer path is not minimal from its far end).
     Mutant(
         "rule-b-one-vertex-short",
         "apaths.search:_terminal_path_dfs",
-        "v in path[1 : plen - lo + 1]",
-        "v in path[1 : plen - lo]",
+        "plen + lo - 1",
+        "plen + lo - 2",
+        "test_search::TestMinimalPaths::test_an_early_terminal_is_allowed",
+    ),
+    Mutant(
+        "rule-b-one-vertex-long",
+        "apaths.search:_terminal_path_dfs",
+        "plen + lo - 1",
+        "plen + lo",
         "test_search::TestMinimalPaths::test_an_early_terminal_is_allowed",
     ),
     Mutant(
         "rule-b-dropped",
         "apaths.search:_terminal_path_dfs",
-        "minimal and any(terminals >> v & 1 for v in path[1 : plen - lo + 1])",
-        "False",
+        "else plen + lo - 1",
+        "else len(adj)",
         "test_search::TestMinimalPaths::test_an_early_terminal_is_allowed",
     ),
     Mutant(
         "rule-a-at-any-length",
         "apaths.search:_terminal_path_dfs",
-        "minimal and plen >= lo and",
-        "minimal and plen >= 1 and",
+        "own = plen if plen >= lo",
+        "own = plen if plen >= 1",
         "test_search::TestMinimalPaths::test_all_terminals_leave_paths_of_length_ell",
         (2,),
+    ),
+    Mutant(
+        "cap-not-inherited",
+        "apaths.search:_terminal_path_dfs",
+        "term_cap = caps[plen - 1]",
+        "term_cap = len(adj)",
+        "test_search::TestMinimalPaths::test_an_early_terminal_is_allowed",
+    ),
+    # The engine's local node count: it overdraws on the same node as
+    # _Budget.spend, and is settled into the shared budget on every exit.
+    Mutant(
+        "countdown-overdraws-one-node-late",
+        "apaths.search:_terminal_path_dfs",
+        "if left < 0:",
+        "if left < -1:",
+        "test_verify::TestVerifyBudget::test_empty_cover_is_one_search",
+    ),
+    Mutant(
+        "countdown-never-settled",
+        "apaths.search:_terminal_path_dfs",
+        "budget.remaining = left",
+        "pass",
+        "test_search::TestBudget::test_engine_settles_its_count_into_the_shared_budget",
     ),
     # The oracles' one pipeline: the minimal paths, the paths that meet each
     # vertex's ball, grown one round at a time from the paths through it,

@@ -31,7 +31,7 @@ from apaths import (
     subdivided_complete_instance,
 )
 from apaths.graph import mask_ball, mask_neighbors
-from apaths.search import _Budget, _live_extensions, _max_compatible_family
+from apaths.search import _Budget, _live_extensions, _max_compatible_family, _terminal_path_dfs
 from reference_search import reference_live_extensions
 
 
@@ -265,6 +265,16 @@ class TestMinimalPaths:
         g = path(4)
         assert enumerate_induced_apaths(g, {0, 1, 3}, 3, minimal=True) == [(0, 1, 2, 3)]
         assert enumerate_induced_apaths(g, {0, 1, 3}, 2, minimal=True) == [(1, 2, 3)]
+
+    def test_a_root_stops_at_its_first_splitting_terminal(self):
+        # 0-1-...-9 with terminals 0, 1 and 9 at ell 2: terminal 1 caps every
+        # path through it at length 1 + 2 - 1, so root 0 visits [0], [0, 1]
+        # and [0, 1, 2] only, and root 1 walks to 9 in 9 nodes. Root 0 would
+        # walk to 9 as well without the cap, as the full enumeration does.
+        g, a = path(10), {0, 1, 9}
+        assert enumerate_induced_apaths(g, a, 2, minimal=True) == [tuple(range(1, 10))]
+        assert spent(lambda b: enumerate_induced_apaths(g, a, 2, b, minimal=True)) == 12
+        assert spent(lambda b: enumerate_induced_apaths(g, a, 2, b)) == 19
 
 
 class TestCoverOracle:
@@ -504,6 +514,31 @@ class TestBudget:
             assert "shortest_long_induced_apath" in str(exc)
         else:
             pytest.fail("expected the budget to trip")
+
+    def test_engine_settles_its_count_into_the_shared_budget(self):
+        # The engine counts its nodes locally and settles them into the
+        # budget on every exit: a "stop", a return and an exception. On
+        # path(3) with terminals 0 and 2 at ell 2 each call visits [0],
+        # [0, 1] and [0, 1, 2], and emits the last.
+        g, terminals = path(3), 0b101
+        b = _Budget(10, "shared")
+        _terminal_path_dfs(g, terminals, 2, None, b, lambda p: "stop")
+        assert b.remaining == 7
+        _terminal_path_dfs(g, terminals, 2, None, b, lambda p: None)
+        assert b.remaining == 4
+
+        def fail(p):
+            raise KeyError(p)
+
+        with pytest.raises(KeyError):
+            _terminal_path_dfs(g, terminals, 2, None, b, fail)
+        assert b.remaining == 1
+        # An overdraw on the second node of the next call: the budget reads
+        # -1, as spend() leaves it, and the error names the budget's own
+        # limit and place.
+        with pytest.raises(BudgetExceededError, match="budget of 10 nodes exhausted in shared$") as info:
+            _terminal_path_dfs(g, terminals, 2, None, b, lambda p: None)
+        assert (info.value.budget, info.value.where, b.remaining) == (10, "shared", -1)
 
     @pytest.mark.parametrize("name", sorted(BUDGETED))
     def test_has_long_budget_error_names_itself(self, name):

@@ -5,7 +5,7 @@ skip subtrees that hold no result, so every public search must return
 exactly what the reference returns (the same path, not just a path of the
 same length) and may never spend more budget. The engine's minimal mode is
 compared with the reference's full search, its emits filtered by
-brute.is_minimal_apath.
+brute.is_minimal_apath, and with the engine's own full search, emit by emit.
 
 The liveness test against the whole-region flood it replaced: on branch
 points taken from real path states it must return the same live mask, so
@@ -305,6 +305,26 @@ class TestLesserEndFirst:
             *enumerate_induced_apaths(g, a, ell),
         ]
         assert all(p[0] < p[-1] for p in found if p is not None)
+
+
+class TestMinimalEmitOrder:
+    """The engine's own minimal mode against its full search: the emits are
+    the full search's minimal ones in the full search's order, which
+    enumerate_induced_apaths hides by sorting, and no more nodes are spent."""
+
+    @given(instances, st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_minimal_emits_are_the_full_emits_filtered(self, inst, ell):
+        g, a = inst
+        runs = []
+        for minimal in (False, True):
+            emitted = []
+            budget = search._Budget(10**9, "emit order")
+            search._terminal_path_dfs(g, to_mask(a), ell, None, budget, emitted.append, minimal=minimal)
+            runs.append((emitted, budget.limit - budget.remaining))
+        (full, full_spent), (minimal, minimal_spent) = runs
+        assert minimal == [p for p in full if is_minimal_apath(p, a, ell)]
+        assert minimal_spent <= full_spent
 
 
 @given(instances)
