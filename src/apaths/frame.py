@@ -231,55 +231,45 @@ def _axiom_violations(fr: Frame, region: int, leaf_sources: int, hub_sources: in
     outside F and Y~, A10 on the leaf pairs with an end in leaf_sources and
     A11 on the hub pairs with an end in hub_sources. On F and all leaves and
     hubs, that is the whole frame. T must be a subcubic tree of host edges
-    (A1, A2), so T lies inside F's edges."""
+    (A1, A2), so T lies inside F's edges. A8 and A9 are mask tests on T's
+    radius-2 balls B(v), built where they are used: hubs & B(u) & B(v) is
+    nonempty at every non-tree F edge uv, and an outside vertex's F
+    neighbours lie pairwise in each other's B (one side of a pair will do,
+    as tree distance is symmetric)."""
     adj, tree, f = fr.host.neighbor_masks(), fr.tree, fr.f
     around = mask_neighbors(adj, region)
-    # One pass over region and its F neighbours, the vertices whose degrees
-    # region takes part in: their degree-1 vertices in T and in G[F] for
-    # A3, and the non-tree F edges at region for A8 (T lies inside F's
-    # edges), each named lowest end first, once.
+    # One pass, in increasing order, over region and its F neighbours, the
+    # vertices whose degrees region takes part in: their degree-1 vertices
+    # in T and in G[F] for A3, and A8 at each non-tree F edge vu, u > v,
+    # with an end in region. If v lies outside region, u lies in it, so the
+    # pass reaches v: it names each such edge once, in sorted order.
     touched = region | around & f
     tree_deg1 = frame_deg1 = 0
-    edges = []
+    far_edges = []
     for v in mask_members(touched):
         t, in_f = tree[v], adj[v] & f
         if t.bit_count() == 1:
             tree_deg1 |= 1 << v
         if in_f.bit_count() == 1:
             frame_deg1 |= 1 << v
-        if in_f != t and region >> v & 1:
-            edges.extend((min(u, v), max(u, v)) for u in mask_members(in_f & ~t & ~(region & (2 << v) - 1)))
+        if in_f != t:
+            for u in mask_members(in_f & ~t & -(2 << v) & (-1 if region >> v & 1 else region)):
+                if not fr.hubs & mask_ball(tree, 1 << v, -1, 2) & mask_ball(tree, 1 << u, -1, 2):
+                    far_edges.append(Violation("A8", (v, u), "non-tree frame edge far from every hub"))
     # A3: the leaves are the degree-1 vertices of T and of G[F].
     a_f = fr.a_f & touched
     viol = [
         Violation("A3", _lowest(deg1 ^ a_f), f"a_f differs from {name} degree-1 vertices")
         for name, deg1 in (("tree", tree_deg1), ("frame", frame_deg1))
         if deg1 != a_f
-    ]
-    near: dict[int, int] = {}  # T's radius-2 balls, built once per call
-
-    def near_in_tree(v: int) -> int:
-        if v not in near:
-            near[v] = mask_ball(tree, 1 << v, -1, 2)
-        return near[v]
-
-    # A8: some hub lies within tree-distance 2 of both ends of every non-tree
-    # F edge.
-    edges.sort()
-    for u, v in edges:
-        if not any(near_in_tree(x) >> v & 1 for x in mask_members(fr.hubs & near_in_tree(u))):
-            viol.append(Violation("A8", (u, v), "non-tree frame edge far from every hub"))
-    # A9: every two F neighbours of an outside vertex lie within
-    # tree-distance 2 of each other; Y~ is exempt.
+    ] + far_edges
+    # A9: for each F neighbour first of an outside vertex, its F neighbours
+    # above first lie in B(first); Y~ is exempt.
     for v in mask_members(around & ~f & ~fr.y_tilde):
-        fn = mask_members(adj[v] & f)
-        for i, first in enumerate(fn[:-1]):
-            for second in fn[i + 1:]:
-                if not near_in_tree(first) >> second & 1:
-                    viol.append(
-                        Violation("A9", (v, first, second),
-                                  "outside vertex with tree-distant frame neighbours")
-                    )
+        fn = adj[v] & f
+        for first in mask_members(fn)[:-1]:
+            for second in mask_members(fn & -(2 << first) & ~mask_ball(tree, 1 << first, -1, 2)):
+                viol.append(Violation("A9", (v, first, second), "outside vertex with tree-distant frame neighbours"))
     # A10/A11: leaves pairwise far (>= ell), hubs pairwise far (>= 3), in F.
     viol.extend(_close_pairs(adj, f, leaf_sources, fr.a_f, fr.ell, "A10", "frame leaves"))
     viol.extend(_close_pairs(adj, f, hub_sources, fr.hubs, 3, "A11", "hubs"))
@@ -529,8 +519,11 @@ def build_maximal_frame(
     ids or their mask, validates the first frame in full, each step is
     checked locally (see extend_frame), and the last frame, if any step was
     taken, is validated in full once more, as the runtime guard on the
-    lemma; extraction trusts it.
+    lemma; extraction trusts it. A k below 1 raises ValueError before any
+    node is spent.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     start = fr = init_frame(g, a, ell, _as_budget(budget, "build_maximal_frame"))
     if fr is None:
         return None

@@ -28,6 +28,7 @@ from .graph import (
     mask_layers,
     mask_members,
     mask_neighbors,
+    path_mask,
     power_graph,
     to_mask,
     vertex_mask,
@@ -210,16 +211,16 @@ def reduce_to_d3(g: Graph, d: int) -> PowerGraphMap:
 
 def lift_path(pmap: PowerGraphMap, p_h: Path) -> Path:
     """A base-graph path with the same endpoints, inside the union of the
-    witness paths of p_h's edges; its length is at most d times p_h's."""
-    if not p_h:
-        raise ValueError("an empty sequence is not a path of the powered graph")
-    if len(p_h) == 1:
-        vertex_mask(pmap.powered, p_h)  # raises GraphError for an id outside the graph
-        return p_h
+    witness paths of p_h's edges; its length is at most d times p_h's.
+    Anything but a path of the powered graph (empty, an id outside it, a
+    vertex twice, a pair that is no power edge) raises ValueError."""
+    if not path_mask(pmap.powered, p_h):
+        # has_edge raises GraphError, a ValueError, on an id outside the graph.
+        gaps = [e for e in zip(p_h, p_h[1:]) if not pmap.powered.has_edge(*e)]
+        what = f"{gaps[0]} is not an edge" if gaps else f"{p_h!r} is not a path"
+        raise ValueError(what + " of the powered graph")
     allowed: set[int] = set()
     for u, v in zip(p_h, p_h[1:]):
-        if not pmap.powered.has_edge(u, v):
-            raise ValueError(f"({u}, {v}) is not an edge of the powered graph")
         allowed.update(pmap.witness_for(u, v))
     adj = pmap.base.neighbor_masks()
     start, goal = p_h[0], p_h[-1]

@@ -216,6 +216,40 @@ MUTANTS = (
         "test_verify::TestVerifyPacking::test_out_of_range_id_fails_without_raising",
         ([(0, 1), (2, 4)],),
     ),
+    # The frame checker's mask tests on T's radius-2 balls B(v): A8 asks
+    # for a hub in B(v) & B(u) at each non-tree F edge vu with an end in
+    # region, and A9 that an outside vertex's F neighbours above first lie
+    # in B(first).
+    Mutant(
+        "a8-without-the-lower-ball",
+        "apaths.frame:_axiom_violations",
+        "mask_ball(tree, 1 << v, -1, 2) & ",
+        "",
+        "test_frame_differential::test_mutated_frames_agree",
+        (28,),
+    ),
+    Mutant(
+        "a8-without-the-upper-ball",
+        "apaths.frame:_axiom_violations",
+        " & mask_ball(tree, 1 << u, -1, 2)",
+        "",
+        "test_frame_differential::test_mutated_frames_agree",
+        (28,),
+    ),
+    Mutant(
+        "a8-needs-the-lower-end-in-region",
+        "apaths.frame:_axiom_violations",
+        "else region",
+        "else 0",
+        "test_frame::TestValidateFrame::test_a8_names_a_chord_with_either_end_in_region",
+    ),
+    Mutant(
+        "a9-skips-the-next-id",
+        "apaths.frame:_axiom_violations",
+        "-(2 << first)",
+        "-(4 << first)",
+        "test_frame::TestValidateFrame::test_an_outside_vertex_sees_tree_distant_consecutive_ids",
+    ),
     # The solver's loop and its fold over the cut levels.
     Mutant(
         "packing-fold-runs-forward",

@@ -31,8 +31,10 @@ from apaths import (
     subdivided_complete_instance,
     validate_frame,
 )
-from apaths.frame import Violation, _path_edges, check_frame_claims
+from apaths.frame import Violation, _axiom_violations, _path_edges, check_frame_claims
 from apaths.graph import to_mask
+from apaths.search import _Budget
+from reference_frame import reference_validate_frame, set_view
 
 
 def path_graph(n):
@@ -162,6 +164,28 @@ class TestValidateFrame:
         fr = Frame(path_graph(4), frozenset({0, 3}), frozenset({(0, 1), (1, 2), (2, 3)}), ell)
         assert validate_frame(fr) == []
         assert extract_frame_paths(fr) == [(0, 1, 2, 3)]
+
+    def test_an_outside_vertex_sees_tree_distant_consecutive_ids(self):
+        # A path frame of 13 vertices at ell 3, so Y holds four vertices at
+        # each end, laid out 0, 1, 2, 3, 4, 6, 7, 5, 8, ..., 12: the ids 4
+        # and 5 lie three apart in T, both outside Y. The outside vertex 13
+        # sees both and nothing of Y, so A9 names the pair.
+        spine = _path_edges((0, 1, 2, 3, 4, 6, 7, 5, 8, 9, 10, 11, 12))
+        fr = Frame(Graph(14, list(spine) + [(4, 13), (5, 13)]), frozenset({0, 12}), spine, 3)
+        want = [Violation("A9", (13, 4, 5), "outside vertex with tree-distant frame neighbours")]
+        assert validate_frame(fr) == reference_validate_frame(set_view(fr)) == want
+
+    def test_a8_names_a_chord_with_either_end_in_region(self):
+        # A path frame 0..12 with the chord (2, 9) and no hub: A8 fails on
+        # the chord, and a check around a region names it iff one of its
+        # ends lies in region, the lower one or only the upper one.
+        spine = _path_edges(range(13))
+        fr = Frame(Graph(13, list(spine) + [(2, 9)]), frozenset({0, 12}), spine, 3)
+        want = [Violation("A8", (2, 9), "non-tree frame edge far from every hub")]
+        assert validate_frame(fr) == want
+        for region in ({2}, {9}, {2, 9}, {5, 9}):
+            assert _axiom_violations(fr, to_mask(region), 0, 0) == want, region
+        assert _axiom_violations(fr, to_mask({5, 6}), 0, 0) == []
 
 
 class TestFindExtension:
@@ -382,6 +406,34 @@ class TestExtendFrame:
         assert last is seen[-1] and last.leaf_count == min(2 * k, 12)
         assert [fr.tree_edges for fr in seen] == [fr.tree_edges for fr in maximal[:len(seen)]]
         assert calls == sorted({2, last.leaf_count})
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_refused_before_any_node(self, k):
+        # No frame has 2k leaves for k < 1, and stopping there is not maximal.
+        g, a = caterpillar_instance(6, 0)
+        budget = _Budget(1000, "test")
+        with pytest.raises(ValueError, match=f"need k >= 1, got {k}"):
+            build_maximal_frame(g, a, 3, budget, k=k)
+        assert budget.remaining == 1000
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_caterpillar_frames_build_no_tree_ball_of_radius_2(self, seed, monkeypatch):
+        # A count, not a clock: a caterpillar's T has no chord in F, and each
+        # outside vertex has one F neighbour, so A8 and A9 build no ball of T.
+        g, a = caterpillar_instance(25, seed)
+        calls = []
+        real = apaths.frame.mask_ball
+
+        def counting(adj, sources, within=-1, radius=None):
+            calls.append((adj, radius))
+            return real(adj, sources, within, radius)
+
+        monkeypatch.setattr(apaths.frame, "mask_ball", counting)
+        frames = []
+        assert build_maximal_frame(g, a, 3, observer=frames.append).leaf_count == 25
+        trees = {id(fr.tree) for fr in frames}
+        on_trees = [radius for adj, radius in calls if id(adj) in trees]
+        assert on_trees and 2 not in on_trees  # A2's reach check walks T, unbounded
 
     def test_path_to_a_hub_fails_before_the_step(self):
         # A valid frame built from its fields, with hub 4, and a path from a

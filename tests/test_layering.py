@@ -2,12 +2,17 @@
 graph < generators < search < frame < solver < verify < cli, the layering
 the README describes, so no module reaches up into a later layer and the
 package has no import cycle. __init__ and __main__ re-export and run the
-package, and are exempt."""
+package, and are exempt.
+
+The references that judge a rewrite take nothing of the code under test
+from the package: tests/reference_frame.py only the frame's data types,
+tests/brute.py only Graph and GraphError."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "apaths"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "apaths"
 ORDER = ("graph", "generators", "search", "frame", "solver", "verify", "cli")
 EXEMPT = ("__init__", "__main__")
 
@@ -67,4 +72,45 @@ def late():
     assert upward_imports(source, "search") == [
         "<source>:3 solver", "<source>:4 verify", "<source>:5 cli",
         "<source>:9 frame", "<source>:10 search", "<source>:10 apaths", "<source>:11 apaths",
+    ]
+
+
+def imported_names(source: str) -> list[tuple[str, str]]:
+    """(module, name) for every name a from-import takes from the package,
+    anywhere in the source, with the module as written ("apaths",
+    "apaths.frame"); a plain import of the package or a module of it gives
+    (module, "*")."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "apaths":
+            found.extend((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.extend((alias.name, "*") for alias in node.names if alias.name.split(".")[0] == "apaths")
+    return found
+
+
+def test_the_references_import_none_of_the_code_they_judge():
+    # The package re-exports the frame's functions, so its top level counts as apaths.frame.
+    frame = [
+        name for module, name in imported_names((TESTS / "reference_frame.py").read_text(encoding="utf-8"))
+        if module in ("apaths", "apaths.frame")
+    ]
+    assert set(frame) <= {"Frame", "FrameInvariantError", "Violation"}, frame
+    brute = [name for _, name in imported_names((TESTS / "brute.py").read_text(encoding="utf-8"))]
+    assert set(brute) <= {"Graph", "GraphError"}, brute
+
+
+def test_the_reference_guard_sees_every_import_form():
+    source = """
+from apaths.frame import Frame, validate_frame
+import apaths.search
+import json
+
+def late():
+    from apaths import Graph
+    import apaths
+"""
+    assert sorted(imported_names(source)) == [
+        ("apaths", "*"), ("apaths", "Graph"), ("apaths.frame", "Frame"),
+        ("apaths.frame", "validate_frame"), ("apaths.search", "*"),
     ]

@@ -248,8 +248,9 @@ class TestReduceAndLift:
         with pytest.raises(ValueError, match="is not an edge of the powered graph"):
             lift_path(pmap, (0, 4))
 
-    @pytest.mark.parametrize("p_h", [(), (-1, 2), (2, -1), (0, 9), (99,), (-1,)])
+    @pytest.mark.parametrize("p_h", [(), (-1, 2), (2, -1), (0, 9), (99,), (-1,), (0, 3, 0), (0, 3, 6, 3)])
     def test_lift_refuses_a_sequence_that_is_no_powered_path(self, p_h):
+        # (0, 3, 0) and (0, 3, 6, 3) repeat a vertex along power edges.
         pmap = reduce_to_d3(cycle(9), 3)
         with pytest.raises(ValueError):
             lift_path(pmap, p_h)
