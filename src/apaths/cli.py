@@ -1,6 +1,6 @@
 """Command-line entry point: formats, modes, and structured output.
 
-Graph input is a line-oriented text format:
+Graph input is a line-oriented text format, with numbers in ASCII digits:
 
     p <n>        vertex count, first non-comment line, at most MAX_VERTICES
     e <u> <v>    undirected edge, 0-based, u != v, duplicates rejected
@@ -68,10 +68,9 @@ def parse_graph(text: str) -> tuple[Graph, VertexSet]:
     terminals: set[int] = set()
 
     def need_vertex(value: str, line_no: int) -> int:
-        try:
-            v = int(value)
-        except ValueError:
+        if not (value.isascii() and value.isdigit()) or len(value) > 4000:  # int() also reads "1_0" and "+1"
             raise GraphFormatError(line_no, f"expected a vertex id, got {value!r}")
+        v = int(value)
         if n is None or not 0 <= v < n:
             raise GraphFormatError(line_no, f"vertex {v} out of range for p {n}")
         return v
@@ -85,7 +84,7 @@ def parse_graph(text: str) -> tuple[Graph, VertexSet]:
         if tag == "p":
             if n is not None:
                 raise GraphFormatError(line_no, "duplicate p line")
-            if len(args) != 1 or not args[0].isdecimal():
+            if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
                 raise GraphFormatError(line_no, "p line must be 'p <n>'")
             try:
                 n = int(args[0])

@@ -6,7 +6,8 @@ terminal set A: F an induced subgraph, T a spanning subcubic tree of F whose
 degree-1 vertices are exactly the terminals inside F, X its degree-3 hubs, Y
 the part of F close to leaves and hubs, Y~ the outside neighbourhood of Y,
 and Abar the terminals not yet in the frame. Only T is chosen; a Frame holds
-G, A, T and ell, and every other set is derived from them as an int bitmask.
+G, A, T and ell, and every other set is derived from them as an int bitmask,
+as is the rim N(F) - F, where the search for the next extension starts.
 
 Eleven axioms pin the structure down. Five of them are now definitions, so
 nothing is left to check: F = V(T), A_F = A & F (the first clause of A3),
@@ -93,10 +94,10 @@ class Violation:
 class Frame:
     """The frame with tree T = tree_edges in host, for the terminal set
     terminals. Only T is chosen: A, F, the leaves, the hubs, T's adjacency
-    masks, Y, Y~ and Abar are int bitmasks derived from the four fields on
-    first use, at most once per Frame. A mask needs nonnegative ids, and y
-    and y_tilde read the host's adjacency, so all of them need F and the
-    terminals inside the host (A1).
+    masks, Y, Y~, Abar and the rim are int bitmasks derived from the four
+    fields on first use, at most once per Frame. A mask needs nonnegative
+    ids, and y, y_tilde and rim read the host's adjacency, so all of them
+    need F and the terminals inside the host (A1).
 
     The one exception: a frame that extend_frame grows starts with all of
     them set, carried from the old frame's masks and the new path, and
@@ -155,6 +156,11 @@ class Frame:
     def y_tilde(self) -> int:
         """Y~: N(Y) outside F."""
         return mask_neighbors(self.host.neighbor_masks(), self.y) & ~self.f
+
+    @cached_property
+    def rim(self) -> int:
+        """N(F) outside F, where find_extension's search starts."""
+        return mask_neighbors(self.host.neighbor_masks(), self.f) & ~self.f
 
 
 def _path_edges(p: Path) -> frozenset[tuple[int, int]]:
@@ -401,15 +407,22 @@ def find_extension(fr: Frame) -> Path | None:
     and is walked back from there to the least neighbour one BFS layer
     closer at each step. A frame this module did not check is validated in
     full first, as its derived masks need A1.
+
+    It searches near F, not near a_bar: a BFS from the rim, outside F and
+    y_tilde, stops at its first layer with terminals of a_bar (S*), and the
+    path is walked back over BFS layers from S* alone. Every vertex it
+    visits lies on a shortest a_bar-F path, which starts in S*, so its layer
+    from S* is its layer from all of a_bar: the path is the same. No BFS
+    runs when all of a_bar lies in y_tilde.
     """
     _trusted(fr, "find_extension")
     adj = fr.host.neighbor_masks()
     outside = ~fr.y_tilde
-    layers = mask_layers(adj, fr.a_bar & outside, outside, fr.f)
-    hits = layers[-1] & fr.f
-    if not hits:
+    near = fr.a_bar & outside and mask_layers(adj, fr.rim & outside, outside & ~fr.f, fr.a_bar)[-1] & fr.a_bar
+    if not near:
         return None
-    return walk_back(adj, layers, _lowest(hits))
+    layers = mask_layers(adj, near, outside, fr.f)
+    return walk_back(adj, layers, _lowest(layers[-1] & fr.f))
 
 
 def _grown(fr: Frame, p: Path, on_p: int) -> Frame:
@@ -428,6 +441,7 @@ def _grown(fr: Frame, p: Path, on_p: int) -> Frame:
     vars(new).update(
         f=f, a=fr.a, a_f=fr.a & f, a_bar=fr.a & ~f, hubs=fr.hubs | 1 << x, tree=tuple(tree),
         y=y, y_tilde=(fr.y_tilde | mask_neighbors(adj, y & ~fr.y)) & ~f,
+        rim=(fr.rim | mask_neighbors(adj, on_p ^ 1 << x)) & ~f,
     )
     return new
 
@@ -453,7 +467,8 @@ def extend_frame(fr: Frame, p: Path) -> Frame:
 
     Lemma. Let fr be valid and p have P1..P7 and P-hub. Write F' = F + V(p),
     P = V(p) - x for the new vertices, and primes for the grown frame. Then
-    (a) Y' = Y | ball_F'({p[0], x}, ell_hat) and Y~' = (Y~ | N(Y' - Y)) - F';
+    (a) Y' = Y | ball_F'({p[0], x}, ell_hat), Y~' = (Y~ | N(Y' - Y)) - F'
+        and rim' = (rim | N(P)) - F';
     (b) the grown frame is valid iff it meets, where the step touches it:
         A2 at x (tree-degree 3), A3 on P and F's neighbours of P, A8 on the
         non-tree F' edges at P, A9 on the neighbours of P outside F' and
@@ -467,7 +482,8 @@ def extend_frame(fr: Frame, p: Path) -> Frame:
     only p[-2] has a neighbour in F at all (P4). So an F' path from an old
     leaf or hub into P leaves F at a vertex outside Y, more than ell_hat
     from every old leaf and hub. Hence every path of length <= ell_hat from
-    them stays in F, which gives (a), and with it Y <= Y' and Y~ <= Y~'. A
+    them stays in F, which gives Y' and Y~' in (a), and with it Y <= Y' and
+    Y~ <= Y~'; rim' follows from F' = F | P. A
     path between two old leaves or hubs through P is longer than
     2 * ell_hat + 2 > max(ell, 3), so A10 and A11 hold between them as in
     fr. Degrees change only on p and at F's neighbours of P. A non-tree F'

@@ -2,13 +2,14 @@
 
 Vertices are dense 0-based ids. A graph has one representation of its
 adjacency: one int bitmask per vertex (Graph.neighbor_masks: bit w of N(v)
-is set iff w ~ v). Members of a mask are always taken lowest bit first,
-which is increasing id order, so every search in this package has a
-deterministic iteration order, which the tie-breaking rules of the
-higher-level modules inherit. Graphs are never mutated after construction;
-deleting a vertex set X is expressed as the subgraph induced on the rest,
-adj[v] & keep for every v, which keeps g's ids and leaves X isolated, so
-paths, balls and certificates found in it speak g's ids unchanged.
+is set iff w ~ v). Walks over a mask clear its top bit, so the int shrinks
+at each step; mask_members still returns increasing ids, and walk_back and
+the search engine take extensions lowest bit first, the order the
+tie-breaking rules of the higher-level modules inherit. Graphs are never
+mutated after construction; deleting a vertex set X is expressed as the
+subgraph induced on the rest, adj[v] & keep for every v, which keeps g's
+ids and leaves X isolated, so paths, balls and certificates found in it
+speak g's ids unchanged.
 
 vertex_mask, path_mask, to_mask, mask_members and mask_neighbors are the
 set operations, and mask_ball is the BFS; mask_layers keeps its layers, and
@@ -141,9 +142,10 @@ def mask_members(mask: int) -> list[int]:
     """The ids whose bits are set in mask, in increasing order."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        v = mask.bit_length() - 1
+        out.append(v)
+        mask ^= 1 << v
+    out.reverse()
     return out
 
 
@@ -151,9 +153,9 @@ def mask_neighbors(adj: Sequence[int], mask: int) -> int:
     """The union of adj[v] over the members v of mask."""
     out = 0
     while mask:
-        low = mask & -mask
-        out |= adj[low.bit_length() - 1]
-        mask ^= low
+        v = mask.bit_length() - 1
+        out |= adj[v]
+        mask ^= 1 << v
     return out
 
 
@@ -167,7 +169,8 @@ def mask_ball(adj: Sequence[int], sources: int, within: int = -1, radius: int | 
     """
     reached = frontier = sources
     while frontier and radius != 0:
-        frontier = mask_neighbors(adj, frontier) & within & ~reached
+        frontier = mask_neighbors(adj, frontier) & within
+        frontier ^= frontier & reached
         reached |= frontier
         if radius is not None:
             radius -= 1
@@ -187,7 +190,8 @@ def mask_layers(
     layers = [sources]
     reached = sources
     while radius != 0 and not layers[-1] & targets:
-        frontier = mask_neighbors(adj, layers[-1]) & within & ~reached
+        frontier = mask_neighbors(adj, layers[-1]) & within
+        frontier ^= frontier & reached
         if not frontier:
             break
         layers.append(frontier)

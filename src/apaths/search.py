@@ -11,11 +11,11 @@ searched from its lesser end only. Every query takes its terminal set a
 as vertex ids or as their mask, and checks it once (graph.vertex_mask).
 
 The engine keeps vertex sets as int bitmasks. A path on its stack carries
-blocked = path | N(path - tip), the vertices it may never use again, so its
-extensions are adj[tip] & ~blocked. Where a path has two or more extensions,
-an extension's whole subtree is dropped if the region it can still reach
-through the free vertices, as far as a length cap lets a path reach, holds
-no terminal above the root or is too small to reach the minimum length.
+its free set, V minus the path and N(path - tip), so its extensions are
+adj[tip] & free. Where a path has two or more extensions, an extension's
+whole subtree is dropped if the region it can still reach through the
+free vertices, as far as a length cap lets a path reach, holds no terminal
+above the root or is too small to reach the minimum length.
 Dropped subtrees contain no result, a path left out from its greater end
 was offered from its lesser end first, and extensions are taken in sorted
 order, so every caller's result is that of the full search.
@@ -140,30 +140,29 @@ def shortest_apath(g: Graph, a: Iterable[int] | int) -> Path | None:
 
 
 def _live_extensions(
-    adj: tuple[int, ...], ext: int, child_blocked: int, targets: int, need: int, depth: int | None
+    adj: tuple[int, ...], ext: int, free: int, targets: int, need: int, depth: int | None
 ) -> int:
     """The extensions in ext whose subtrees can still emit a path of at
     least need and at most depth + 1 more edges (depth None: no cap).
 
-    A child w adds w, and after it only vertices reachable from w outside
-    child_blocked. Its subtree can emit only if w is a target long enough
-    to be emitted itself (need <= 1), or if that region holds a target and
-    at least need - 1 vertices, both within depth BFS levels of w: a path
-    through w reaches level j of the region no sooner than j edges after w.
-    If the whole free region ~child_blocked is too small or holds no
+    A child w adds w, and after it only vertices of free, the children's
+    free set, reachable from w through free. Its subtree can emit only if w
+    is a target long enough to be emitted itself (need <= 1), or if that
+    region holds a target and at least need - 1 vertices, both within depth
+    BFS levels of w: a path through w reaches level j of the region no
+    sooner than j edges after w. If all of free is too small or holds no
     target, every child but such a target dies unflooded. Under a cap,
     emit's or a minimal path's, each child's levels are one mask_ball.
 
-    Without a cap a child's region is the union of the components of the
-    free region that its seeds, adj[w] outside child_blocked, meet. A flood
-    starts at one seed, so it stays in one component. If it alone meets the
-    bound, it proves live every sibling with a seed in it (good); if it
-    runs out, it is a whole component, which later siblings reuse (spent)
-    and which counts towards the union. This is the hot path of exhaustive
-    searches.
+    Without a cap a child's region is the union of the components of free
+    that its seeds, adj[w] & free, meet. A flood starts at one seed, so it
+    stays in one component; it walks each frontier top bit first, and free
+    is finite, so it takes no complement. If it alone meets the bound, it
+    proves live every sibling with a seed in it (good); if it runs out, it
+    is a whole component, which later siblings reuse (spent) and which
+    counts towards the union. This is the hot path of exhaustive searches.
     """
-    free = ~child_blocked
-    if len(adj) - child_blocked.bit_count() < need - 1 or not free & targets:
+    if free.bit_count() < need - 1 or not free & targets:
         return ext & targets if need <= 1 else 0
     live = ext
     good = 0  # the floods that met the bound on their own
@@ -185,7 +184,7 @@ def _live_extensions(
         for comp in spent:
             if comp & seeds:
                 region |= comp
-        seeds &= ~region
+        seeds ^= seeds & region
         while not (region & targets and region.bit_count() >= need - 1):
             if not seeds:
                 live ^= low
@@ -194,10 +193,10 @@ def _live_extensions(
             while not (reach & targets and reach.bit_count() >= need - 1):
                 grown = 0
                 while frontier:
-                    bit = frontier & -frontier
-                    grown |= adj[bit.bit_length() - 1]
-                    frontier ^= bit
-                frontier = grown & free & ~reach
+                    v = frontier.bit_length() - 1
+                    grown |= adj[v]
+                    frontier ^= 1 << v
+                frontier = grown & (free ^ reach)  # reach lies inside free
                 if not frontier:
                     break
                 reach |= frontier
@@ -206,7 +205,7 @@ def _live_extensions(
                 break
             spent.append(reach)
             region |= reach
-            seeds &= ~reach
+            seeds ^= seeds & reach
     return live
 
 
@@ -238,16 +237,16 @@ def _terminal_path_dfs(
     Vertex sets are int bitmasks, and adjacency is g's own
     neighbor_masks. The search is iterative, so its depth is bounded by
     memory, not by the interpreter's recursion limit. Each path on the stack
-    carries blocked = path | N(path - tip): a vertex w may extend the path
-    iff it is adjacent to the tip and not blocked, since any other path
-    vertex next to w would be a chord. The extensions are therefore
-    adj[tip] & ~blocked, and the child's mask is blocked | adj[tip].
+    carries its free set, V minus path and N(path - tip): a vertex w may
+    extend the path iff it is adjacent to the tip and free, since any other
+    path vertex next to w would be a chord. The extensions are therefore
+    ext = adj[tip] & free, and the children start from free ^ ext.
 
     Pruning: at a path with two or more extensions, each extension is tested
     before it is visited (_live_extensions). After w the search can add only
-    vertices reachable from w outside the child's mask, which already holds
-    w's siblings, and under a cap C only within C - plen - 1 BFS levels of
-    w; a subtree can emit only if that region holds a target and enough
+    vertices reachable from w in the children's free set, which lacks w's
+    siblings, and under a cap C only within C - plen - 1 BFS levels of w;
+    a subtree can emit only if that region holds a target and enough
     vertices to reach length lo. Terminals below the root are no targets
     but may still be interior vertices. Failing extensions are dropped with
     their whole subtree. The test runs only where the path branches: along
@@ -276,16 +275,18 @@ def _terminal_path_dfs(
     left = budget.remaining  # nodes are counted here, and settled into budget on every exit
     ext_cap = accept_hi
     targets = terminals
+    everything = (1 << len(adj)) - 1
     # With minimal, caps[i] is the least cap of the terminals in path[1 : i + 1], or n; the root reads caps[-1].
     caps = [len(adj)] * (len(adj) + 1) if minimal else []
     try:
         while targets & (targets - 1):  # the largest terminal is never a root
-            blocked = targets & -targets  # the root, lowest first
-            targets ^= blocked  # the terminals above the root
-            path = [blocked.bit_length() - 1]
-            # One entry per path vertex with extensions left to try: the mask its
-            # children start from, and those extensions.
-            child_blocked: list[int] = []
+            root = targets & -targets  # the lowest first
+            targets ^= root  # the terminals above the root
+            path = [root.bit_length() - 1]
+            free = everything ^ root
+            # One entry per path vertex with extensions left to try: the free
+            # set its children start from, and those extensions.
+            child_free: list[int] = []
             pending: list[int] = []
             while True:
                 left -= 1
@@ -309,13 +310,13 @@ def _terminal_path_dfs(
                         cap = term_cap
                 ext = 0
                 if cap is None or plen < cap:
-                    ext = adj[tip] & ~blocked
-                    after = blocked | adj[tip]
+                    ext = adj[tip] & free
+                    after = free ^ ext
                     if ext & (ext - 1):
                         depth = None if cap is None else cap - plen - 1
                         ext = _live_extensions(adj, ext, after, targets, lo - plen, depth)
                 if ext:
-                    child_blocked.append(after)
+                    child_free.append(after)
                     pending.append(ext)
                 else:
                     path.pop()
@@ -325,10 +326,10 @@ def _terminal_path_dfs(
                         low = ext & -ext
                         pending[-1] = ext ^ low
                         path.append(low.bit_length() - 1)
-                        blocked = child_blocked[-1]
+                        free = child_free[-1]
                         break
                     pending.pop()
-                    child_blocked.pop()
+                    child_free.pop()
                     path.pop()
                 else:
                     break

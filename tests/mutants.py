@@ -56,7 +56,7 @@ MUTANTS = (
     Mutant(
         "region-bound-without-its-size-test",
         "apaths.search:_live_extensions",
-        "len(adj) - child_blocked.bit_count() < need - 1 or ",
+        "free.bit_count() < need - 1 or ",
         "",
         "test_search::TestLiveExtensions::test_a_small_free_region_kills_every_child_unflooded",
         (None,),
@@ -81,6 +81,23 @@ MUTANTS = (
         "if seeds & good:\n            continue",
         "if seeds & good:\n            live ^= low\n            continue",
         "test_search::TestLiveExtensions::test_a_sibling_with_a_seed_in_a_flood_that_met_the_bound_is_live",
+    ),
+    # The engine's free set: V minus the path and N(path - tip). The root
+    # leaves it, and each child starts from free ^ ext, without the tip's
+    # neighbours.
+    Mutant(
+        "root-left-free",
+        "apaths.search:_terminal_path_dfs",
+        "free = everything ^ root",
+        "free = everything",
+        "test_search::TestMinimalPaths::test_a_root_stops_at_its_first_splitting_terminal",
+    ),
+    Mutant(
+        "children-keep-the-tips-neighbours",
+        "apaths.search:_terminal_path_dfs",
+        "after = free ^ ext",
+        "after = free",
+        "test_search::TestShortestLongInducedApath::test_triangle_ell_two_none",
     ),
     # The engine's minimal-path cap, on which every oracle rests: a terminal
     # at index f >= 1 caps every path through it at f if f >= lo (rule a: a
@@ -215,6 +232,33 @@ MUTANTS = (
         "",
         "test_verify::TestVerifyPacking::test_out_of_range_id_fails_without_raising",
         ([(0, 1), (2, 4)],),
+    ),
+    # Mask walks clear the top bit, so members come out in decreasing order
+    # until the one reverse.
+    Mutant(
+        "members-in-decreasing-order",
+        "apaths.graph:mask_members",
+        "    out.reverse()\n",
+        "",
+        "test_graph::TestMaskKernels::test_kernels_agree_on_fixed_masks",
+        (375,),
+    ),
+    # The extension search starts from the rim, N(F) - F, outside Y~; a step
+    # carries the rim forward, so no search reads all of F.
+    Mutant(
+        "rim-not-carried",
+        "apaths.frame:_grown",
+        "        rim=(fr.rim | mask_neighbors(adj, on_p ^ 1 << x)) & ~f,\n",
+        "",
+        "test_frame::TestExtendFrame::test_an_extension_search_reads_adjacency_in_proportion_to_its_path",
+        (0,),
+    ),
+    Mutant(
+        "rim-search-from-y-tilde",
+        "apaths.frame:find_extension",
+        "fr.rim & outside",
+        "fr.rim",
+        "test_frame_differential::test_extension_search_from_the_rim_is_the_search_from_abar",
     ),
     # The frame checker's mask tests on T's radius-2 balls B(v): A8 asks
     # for a hub in B(v) & B(u) at each non-tree F edge vu with an end in

@@ -15,7 +15,10 @@ what they return or raise. reference_regions recomputes what Frame.y and
 Frame.y_tilde derive, and reference_check_extension_path raises as
 extend_frame does on a path that fails _extension_violations.
 reference_find_extension is the neighbour-list BFS that walks back along the
-first parent to discover each vertex. Every ball here is a dict BFS,
+first parent to discover each vertex. reference_mask_find_extension is the
+mask search that find_extension ran before it started from the frame's rim:
+one mask_layers from all of Abar outside Y~, walked back from the least
+frame vertex it reaches; it reads a Frame's own masks. Every ball here is a dict BFS,
 on an induced subgraph built per call. reference_extract_frame_paths is the
 hub-tree extraction: it copies F onto dense ids, checks the copy against its
 own properties H1..H7 instead of the frame axioms, pairs and re-routes the
@@ -43,9 +46,11 @@ from apaths.graph import (
     induced_subgraph,
     is_induced_path,
     mask_ball,
+    mask_layers,
     mask_members,
     mask_neighbors,
     to_mask,
+    walk_back,
 )
 
 
@@ -383,6 +388,20 @@ def reference_find_extension(g: Graph, a: Iterable[int], fr: SetFrame) -> Path |
             return result
         frontier = nxt
     return None
+
+
+def reference_mask_find_extension(fr: Frame) -> Path | None:
+    """find_extension on a checked frame, as one BFS from every terminal of
+    Abar outside Y~, within the complement of Y~, up to the first layer
+    that meets F; the path is walked back from the least frame vertex in
+    that layer to the least neighbour one layer closer at each step."""
+    adj = fr.host.neighbor_masks()
+    outside = ~fr.y_tilde
+    layers = mask_layers(adj, fr.a_bar & outside, outside, fr.f)
+    hits = layers[-1] & fr.f
+    if not hits:
+        return None
+    return walk_back(adj, layers, (hits & -hits).bit_length() - 1)
 
 
 def _validate_hub_tree(

@@ -525,8 +525,11 @@ def graph_well_formed(text: str) -> bool:
         if not fields or fields[0].startswith("c"):
             continue
         tag, args = fields[0], fields[1:]
+        # Numbers are ASCII digits, so "1_0", "+1" and "\u0663" are none.
+        if not all(x.isascii() and x.isdigit() and len(x) <= 4000 for x in args):
+            return False
         if tag == "p":
-            if n is not None or len(args) != 1 or not args[0].isdecimal() or len(args[0]) > 4000:
+            if n is not None or len(args) != 1:
                 return False
             if int(args[0]) > 10_000:  # at most 10,000 vertices
                 return False
@@ -534,10 +537,7 @@ def graph_well_formed(text: str) -> bool:
             continue
         if n is None or tag not in ("e", "a") or len(args) != (2 if tag == "e" else 1):
             return False
-        try:
-            ids = [int(x) for x in args]
-        except ValueError:
-            return False
+        ids = [int(x) for x in args]
         if not all(0 <= v < n for v in ids):
             return False
         if tag == "e":
@@ -641,6 +641,18 @@ class TestFuzz:
     def test_unreadable_vertex_count_is_a_format_error(self, line):
         with pytest.raises(GraphFormatError):
             parse_graph(line + "\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["p 12\ne 0 1_0\n", "p 5\na \u0663\n", "p \u0661\u0662\n"],
+        ids=["underscore-in-an-edge", "arabic-indic-terminal", "arabic-indic-count"],
+    )
+    def test_only_ascii_digits_are_numbers(self, text):
+        # int() reads each of these as a number (10, 3 and 12).
+        assert not graph_well_formed(text)
+        with pytest.raises(GraphFormatError, match="expected a vertex id|p line must be"):
+            parse_graph(text)
+        assert run_in_dir(["solve", "--input", "@g", "--k", "1", "--ell", "1"], {"g": text}) == EXIT_BAD_INPUT
 
     @pytest.mark.parametrize("count", ["10001", "9" * 40])
     def test_vertex_count_above_the_bound_is_a_format_error(self, count):

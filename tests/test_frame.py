@@ -35,6 +35,7 @@ from apaths.frame import Violation, _axiom_violations, _path_edges, check_frame_
 from apaths.graph import to_mask
 from apaths.search import _Budget
 from reference_frame import reference_validate_frame, set_view
+from test_search import CountingAdj
 
 
 def path_graph(n):
@@ -90,7 +91,7 @@ class TestInitFrame:
 
 class TestFrameSets:
     """A frame stores only what the construction chooses; F, the leaves,
-    the hubs, Y, Y~ and Abar are masks derived from it."""
+    the hubs, Y, Y~, Abar and the rim are masks derived from it."""
 
     def test_fields_are_the_chosen_four(self):
         assert [f.name for f in dataclasses.fields(Frame)] == ["host", "terminals", "tree_edges", "ell"]
@@ -106,17 +107,18 @@ class TestFrameSets:
         assert fr.leaf_count == 3
         assert fr.y == to_mask(range(10))
         assert fr.y_tilde == to_mask({10})
+        assert fr.rim == to_mask({10})
         assert validate_frame(fr) == []
 
     def test_derived_sets_follow_the_fields(self):
         g = path_graph(9)
         fr = init_frame(g, {0, 8}, 3)
         assert fr.y == to_mask(set(range(9)) - {4}) and fr.y_tilde == 0
-        assert fr.a_bar == 0
+        assert fr.a_bar == 0 and fr.rim == 0
         # A new frame derives its own sets: nothing is carried over.
         grown = replace(fr, host=Graph(10, list(g.edges()) + [(1, 9)]), terminals=frozenset({0, 8, 9}))
         assert grown.y == fr.y and grown.y_tilde == to_mask({9})
-        assert grown.a_bar == to_mask({9})
+        assert grown.a_bar == to_mask({9}) and grown.rim == to_mask({9})
         assert replace(fr, ell=4).y == to_mask(range(9))
 
 
@@ -434,6 +436,24 @@ class TestExtendFrame:
         trees = {id(fr.tree) for fr in frames}
         on_trees = [radius for adj, radius in calls if id(adj) in trees]
         assert on_trees and 2 not in on_trees  # A2's reach check walks T, unbounded
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_an_extension_search_reads_adjacency_in_proportion_to_its_path(self, seed):
+        # A count, not a clock: each call that returns a path p reads the
+        # host's adjacency at most 8 * len(p) times, wherever the frame has
+        # grown to. A BFS from all of Abar read up to 65 * len(p) here.
+        g, a = caterpillar_instance(60, seed)
+        g._adj = adj = CountingAdj(g.neighbor_masks())
+        fr = init_frame(g, a, 3)
+        reads = []
+        while True:
+            adj.reads = 0
+            p = find_extension(fr)
+            if p is None:
+                break
+            reads.append((adj.reads, len(p)))
+            fr = extend_frame(fr, p)
+        assert len(reads) == 58 and all(count <= 8 * length for count, length in reads), reads
 
     def test_path_to_a_hub_fails_before_the_step(self):
         # A valid frame built from its fields, with hub 4, and a path from a

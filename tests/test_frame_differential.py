@@ -7,7 +7,8 @@ paths can have a chord), on subdivided random graphs, and on copies of those
 frames broken one axiom at a time through the host, the terminals, the tree
 or ell. The package reads a Frame's masks and the reference reads its set
 view. Each mask's members must be the set view's set, the set view's
-(y, y_tilde) must be the reference's regions, and both must return the same
+(y, y_tilde) must be the reference's regions, the rim must be N(F) - F
+taken on sets, and both must return the same
 violation lists and the same extension-path verdicts, or raise the same
 error. The one exception: on a tree id outside the host, check_frame_claims
 returns the A1 violations, which the reference does not look for. The
@@ -19,16 +20,21 @@ frame's tree. Path extraction must return the
 reference's hub-tree paths on every frame, and reject every broken frame the
 hub-tree checks H1..H7 reject. find_extension must return the neighbour-list
 BFS's path on every observed frame; on frames of random instances, where
-ties may walk back another way, it must agree on None-ness and length."""
+ties may walk back another way, it must agree on None-ness and length. On
+every step of the observed frames, of chorded caterpillars and of
+subdivided random subcubic trees, it must return the path of the frozen
+mask search from all of Abar, or None with it."""
 
 import random
 import sys
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import apaths.frame
 from apaths import (
     Frame,
     Graph,
@@ -51,6 +57,7 @@ from reference_frame import (
     reference_extract_frame_paths,
     reference_find_extension,
     reference_leaf_paths,
+    reference_mask_find_extension,
     reference_regions,
     reference_validate_frame,
     set_view,
@@ -86,6 +93,26 @@ def chorded_caterpillar_instance(legs: int, seed: int):
         if u <= spine_end < v:  # v is a leg's first vertex, u its attachment
             edges.append((u + 1 if u < spine_end else u - 1, v))
     return Graph(g.n, edges), tips
+
+
+def subdivided_tree_instance(nodes: int, ell: int, chords: int, seed: int):
+    """random_subcubic_tree(nodes, seed) with each edge subdivided into ell
+    or ell + 1 edges and its leaves as the terminals, plus up to chords
+    random host edges between non-adjacent vertices."""
+    rng = random.Random(seed)
+    tree, leaves = random_subcubic_tree(nodes, seed)
+    edges, nxt = set(), nodes
+    for u, v in tree:
+        prev = u
+        for _ in range(rng.randint(ell, ell + 1) - 1):
+            edges.add((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+        edges.add((min(prev, v), max(prev, v)))
+    for _ in range(chords):
+        u, v = sorted(rng.sample(range(nxt), 2))
+        if (u, v) not in edges:
+            edges.add((u, v))
+    return Graph(nxt, edges), leaves
 
 
 def maximal_frames(g: Graph, a, k: int, ell: int) -> list[Frame]:
@@ -221,8 +248,8 @@ DERIVED = [("f", "f_vertices"), ("a_f", "a_f"), ("a_bar", "a_bar"),
 
 def assert_derivation_agrees(fr: Frame) -> None:
     """Each mask's members are the set view's set, and the set view's
-    (y, y_tilde) are the reference's regions, on any frame whose F lies in
-    its host. A negative tree id is not a bit position: F cannot be derived."""
+    (y, y_tilde) are the reference's regions and the rim is N(F) - F on
+    sets, on any frame whose F lies in its host. A negative tree id is not a bit position: F cannot be derived."""
     view = set_view(fr)
     if min(view.f_vertices) < 0:
         with pytest.raises(ValueError, match="negative shift count"):
@@ -233,6 +260,8 @@ def assert_derivation_agrees(fr: Frame) -> None:
     if max(view.f_vertices) < fr.host.n:
         args = (fr.host, view.f_vertices, view.a_f | view.hubs, fr.ell_hat)
         assert (view.y, view.y_tilde) == reference_regions(*args)
+        rim = {w for v in view.f_vertices for w in fr.host.neighbors(v)} - view.f_vertices
+        assert frozenset(mask_members(fr.rim)) == rim
 
 
 @pytest.mark.parametrize("index", range(0, len(FRAMES), 7))
@@ -316,6 +345,34 @@ def test_extension_path_verdicts_agree():
 def test_extension_paths_agree():
     for a, fr in FRAMES:
         assert find_extension(fr) == reference_find_extension(fr.host, a, set_view(fr))
+
+
+def test_extension_search_from_the_rim_is_the_search_from_abar():
+    # Every step of three families: the observed frames, chorded
+    # caterpillars and subdivided random subcubic trees, with and without
+    # chords. On every call the constructions make, find_extension returns
+    # the path of one BFS from all of Abar, or None with it.
+    real = apaths.frame.find_extension
+    found = []
+
+    def compared(fr):
+        got = real(fr)
+        assert got == reference_mask_find_extension(fr)
+        found.append(got is not None)
+        return got
+
+    for _, fr in FRAMES:
+        compared(fr)
+    with mock.patch.object(apaths.frame, "find_extension", compared):
+        for legs in range(3, 31):
+            for seed in (0, 1):
+                g, a = chorded_caterpillar_instance(legs, seed)
+                maximal_frames(g, a, 2, 3)
+        for seed in range(1500):
+            ell = 1 + seed % 3
+            g, a = subdivided_tree_instance(8 + seed % 25, ell, 2 * (seed % 2), seed)
+            maximal_frames(g, a, 2 + seed % 3, ell)
+    assert len(found) > 6500 and found.count(True) > 1500
 
 
 @given(st.integers(6, 10), st.sampled_from([0.25, 0.4]), st.integers(0, 10**6), st.sampled_from([2, 3]))

@@ -31,7 +31,7 @@ from test_frame_differential import FRAMES, outcome
 from test_solver import PATH_MASK_MODULES, calls_of
 
 # The masks a step carries forward, as Frame's cached properties.
-CARRIED = ("f", "a", "a_f", "a_bar", "hubs", "tree", "y", "y_tilde")
+CARRIED = ("f", "a", "a_f", "a_bar", "hubs", "tree", "y", "y_tilde", "rim")
 
 
 def shuffled_caterpillar(legs: int, seed: int):

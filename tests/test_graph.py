@@ -1,4 +1,6 @@
 import math
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from apaths import (
     power_graph,
     random_instance,
 )
-from apaths.graph import _kept_subgraph, path_mask, to_mask
+from apaths.graph import _kept_subgraph, mask_ball, mask_layers, mask_members, mask_neighbors, path_mask, to_mask
 from apaths.search import (
     _Budget,
     enumerate_induced_apaths,
@@ -399,3 +401,84 @@ class TestPowerGraph:
             for v in range(g.n):
                 expected = math.ceil(dg[u][v] / d) if dg[u][v] is not brute.INF else brute.INF
                 assert dh[u][v] == expected
+
+
+def set_members(mask: int, n: int) -> list[int]:
+    """The members of a mask on vertices 0..n-1, by testing each id."""
+    return [v for v in range(n) if mask >> v & 1]
+
+
+def set_distances(nbrs: list[set[int]], sources: set[int], within: set[int]) -> dict[int, int]:
+    """Each vertex's distance from sources along paths whose every vertex
+    after the first lies in within."""
+    dist = {s: 0 for s in sources}
+    queue = deque(sources)
+    while queue:
+        v = queue.popleft()
+        for w in nbrs[v]:
+            if w in within and w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def sparse_graph(n: int, seed: int) -> Graph:
+    """A path 0..n-1 plus two random chords from each vertex to lower ids:
+    one component, average degree about 6."""
+    rng = random.Random(seed)
+    edges = {(v - 1, v) for v in range(1, n)}
+    edges |= {(rng.randrange(v - 1), v) for v in range(2, n) for _ in range(2)}
+    return Graph(n, edges)
+
+
+class TestMaskKernels:
+    """mask_members, mask_neighbors, mask_ball and mask_layers against
+    definitions on Python sets, on small hypothesis graphs and on fixed
+    masks at the sizes of the benchmark's caterpillars (375) and of the
+    CLI's large inputs (2,400). within takes three forms: -1, a positive
+    mask, and the complement of one, as ~y_tilde is."""
+
+    @staticmethod
+    def assert_kernels_agree(g: Graph, sources: int, within: int, targets: int, radius: int | None) -> None:
+        n, adj = g.n, g.neighbor_masks()
+        nbrs = [set(g.neighbors(v)) for v in range(n)]
+        members = set_members(sources, n)
+        assert mask_members(sources) == members
+        assert mask_neighbors(adj, sources) == to_mask(w for v in members for w in nbrs[v])
+        dist = set_distances(nbrs, set(members), set(set_members(within, n)))
+        unbounded = radius is None or radius < 0
+        assert mask_ball(adj, sources, within, radius) == to_mask(v for v, d in dist.items() if unbounded or d <= radius)
+        # The layers end at the first one that meets targets, at radius, or
+        # at the last distance reached, whichever comes first.
+        layers = [to_mask(v for v, d in dist.items() if d == i) for i in range(max(dist.values(), default=0) + 1)]
+        last = next((i for i, layer in enumerate(layers) if layer & targets), len(layers) - 1)
+        if not unbounded:
+            last = min(last, radius)
+        assert mask_layers(adj, sources, within, targets, radius) == layers[: last + 1]
+
+    @given(st.integers(0, 2**600))
+    @settings(max_examples=300, deadline=None)
+    def test_members_are_the_set_bits_in_increasing_order(self, mask):
+        assert mask_members(mask) == set_members(mask, mask.bit_length())
+
+    @given(random_graphs, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_kernels_agree_on_random_graphs(self, g, data):
+        mask = st.integers(0, 2**g.n - 1)
+        sources, positive, targets = data.draw(mask), data.draw(mask), data.draw(mask)
+        within = data.draw(st.sampled_from([-1, positive, ~positive]))
+        radius = data.draw(st.one_of(st.none(), st.integers(-1, g.n + 1)))
+        self.assert_kernels_agree(g, sources, within, targets, radius)
+
+    @pytest.mark.parametrize("n", [375, 2400])
+    def test_kernels_agree_on_fixed_masks(self, n):
+        g = sparse_graph(n, n)
+        rng = random.Random(n + 1)
+        y = to_mask(rng.sample(range(n), n // 3))  # some vertices inside, some outside
+        spread = to_mask(rng.sample(range(n), 7))  # sources across the whole id range
+        top = 1 << n - 1 | 1 << n - 2  # the two highest ids alone
+        far = to_mask(rng.sample(range(n), 3))
+        for sources in (spread, top, 1, 0):
+            for within in (-1, y, ~y):
+                for targets, radius in ((0, None), (far, None), (0, 3), (far, 2)):
+                    self.assert_kernels_agree(g, sources, within, targets, radius)

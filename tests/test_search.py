@@ -675,7 +675,8 @@ class TestLiveExtensions:
 
     def live(self, adj, ext, child_blocked, targets, need, depth=None):
         adj.reads = 0
-        got = _live_extensions(adj, ext, child_blocked, targets, need, depth)
+        free = (1 << len(adj)) - 1 & ~child_blocked  # the children's free set, as the engine passes it
+        got = _live_extensions(adj, ext, free, targets, need, depth)
         assert got == reference_live_extensions(tuple(adj), ext, child_blocked, targets, need, depth)
         return got
 
