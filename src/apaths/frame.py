@@ -352,8 +352,12 @@ def init_frame(
     """
     terminals = vertex_mask(g, a)
     path = shortest_long_induced_apath(g, terminals, ell, _as_budget(budget, "init_frame"))
-    if path is None:
-        return None
+    return None if path is None else _frame_on(g, terminals, path, ell)
+
+
+def _frame_on(g: Graph, terminals: int, path: Path, ell: int) -> Frame:
+    """The frame whose tree is path, validated in full: init_frame's frame
+    when path is a shortest long induced A-path."""
     return _assert_valid(Frame(g, frozenset(mask_members(terminals)), _path_edges(path), ell), "init_frame")
 
 
@@ -540,9 +544,13 @@ def build_maximal_frame(
     """
     if k is not None and k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    start = fr = init_frame(g, a, ell, _as_budget(budget, "build_maximal_frame"))
-    if fr is None:
-        return None
+    start = init_frame(g, a, ell, _as_budget(budget, "build_maximal_frame"))
+    return None if start is None else _grown_maximal(start, observer, k)
+
+
+def _grown_maximal(start: Frame, observer, k: int | None) -> Frame:
+    """build_maximal_frame's loop, from its checked first frame start."""
+    fr = start
     if observer is not None:
         observer(fr)
     while (k is None or fr.leaf_count < 2 * k) and (p := find_extension(fr)) is not None:

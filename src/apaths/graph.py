@@ -215,8 +215,8 @@ def walk_back(adj: Sequence[int], layers: Sequence[int], end: int) -> Path:
 
 def ball(g: Graph, x: Iterable[int] | int, r: int) -> VertexSet:
     """All vertices at distance at most r from the set x (the closed ball N[x, r])."""
-    if r < 0:
-        raise GraphError(f"radius must be nonnegative, got {r}")
+    if type(r) is not int or r < 0:
+        raise GraphError(f"radius must be a nonnegative int, got {r!r}")
     return frozenset(mask_members(mask_ball(g.neighbor_masks(), vertex_mask(g, x), -1, r)))
 
 
@@ -292,7 +292,7 @@ def _chordless(adj: Sequence[int], p: Path, on_p: int) -> bool:
 
 def power_graph(g: Graph, d: int) -> Graph:
     """The d-th power of g: same vertices, edges between all pairs at distance 1..d."""
-    if d < 1:
-        raise GraphError(f"power must be positive, got {d}")
+    if type(d) is not int or d < 1:
+        raise GraphError(f"power must be a positive int, got {d!r}")
     adj = g.neighbor_masks()
     return Graph._from_masks(mask_ball(adj, 1 << u, -1, d) ^ 1 << u for u in range(g.n))

@@ -374,24 +374,34 @@ def has_long_induced_apath(
 def shortest_long_induced_apath(
     g: Graph, a: Iterable[int] | int, ell: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> Path | None:
-    """A minimum-length induced A-path among those of length >= ell, or None.
+    """A minimum-length induced A-path among those of length >= ell, or None."""
+    b = _as_budget(budget, "shortest_long_induced_apath")
+    return _shortest_path_until(g, vertex_mask(g, a), ell, ell, b)
+
+
+def _shortest_path_until(g: Graph, terminals: int, ell: int, stop: int, budget: _Budget) -> Path | None:
+    """The shortest induced A-path of length >= ell, or None, unless the
+    search first emits one of length <= stop, which it returns at once.
 
     Branch-and-bound over the chordless-extension search: once a path of some
-    length is found, extensions are pruned to strictly shorter candidates, and
-    a path of length exactly ell ends the search immediately.
+    length is found, extensions are pruned to strictly shorter candidates.
+    With stop = ell this is the plain shortest search. With stop = 2 * ell - 1
+    it returns find_induced_apath_in_range(g, terminals, (ell, stop)) when
+    that is not None: every path emitted before a path of length <= stop is
+    longer, so the cap stays >= stop, and the engine's pruning under such a
+    cap keeps every subtree that holds a path of length in [ell, stop]. Both
+    searches then meet the same first such path in the engine's order.
     """
-    terminals = vertex_mask(g, a)
-    b = _as_budget(budget, "shortest_long_induced_apath")
     best: list[Path] = []
 
     def emit(path: Path):
         if not best or len(path) < len(best[0]):
             best[:] = [path]
-        if len(best[0]) - 1 == ell:
+        if len(best[0]) - 1 <= stop:
             return "stop"
         return len(best[0]) - 2  # only explore strictly shorter paths
 
-    _terminal_path_dfs(g, terminals, ell, None, b, emit)
+    _terminal_path_dfs(g, terminals, ell, None, budget, emit)
     return best[0] if best else None
 
 

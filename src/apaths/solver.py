@@ -4,13 +4,18 @@ produce two small hitting sets whose ball-removal kills all of them.
 solve() mirrors the inductive proof step by step, one loop turn per step.
 Intermediate-length paths (length in [ell, 2*ell - 1]) are peeled off first
 with a radius-1 ball; once every long induced A-path has length >= 2*ell, a
-frame is grown greedily and either yields enough pairwise anti-complete
-paths directly, or its neighbourhood separates the leftover terminals so the
-loop can go on at a strictly smaller k. The frame stops growing once its 2k
-leaves pack the level's k paths; only a frame that runs out of extension
-paths before that is maximal, and only a maximal frame separates. Both cuts
-keep an induced subgraph on the original graph's vertex ids, so an inner
-level's certificate is used as it is.
+frame is grown greedily from a shortest one. A level runs the search engine
+once: the shortest long path search, stopped at its first path shorter than
+2*ell. That path is the one the middle-length search would find, and if
+there is none the search ends on the shortest long path, the frame's first
+(search._shortest_path_until has the argument). The frame either yields
+enough pairwise anti-complete paths directly, or its neighbourhood
+separates the leftover terminals so the loop can go on at a strictly
+smaller k. The frame stops growing once its 2k leaves pack the level's k
+paths; only a frame that runs out of extension paths before that is
+maximal, and only a maximal frame separates. Both cuts keep an induced
+subgraph on the original graph's vertex ids, so an inner level's
+certificate is used as it is.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
-from .frame import Frame, FrameInvariantError, build_maximal_frame, extract_frame_paths
+from .frame import Frame, FrameInvariantError, _frame_on, _grown_maximal, extract_frame_paths
 from .graph import (
     Graph,
     Path,
@@ -34,13 +39,7 @@ from .graph import (
     vertex_mask,
     walk_back,
 )
-from .search import (
-    DEFAULT_BUDGET,
-    _Budget,
-    find_induced_apath_in_range,
-    has_long_induced_apath,
-    shortest_long_induced_apath,
-)
+from .search import DEFAULT_BUDGET, _Budget, _shortest_path_until
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,9 @@ class SolveParams:
     node_budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is not int:  # a bool, a float or a string is no size
+                raise ValueError(f"need an int {name}, got {value!r}")
         if self.k < 0:
             raise ValueError(f"need k >= 0, got {self.k}")
         if self.ell < 1:
@@ -99,7 +101,9 @@ def solve(
     """Either a Packing of k paths or a Cover (z1, z2) within the size bounds,
     for the terminals a, given as vertex ids or as their mask.
 
-    One loop over levels: a level either answers, or cuts the instance to
+    One loop over levels, and one engine pass per level, which finds the
+    level's middle-length path or else its shortest long path (see the
+    module docstring). A level either answers, or cuts the instance to
     the part a peeled path or a split frame leaves, and its terminal mask to
     that part, and goes on at a smaller k, so the loop ends on every input.
     The answering level hands over the paths it packs (none at k = 0), or
@@ -119,23 +123,17 @@ def solve(
     packed: tuple[Path, ...] | None = ()  # the answering level's paths; None: an empty cover
     while params.k > 0:
         k = params.k
-        if k == 1:
-            path = shortest_long_induced_apath(g, terminals, ell, budget)
+        stop = ell if k == 1 else 2 * ell - 1
+        path = _shortest_path_until(g, terminals, ell, stop, budget)
+        if path is None or k == 1:
             packed = None if path is None else (path,)
             break
-        if not has_long_induced_apath(g, terminals, ell, budget):
-            packed = None
-            break
-
         adj = g.neighbor_masks()
-        mid = find_induced_apath_in_range(g, terminals, (ell, 2 * ell - 1), budget)
-        if mid is not None:
-            cut, used = mid, 1
-            keep = ~mask_ball(adj, to_mask(mid), -1, 1)
+        if len(path) - 1 <= stop:  # a middle-length path: peel it
+            cut, used = path, 1
+            keep = ~mask_ball(adj, to_mask(path), -1, 1)
         else:
-            cut = build_maximal_frame(g, terminals, ell, budget, observer=frame_observer, k=k)
-            if cut is None:
-                raise FrameInvariantError("a long induced A-path exists, so a frame must too")
+            cut = _grown_maximal(_frame_on(g, terminals, path, ell), frame_observer, k)
             used = cut.leaf_count // 2
             if used >= k:
                 packed = tuple(extract_frame_paths(cut)[:k])
@@ -196,9 +194,9 @@ def reduce_to_d3(g: Graph, d: int) -> PowerGraphMap:
     through the BFS layers around u, always to the least neighbour one layer
     closer to u.
     """
-    if d < 1:
+    if type(d) is int and d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    powered = power_graph(g, d)
+    powered = power_graph(g, d)  # raises GraphError on a d that is not an int
     adj = g.neighbor_masks()
     witness: dict[tuple[int, int], Path] = {}
     for u in range(g.n):

@@ -294,6 +294,28 @@ MUTANTS = (
         "-(4 << first)",
         "test_frame::TestValidateFrame::test_an_outside_vertex_sees_tree_distant_consecutive_ids",
     ),
+    # The shortest search and the solver's one pass per level.
+    Mutant(
+        "pass-stops-at-its-first-emit",
+        "apaths.search:_shortest_path_until",
+        "if len(best[0]) - 1 <= stop:",
+        "if best:",
+        "test_search::TestLengthCap::test_shortest_search_keeps_a_path_at_the_cap",
+    ),
+    Mutant(
+        "pass-cap-never-shrinks",
+        "apaths.search:_shortest_path_until",
+        "return len(best[0]) - 2",
+        "return None",
+        "test_search::TestLengthCap::test_shortest_search_keeps_a_path_at_the_cap",
+    ),
+    Mutant(
+        "pass-peels-a-path-of-length-2-ell",
+        "apaths.solver:solve",
+        "stop = ell if k == 1 else 2 * ell - 1",
+        "stop = ell if k == 1 else 2 * ell",
+        "test_solver::TestFrameStop::test_inner_level_stops_at_its_own_k",
+    ),
     # The solver's loop and its fold over the cut levels.
     Mutant(
         "packing-fold-runs-forward",
@@ -313,8 +335,8 @@ MUTANTS = (
     Mutant(
         "radius-0-peel",
         "apaths.solver:solve",
-        "keep = ~mask_ball(adj, to_mask(mid), -1, 1)",
-        "keep = ~mask_ball(adj, to_mask(mid), -1, 0)",
+        "keep = ~mask_ball(adj, to_mask(path), -1, 1)",
+        "keep = ~mask_ball(adj, to_mask(path), -1, 0)",
         "test_solver::TestSolveTraces::test_k5_cover_is_one_edge",
     ),
 )

@@ -244,6 +244,13 @@ class TestBall:
     def test_empty_set(self):
         assert ball(path_graph(3), set(), 2) == frozenset()
 
+    @pytest.mark.parametrize("r", [1.5, 2.0, True, "1"])
+    def test_a_radius_that_is_not_an_int_is_refused(self, r):
+        # A float radius never reaches 0 in the BFS loop: 1.5 once gave all
+        # six vertices of the path.
+        with pytest.raises(GraphError, match="radius must be a nonnegative int"):
+            ball(path_graph(6), {0}, r)
+
     @given(random_graphs, st.integers(0, 4), st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
     def test_monotone_and_compositional(self, g, r1, r2):
@@ -390,6 +397,12 @@ class TestPowerGraph:
 
     def test_path_diameter_collapse(self):
         assert power_graph(path_graph(5), 4) == complete_graph(5)
+
+    @pytest.mark.parametrize("d", [1.5, 2.0, True])
+    def test_a_power_that_is_not_an_int_is_refused(self, d):
+        # d = 1.5 once gave K6 on the 6-vertex path.
+        with pytest.raises(GraphError, match="power must be a positive int"):
+            power_graph(path_graph(6), d)
 
     @given(random_graphs, st.integers(1, 4))
     @settings(max_examples=50, deadline=None)

@@ -646,6 +646,9 @@ class TestLengthCap:
         # level, which gives the shortest path.
         g = Graph(12, [(0, 1), (1, 2), (2, 4), (4, 6), (6, 8), (8, 10), (1, 3), (3, 5), (5, 7), (7, 11), (3, 9)])
         assert shortest_long_induced_apath(g, {0, 10, 11}, 4) == (0, 1, 3, 5, 7, 11)
+        # Without the cap the search would also walk 2, 4, ... 11 from root
+        # 10, for 21 nodes in all.
+        assert spent(lambda b: shortest_long_induced_apath(g, {0, 10, 11}, 4, b)) == 16
 
 
 class CountingAdj(tuple):

@@ -14,6 +14,7 @@ from apaths import (
     Cover,
     FrameInvariantError,
     Graph,
+    GraphError,
     Packing,
     SolveParams,
     ball,
@@ -40,9 +41,11 @@ from apaths import (
     verify_packing,
 )
 import apaths.graph
+import apaths.search as search
 import apaths.solver as solver_module
 import reference_solver
-from apaths.search import _Budget
+from apaths.graph import to_mask
+from apaths.search import _Budget, _shortest_path_until
 from reference_solver import reference_lift_path, reference_reduce_to_d3, reference_solve
 from test_search import spent
 
@@ -76,6 +79,15 @@ class TestSolveParams:
             SolveParams(-1, 1)
         with pytest.raises(ValueError):
             SolveParams(1, 0)
+
+    @pytest.mark.parametrize(
+        "args", [(1.5, 3), (2, 2.5), (2, 3, 1e9), (2.0, 3), (True, 3), (2, True), (2, 3, True), ("2", 3)]
+    )
+    def test_refuses_sizes_that_are_not_ints(self, args):
+        # A float k once reached the solver's separation check, a float ell
+        # the engine's comparisons, and a float budget was accepted.
+        with pytest.raises(ValueError, match="need an int"):
+            SolveParams(*args)
 
 
 class TestSolveBaseCases:
@@ -241,6 +253,12 @@ class TestReduceAndLift:
     def test_d_below_one_is_refused(self):
         with pytest.raises(ValueError, match="need d >= 1"):
             reduce_to_d3(cycle(5), 0)
+
+    @pytest.mark.parametrize("d", [1.5, 2.0, True])
+    def test_d_that_is_not_an_int_is_refused(self, d):
+        # d = 1.5 once powered the 6-vertex path into K6, with 15 witnesses.
+        with pytest.raises(GraphError, match="power must be a positive int"):
+            reduce_to_d3(Graph(6, [(v, v + 1) for v in range(5)]), d)
 
     def test_lift_refuses_a_pair_that_is_not_a_power_edge(self):
         # 0 and 4 lie 4 apart on C9, beyond the power d = 3
@@ -467,15 +485,51 @@ def vertex_sets_checked():
     sets.extend(x for _, x in calls if type(x) is not int)
 
 
+def level_passes(g, a, params):
+    """The reference recursion's certificate and observed frames, and the
+    (graph, terminal mask, stop) of the one engine pass the loop runs per
+    level the recursion visits: each level's first search is a shortest
+    search at k = 1, stopping at ell, and a has_long search above, for a
+    pass that stops at 2 * ell - 1."""
+    passes = []
+
+    def first_search(name, stop):
+        real = vars(reference_solver)[name]
+
+        def spy(h, a_set, ell, budget):
+            passes.append((h, to_mask(a_set), stop))
+            return real(h, a_set, ell, budget)
+
+        return mock.patch.object(reference_solver, name, spy)
+
+    ell = params.ell
+    with first_search("shortest_long_induced_apath", ell), first_search("has_long_induced_apath", 2 * ell - 1):
+        cert, frames, _ = traced_solve(reference_solve, reference_solver, g, a, params)
+    return cert, frames, passes
+
+
 def assert_matches_recursion(g, a, params):
-    loop = traced_solve(solve, solver_module, g, a, params)
-    assert loop == traced_solve(reference_solve, reference_solver, g, a, params)
+    """The loop's certificate and frames are the recursion's, and it spends
+    the nodes of one pass per level the recursion visits, replayed here on a
+    fresh budget each; returns those nodes."""
+    cert, frames, nodes = traced_solve(solve, solver_module, g, a, params)
+    want, want_frames, passes = level_passes(g, a, params)
+    assert (cert, frames) == (want, want_frames)
+    replayed = [spent(lambda b: _shortest_path_until(h, s, params.ell, stop, b)) for h, s, stop in passes]
+    assert nodes == sum(replayed)
+    return nodes
+
+
+CATERPILLAR_RUNS = [(legs, k) for legs in range(4, 26) for k in (2, legs // 2 + 1)]
+SPIDER_RUNS = [(seed, k, ell) for seed in SPIDER_SEEDS for k in (2, 3) for ell in (1, 2, 3)]
 
 
 class TestLoopMatchesRecursion:
     """The loop over levels against the frozen recursive solve: the same
-    certificate, the same frames observed in the same order, and the same
-    nodes spent."""
+    certificate and the same frames observed in the same order. The
+    recursion runs up to three searches a level and the loop one, so the
+    loop's nodes are checked against that pass replayed per level, and
+    pinned in total on the deterministic families."""
 
     @given(random_corpus, st.integers(1, 4), st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
@@ -497,12 +551,27 @@ class TestLoopMatchesRecursion:
             for ell in (1, 2, 3):
                 assert_matches_recursion(g, a, SolveParams(k, ell))
 
+    def test_node_totals(self):
+        # The recursion spends 23,716 nodes on the caterpillar runs and
+        # 6,536 on the spider runs; one pass per level spends these.
+        caterpillars = sum(
+            traced_solve(solve, solver_module, *caterpillar_instance(legs, legs), SolveParams(k, 3))[2]
+            for legs, k in CATERPILLAR_RUNS
+        )
+        spiders = sum(
+            traced_solve(solve, solver_module, *spider_instance(seed), SolveParams(k, ell))[2]
+            for seed, k, ell in SPIDER_RUNS
+        )
+        assert (caterpillars, spiders) == (13_866, 4_748)
+
     @pytest.mark.parametrize("k", [150, 250])
     def test_many_peels(self, k):
         # 200 disjoint edges, all terminals: one middle-length peel per
-        # level, so k = 150 packs and k = 250 covers after 200 levels.
+        # level, so k = 150 packs and k = 250 covers after 200 levels. Each
+        # peel level's pass visits one root and its edge, as the recursion's
+        # middle-length search does, and the last pass has no terminal.
         g, a = Graph(400, [(v, v + 1) for v in range(0, 400, 2)]), range(400)
-        assert_matches_recursion(g, a, SolveParams(k, 1))
+        assert assert_matches_recursion(g, a, SolveParams(k, 1)) == 2 * min(k, 200)
         # The caller's set is checked once in all those levels; every level
         # hands its searches a mask, and so does the verifier.
         with vertex_sets_checked() as sets:
@@ -519,6 +588,71 @@ class TestLoopMatchesRecursion:
             with calls_of("path_mask", PATH_MASK_MODULES) as paths, calls_of("anti_complete") as pairs:
                 assert verify_packing(g, a, SolveParams(k, 1), cert.paths).passed
             assert [p for _, p in paths] == list(cert.paths) and not pairs
+
+
+def middle_or_shortest(g, a, ell):
+    """What a level's pass must return: the middle-length search's path if
+    there is one, and else the shortest long path, so None when both are."""
+    mid = find_induced_apath_in_range(g, a, (ell, 2 * ell - 1))
+    return mid if mid is not None else shortest_long_induced_apath(g, a, ell)
+
+
+@contextmanager
+def engine_passes():
+    """The graphs of the engine's passes while the block runs."""
+    real = search._terminal_path_dfs
+    graphs = []
+
+    def spy(g, *args):
+        graphs.append(g)
+        return real(g, *args)
+
+    with mock.patch.object(search, "_terminal_path_dfs", spy):
+        yield graphs
+
+
+class TestOnePassPerLevel:
+    """A level's one engine pass, the shortest search stopped at its first
+    path shorter than 2 * ell, returns the middle-length search's path when
+    there is one and else the shortest long path; solve makes no other
+    search."""
+
+    @given(random_corpus, st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_the_pass_is_the_middle_or_the_shortest_search(self, inst, ell):
+        g, a = inst
+        got = _shortest_path_until(g, to_mask(a), ell, 2 * ell - 1, _Budget(10**9, "pass"))
+        assert got == middle_or_shortest(g, a, ell)
+
+    @pytest.mark.parametrize("legs", [2, 3, 5, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_pass_on_caterpillars(self, legs, seed):
+        # Tips lie at least 16 apart: at ell 3 and 6 the pass ends on the
+        # shortest long path, at ell 9 and 12 it may stop early, and at 100
+        # it finds nothing.
+        g, a = caterpillar_instance(legs, seed)
+        for ell in (3, 6, 9, 12, 100):
+            got = _shortest_path_until(g, to_mask(a), ell, 2 * ell - 1, _Budget(10**9, "pass"))
+            assert got == middle_or_shortest(g, a, ell)
+
+    def test_a_frame_level_runs_one_pass(self):
+        # The recursion runs has_long, the middle-length search and
+        # init_frame's search before its first frame.
+        g, a = caterpillar_instance(12, 0)
+        before_frames = []
+        with engine_passes() as graphs:
+            cert = solve(g, a, SolveParams(2, 3), frame_observer=lambda fr: before_frames.append(len(graphs)))
+        assert before_frames == [1, 1, 1] and graphs == [g]
+        assert cert == reference_solve(g, a, SolveParams(2, 3))
+
+    def test_a_peel_level_runs_one_pass(self):
+        # Two induced paths of length 2 at ell 2: the first level peels one,
+        # where the recursion runs has_long and the middle-length search,
+        # and the k = 1 level packs the other.
+        g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        with engine_passes() as graphs:
+            cert = solve(g, {0, 2, 3, 5}, SolveParams(2, 2))
+        assert cert == Packing(((0, 1, 2), (3, 4, 5))) and len(graphs) == 2 and graphs[0] is g
 
 
 class TestFrameStop:
@@ -598,8 +732,8 @@ class TestBoundArithmetic:
 
 
 class TestPerCallObjects:
-    """A solve passes its middle-length range as a pair and builds each
-    level's params afresh; the verifier's removal searches take pairs too."""
+    """A solve builds each level's params afresh, and the verifier's
+    removal searches take their length range as a pair."""
 
     def test_multi_level_solve_and_verify_build_no_range_and_no_replace(self, monkeypatch):
         replaced = []
@@ -671,8 +805,8 @@ class TestSolveBudget:
 
     def test_levels_share_one_budget(self):
         # k = 2 at ell = 2 peels a middle-length path, then packs a second
-        # path in what is left: three searches over two levels, as at k = 1
-        # one shortest-path search answers.
+        # path in what is left: one pass per level, the first stopped at the
+        # middle-length path, and at k = 1 a shortest-path search.
         g, a = random_instance(10, 0.3, 0.6, 34)
         ell = 2
         mid = find_induced_apath_in_range(g, a, (ell, 2 * ell - 1))
@@ -680,10 +814,10 @@ class TestSolveBudget:
         h, _ = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
         rest = a - removed
         parts = [
-            spent(lambda b: has_long_induced_apath(g, a, ell, b)),
-            spent(lambda b: find_induced_apath_in_range(g, a, (ell, 2 * ell - 1), b)),
+            spent(lambda b: _shortest_path_until(g, to_mask(a), ell, 2 * ell - 1, b)),
             spent(lambda b: shortest_long_induced_apath(h, rest, ell, b)),
         ]
+        assert parts == [4, 5]
         total = sum(parts)
         expected = solve(g, a, SolveParams(2, ell))
         assert isinstance(expected, Packing) and expected.paths[0] == mid
