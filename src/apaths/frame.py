@@ -66,7 +66,7 @@ from .graph import (
     vertex_mask,
     walk_back,
 )
-from .search import DEFAULT_BUDGET, _as_budget, _Budget, shortest_long_induced_apath
+from .search import DEFAULT_BUDGET, _as_budget, _Budget, _need_int, shortest_long_induced_apath
 
 class FrameInvariantError(AssertionError):
     """A frame or extension path failed its invariants: upstream bug or
@@ -542,8 +542,8 @@ def build_maximal_frame(
     lemma; extraction trusts it. A k below 1 raises ValueError before any
     node is spent.
     """
-    if k is not None and k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    if k is not None:
+        _need_int("k", k, 1)
     start = init_frame(g, a, ell, _as_budget(budget, "build_maximal_frame"))
     return None if start is None else _grown_maximal(start, observer, k)
 

@@ -3,12 +3,12 @@
 An A-path is a path with at least one edge whose two endpoints lie in the
 terminal set; interior terminal vertices are allowed unless stated otherwise.
 Long induced A-path search is NP-hard in general, so every exact long-path
-query (find in a length range, shortest long path, enumeration, and the
-brute-force oracles built on them) runs one engine, _terminal_path_dfs: an
-iterative depth-first search over chordless paths from each terminal but
-the largest, which targets only the terminals above it, so each A-path is
-searched from its lesser end only. Every query takes its terminal set a
-as vertex ids or as their mask, and checks it once (graph.vertex_mask).
+query runs one engine, _terminal_path_dfs: an iterative depth-first search
+over chordless paths from each terminal but the largest, which targets only
+the terminals above it, so each A-path is searched from its lesser end
+only. find, has_long and shortest are one pass of it with a starting cap
+(_shortest_path_until). Every query takes its terminal set a as vertex ids
+or as their mask, and checks it once (graph.vertex_mask).
 
 The engine keeps vertex sets as int bitmasks. A path on its stack carries
 its free set, V minus the path and N(path - tip), so its extensions are
@@ -78,6 +78,8 @@ class _Budget:
     __slots__ = ("remaining", "limit", "where")
 
     def __init__(self, limit: int, where: str):
+        if type(limit) is not int:  # a bool, a float or a string is no node count
+            raise ValueError(f"need an int node budget, got {limit!r}")
         if limit < 1:
             raise ValueError(f"need a positive node budget, got {limit}")
         self.remaining = limit
@@ -91,10 +93,18 @@ class _Budget:
 
 
 def _as_budget(budget: int | _Budget, where: str) -> _Budget:
-    """A fresh budget of `budget` nodes, or the caller's running budget, so
+    """The caller's running budget, or a fresh one of `budget` nodes, so
     that searches made inside one oracle, solve or verify call all draw on
     the same nodes."""
-    return _Budget(budget, where) if isinstance(budget, int) else budget
+    return budget if isinstance(budget, _Budget) else _Budget(budget, where)
+
+
+def _need_int(name: str, value, least: int) -> None:
+    """Refuse value with ValueError unless it is an int (no bool) >= least."""
+    if type(value) is not int:
+        raise ValueError(f"need an int {name}, got {value!r}")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
 
 
 def exists_apath(g: Graph, a: Iterable[int] | int) -> bool:
@@ -213,7 +223,7 @@ def _terminal_path_dfs(
     g: Graph,
     terminals: int,
     lo: int,
-    accept_hi: int | None,
+    cap: int | None,
     budget: _Budget,
     emit,
     minimal: bool = False,
@@ -221,18 +231,18 @@ def _terminal_path_dfs(
     """Depth-first search over chordless paths anchored at a member of terminals.
 
     Every visited path is induced. The roots are the terminals but the
-    largest, and root s targets the terminals above it. emit(path) is called
-    whenever the tip is a target and the length falls in [lo, accept_hi], so
-    path[0] < path[-1] for every emitted path. Its return value is the new
-    cap on path length to keep exploring (None for unbounded), or the string
-    "stop" to abort. With minimal, a terminal at index f >= 1 also caps
-    every path through it, at f if f >= lo and else at f + lo - 1, since a
-    longer path holds it at distance >= lo from one end. No path beyond
-    the least of its caps and emit's is visited. Each visited path costs
-    one node, counted locally and settled into budget on every exit, so
-    emit must not spend from budget. Every length query runs here, so this
-    is the one check of its bound: lo < 1 or accept_hi below lo raises
-    ValueError before any node is spent.
+    largest, and root s targets the terminals above it. cap is the starting
+    cap on path length (None: no cap). emit(path) is called at every path
+    of length >= lo at a target, so path[0] < path[-1] for every emitted
+    path; no path longer than the cap is visited, and emit returns the new
+    cap (None: no cap), or the string "stop" to abort. With minimal, a
+    terminal at index f >= 1 also caps every path through it, at f if
+    f >= lo and else at f + lo - 1, since a longer path holds it at
+    distance >= lo from one end. Each visited path costs one node, counted
+    locally and settled into budget on every exit, so emit must not spend
+    from budget. Every length query runs here, so this is the one check of
+    its bounds: a lo or cap that is no int, lo < 1 or a cap below lo
+    raises ValueError before any node is spent.
 
     Vertex sets are int bitmasks, and adjacency is g's own
     neighbor_masks. The search is iterative, so its depth is bounded by
@@ -260,20 +270,21 @@ def _terminal_path_dfs(
     With minimal, no path past a terminal's cap, or its extension, is minimal.
     A path from root s to a terminal t < s is never emitted, but its
     reverse has the same length and was already offered from the earlier
-    root t. That changes no caller's answer: find stops at its first emit;
-    shortest keeps only strictly shorter paths, and its cap only shrinks, so
-    an extension dropped under the cap would stay dropped under a later one;
+    root t. That changes no caller's answer: the pass of every length query
+    keeps only strictly shorter paths, and its cap only shrinks, so an
+    extension dropped under the cap would stay dropped under a later one;
     enumerate keeps only path[0] < path[-1]. So every result, witness and
     visible emit order is a full search's; only fewer paths are visited and
     paid for.
     """
-    if accept_hi is not None and accept_hi < lo:
-        raise ValueError(f"empty length range [{lo}, {accept_hi}]")
+    if type(lo) is not int or cap is not None and type(cap) is not int:  # no bool or float
+        raise ValueError(f"need int length bounds, got {lo!r} and {cap!r}")
+    if cap is not None and cap < lo:
+        raise ValueError(f"empty length range [{lo}, {cap}]")
     if lo < 1:
         raise ValueError(f"need ell >= 1, got {lo}")
     adj = g.neighbor_masks()
     left = budget.remaining  # nodes are counted here, and settled into budget on every exit
-    ext_cap = accept_hi
     targets = terminals
     everything = (1 << len(adj)) - 1
     # With minimal, caps[i] is the least cap of the terminals in path[1 : i + 1], or n; the root reads caps[-1].
@@ -294,26 +305,26 @@ def _terminal_path_dfs(
                     raise BudgetExceededError(budget.limit, budget.where)
                 tip = path[-1]
                 plen = len(path) - 1
-                if targets >> tip & 1 and plen >= lo and (accept_hi is None or plen <= accept_hi):
+                if targets >> tip & 1 and plen >= lo:
                     signal = emit(tuple(path))
                     if signal == "stop":
                         return
-                    ext_cap = signal
-                cap = ext_cap
+                    cap = signal
+                limit = cap
                 if minimal:
                     term_cap = caps[plen - 1]
                     if plen and terminals >> tip & 1:
                         own = plen if plen >= lo else plen + lo - 1
                         term_cap = own if own < term_cap else term_cap
                     caps[plen] = term_cap
-                    if term_cap < (len(adj) if cap is None else cap):
-                        cap = term_cap
+                    if term_cap < (len(adj) if limit is None else limit):
+                        limit = term_cap
                 ext = 0
-                if cap is None or plen < cap:
+                if limit is None or plen < limit:
                     ext = adj[tip] & free
                     after = free ^ ext
                     if ext & (ext - 1):
-                        depth = None if cap is None else cap - plen - 1
+                        depth = None if limit is None else limit - plen - 1
                         ext = _live_extensions(adj, ext, after, targets, lo - plen, depth)
                 if ext:
                     child_free.append(after)
@@ -346,29 +357,16 @@ def find_induced_apath_in_range(
     """Some induced A-path whose length lies in the closed range (lo, hi),
     or None (exact); hi None means no upper bound."""
     lo, hi = length_range
-    return _first_path(g, vertex_mask(g, a), lo, hi, _as_budget(budget, "find_induced_apath_in_range"))
-
-
-def _first_path(g: Graph, terminals: int, lo: int, hi: int | None, budget: _Budget) -> Path | None:
-    """The first induced A-path the engine emits with length in [lo, hi], or None."""
-    found: list[Path] = []
-
-    def emit(path: Path):
-        found.append(path)
-        return "stop"
-
-    _terminal_path_dfs(g, terminals, lo, hi, budget, emit)
-    return found[0] if found else None
+    b = _as_budget(budget, "find_induced_apath_in_range")
+    return _shortest_path_until(g, vertex_mask(g, a), lo, g.n if hi is None else hi, b, hi)
 
 
 def has_long_induced_apath(
     g: Graph, a: Iterable[int] | int, ell: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> bool:
     """Exact decision: does g contain an induced A-path of length >= ell?"""
-    if ell == 1:
-        _as_budget(budget, "has_long_induced_apath")  # exists_apath spends no node, but the budget is still checked
-        return exists_apath(g, a)
-    return _first_path(g, vertex_mask(g, a), ell, None, _as_budget(budget, "has_long_induced_apath")) is not None
+    b = _as_budget(budget, "has_long_induced_apath")
+    return _shortest_path_until(g, vertex_mask(g, a), ell, g.n, b) is not None
 
 
 def shortest_long_induced_apath(
@@ -379,18 +377,20 @@ def shortest_long_induced_apath(
     return _shortest_path_until(g, vertex_mask(g, a), ell, ell, b)
 
 
-def _shortest_path_until(g: Graph, terminals: int, ell: int, stop: int, budget: _Budget) -> Path | None:
-    """The shortest induced A-path of length >= ell, or None, unless the
-    search first emits one of length <= stop, which it returns at once.
+def _shortest_path_until(
+    g: Graph, terminals: int, ell: int, stop: int, budget: _Budget, cap: int | None = None
+) -> Path | None:
+    """The shortest induced A-path of length in [ell, cap], or None, unless
+    the search first emits one of length <= stop, which it returns at once.
 
-    Branch-and-bound over the chordless-extension search: once a path of some
-    length is found, extensions are pruned to strictly shorter candidates.
-    With stop = ell this is the plain shortest search. With stop = 2 * ell - 1
-    it returns find_induced_apath_in_range(g, terminals, (ell, stop)) when
-    that is not None: every path emitted before a path of length <= stop is
-    longer, so the cap stays >= stop, and the engine's pruning under such a
-    cap keeps every subtree that holds a path of length in [ell, stop]. Both
-    searches then meet the same first such path in the engine's order.
+    Branch-and-bound: once a path is found, only strictly shorter ones are
+    sought. stop = ell gives shortest. find in (ell, hi) is stop = cap = hi,
+    and stops at its first emit, as no path beyond the cap is visited; with
+    no hi, stop = n does the same, as no path is longer than n - 1. With
+    stop = 2 * ell - 1 and no cap the pass returns find's path in (ell, stop)
+    if there is one: paths emitted before it are longer, so the cap stays
+    >= stop, and pruning under such a cap keeps every subtree holding a
+    path in [ell, stop]; both searches meet it first in the engine's order.
     """
     best: list[Path] = []
 
@@ -401,7 +401,7 @@ def _shortest_path_until(g: Graph, terminals: int, ell: int, stop: int, budget: 
             return "stop"
         return len(best[0]) - 2  # only explore strictly shorter paths
 
-    _terminal_path_dfs(g, terminals, ell, None, budget, emit)
+    _terminal_path_dfs(g, terminals, ell, cap, budget, emit)
     return best[0] if best else None
 
 
@@ -511,8 +511,7 @@ def _max_family(
     meets another's radius-r ball, and the first in lexicographic path
     order; a fresh budget is named where, after the caller, and pays for the
     enumeration and the family search."""
-    if cap < 1:
-        raise ValueError(f"need cap >= 1, got {cap}")
+    _need_int("cap", cap, 1)
     b = _as_budget(budget, where)
     paths, near = _path_masks(g, a, ell, b, r)
     size, family = _max_compatible_family(_compatibility(paths, near), cap, b)
@@ -559,8 +558,7 @@ def oracle_min_ball_cover(
     budget pays for the enumeration and one node per subset tried.
     """
     terminals = vertex_mask(g, a)
-    if r < 0:
-        raise ValueError(f"need r >= 0, got {r}")
+    _need_int("r", r, 0)
     b = _as_budget(budget, "oracle_min_ball_cover")
     paths, hit = _path_masks(g, terminals, ell, b, r)
     full = (1 << len(paths)) - 1

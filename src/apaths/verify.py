@@ -24,6 +24,7 @@ from .graph import (
 )
 from .search import (
     _Budget,
+    _need_int,
     find_induced_apath_in_range,
     oracle_max_anticomplete_packing,
     oracle_min_ball_cover,
@@ -196,10 +197,10 @@ def verify_tightness_claims(kind: str, n_or_k: int, r: int = 0) -> Report:
     of the 4(k-1) bound.
     """
     report = Report(f"tightness.{kind}")
+    _need_int("r", r, 0)
     if kind == "complete":
         n = n_or_k
-        if n < 2:
-            raise ValueError(f"need n >= 2, got {n}")
+        _need_int("n", n, 2)
         g, a = complete_instance(n)
         packing = oracle_max_anticomplete_packing(g, a, ell=1, cap=2)
         report.add("max_anticomplete_packing", packing == 1, packing)
@@ -207,6 +208,7 @@ def verify_tightness_claims(kind: str, n_or_k: int, r: int = 0) -> Report:
         report.add("min_radius0_cover", size == n - 1, (size, sorted(z)))
     elif kind == "subdivided":
         k = n_or_k
+        _need_int("k", k, 2)
         g, a = subdivided_complete_instance(k, r)
         packing = oracle_max_anticomplete_packing(g, a, ell=1, cap=k)
         report.add("max_anticomplete_packing", packing < k, packing)

@@ -1,10 +1,12 @@
 """Independent brute-force oracles for the test suite.
 
 These deliberately avoid the package's search machinery: path enumeration is
-a plain DFS over simple paths with a post-hoc chord filter (the package
-prunes chords during extension), components use union-find (the package uses
-BFS), and distances come from Floyd-Warshall (the package uses BFS). Only
-usable at very small scale, which is the point.
+a plain DFS from every terminal over simple paths, and for induced paths over
+the prefixes that have no chord in an adjacency matrix (the package keeps
+bitmask free sets, prunes by reachability and searches from one end only),
+components use union-find (the package uses BFS), and distances come from
+Floyd-Warshall (the package uses BFS). Only usable at very small scale, which
+is the point.
 """
 
 from __future__ import annotations
@@ -119,8 +121,39 @@ def simple_apaths(g: Graph, a, lo: int = 1, hi: int | None = None) -> list[tuple
 
 
 def brute_induced_apaths(g: Graph, a, lo: int = 1, hi: int | None = None) -> list[tuple[int, ...]]:
+    """The induced paths among simple_apaths(g, a, lo, hi): its DFS, which
+    extends a prefix only by a vertex with no chord to it, since a chord
+    stays in every extension."""
     adj = adjacency_matrix(g)
-    return [p for p in simple_apaths(g, a, lo, hi) if is_induced_seq(adj, p)]
+    a_set = set(a)
+    found: set[tuple[int, ...]] = set()
+    seq: list[int] = []
+    used = [False] * g.n
+
+    def dfs() -> None:
+        last = seq[-1]
+        length = len(seq) - 1
+        if length >= lo and last in a_set and length >= 1:
+            if hi is None or length <= hi:
+                t = tuple(seq)
+                found.add(t if t[0] < t[-1] else t[::-1])
+        if hi is not None and length >= hi:
+            return
+        for w in range(g.n):
+            if not used[w] and adj[last][w] and not any(adj[u][w] for u in seq[:-1]):
+                used[w] = True
+                seq.append(w)
+                dfs()
+                seq.pop()
+                used[w] = False
+
+    for s in sorted(a_set):
+        used[s] = True
+        seq.append(s)
+        dfs()
+        seq.pop()
+        used[s] = False
+    return sorted(found)
 
 
 def is_minimal_apath(p: tuple[int, ...], a, ell: int) -> bool:

@@ -40,9 +40,25 @@ MUTANTS = (
     Mutant(
         "bound-refuses-hi-equal-to-lo",
         "apaths.search:_terminal_path_dfs",
-        "accept_hi < lo:",
-        "accept_hi <= lo:",
+        "cap < lo:",
+        "cap <= lo:",
         "test_search::TestFindInRange::test_k4_single_edges",
+    ),
+    Mutant(
+        "bound-takes-a-float-ell",
+        "apaths.search:_terminal_path_dfs",
+        "type(lo) is not int or ",
+        "",
+        "test_search::test_a_non_int_argument_is_refused_before_any_node",
+        ("shortest", 2.5),
+    ),
+    Mutant(
+        "int-check-takes-a-bool",
+        "apaths.search:_need_int",
+        "if type(value) is not int:",
+        "if not isinstance(value, int):",
+        "test_search::test_a_non_int_argument_is_refused_before_any_node",
+        ("ball-cover-radius", True),
     ),
     # The liveness bound of the engine's branch points.
     Mutant(
@@ -294,7 +310,29 @@ MUTANTS = (
         "-(4 << first)",
         "test_frame::TestValidateFrame::test_an_outside_vertex_sees_tree_distant_consecutive_ids",
     ),
-    # The shortest search and the solver's one pass per level.
+    # The shortest search and the solver's one pass per level, which every
+    # length query runs.
+    Mutant(
+        "find-passes-no-cap",
+        "apaths.search:find_induced_apath_in_range",
+        "b, hi)",
+        "b)",
+        "test_search::TestFindInRange::test_a_path_beyond_hi_is_no_answer",
+    ),
+    Mutant(
+        "find-without-hi-stops-at-lo",
+        "apaths.search:find_induced_apath_in_range",
+        "g.n if hi is None",
+        "lo if hi is None",
+        "test_search::TestLengthCap::test_find_with_no_upper_bound_stops_at_its_first_path",
+    ),
+    Mutant(
+        "has-long-stops-at-ell",
+        "apaths.search:has_long_induced_apath",
+        "ell, g.n, b)",
+        "ell, ell, b)",
+        "test_search::TestLengthCap::test_has_long_stops_at_its_first_path",
+    ),
     Mutant(
         "pass-stops-at-its-first-emit",
         "apaths.search:_shortest_path_until",

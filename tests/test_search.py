@@ -52,6 +52,18 @@ random_instances = st.builds(
 )
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_brute_lists_the_simple_apaths_without_a_chord(seed):
+    # brute_induced_apaths extends only chordless prefixes; the simple
+    # A-paths filtered for chords afterwards are the same list.
+    for n, p in ((6, 0.7), (7, 0.35), (8, 0.7)):
+        g, a = random_instance(n, p, 0.7, seed)
+        matrix = brute.adjacency_matrix(g)
+        for lo, hi in ((1, None), (2, 4), (3, None)):
+            filtered = [q for q in brute.simple_apaths(g, a, lo, hi) if brute.is_induced_seq(matrix, q)]
+            assert brute.brute_induced_apaths(g, a, lo, hi) == filtered
+
+
 class TestExistsApath:
     def test_triangle_all_terminals(self):
         g, a = complete_instance(3)
@@ -145,6 +157,11 @@ class TestFindInRange:
     def test_k4_no_length_two(self):
         g, a = complete_instance(4)
         assert find_induced_apath_in_range(g, a, (2, 3)) is None
+
+    def test_a_path_beyond_hi_is_no_answer(self):
+        # The one A-path, 0-1-2-3-4, has length 4: above the range, and the
+        # shortest path of length >= 2.
+        assert find_induced_apath_in_range(path(5), {0, 4}, (2, 3)) is None
 
     def test_rejects_zero_lo(self):
         with pytest.raises(ValueError):
@@ -476,6 +493,40 @@ class TestOracleArguments:
             oracle_min_ball_cover(g, a, 1, -1)
 
 
+P6, A6 = path(6), {0, 2, 5}
+
+# Every length, cap, radius and size a query or oracle of search.py or a
+# frame builder takes, set to value.
+INT_ARGUMENTS = {
+    "find-lo": lambda v, b: find_induced_apath_in_range(P6, A6, (v, None), b),
+    "find-hi": lambda v, b: find_induced_apath_in_range(P6, A6, (1, v), b),
+    "has_long": lambda v, b: has_long_induced_apath(P6, A6, v, b),
+    "shortest": lambda v, b: shortest_long_induced_apath(P6, A6, v, b),
+    "enumerate": lambda v, b: enumerate_induced_apaths(P6, A6, v, b),
+    "enumerate-minimal": lambda v, b: enumerate_induced_apaths(P6, A6, v, b, minimal=True),
+    "witness-packing-ell": lambda v, b: max_anticomplete_packing_with_witness(P6, A6, v, 2, b),
+    "witness-packing-cap": lambda v, b: max_anticomplete_packing_with_witness(P6, A6, 2, v, b),
+    "count-packing-cap": lambda v, b: oracle_max_anticomplete_packing(P6, A6, 2, v, b),
+    "disjoint-packing-cap": lambda v, b: max_vertex_disjoint_apath_packing(P6, A6, v, b),
+    "ball-cover-ell": lambda v, b: oracle_min_ball_cover(P6, A6, v, 1, b),
+    "ball-cover-radius": lambda v, b: oracle_min_ball_cover(P6, A6, 2, v, b),
+    "init_frame": lambda v, b: init_frame(P6, A6, v, b),
+    "build_maximal_frame": lambda v, b: build_maximal_frame(P6, A6, v, b),
+    "build_maximal_frame-k": lambda v, b: build_maximal_frame(P6, A6, 2, b, k=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+@pytest.mark.parametrize("name", sorted(INT_ARGUMENTS))
+def test_a_non_int_argument_is_refused_before_any_node(name, value):
+    # A float is no length (3.0 was read as 3, 2.5 as 3 or as a radius that
+    # never reaches 0), and a bool is no size.
+    b = _Budget(100, "probe")
+    with pytest.raises(ValueError, match="need (an )?int "):
+        INT_ARGUMENTS[name](value, b)
+    assert b.remaining == b.limit
+
+
 GRID5 = Graph(
     25,
     [(5 * r + c, 5 * r + c + 1) for r in range(5) for c in range(4)]
@@ -539,6 +590,21 @@ class TestBudget:
         with pytest.raises(BudgetExceededError, match="budget of 10 nodes exhausted in shared$") as info:
             _terminal_path_dfs(g, terminals, 2, None, b, lambda p: None)
         assert (info.value.budget, info.value.where, b.remaining) == (10, "shared", -1)
+
+    @pytest.mark.parametrize("budget", [10.0**9, 2.0, True, "x"])
+    @pytest.mark.parametrize("name", sorted(BUDGETED))
+    def test_a_budget_that_is_no_int_is_refused(self, name, budget):
+        # Not a running budget, so it is handed to _Budget, which takes only
+        # an int: a float had no `remaining`, and True was one node.
+        with pytest.raises(ValueError, match="need an int node budget"):
+            BUDGETED[name](GRID5, {0, 4, 20, 24}, budget)
+
+    def test_has_long_at_ell_one_spends_engine_nodes(self):
+        # has_long is one engine pass at every ell: on path(3) at ell 1 it
+        # visits [0], [0, 1] and [0, 1, 2], so a budget of 2 trips.
+        with pytest.raises(BudgetExceededError, match="exhausted in has_long_induced_apath$"):
+            has_long_induced_apath(path(3), {0, 2}, 1, budget=2)
+        assert spent(lambda b: has_long_induced_apath(path(3), {0, 2}, 1, b)) == 3
 
     @pytest.mark.parametrize("name", sorted(BUDGETED))
     def test_has_long_budget_error_names_itself(self, name):
@@ -639,16 +705,42 @@ class TestLengthCap:
         assert call(_Budget(10**9, "probe")) == (0, 1, 3, 5, 7)
         assert spent(call) == 5
 
+    # Terminal 0 and a fork at 1: the arm 2-4-6-8-10 ends at terminal 10 (a
+    # path of length 6), the arm 3-5-7-11 at terminal 11 (length 5), and 9
+    # hangs off 3.
+    TWO_ARMS = Graph(12, [(0, 1), (1, 2), (2, 4), (4, 6), (6, 8), (8, 10), (1, 3), (3, 5), (5, 7), (7, 11), (3, 9)])
+
     def test_shortest_search_keeps_a_path_at_the_cap(self):
         # From 0 the arm 2-4-6-8-10 is found first (length 6), so the cap
         # becomes 5. At [0, 1, 3] the children 5 and 9 may take one more
         # level: 9 leads nowhere, and 5 reaches terminal 11 at exactly that
         # level, which gives the shortest path.
-        g = Graph(12, [(0, 1), (1, 2), (2, 4), (4, 6), (6, 8), (8, 10), (1, 3), (3, 5), (5, 7), (7, 11), (3, 9)])
+        g = self.TWO_ARMS
         assert shortest_long_induced_apath(g, {0, 10, 11}, 4) == (0, 1, 3, 5, 7, 11)
         # Without the cap the search would also walk 2, 4, ... 11 from root
         # 10, for 21 nodes in all.
         assert spent(lambda b: shortest_long_induced_apath(g, {0, 10, 11}, 4, b)) == 16
+
+
+    def test_find_starts_the_pass_at_its_cap(self):
+        # In (4, 5) the cap is 5 from the first node: at [0, 1] arm 2 holds
+        # no terminal within three levels and is dropped. Visited: [0],
+        # [0, 1], [0, 1, 3], [0, 1, 3, 5], [0, 1, 3, 5, 7] and the answer.
+        call = lambda b: find_induced_apath_in_range(self.TWO_ARMS, {0, 10, 11}, (4, 5), b)
+        assert call(_Budget(10**9, "probe")) == (0, 1, 3, 5, 7, 11)
+        assert spent(call) == 6
+
+    def test_find_with_no_upper_bound_stops_at_its_first_path(self):
+        # The first path emitted is the arm 2-4-6-8-10, seven nodes in; a
+        # shorter one exists, but with no upper bound any path answers.
+        call = lambda b: find_induced_apath_in_range(self.TWO_ARMS, {0, 10, 11}, (4, None), b)
+        assert call(_Budget(10**9, "probe")) == (0, 1, 2, 4, 6, 8, 10)
+        assert spent(call) == 7
+
+    def test_has_long_stops_at_its_first_path(self):
+        # The same first path answers the decision; the shortest search
+        # spends 16 nodes on this graph.
+        assert spent(lambda b: has_long_induced_apath(self.TWO_ARMS, {0, 10, 11}, 4, b)) == 7
 
 
 class CountingAdj(tuple):

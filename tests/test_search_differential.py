@@ -66,7 +66,7 @@ instances = st.builds(
 )
 
 
-def reference_on_mask(g, terminals, lo, accept_hi, budget, emit, minimal=False):
+def reference_on_mask(g, terminals, lo, cap, budget, emit, minimal=False):
     """reference_terminal_path_dfs behind the engine's signature: the
     terminal mask is turned back into a set, and minimal filters the full
     search's emits with brute.is_minimal_apath."""
@@ -77,7 +77,7 @@ def reference_on_mask(g, terminals, lo, accept_hi, budget, emit, minimal=False):
         def emit(path):
             return full_emit(path) if is_minimal_apath(path, a_set, lo) else None
 
-    return reference_terminal_path_dfs(g, a_set, lo, accept_hi, budget, emit)
+    return reference_terminal_path_dfs(g, a_set, lo, cap, budget, emit)
 
 
 def both_engines(call):

@@ -330,6 +330,16 @@ class TestTightness:
         with pytest.raises(ValueError, match="need n >= 2"):
             verify_tightness_claims("complete", n)
 
+    @pytest.mark.parametrize(
+        "kind, n_or_k, r",
+        [("complete", 3.0, 0), ("complete", True, 0), ("complete", 3, 1.5),
+         ("subdivided", 2.0, 1), ("subdivided", 2, 1.0), ("subdivided", 2, True)],
+    )
+    def test_a_size_or_radius_that_is_no_int_is_refused(self, kind, n_or_k, r):
+        # 3.0 reached range() as a size; a bool is no size or radius.
+        with pytest.raises(ValueError, match="need an int "):
+            verify_tightness_claims(kind, n_or_k, r)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             verify_tightness_claims("moebius", 3)
