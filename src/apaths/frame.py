@@ -57,6 +57,7 @@ from .graph import (
     Path,
     VertexSet,
     _chordless,
+    _need_int,
     mask_ball,
     mask_layers,
     mask_members,
@@ -66,7 +67,7 @@ from .graph import (
     vertex_mask,
     walk_back,
 )
-from .search import DEFAULT_BUDGET, _as_budget, _Budget, _need_int, shortest_long_induced_apath
+from .search import DEFAULT_BUDGET, _as_budget, _Budget, shortest_long_induced_apath
 
 class FrameInvariantError(AssertionError):
     """A frame or extension path failed its invariants: upstream bug or
@@ -202,14 +203,16 @@ def _check_spanning_subcubic_tree(tree: Sequence[int], edges: Collection[tuple[i
 
 
 def _check_inside_host(fr: Frame) -> list[Violation]:
-    """A1 violations: tree or terminal ids outside the host. Read from the
-    raw fields, as a negative id is not a bit position; no derived mask may
-    be touched until this comes back empty."""
+    """A1 violations: tree or terminal ids outside the host, or no int. Read
+    from the raw fields, as a negative id is not a bit position; no derived
+    mask may be touched until this comes back empty. The witness is the
+    least bad int id, else the first id that is no int."""
     viol = []
     for what, vertices in (("frame vertex", chain.from_iterable(fr.tree_edges)), ("terminal", fr.terminals)):
-        bad = [v for v in vertices if not (0 <= v < fr.host.n)]
+        bad = [v for v in vertices if type(v) is not int or not 0 <= v < fr.host.n]
         if bad:
-            viol.append(Violation("A1", min(bad), f"{what} outside the host graph"))
+            ints = [v for v in bad if type(v) is int]
+            viol.append(Violation("A1", min(ints) if ints else bad[0], f"{what} outside the host graph"))
     return viol
 
 
@@ -602,16 +605,16 @@ def _pair_leaves(tree: Sequence[int], leaf_mask: int) -> list[Path]:
 def leaf_paths(tree_edges: Iterable[tuple[int, int]], leaves: Iterable[int]) -> list[Path]:
     """floor(p/2) pairwise vertex-disjoint leaf-to-leaf paths of a subcubic tree.
 
-    The edges, on nonnegative ids (bit positions, so the cost grows with the
+    The edges, on nonnegative int ids (bit positions, so the cost grows with the
     largest id), must pass A2's spanning subcubic tree check (a repeated edge
     fails its edge count), and the leaves must be the degree-1 vertices;
     anything else raises ValueError. Then _pair_leaves pairs the leaves.
     """
-    edges = list(tree_edges)
-    vertices = frozenset(v for e in edges for v in e)
+    edges, leaves = list(tree_edges), list(leaves)
+    if any(type(v) is not int or v < 0 for v in chain(chain.from_iterable(edges), leaves)):
+        raise ValueError("tree vertex ids must be nonnegative ints")
+    vertices = frozenset(chain.from_iterable(edges))
     leaf_set = frozenset(leaves)
-    if min(vertices | leaf_set, default=0) < 0:
-        raise ValueError("tree vertex ids must be nonnegative")
     tree = _tree_masks(max(vertices, default=-1) + 1, edges)
     violations = _check_spanning_subcubic_tree(tree, edges)
     if violations:

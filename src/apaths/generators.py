@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import random
 
-from .graph import Graph, VertexSet
+from .graph import Graph, VertexSet, _need_int
 
 
 def complete_instance(n: int) -> tuple[Graph, VertexSet]:
     """K_n with every vertex a terminal."""
+    _need_int("n", n, 0)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph(n, edges), frozenset(range(n))
 
@@ -24,10 +25,8 @@ def subdivided_complete_instance(k: int, r: int) -> tuple[Graph, VertexSet]:
     subdivided edge follow in edge-lexicographic order, oriented from the
     lower branch endpoint to the higher.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+    _need_int("k", k, 2)
+    _need_int("r", r, 1)
     b = 2 * k - 1
     edges = []
     next_id = b
@@ -46,6 +45,7 @@ def random_instance(
     n: int, edge_prob: float, a_prob: float, seed: int
 ) -> tuple[Graph, VertexSet]:
     """Erdos-Renyi style graph with Bernoulli terminal membership."""
+    _need_int("n", n, 0)
     rng = random.Random(seed)
     edges = [
         (u, v)
@@ -63,8 +63,7 @@ def random_subcubic_tree(n: int, seed: int) -> tuple[list[tuple[int, int]], Vert
     Vertex i >= 1 attaches to a uniformly chosen earlier vertex of current
     degree at most 2, so the degree cap is never exceeded.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _need_int("n", n, 1)
     rng = random.Random(seed)
     degree = [0] * n
     edges: list[tuple[int, int]] = []
@@ -88,8 +87,7 @@ def caterpillar_instance(legs: int, seed: int) -> tuple[Graph, VertexSet]:
     these instances pack k paths iff k <= legs // 2. Spine ids come first,
     then each leg's vertices from its attachment outwards.
     """
-    if legs < 2:
-        raise ValueError(f"need legs >= 2, got {legs}")
+    _need_int("legs", legs, 2)
     rng = random.Random(seed)
     attach = [0]
     for _ in range(legs - 1):

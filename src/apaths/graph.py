@@ -15,7 +15,8 @@ vertex_mask, path_mask, to_mask, mask_members and mask_neighbors are the
 set operations, and mask_ball is the BFS; mask_layers keeps its layers, and
 walk_back turns them into a shortest path, stepping to the least neighbour
 one layer closer. ball, dist, components and power_graph are calls on them.
-A caller's vertex set (ids or a mask) or path is checked once, into a mask.
+A caller's vertex set (ids or a mask) or path is checked once, into a mask,
+and every size, length, radius or budget of the package by _need_int.
 """
 
 from __future__ import annotations
@@ -34,17 +35,24 @@ class GraphError(ValueError):
     """Raised when a graph or one of its arguments is malformed."""
 
 
+def _need_int(name: str, value, least: int) -> None:
+    """Refuse value with GraphError unless it is an int (no bool) >= least."""
+    if type(value) is not int:
+        raise GraphError(f"need an int {name}, got {value!r}")
+    if value < least:
+        raise GraphError(f"need {name} >= {least}, got {value}")
+
+
 class Graph:
     """A simple undirected graph on vertices 0..n-1."""
 
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
-        if n < 0:
-            raise GraphError(f"vertex count must be nonnegative, got {n}")
+        _need_int("n", n, 0)
         adj = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
@@ -74,8 +82,8 @@ class Graph:
 
     def _vertex(self, v: int) -> int:
         """v, checked to be a vertex of the graph."""
-        if not 0 <= v < self.n:
-            raise GraphError(f"vertex {v} not in graph with {self.n} vertices")
+        if type(v) is not int or not 0 <= v < self.n:
+            raise GraphError(f"vertex {v!r} not in graph with {self.n} vertices")
         return v
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -122,11 +130,14 @@ def vertex_mask(g: Graph, x: Iterable[int] | int) -> int:
         if x < 0 or x >> g.n:
             raise GraphError(f"mask {x:#x} is not a vertex set of a graph with {g.n} vertices")
         return x
-    mask = 0
-    for v in x:
-        if not (0 <= v < g.n):
-            raise GraphError(f"vertex {v} not in graph with {g.n} vertices")
-        mask |= 1 << v
+    n, mask = g.n, 0
+    try:
+        for v in x:
+            if type(v) is not int or not 0 <= v < n:
+                raise GraphError(f"vertex {v!r} not in graph with {n} vertices")
+            mask |= 1 << v
+    except TypeError:  # x is no iterable
+        raise GraphError(f"{x!r} is neither a vertex mask nor vertex ids") from None
     return mask
 
 
@@ -215,8 +226,7 @@ def walk_back(adj: Sequence[int], layers: Sequence[int], end: int) -> Path:
 
 def ball(g: Graph, x: Iterable[int] | int, r: int) -> VertexSet:
     """All vertices at distance at most r from the set x (the closed ball N[x, r])."""
-    if type(r) is not int or r < 0:
-        raise GraphError(f"radius must be a nonnegative int, got {r!r}")
+    _need_int("r", r, 0)
     return frozenset(mask_members(mask_ball(g.neighbor_masks(), vertex_mask(g, x), -1, r)))
 
 
@@ -267,7 +277,7 @@ def path_mask(g: Graph, p: Path) -> int:
     """The vertex mask of p if is_path(g, p), and 0 otherwise."""
     adj, mask = g.neighbor_masks(), 0
     for i, v in enumerate(p):
-        if not (0 <= v < g.n and (i == 0 or adj[p[i - 1]] >> v & 1)):
+        if type(v) is not int or not (0 <= v < g.n and (i == 0 or adj[p[i - 1]] >> v & 1)):
             return 0
         mask |= 1 << v
     return mask if mask.bit_count() == len(p) else 0
@@ -292,7 +302,6 @@ def _chordless(adj: Sequence[int], p: Path, on_p: int) -> bool:
 
 def power_graph(g: Graph, d: int) -> Graph:
     """The d-th power of g: same vertices, edges between all pairs at distance 1..d."""
-    if type(d) is not int or d < 1:
-        raise GraphError(f"power must be a positive int, got {d!r}")
+    _need_int("d", d, 1)
     adj = g.neighbor_masks()
     return Graph._from_masks(mask_ball(adj, 1 << u, -1, d) ^ 1 << u for u in range(g.n))

@@ -51,6 +51,7 @@ from .graph import (
     Path,
     VertexSet,
     _chordless,
+    _need_int,
     mask_ball,
     mask_layers,
     mask_members,
@@ -78,10 +79,7 @@ class _Budget:
     __slots__ = ("remaining", "limit", "where")
 
     def __init__(self, limit: int, where: str):
-        if type(limit) is not int:  # a bool, a float or a string is no node count
-            raise ValueError(f"need an int node budget, got {limit!r}")
-        if limit < 1:
-            raise ValueError(f"need a positive node budget, got {limit}")
+        _need_int("node budget", limit, 1)
         self.remaining = limit
         self.limit = limit
         self.where = where
@@ -97,14 +95,6 @@ def _as_budget(budget: int | _Budget, where: str) -> _Budget:
     that searches made inside one oracle, solve or verify call all draw on
     the same nodes."""
     return budget if isinstance(budget, _Budget) else _Budget(budget, where)
-
-
-def _need_int(name: str, value, least: int) -> None:
-    """Refuse value with ValueError unless it is an int (no bool) >= least."""
-    if type(value) is not int:
-        raise ValueError(f"need an int {name}, got {value!r}")
-    if value < least:
-        raise ValueError(f"need {name} >= {least}, got {value}")
 
 
 def exists_apath(g: Graph, a: Iterable[int] | int) -> bool:
@@ -277,12 +267,9 @@ def _terminal_path_dfs(
     visible emit order is a full search's; only fewer paths are visited and
     paid for.
     """
-    if type(lo) is not int or cap is not None and type(cap) is not int:  # no bool or float
-        raise ValueError(f"need int length bounds, got {lo!r} and {cap!r}")
-    if cap is not None and cap < lo:
-        raise ValueError(f"empty length range [{lo}, {cap}]")
-    if lo < 1:
-        raise ValueError(f"need ell >= 1, got {lo}")
+    _need_int("ell", lo, 1)
+    if cap is not None:
+        _need_int("cap", cap, lo)
     adj = g.neighbor_masks()
     left = budget.remaining  # nodes are counted here, and settled into budget on every exit
     targets = terminals

@@ -29,6 +29,7 @@ from .graph import (
     Path,
     VertexSet,
     _kept_subgraph,
+    _need_int,
     mask_ball,
     mask_layers,
     mask_members,
@@ -49,15 +50,8 @@ class SolveParams:
     node_budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if type(value) is not int:  # a bool, a float or a string is no size
-                raise ValueError(f"need an int {name}, got {value!r}")
-        if self.k < 0:
-            raise ValueError(f"need k >= 0, got {self.k}")
-        if self.ell < 1:
-            raise ValueError(f"need ell >= 1, got {self.ell}")
-        if self.node_budget < 1:
-            raise ValueError(f"need a positive node budget, got {self.node_budget}")
+        for name, value, least in (("k", self.k, 0), ("ell", self.ell, 1), ("node budget", self.node_budget, 1)):
+            _need_int(name, value, least)
 
     @property
     def ell_hat(self) -> int:
@@ -194,9 +188,7 @@ def reduce_to_d3(g: Graph, d: int) -> PowerGraphMap:
     through the BFS layers around u, always to the least neighbour one layer
     closer to u.
     """
-    if type(d) is int and d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    powered = power_graph(g, d)  # raises GraphError on a d that is not an int
+    powered = power_graph(g, d)
     adj = g.neighbor_masks()
     witness: dict[tuple[int, int], Path] = {}
     for u in range(g.n):

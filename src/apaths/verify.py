@@ -8,8 +8,9 @@ exactly what broke instead of returning a bare boolean.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .generators import complete_instance, subdivided_complete_instance
 from .graph import (
@@ -18,13 +19,13 @@ from .graph import (
     Path,
     _chordless,
     _kept_subgraph,
+    _need_int,
     mask_ball,
     path_mask,
     vertex_mask,
 )
 from .search import (
     _Budget,
-    _need_int,
     find_induced_apath_in_range,
     oracle_max_anticomplete_packing,
     oracle_min_ball_cover,
@@ -91,7 +92,7 @@ def verify_packing(
         report.add(f"path[{i}].induced", _chordless(adj, p, masks[i]), p)
         report.add(
             f"path[{i}].endpoints_in_terminals",
-            len(p) >= 2 and all(0 <= v < g.n and terminals >> v & 1 for v in (p[0], p[-1])),
+            len(p) >= 2 and all(type(v) is int and 0 <= v < g.n and terminals >> v & 1 for v in (p[0], p[-1])),
             (p[0], p[-1]) if p else (),
         )
         report.add(f"path[{i}].length", len(p) - 1 >= params.ell, len(p) - 1)
@@ -135,18 +136,23 @@ def verify_cover(
     One budget of params.node_budget nodes bounds the distinct removal
     searches together. a, z1 and z2 are vertex ids or their masks. A z1 or
     z2 that is no vertex set of g fails one check instead of its size check,
-    z1.in_graph or z2.in_graph, with its ids outside g (or the mask) as the
-    witness, and then no removal is searched.
+    z1.in_graph or z2.in_graph, with its entries that are no vertex of g (or
+    the mask, or the argument itself) as the witness, and then no removal is
+    searched.
     """
     terminals = vertex_mask(g, a)
     report = Report("cover")
     masks = []
     for name, z, limit in (("z1", z1, params.z1_limit()), ("z2", z2, params.z2_limit())):
-        z = tuple(z) if type(z) is not int and iter(z) is z else z  # an iterator is read once
+        z = tuple(z) if isinstance(z, Iterator) else z  # an iterator is read once
         try:
             mask = vertex_mask(g, z)
         except GraphError:
-            outside = z if type(z) is int else sorted(v for v in z if not 0 <= v < g.n)
+            if type(z) is int or not isinstance(z, Iterable):
+                outside = z
+            else:
+                outside = sorted(v for v in z if type(v) is int and not 0 <= v < g.n)
+                outside += [v for v in z if type(v) is not int]
             report.add(f"{name}.in_graph", False, outside)
             continue
         masks.append(mask)

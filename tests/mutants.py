@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 class Mutant(NamedTuple):
     name: str
-    function: str  # "module:function", e.g. "apaths.search:_terminal_path_dfs"
+    function: str  # "module:function" or "module:Class.method", e.g. "apaths.search:_terminal_path_dfs"
     snippet: str  # occurs exactly once in the function's source
     replacement: str
     killer: str
@@ -33,32 +33,64 @@ MUTANTS = (
     Mutant(
         "bound-accepts-lo-0",
         "apaths.search:_terminal_path_dfs",
-        "if lo < 1:",
-        "if lo < 0:",
+        '_need_int("ell", lo, 1)',
+        '_need_int("ell", lo, 0)',
         "test_search::TestFindInRange::test_rejects_zero_lo",
     ),
     Mutant(
         "bound-refuses-hi-equal-to-lo",
         "apaths.search:_terminal_path_dfs",
-        "cap < lo:",
-        "cap <= lo:",
+        '_need_int("cap", cap, lo)',
+        '_need_int("cap", cap, lo + 1)',
         "test_search::TestFindInRange::test_k4_single_edges",
     ),
     Mutant(
         "bound-takes-a-float-ell",
         "apaths.search:_terminal_path_dfs",
-        "type(lo) is not int or ",
-        "",
+        '_need_int("ell", lo, 1)',
+        "pass",
         "test_search::test_a_non_int_argument_is_refused_before_any_node",
         ("shortest", 2.5),
     ),
+    # The one check of a size, and of a vertex id.
     Mutant(
         "int-check-takes-a-bool",
-        "apaths.search:_need_int",
+        "apaths.graph:_need_int",
         "if type(value) is not int:",
         "if not isinstance(value, int):",
         "test_search::test_a_non_int_argument_is_refused_before_any_node",
         ("ball-cover-radius", True),
+    ),
+    Mutant(
+        "graph-takes-a-float-size",
+        "apaths.graph:Graph.__init__",
+        '_need_int("n", n, 0)',
+        "pass",
+        "test_generators::test_a_size_that_is_not_an_int_is_refused",
+        ("Graph", True),
+    ),
+    Mutant(
+        "caterpillar-takes-one-leg",
+        "apaths.generators:caterpillar_instance",
+        '_need_int("legs", legs, 2)',
+        "pass",
+        "test_generators::test_a_size_below_its_least_value_is_refused",
+        ("caterpillar_instance",),
+    ),
+    Mutant(
+        "vertex-set-takes-a-float-id",
+        "apaths.graph:vertex_mask",
+        "type(v) is not int or ",
+        "",
+        "test_graph::TestGraphConstruction::test_a_vertex_set_is_a_mask_or_int_ids",
+        ([0, True],),
+    ),
+    Mutant(
+        "path-takes-a-float-id",
+        "apaths.graph:path_mask",
+        "type(v) is not int or ",
+        "",
+        "test_graph::TestComponentsAndPaths::test_invalid_sequences",
     ),
     # The liveness bound of the engine's branch points.
     Mutant(

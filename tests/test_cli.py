@@ -104,7 +104,7 @@ class TestParseGraph:
         assert (g, parsed) == (g0, members)
         assert emit_graph(g, parsed) == text
 
-    @pytest.mark.parametrize("a", [{5}, {-1}, 0b1000])
+    @pytest.mark.parametrize("a", [{5}, {-1}, 0b1000, {1.0}, {True}, None])
     def test_emit_refuses_terminals_outside_the_graph(self, a):
         with pytest.raises(GraphError):
             emit_graph(Graph(3, [(0, 1)]), a)

@@ -76,9 +76,9 @@ class TestInitFrame:
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_is_refused(self, budget):
         g, a = pendant_instance()
-        with pytest.raises(ValueError, match="need a positive node budget"):
+        with pytest.raises(ValueError, match="need node budget >= 1"):
             init_frame(g, a, 3, budget)
-        with pytest.raises(ValueError, match="need a positive node budget"):
+        with pytest.raises(ValueError, match="need node budget >= 1"):
             build_maximal_frame(g, a, 3, budget)
 
     def test_subdivided_k3(self):
@@ -142,6 +142,19 @@ class TestValidateFrame:
         for edge, bad in (((-1, 0), -1), ((6, 7), 7)):
             broken = replace(fr, tree_edges=fr.tree_edges | {edge})
             expected = [Violation("A1", bad, "frame vertex outside the host graph")]
+            assert validate_frame(broken) == check_frame_claims(broken) == expected
+
+    @pytest.mark.parametrize("bad", [7.0, True, "x", None])
+    def test_an_id_that_is_no_int_names_a1(self, bad):
+        # Such an id is no vertex, a bool included, so it is an A1
+        # violation, whether it names a tree vertex or a terminal; 7.0 once
+        # raised a TypeError from a mask, and True was read as vertex 1.
+        fr = init_frame(path_graph(7), {0, 6}, 3)
+        for what, broken in (
+            ("frame vertex", replace(fr, tree_edges=fr.tree_edges | {(6, bad)})),
+            ("terminal", replace(fr, terminals=fr.terminals | {bad})),
+        ):
+            expected = [Violation("A1", bad, f"{what} outside the host graph")]
             assert validate_frame(broken) == check_frame_claims(broken) == expected
 
     def test_chords_in_f_break_size_y(self):
@@ -523,6 +536,10 @@ class TestLeafPaths:
         ([(-1, 0), (0, 1)], [-1, 1]),
         ([(-5, 0)], [-5, 0]),
         ([(0, 1), (1, 2), (0, 2), (3, 4)], [3, 4]),  # right edge count, not connected
+        ([(0, 1.0)], [0, 1.0]),  # ids that are no ints
+        ([(0, 1)], [0, True]),
+        ([(True, 0)], [True, 0]),
+        ([("a", 0)], ["a", 0]),
     ])
     def test_rejects_malformed_input(self, edges, leaves):
         with pytest.raises(ValueError):

@@ -3,12 +3,41 @@ from hypothesis import given, settings, strategies as st
 
 from apaths import (
     Graph,
+    GraphError,
     caterpillar_instance,
     complete_instance,
     random_instance,
     random_subcubic_tree,
     subdivided_complete_instance,
 )
+
+
+# Every size Graph and the generators take, with its least value.
+SIZES = {
+    "Graph": (lambda v: Graph(v, []), 0),
+    "complete_instance": (lambda v: complete_instance(v), 0),
+    "subdivided_complete_instance-k": (lambda v: subdivided_complete_instance(v, 1), 2),
+    "subdivided_complete_instance-r": (lambda v: subdivided_complete_instance(2, v), 1),
+    "random_instance": (lambda v: random_instance(v, 0.5, 0.5, 0), 0),
+    "random_subcubic_tree": (lambda v: random_subcubic_tree(v, 0), 1),
+    "caterpillar_instance": (lambda v: caterpillar_instance(v, 0), 2),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+@pytest.mark.parametrize("name", sorted(SIZES))
+def test_a_size_that_is_not_an_int_is_refused(name, value):
+    # True was a graph on one vertex, and a float or a string failed with a
+    # TypeError from range().
+    with pytest.raises(GraphError, match="need an int "):
+        SIZES[name][0](value)
+
+
+@pytest.mark.parametrize("name", sorted(SIZES))
+def test_a_size_below_its_least_value_is_refused(name):
+    call, least = SIZES[name]
+    with pytest.raises(GraphError, match=f"need [a-z]+ >= {least}, got {least - 1}$"):
+        call(least - 1)
 
 
 class TestCompleteInstance:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import deque
 
 import pytest
@@ -19,7 +20,16 @@ from apaths import (
     power_graph,
     random_instance,
 )
-from apaths.graph import _kept_subgraph, mask_ball, mask_layers, mask_members, mask_neighbors, path_mask, to_mask
+from apaths.graph import (
+    _kept_subgraph,
+    mask_ball,
+    mask_layers,
+    mask_members,
+    mask_neighbors,
+    path_mask,
+    to_mask,
+    vertex_mask,
+)
 from apaths.search import (
     _Budget,
     enumerate_induced_apaths,
@@ -72,10 +82,20 @@ class TestGraphConstruction:
             lambda: ball(path_graph(3), 1 << 3, 1),  # bit n of a mask
             lambda: ball(path_graph(3), [0], -1),
             lambda: power_graph(path_graph(3), 0),
+            # An id that is no int is no vertex, nor is a bool.
+            lambda: Graph(3, [(0, 1.0)]),
+            lambda: Graph(3, [(True, 2)]),
+            lambda: ball(path_graph(3), [1.0], 1),
+            lambda: dist(path_graph(3), [0], [2.0]),
+            lambda: anti_complete(path_graph(3), [0], [True]),
+            lambda: induced_subgraph(path_graph(3), [0, 1.0]),
+            lambda: has_long_induced_apath(path_graph(3), [0, 2.0], 1),
         ],
         ids=[
             "negative-count", "vertex-out-of-range", "negative-vertex", "negative-mask",
             "mask-bit-out-of-range", "negative-radius", "power-zero",
+            "float-edge-end", "bool-edge-end", "ball-float", "dist-float", "anti_complete-bool",
+            "induced_subgraph-float", "has_long-float",
         ],
     )
     def test_bad_arguments_are_graph_errors(self, call):
@@ -87,12 +107,18 @@ class TestGraphConstruction:
             ball(path_graph(3), [0, -1], 1)
 
     def test_a_bool_is_no_vertex_set(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(GraphError):
             ball(path_graph(3), True, 1)
 
-    @pytest.mark.parametrize("v", [-1, -3, 3, 7])
+    @pytest.mark.parametrize("x", [True, 3.0, None, "ab", [None], [1.0], [0, True]])
+    def test_a_vertex_set_is_a_mask_or_int_ids(self, x):
+        with pytest.raises(GraphError, match="not in graph|neither a vertex mask nor vertex ids"):
+            vertex_mask(path_graph(3), x)
+
+    @pytest.mark.parametrize("v", [-1, -3, 3, 7, 1.0, True, "1"])
     def test_an_accessor_names_a_bad_id(self, v):
-        # An id outside 0..n-1, negative or not, is named, never read as another vertex.
+        # An id outside 0..n-1, negative or not, or one that is no int, is
+        # named, never read as another vertex.
         g = Graph(3, [(1, 2)])
         for call in (
             lambda: g.has_edge(v, 1),
@@ -101,7 +127,7 @@ class TestGraphConstruction:
             lambda: g.neighbor_set(v),
             lambda: g.degree(v),
         ):
-            with pytest.raises(GraphError, match=f"vertex {v} not in graph with 3 vertices"):
+            with pytest.raises(GraphError, match=re.escape(f"vertex {v!r} not in graph with 3 vertices")):
                 call()
 
     def test_adjacency_sorted_and_symmetric(self):
@@ -244,11 +270,11 @@ class TestBall:
     def test_empty_set(self):
         assert ball(path_graph(3), set(), 2) == frozenset()
 
-    @pytest.mark.parametrize("r", [1.5, 2.0, True, "1"])
+    @pytest.mark.parametrize("r", [1.5, 2.0, True, "1", None])
     def test_a_radius_that_is_not_an_int_is_refused(self, r):
         # A float radius never reaches 0 in the BFS loop: 1.5 once gave all
         # six vertices of the path.
-        with pytest.raises(GraphError, match="radius must be a nonnegative int"):
+        with pytest.raises(GraphError, match="need an int r, got"):
             ball(path_graph(6), {0}, r)
 
     @given(random_graphs, st.integers(0, 4), st.integers(0, 4))
@@ -384,6 +410,9 @@ class TestComponentsAndPaths:
         assert [path_mask(g, p) for p in [(0, 1, 0), (1, 2, 1), (-1, 0), (3, 4), (2,), (3, 2, 1)]] == [
             0, 0, 0, 0, 0b100, 0b1110
         ]
+        # An id that is no int, a bool included, makes no path.
+        for p in [(0, 1.0), (True, 2), (2.0,), ("a",), (0, None)]:
+            assert path_mask(g, p) == 0 and not is_path(g, p) and not is_induced_path(g, p)
 
 
 class TestPowerGraph:
@@ -398,10 +427,10 @@ class TestPowerGraph:
     def test_path_diameter_collapse(self):
         assert power_graph(path_graph(5), 4) == complete_graph(5)
 
-    @pytest.mark.parametrize("d", [1.5, 2.0, True])
+    @pytest.mark.parametrize("d", [1.5, 2.0, True, "2", None])
     def test_a_power_that_is_not_an_int_is_refused(self, d):
         # d = 1.5 once gave K6 on the 6-vertex path.
-        with pytest.raises(GraphError, match="power must be a positive int"):
+        with pytest.raises(GraphError, match="need an int d, got"):
             power_graph(path_graph(6), d)
 
     @given(random_graphs, st.integers(1, 4))

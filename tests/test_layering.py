@@ -6,7 +6,8 @@ package, and are exempt.
 
 The references that judge a rewrite take nothing of the code under test
 from the package: tests/reference_frame.py only the frame's data types,
-tests/brute.py only Graph and GraphError."""
+tests/brute.py only Graph and GraphError. And graph.py alone defines the
+check of a size, _need_int, and words its refusal."""
 
 import ast
 from pathlib import Path
@@ -114,3 +115,25 @@ def late():
         ("apaths", "*"), ("apaths", "Graph"), ("apaths.frame", "Frame"),
         ("apaths.frame", "validate_frame"), ("apaths.search", "*"),
     ]
+
+
+def size_check_sites(source: str, filename: str) -> list[str]:
+    """'file:line what' for every definition of _need_int and every string
+    literal, f-string parts included, that holds "need an int"."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_need_int":
+            found.append(f"{filename}:{node.lineno} def")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and "need an int" in node.value:
+            found.append(f"{filename}:{node.lineno} text")
+    return found
+
+
+def test_sizes_are_checked_in_graph_only():
+    # graph._need_int is the one check of a size, a length, a radius or a
+    # budget: every other module calls it and words no refusal of its own.
+    found = [
+        hit for path in sorted(SRC.glob("*.py")) for hit in size_check_sites(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert {hit.split()[1] for hit in found if hit.startswith("graph.py:")} == {"def", "text"}
+    assert [hit for hit in found if not hit.startswith("graph.py:")] == []

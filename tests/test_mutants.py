@@ -3,6 +3,7 @@
 import __future__
 import importlib
 import inspect
+import textwrap
 
 import pytest
 
@@ -14,8 +15,10 @@ def mutated_code(mutant: Mutant):
     compiled at the function's own file and line numbers."""
     module_name, name = mutant.function.split(":")
     module = importlib.import_module(module_name)
-    function = getattr(module, name)
-    source = inspect.getsource(function)
+    function = module
+    for part in name.split("."):  # "Class.method" names a method
+        function = getattr(function, part)
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(mutant.snippet) == 1, (
         f"mutant {mutant.name}: {mutant.snippet!r} does not occur exactly once in {mutant.function}"
     )
@@ -26,7 +29,7 @@ def mutated_code(mutant: Mutant):
     )
     namespace = dict(vars(module))  # a copy, so the module keeps its own binding
     exec(code, namespace)
-    return function, namespace[name].__code__
+    return function, namespace[part].__code__
 
 
 def killer(mutant: Mutant):

@@ -95,6 +95,11 @@ class TestSolveBaseCases:
         g, a = complete_instance(4)
         assert solve(g, a, SolveParams(0, 1)) == Packing(())
 
+    @pytest.mark.parametrize("bad", [1.0, True, "1"])
+    def test_a_terminal_that_is_no_int_is_refused(self, bad):
+        with pytest.raises(GraphError, match="not in graph"):
+            solve(complete_instance(4)[0], {0, bad}, SolveParams(1, 1))
+
     def test_no_long_path_gives_empty_cover(self):
         g = Graph(3, [])
         cert = solve(g, {0, 1}, SolveParams(2, 1))
@@ -257,7 +262,7 @@ class TestReduceAndLift:
     @pytest.mark.parametrize("d", [1.5, 2.0, True])
     def test_d_that_is_not_an_int_is_refused(self, d):
         # d = 1.5 once powered the 6-vertex path into K6, with 15 witnesses.
-        with pytest.raises(GraphError, match="power must be a positive int"):
+        with pytest.raises(GraphError, match="need an int d, got"):
             reduce_to_d3(Graph(6, [(v, v + 1) for v in range(5)]), d)
 
     def test_lift_refuses_a_pair_that_is_not_a_power_edge(self):
@@ -266,7 +271,9 @@ class TestReduceAndLift:
         with pytest.raises(ValueError, match="is not an edge of the powered graph"):
             lift_path(pmap, (0, 4))
 
-    @pytest.mark.parametrize("p_h", [(), (-1, 2), (2, -1), (0, 9), (99,), (-1,), (0, 3, 0), (0, 3, 6, 3)])
+    @pytest.mark.parametrize(
+        "p_h", [(), (-1, 2), (2, -1), (0, 9), (99,), (-1,), (0, 3, 0), (0, 3, 6, 3), (0, 3.0), (True, 3), ("a",)]
+    )
     def test_lift_refuses_a_sequence_that_is_no_powered_path(self, p_h):
         # (0, 3, 0) and (0, 3, 6, 3) repeat a vertex along power edges.
         pmap = reduce_to_d3(cycle(9), 3)

@@ -90,11 +90,17 @@ class TestVerifyPacking:
         report = verify_packing(g, {0, 1}, SolveParams(1, 1), [()])
         assert any(c.name == "path[0].valid" for c in report.failures())
 
-    @pytest.mark.parametrize("paths", [[(0, -1)], [(0, 4)], [(0, 1), (2, -1)], [(0, 1), (2, 4)]])
+    @pytest.mark.parametrize(
+        "paths",
+        [
+            [(0, -1)], [(0, 4)], [(0, 1), (2, -1)], [(0, 1), (2, 4)],
+            [(0, 1.0)], [(True, 0)], [(0, 1), (2, "3")], [(0, 1), (None, 3)],
+        ],
+    )
     def test_out_of_range_id_fails_without_raising(self, paths):
-        # An id outside 0..n-1 fails the checks of its own path, puts every
-        # pair its path is in among the touching pairs, and is never looked
-        # up in the terminal mask.
+        # An id outside 0..n-1, or one that is no int, fails the checks of
+        # its own path, puts every pair its path is in among the touching
+        # pairs, and is never looked up in the terminal mask.
         g = Graph(4, [(0, 1), (2, 3)])
         report = verify_packing(g, {0, 1, 2, 3}, SolveParams(len(paths), 1), paths)
         last = len(paths) - 1
@@ -113,11 +119,16 @@ class TestVerifyCover:
             ([5, 99], [7], {"z1.in_graph": [5, 99], "z2.in_graph": [7]}),
             (1 << 4, 0, {"z1.in_graph": 1 << 4}),
             (0, -1, {"z2.in_graph": -1}),
+            ([1.0], [], {"z1.in_graph": [1.0]}),
+            ([0], [None, 9, True, -1], {"z2.in_graph": [-1, 9, None, True]}),
+            (True, 3.0, {"z1.in_graph": True, "z2.in_graph": 3.0}),
+            (None, "ab", {"z1.in_graph": None, "z2.in_graph": ["a", "b"]}),
         ],
     )
     def test_out_of_range_id_fails_without_raising(self, z1, z2, failed):
-        # A set naming an id outside 0..n-1 fails one check, with those ids
-        # (or the mask) as witness, and no removal is searched.
+        # A set naming an id outside 0..n-1 or one that is no int fails one
+        # check, with those ids (the ints sorted first), the mask or the set
+        # itself as witness, and no removal is searched.
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         with mock.patch.object(verify, "find_induced_apath_in_range") as search:
             report = verify_cover(g, {0, 3}, SolveParams(2, 1), z1, z2)
@@ -236,7 +247,7 @@ class TestVerifyBudget:
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_is_refused(self, budget):
         # The verifier takes its budget from SolveParams, which refuses it.
-        with pytest.raises(ValueError, match="need a positive node budget"):
+        with pytest.raises(ValueError, match="need node budget >= 1"):
             SolveParams(2, 17, node_budget=budget)
 
 
