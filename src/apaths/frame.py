@@ -40,8 +40,8 @@ when Y~ separates the remaining terminals from F, so that the solver can go
 on at a smaller k, or earlier, once the frame has the 2k leaves that pack
 the k paths the solver's level asks for. The packing paths come straight
 off T: leaves are paired on T's BFS layers, each tree path is re-routed by
-mask_layers and walk_back within its own vertices, and the pairs are
-checked against each other's closed neighbourhood masks.
+mask_layers and walk_back within its own vertices, and the paths must
+pass graph._packing_checks, the package's one check of a packing.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .graph import (
     VertexSet,
     _chordless,
     _need_int,
+    _packing_checks,
     mask_ball,
     mask_layers,
     mask_members,
@@ -203,11 +204,12 @@ def _check_spanning_subcubic_tree(tree: Sequence[int], edges: Collection[tuple[i
 
 
 def _check_inside_host(fr: Frame) -> list[Violation]:
-    """A1 violations: tree or terminal ids outside the host, or no int. Read
-    from the raw fields, as a negative id is not a bit position; no derived
-    mask may be touched until this comes back empty. The witness is the
-    least bad int id, else the first id that is no int."""
-    viol = []
+    """A1 violations: tree or terminal ids outside the host, or no int; and
+    an ell that is no int >= 1. Read from the raw fields, as a negative id
+    is not a bit position; no derived mask may be touched until this comes
+    back empty. The A1 witness is the least bad int id, else the first id
+    that is no int."""
+    viol = [] if type(fr.ell) is int and fr.ell >= 1 else [Violation("ell", fr.ell, "ell is no int >= 1")]
     for what, vertices in (("frame vertex", chain.from_iterable(fr.tree_edges)), ("terminal", fr.terminals)):
         bad = [v for v in vertices if type(v) is not int or not 0 <= v < fr.host.n]
         if bad:
@@ -220,10 +222,8 @@ def _close_pairs(
     adj: Sequence[int], f: int, sources: int, among: int, lower: int, axiom: str, what: str
 ) -> list[Violation]:
     """A10/A11: the pairs of among with an end in sources (a subset of
-    among) at distance below lower in F, each named lowest id first, once.
-    No pair lies closer than a lower bound <= 0."""
-    if lower < 1:
-        return []
+    among) at distance below lower >= 1 in F (_check_inside_host refuses an
+    ell below 1), each named lowest id first, once."""
     viol = []
     for c in mask_members(sources):
         # A pair of two sources is named from its lower end.
@@ -286,8 +286,8 @@ def _axiom_violations(fr: Frame, region: int, leaf_sources: int, hub_sources: in
 
 
 def validate_frame(fr: Frame) -> list[Violation]:
-    """Check the axioms that are not definitions (A1, A2, A3, A8..A11); an
-    empty list means the frame is valid.
+    """Check the axioms that are not definitions (A1, A2, A3, A8..A11), and
+    ell, an int >= 1; an empty list means the frame is valid.
 
     Every check reads the frame's masks, derived from its fields on first
     use: F-restricted balls walk adj[v] & F, and only the neighbours of F
@@ -320,7 +320,7 @@ def _size_violations(fr: Frame) -> list[Violation]:
 def check_frame_claims(fr: Frame) -> list[Violation]:
     """Size bounds every valid frame must satisfy, checked independently:
     |hubs| = p - 2 and |y| <= (4*ell_hat + 14)*p; or A1's violations, if an
-    id lies outside the host. Y~ needs no check: Y lies within ell_hat of
+    id lies outside the host, and ell's. Y~ needs no check: Y lies within ell_hat of
     the leaves and hubs in F, so Y~ = N(Y) - F lies within ell_hat + 1."""
     return _check_inside_host(fr) or _size_violations(fr)
 
@@ -634,10 +634,9 @@ def extract_frame_paths(fr: Frame) -> list[Path]:
     _pair_leaves pairs A_F on the frame's own tree masks, with no second
     tree check. Each tree path s..t is re-routed to a shortest s-t path
     inside its own vertices (mask_layers, then walk_back from t), which
-    makes it induced without disturbing disjointness. Every promised
-    property is checked on the outputs before returning, each path once into
-    its vertex mask; two paths touch iff one meets the other's closed
-    neighbourhood, a mask_ball of radius 1.
+    makes it induced without disturbing disjointness. The outputs pass
+    graph._packing_checks, with the leaves as ends, before returning; each
+    failed check is one Violation, named as the check.
     """
     _trusted(fr, "extract_frame_paths")
     adj = fr.host.neighbor_masks()
@@ -646,19 +645,7 @@ def extract_frame_paths(fr: Frame) -> list[Path]:
         s, t = tree_path[0], tree_path[-1]
         out.append(walk_back(adj, mask_layers(adj, 1 << s, to_mask(tree_path), 1 << t), t))
 
-    masks = [path_mask(fr.host, path) for path in out]
-    closed = [mask_ball(adj, m, -1, 1) for m in masks]
-    failed = []
-    for i, path in enumerate(out):
-        if not _chordless(adj, path, masks[i]):
-            failed.append(Violation("induced", path, "extracted path has a chord"))
-        if len(path) - 1 < fr.ell:
-            failed.append(Violation("length", path, f"length {len(path) - 1} < {fr.ell}"))
-        if not (fr.a_f >> path[0] & 1 and fr.a_f >> path[-1] & 1):
-            failed.append(Violation("endpoints", path, "endpoint is not a leaf"))
-        for j in range(i + 1, len(out)):
-            if closed[i] & masks[j]:
-                failed.append(Violation("anti-complete", (i, j), "extracted paths touch"))
-    if failed:
+    checks = _packing_checks(fr.host, fr.a_f, fr.ell, out)
+    if failed := [Violation(name, w, "the extracted paths fail it") for name, ok, w in checks if not ok]:
         raise FrameInvariantError("frame path extraction broke its contract", failed)
     return sorted(out)

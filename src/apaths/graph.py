@@ -16,7 +16,9 @@ set operations, and mask_ball is the BFS; mask_layers keeps its layers, and
 walk_back turns them into a shortest path, stepping to the least neighbour
 one layer closer. ball, dist, components and power_graph are calls on them.
 A caller's vertex set (ids or a mask) or path is checked once, into a mask,
-and every size, length, radius or budget of the package by _need_int.
+and every size, length, radius or budget of the package by _need_int. A
+path is a tuple, list or range of ids. _packing_checks is the one check of
+a packing, for the verifier and the frame's extraction alike.
 """
 
 from __future__ import annotations
@@ -273,8 +275,15 @@ def components(g: Graph) -> list[VertexSet]:
     return out
 
 
+def _as_path(p) -> Path:
+    """p as a tuple if it is a tuple, list or range, and else the empty path."""
+    return tuple(p) if isinstance(p, (tuple, list, range)) else ()
+
+
 def path_mask(g: Graph, p: Path) -> int:
     """The vertex mask of p if is_path(g, p), and 0 otherwise."""
+    if not isinstance(p, (tuple, list, range)):  # what _as_path reads as the empty path
+        return 0
     adj, mask = g.neighbor_masks(), 0
     for i, v in enumerate(p):
         if type(v) is not int or not (0 <= v < g.n and (i == 0 or adj[p[i - 1]] >> v & 1)):
@@ -298,6 +307,38 @@ def _chordless(adj: Sequence[int], p: Path, on_p: int) -> bool:
     # The path's own edges give its vertices 2(|p| - 1) neighbours on p; a
     # chord adds two more.
     return on_p != 0 and sum((adj[v] & on_p).bit_count() for v in p) == 2 * (len(p) - 1)
+
+
+def _packing_checks(g: Graph, ends: int, ell: int, paths: Sequence[Path]) -> list[tuple[str, bool, object]]:
+    """The (name, ok, witness) checks that paths are a packing in g: induced
+    paths between vertices of the mask ends, of length >= ell, pairwise
+    anti-complete. Per path i, in order: path[i].valid, .induced,
+    .endpoints_in_terminals and .length, each path checked once, into its
+    mask; an entry that is no path is read by _as_path as the empty path,
+    which fails all four. Then pairs.anti_complete, whatever the number of
+    paths, lists the touching pairs [i, j] (i < j, in order): a pair touches
+    iff a path is invalid or j meets i's closed neighbourhood, a mask_ball
+    of radius 1."""
+    adj, masks, checks = g.neighbor_masks(), [], []
+    for i, p in enumerate(paths):
+        q = _as_path(p)
+        masks.append(m := path_mask(g, q))
+        ok_ends = len(q) >= 2 and all(type(v) is int and 0 <= v < g.n and ends >> v & 1 for v in (q[0], q[-1]))
+        checks += [
+            (f"path[{i}].valid", m != 0, q or p),
+            (f"path[{i}].induced", _chordless(adj, q, m), q or p),
+            (f"path[{i}].endpoints_in_terminals", ok_ends, (q[0], q[-1]) if q else ()),
+            (f"path[{i}].length", len(q) - 1 >= ell, len(q) - 1),
+        ]
+    closed = [mask_ball(adj, m, -1, 1) for m in masks]
+    touching = [
+        [i, j]
+        for i in range(len(masks))
+        for j in range(i + 1, len(masks))
+        if not (masks[i] and masks[j]) or closed[i] & masks[j]
+    ]
+    checks.append(("pairs.anti_complete", not touching, touching))
+    return checks
 
 
 def power_graph(g: Graph, d: int) -> Graph:

@@ -28,6 +28,7 @@ from .graph import (
     Graph,
     Path,
     VertexSet,
+    _as_path,
     _kept_subgraph,
     _need_int,
     mask_ball,
@@ -206,7 +207,8 @@ def lift_path(pmap: PowerGraphMap, p_h: Path) -> Path:
     vertex twice, a pair that is no power edge) raises ValueError."""
     if not path_mask(pmap.powered, p_h):
         # has_edge raises GraphError, a ValueError, on an id outside the graph.
-        gaps = [e for e in zip(p_h, p_h[1:]) if not pmap.powered.has_edge(*e)]
+        q = _as_path(p_h)
+        gaps = [e for e in zip(q, q[1:]) if not pmap.powered.has_edge(*e)]
         what = f"{gaps[0]} is not an edge" if gaps else f"{p_h!r} is not a path"
         raise ValueError(what + " of the powered graph")
     allowed: set[int] = set()

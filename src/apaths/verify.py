@@ -17,11 +17,10 @@ from .graph import (
     Graph,
     GraphError,
     Path,
-    _chordless,
     _kept_subgraph,
     _need_int,
+    _packing_checks,
     mask_ball,
-    path_mask,
     vertex_mask,
 )
 from .search import (
@@ -77,32 +76,12 @@ def verify_packing(
     """Check a claimed packing: k paths, each a valid induced A-path of
     length >= ell, pairwise anti-complete; a is vertex ids or their mask.
 
-    Each path is checked once, into its mask. One check whatever k,
-    pairs.anti_complete, lists the touching pairs [i, j] (i < j, in order):
-    a pair touches iff a path is invalid or j meets i's closed ball."""
+    The count check, then graph._packing_checks on the terminals' mask."""
     terminals = vertex_mask(g, a)
-    adj = g.neighbor_masks()
-    paths = [tuple(p) for p in paths]
-    masks = [path_mask(g, p) for p in paths]
-    closed = [mask_ball(adj, m, -1, 1) for m in masks]
+    paths = list(paths)
     report = Report("packing")
     report.add("count", len(paths) == params.k, (len(paths), params.k))
-    for i, p in enumerate(paths):
-        report.add(f"path[{i}].valid", masks[i], p)
-        report.add(f"path[{i}].induced", _chordless(adj, p, masks[i]), p)
-        report.add(
-            f"path[{i}].endpoints_in_terminals",
-            len(p) >= 2 and all(type(v) is int and 0 <= v < g.n and terminals >> v & 1 for v in (p[0], p[-1])),
-            (p[0], p[-1]) if p else (),
-        )
-        report.add(f"path[{i}].length", len(p) - 1 >= params.ell, len(p) - 1)
-    touching = [
-        [i, j]
-        for i in range(len(paths))
-        for j in range(i + 1, len(paths))
-        if not (masks[i] and masks[j]) or closed[i] & masks[j]
-    ]
-    report.add("pairs.anti_complete", not touching, touching)
+    report.checks += [Check(*check) for check in _packing_checks(g, terminals, params.ell, paths)]
     return report
 
 
@@ -186,7 +165,8 @@ def verify_certificate(
     if isinstance(cert, Packing):
         return verify_packing(g, a, params, cert.paths)
     report = verify_cover(g, a, params, cert.z1, cert.z2)
-    report.add("radii", cert.r1 == 1 and cert.r2 == params.cover_radius(), (cert.r1, cert.r2))
+    radii = (cert.r1, cert.r2)
+    report.add("radii", radii == (1, params.cover_radius()) and type(cert.r1) is type(cert.r2) is int, radii)
     return report
 
 

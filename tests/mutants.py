@@ -257,29 +257,85 @@ MUTANTS = (
         "test_search::TestCoverOracle::test_complete_radius_zero",
         (5,),
     ),
-    # The packing verifier's one pass over the pairs: a pair touches iff a
-    # path is invalid or path j meets path i's closed neighbourhood.
+    # The one check of a packing, which verify_packing and
+    # extract_frame_paths both run: a pair touches iff a path is invalid or
+    # path j meets path i's closed neighbourhood.
     Mutant(
         "pairs-skip-the-next-path",
-        "apaths.verify:verify_packing",
+        "apaths.graph:_packing_checks",
         "range(i + 1,",
         "range(i + 2,",
         "test_verify::TestVerifyPacking::test_shared_vertex_pair_fails_named",
     ),
     Mutant(
         "pairs-test-overlap-only",
-        "apaths.verify:verify_packing",
+        "apaths.graph:_packing_checks",
         "closed[i] & masks[j]",
         "masks[i] & masks[j]",
         "test_verify::TestVerifyPacking::test_paths_joined_by_one_edge_fail_named",
     ),
     Mutant(
         "pairs-let-an-invalid-path-pass",
-        "apaths.verify:verify_packing",
+        "apaths.graph:_packing_checks",
         "not (masks[i] and masks[j]) or ",
         "",
         "test_verify::TestVerifyPacking::test_out_of_range_id_fails_without_raising",
         ([(0, 1), (2, 4)],),
+    ),
+    Mutant(
+        "endpoints-read-the-first-only",
+        "apaths.graph:_packing_checks",
+        "for v in (q[0], q[-1])",
+        "for v in (q[0],)",
+        "test_verify::TestVerifyPacking::test_endpoint_outside_terminals_fails",
+    ),
+    Mutant(
+        "length-needs-more-than-ell",
+        "apaths.graph:_packing_checks",
+        "len(q) - 1 >= ell",
+        "len(q) - 1 > ell",
+        "test_verify::TestVerifyPacking::test_solver_output_passes",
+    ),
+    Mutant(
+        "packing-reads-a-non-sequence",
+        "apaths.graph:_packing_checks",
+        "q = _as_path(p)",
+        "q = tuple(p)",
+        "test_verify::TestVerifyPacking::test_an_entry_that_is_no_sequence_is_no_path",
+        (5,),
+    ),
+    # A path is a tuple, list or range (graph._as_path): anything else is no path.
+    Mutant(
+        "path-mask-reads-any-iterable",
+        "apaths.graph:path_mask",
+        "isinstance(p, (tuple, list, range))",
+        "True",
+        "test_graph::TestComponentsAndPaths::test_invalid_sequences",
+    ),
+    Mutant(
+        "lift-zips-a-non-sequence",
+        "apaths.solver:lift_path",
+        "q = _as_path(p_h)",
+        "q = p_h",
+        "test_solver::TestReduceAndLift::test_lift_refuses_what_is_no_sequence",
+        (5,),
+    ),
+    # A frame's ell and a cover's radii are ints, checked before use.
+    Mutant(
+        "frame-takes-any-ell",
+        "apaths.frame:_check_inside_host",
+        'viol = [] if type(fr.ell) is int and fr.ell >= 1 else [Violation("ell", fr.ell, "ell is no int >= 1")]',
+        "viol = []",
+        "test_frame::TestValidateFrame::test_an_ell_that_is_no_int_from_one_is_a_violation",
+        (2.5,),
+    ),
+    Mutant(
+        "radii-take-a-float",
+        "apaths.verify:verify_certificate",
+        " and type(cert.r1) is type(cert.r2) is int",
+        "",
+        "test_verify::TestVerifyCover::test_radii_that_are_no_ints_or_wrong_fail",
+        (1.0, 4),
     ),
     # Mask walks clear the top bit, so members come out in decreasing order
     # until the one reverse.

@@ -172,13 +172,17 @@ class TestValidateFrame:
         assert broken.a_f == to_mask({0, 3, 6})
         assert {(v.axiom, v.witness) for v in validate_frame(broken)} == {("A3", 3)}
 
-    @pytest.mark.parametrize("ell", [0, -1])
-    def test_no_pair_is_closer_than_a_bound_below_one(self, ell):
-        # A10 asks for leaves at distance >= ell, which every pair meets at
-        # ell <= 0, and the one leaf pair is long enough.
+    @pytest.mark.parametrize("ell", [0, -1, 2.5, 3.0, True, "3", None])
+    def test_an_ell_that_is_no_int_from_one_is_a_violation(self, ell):
+        # ell is read from the raw field before any mask is derived, so a
+        # float radius or a bool never reaches Y, and an ell below one never
+        # reaches A10; every entry point that validates the frame raises.
         fr = Frame(path_graph(4), frozenset({0, 3}), frozenset({(0, 1), (1, 2), (2, 3)}), ell)
-        assert validate_frame(fr) == []
-        assert extract_frame_paths(fr) == [(0, 1, 2, 3)]
+        assert validate_frame(fr) == check_frame_claims(fr) == [Violation("ell", ell, "ell is no int >= 1")]
+        assert "y" not in vars(fr)
+        for call in (extract_frame_paths, find_extension, lambda fr: extend_frame(fr, (0, 1))):
+            with pytest.raises(FrameInvariantError, match="ell is no int >= 1"):
+                call(fr)
 
     def test_an_outside_vertex_sees_tree_distant_consecutive_ids(self):
         # A path frame of 13 vertices at ell 3, so Y holds four vertices at
@@ -607,7 +611,44 @@ class TestHubTreeExtraction:
         monkeypatch.setattr(apaths.frame, "_pair_leaves", lambda tree, leaf_mask: pairs)
         with pytest.raises(FrameInvariantError) as err:
             extract_frame_paths(fr)
-        assert [v.witness for v in err.value.violations if v.axiom == "anti-complete"] == [(0, 1)]
+        assert [v.witness for v in err.value.violations if v.axiom == "pairs.anti_complete"] == [[[0, 1]]]
+
+    @pytest.mark.parametrize(
+        "pairs, failed",
+        [
+            # 0..2 is too short and ends on 2, no leaf.
+            ([(0, 1, 2)], {"path[0].endpoints_in_terminals": (0, 2), "path[0].length": 2}),
+            # 0..5 is long enough but ends on 5, no leaf; 12..18's leg ends
+            # on the leaf 18 and is fine, but its 8 is 3 away from 5, so
+            # the pair does not touch.
+            ([(0, 1, 2, 3, 4, 5), (12, 11, 10, 9, 8, 22, 21, 20, 19, 18)], {"path[0].endpoints_in_terminals": (0, 5)}),
+        ],
+    )
+    def test_an_extracted_path_that_fails_its_checks_breaks_the_contract(self, monkeypatch, pairs, failed):
+        # Each failed check of graph._packing_checks is one violation, named
+        # as the check, with its witness, in the checks' order.
+        g, a = double_pendant_instance()
+        fr = build_maximal_frame(g, a, 3)
+        monkeypatch.setattr(apaths.frame, "_pair_leaves", lambda tree, leaf_mask: pairs)
+        with pytest.raises(FrameInvariantError) as err:
+            extract_frame_paths(fr)
+        assert {v.axiom: v.witness for v in err.value.violations} == failed
+        assert [v.axiom for v in err.value.violations] == list(failed)
+
+    def test_a_chorded_extracted_path_breaks_the_contract(self, monkeypatch):
+        # Re-routing makes every path induced, so a chorded tree path
+        # reaches the check only when it is handed on as it is: here the
+        # leg 4..7 through hub 0, with the chord (2, 5).
+        tree = [(0, 1), (0, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (1, 8), (8, 9), (9, 10)]
+        g = Graph(11, tree + [(2, 5)])
+        fr = Frame(g, frozenset({4, 7, 10}), frozenset(tree), 3)
+        assert validate_frame(fr) == []
+        chorded = (4, 3, 2, 0, 5, 6, 7)
+        monkeypatch.setattr(apaths.frame, "_pair_leaves", lambda tree, leaf_mask: [chorded])
+        monkeypatch.setattr(apaths.frame, "walk_back", lambda adj, layers, end: chorded)
+        with pytest.raises(FrameInvariantError) as err:
+            extract_frame_paths(fr)
+        assert [(v.axiom, v.witness) for v in err.value.violations] == [("path[0].induced", chorded)]
 
     def test_a_checked_frame_is_paired_on_its_own_masks(self, monkeypatch):
         # A frame that build_maximal_frame returns is paired on its own tree

@@ -411,7 +411,13 @@ class TestComponentsAndPaths:
             0, 0, 0, 0, 0b100, 0b1110
         ]
         # An id that is no int, a bool included, makes no path.
-        for p in [(0, 1.0), (True, 2), (2.0,), ("a",), (0, None)]:
+        # A path is a tuple, list or range; anything else is no path, even
+        # when it iterates over one.
+        assert [path_mask(g, p) for p in [[1, 2, 3], range(1, 4), [], range(0)]] == [0b1110] * 2 + [0, 0]
+        for p in [
+            (0, 1.0), (True, 2), (2.0,), ("a",), (0, None),
+            5, None, 1.0, {0, 1}, {2}, frozenset({0}), iter([0, 1]), {0: 1}, "01",
+        ]:
             assert path_mask(g, p) == 0 and not is_path(g, p) and not is_induced_path(g, p)
 
 

@@ -7,7 +7,8 @@ package, and are exempt.
 The references that judge a rewrite take nothing of the code under test
 from the package: tests/reference_frame.py only the frame's data types,
 tests/brute.py only Graph and GraphError. And graph.py alone defines the
-check of a size, _need_int, and words its refusal."""
+check of a size, _need_int, and words its refusal, and alone names the
+checks of a packing, which _packing_checks makes for both of its callers."""
 
 import ast
 from pathlib import Path
@@ -136,4 +137,40 @@ def test_sizes_are_checked_in_graph_only():
         hit for path in sorted(SRC.glob("*.py")) for hit in size_check_sites(path.read_text(encoding="utf-8"), path.name)
     ]
     assert {hit.split()[1] for hit in found if hit.startswith("graph.py:")} == {"def", "text"}
+    assert [hit for hit in found if not hit.startswith("graph.py:")] == []
+
+
+# The names of graph._packing_checks's own checks.
+PACKING_CHECK_NAMES = ("pairs.anti_complete", "endpoints_in_terminals")
+
+
+def string_sites(source: str, filename: str, words: tuple[str, ...]) -> list[str]:
+    """'file:line word' for every string literal, f-string parts included,
+    that holds one of words."""
+    return [
+        f"{filename}:{node.lineno} {word}"
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for word in words
+        if word in node.value
+    ]
+
+
+def test_the_string_guard_sees_f_string_parts():
+    source = 'x = f"path[{i}].endpoints_in_terminals"\ny = "a pairs.anti_complete b"\n'
+    assert sorted(string_sites(source, "m.py", PACKING_CHECK_NAMES)) == [
+        "m.py:1 endpoints_in_terminals", "m.py:2 pairs.anti_complete",
+    ]
+
+
+def test_a_packing_is_checked_in_graph_only():
+    # graph._packing_checks is the one check of a packing: verify_packing
+    # and extract_frame_paths run it, and no other module names its checks,
+    # so a second packing check cannot come back unnoticed.
+    found = [
+        hit
+        for path in sorted(SRC.glob("*.py"))
+        for hit in string_sites(path.read_text(encoding="utf-8"), path.name, PACKING_CHECK_NAMES)
+    ]
+    assert {hit.split()[1] for hit in found if hit.startswith("graph.py:")} == set(PACKING_CHECK_NAMES)
     assert [hit for hit in found if not hit.startswith("graph.py:")] == []

@@ -53,7 +53,7 @@ from test_search import spent
 # The apaths modules that check a vertex set with vertex_mask, and a path
 # with path_mask.
 VERTEX_MASK_MODULES = ("apaths.graph", "apaths.search", "apaths.frame", "apaths.solver", "apaths.verify")
-PATH_MASK_MODULES = ("apaths.graph", "apaths.search", "apaths.frame", "apaths.verify")
+PATH_MASK_MODULES = ("apaths.graph", "apaths.search", "apaths.frame")
 
 # The verify_certificate checks that make up the two single-set theorem forms.
 SINGLE_SET_FORMS = ("z1.size", "z1.removal.path_free", "z2.size", "z2.removal.path_free", "radii")
@@ -278,6 +278,12 @@ class TestReduceAndLift:
         # (0, 3, 0) and (0, 3, 6, 3) repeat a vertex along power edges.
         pmap = reduce_to_d3(cycle(9), 3)
         with pytest.raises(ValueError):
+            lift_path(pmap, p_h)
+
+    @pytest.mark.parametrize("p_h", [5, None, {0, 3}, {3}, iter([0, 3]), 3.0])
+    def test_lift_refuses_what_is_no_sequence(self, p_h):
+        pmap = reduce_to_d3(cycle(9), 3)
+        with pytest.raises(ValueError, match="is not a path of the powered graph"):
             lift_path(pmap, p_h)
 
     def test_lift_of_one_vertex_is_itself(self):

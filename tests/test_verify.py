@@ -13,13 +13,18 @@ from apaths import (
     Report,
     SolveParams,
     ball,
+    build_maximal_frame,
+    caterpillar_instance,
     complete_instance,
+    extract_frame_paths,
     solve,
     verify_certificate,
     verify_cover,
     verify_packing,
     verify_tightness_claims,
 )
+from apaths.graph import to_mask
+from test_solver import calls_of
 
 
 class TestVerifyPacking:
@@ -109,6 +114,40 @@ class TestVerifyPacking:
         assert failed.get("pairs.anti_complete") == ([[0, 1]] if last == 1 else None)
         assert all(name.startswith(f"path[{last}]") or name == "pairs.anti_complete" for name in failed)
 
+    @pytest.mark.parametrize("entry", [5, None, {0, 1}, {0}, frozenset({2, 3}), iter([0, 1]), {0: 1}])
+    def test_an_entry_that_is_no_sequence_is_no_path(self, entry):
+        # A path is a tuple, list or range; anything else fails the four
+        # checks of its own path and touches every other path, and the
+        # call does not raise.
+        g = Graph(6, [(0, 1), (2, 3), (4, 5)])
+        report = verify_packing(g, range(6), SolveParams(3, 1), [(0, 1), entry, [4, 5]])
+        failed = {c.name: c.witness for c in report.failures()}
+        assert failed == {
+            "path[1].valid": entry,
+            "path[1].induced": entry,
+            "path[1].endpoints_in_terminals": (),
+            "path[1].length": -1,
+            "pairs.anti_complete": [[0, 1], [1, 2]],
+        }
+
+    def test_a_list_or_range_is_a_path(self):
+        g = Graph(6, [(0, 1), (2, 3), (4, 5)])
+        report = verify_packing(g, range(6), SolveParams(3, 1), [(0, 1), [2, 3], range(4, 6)])
+        assert report.passed
+        assert [c.witness for c in report.checks if c.name.endswith(".valid")] == [(0, 1), (2, 3), (4, 5)]
+
+    def test_verify_and_extraction_run_the_one_packing_check_once(self):
+        # verify_packing and extract_frame_paths share graph._packing_checks:
+        # each call runs it once, on its own ends and ell.
+        g, a = caterpillar_instance(4, 0)
+        fr = build_maximal_frame(g, a, 3)
+        with calls_of("_packing_checks", ("apaths.frame", "apaths.verify")) as calls:
+            paths = extract_frame_paths(fr)
+        assert [(h, ends, ell, sorted(out)) for h, ends, ell, out in calls] == [(g, fr.a_f, 3, paths)]
+        with calls_of("_packing_checks", ("apaths.frame", "apaths.verify")) as calls:
+            assert verify_packing(g, a, SolveParams(len(paths), 3), paths).passed
+        assert calls == [(g, to_mask(a), 3, paths)]
+
 
 class TestVerifyCover:
     @pytest.mark.parametrize(
@@ -182,6 +221,15 @@ class TestVerifyCover:
         # k=1 allows none at all
         report = verify_cover(g, a, SolveParams(1, 1), {0}, set())
         assert any(c.name == "z1.size" for c in report.failures())
+
+    @pytest.mark.parametrize("r1, r2", [(1.0, 4), (True, 4), (1, 4.0), (0, 4)])
+    def test_radii_that_are_no_ints_or_wrong_fail(self, r1, r2):
+        # cover_radius() is 4 at ell 1; an equal float or bool is no radius.
+        g, a = complete_instance(5)
+        params = SolveParams(2, 1)
+        cert = Cover(frozenset({0, 1}), frozenset({0, 1}), r1=r1, r2=r2)
+        assert params.cover_radius() == 4
+        assert {c.name: c.witness for c in verify_certificate(g, a, params, cert).failures()} == {"radii": (r1, r2)}
 
     def test_wrong_radius_fails(self):
         g, a = complete_instance(5)
