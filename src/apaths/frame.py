@@ -50,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Iterable, Sequence
+from typing import AbstractSet, Collection, Iterable, Sequence
 
 from .graph import (
     Graph,
@@ -204,13 +204,28 @@ def _check_spanning_subcubic_tree(tree: Sequence[int], edges: Collection[tuple[i
 
 
 def _check_inside_host(fr: Frame) -> list[Violation]:
-    """A1 violations: tree or terminal ids outside the host, or no int; and
-    an ell that is no int >= 1. Read from the raw fields, as a negative id
-    is not a bit position; no derived mask may be touched until this comes
-    back empty. The A1 witness is the least bad int id, else the first id
-    that is no int."""
+    """A1 violations: tree or terminal ids outside the host, or no int; an
+    ell that is no int >= 1; and raw fields of the wrong shape, each named
+    as its field: a host that is no Graph, terminals that are no
+    collection, tree edges that are no set (a step unions it) or an edge
+    that is no 2-tuple. Read from the raw fields, as a negative id is not a
+    bit position; no derived mask may be touched until this comes back
+    empty. The A1 witness is the least bad int id, else the first id that
+    is no int; a field of the wrong shape is not searched for ids."""
     viol = [] if type(fr.ell) is int and fr.ell >= 1 else [Violation("ell", fr.ell, "ell is no int >= 1")]
-    for what, vertices in (("frame vertex", chain.from_iterable(fr.tree_edges)), ("terminal", fr.terminals)):
+    terminals, edges = fr.terminals, fr.tree_edges
+    if not isinstance(terminals, Collection):
+        viol.append(Violation("terminals", terminals, "terminals are no collection of ids"))
+        terminals = ()
+    if not isinstance(edges, AbstractSet):
+        viol.append(Violation("tree_edges", edges, "tree edges are no set of pairs"))
+        edges = ()
+    elif odd := [e for e in edges if type(e) is not tuple or len(e) != 2]:
+        viol.append(Violation("tree_edges", odd[0], "tree edge is no pair of ids"))
+        edges = ()
+    if not isinstance(fr.host, Graph):
+        return viol + [Violation("host", fr.host, "host is no Graph")]
+    for what, vertices in (("frame vertex", chain.from_iterable(edges)), ("terminal", terminals)):
         bad = [v for v in vertices if type(v) is not int or not 0 <= v < fr.host.n]
         if bad:
             ints = [v for v in bad if type(v) is int]
@@ -286,8 +301,9 @@ def _axiom_violations(fr: Frame, region: int, leaf_sources: int, hub_sources: in
 
 
 def validate_frame(fr: Frame) -> list[Violation]:
-    """Check the axioms that are not definitions (A1, A2, A3, A8..A11), and
-    ell, an int >= 1; an empty list means the frame is valid.
+    """Check the axioms that are not definitions (A1, A2, A3, A8..A11), ell,
+    an int >= 1, and the raw fields' shapes (_check_inside_host); an empty
+    list means the frame is valid.
 
     Every check reads the frame's masks, derived from its fields on first
     use: F-restricted balls walk adj[v] & F, and only the neighbours of F
@@ -319,9 +335,10 @@ def _size_violations(fr: Frame) -> list[Violation]:
 
 def check_frame_claims(fr: Frame) -> list[Violation]:
     """Size bounds every valid frame must satisfy, checked independently:
-    |hubs| = p - 2 and |y| <= (4*ell_hat + 14)*p; or A1's violations, if an
-    id lies outside the host, and ell's. Y~ needs no check: Y lies within ell_hat of
-    the leaves and hubs in F, so Y~ = N(Y) - F lies within ell_hat + 1."""
+    |hubs| = p - 2 and |y| <= (4*ell_hat + 14)*p; or _check_inside_host's
+    violations (A1, ell and the fields' shapes), if there are any. Y~ needs
+    no check: Y lies within ell_hat of the leaves and hubs in F, so
+    Y~ = N(Y) - F lies within ell_hat + 1."""
     return _check_inside_host(fr) or _size_violations(fr)
 
 

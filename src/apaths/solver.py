@@ -101,6 +101,8 @@ def solve(
     module docstring). A level either answers, or cuts the instance to
     the part a peeled path or a split frame leaves, and its terminal mask to
     that part, and goes on at a smaller k, so the loop ends on every input.
+    A level with fewer than two terminals has no A-path: it answers with an
+    empty cover and runs no pass, and the cut before it builds no subgraph.
     The answering level hands over the paths it packs (none at k = 0), or
     nothing, an empty cover. One fold over the cut levels, innermost first,
     then makes the answer: a Packing gets each peeled path in front and each
@@ -117,6 +119,9 @@ def solve(
     cuts: list[tuple[SolveParams, Path | Frame]] = []  # (level params, peeled path or split frame)
     packed: tuple[Path, ...] | None = ()  # the answering level's paths; None: an empty cover
     while params.k > 0:
+        if not terminals & (terminals - 1):  # no A-path without two terminals
+            packed = None
+            break
         k = params.k
         stop = ell if k == 1 else 2 * ell - 1
         path = _shortest_path_until(g, terminals, ell, stop, budget)
@@ -139,8 +144,9 @@ def solve(
             if (keep | mask_neighbors(adj, keep)) & cut.f:
                 raise FrameInvariantError("remainder must be separated from the frame")
         cuts.append((params, cut))
-        g = _kept_subgraph(g, keep)
         terminals &= keep
+        if terminals & (terminals - 1):  # else the next level answers unsearched
+            g = _kept_subgraph(g, keep)
         params = SolveParams(k - used, ell, params.node_budget)
 
     if packed is not None:

@@ -92,9 +92,13 @@ def _removal_check(
     ell: int,
     budget: _Budget,
 ) -> tuple[bool, Path | None]:
-    """Search g minus the vertex mask removed (g itself if none) for a long induced A-path."""
+    """Search g minus the vertex mask removed (g itself if none) for a long
+    induced A-path; one that keeps fewer than two terminals passes unsearched."""
+    kept = terminals & ~removed
+    if not kept & (kept - 1):  # no A-path without two terminals
+        return True, None
     h = _kept_subgraph(g, ~removed) if removed else g
-    witness = find_induced_apath_in_range(h, terminals & ~removed, (ell, None), budget)
+    witness = find_induced_apath_in_range(h, kept, (ell, None), budget)
     return witness is None, witness
 
 
@@ -110,8 +114,10 @@ def verify_cover(
 
     The single-set checks are implied by the intersection form (removing a
     superset cannot recreate an induced path on surviving vertices), but all
-    three are reported. Each distinct removed set is searched once, within
-    this call, and its result is reported for every check that removes it.
+    three are reported. Each distinct removed set that keeps two terminals
+    is searched once, within this call, and its result is reported for
+    every check that removes it; one that keeps fewer has no A-path and
+    passes unsearched.
     One budget of params.node_budget nodes bounds the distinct removal
     searches together. a, z1 and z2 are vertex ids or their masks. A z1 or
     z2 that is no vertex set of g fails one check instead of its size check,
@@ -132,10 +138,10 @@ def verify_cover(
             else:
                 outside = sorted(v for v in z if type(v) is int and not 0 <= v < g.n)
                 outside += [v for v in z if type(v) is not int]
-            report.add(f"{name}.in_graph", False, outside)
+            report.checks.append(Check(f"{name}.in_graph", False, outside))
             continue
         masks.append(mask)
-        report.add(f"{name}.size", mask.bit_count() <= limit, (mask.bit_count(), limit))
+        report.checks.append(Check(f"{name}.size", mask.bit_count() <= limit, (mask.bit_count(), limit)))
     if len(masks) < 2:
         return report
     z1_mask, z2_mask = masks
@@ -151,7 +157,7 @@ def verify_cover(
     ):
         if removed not in results:
             results[removed] = _removal_check(g, terminals, removed, params.ell, shared)
-        report.add(f"{name}.path_free", *results[removed])
+        report.checks.append(Check(f"{name}.path_free", *results[removed]))
     return report
 
 

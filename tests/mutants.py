@@ -465,4 +465,67 @@ MUTANTS = (
         "keep = ~mask_ball(adj, to_mask(path), -1, 0)",
         "test_solver::TestSolveTraces::test_k5_cover_is_one_edge",
     ),
+    # No A-path without two terminals: a solver level or a verifier removal
+    # that keeps fewer is answered unsearched.
+    Mutant(
+        "removal-guard-only-at-zero-terminals",
+        "apaths.verify:_removal_check",
+        "if not kept & (kept - 1):",
+        "if not kept:",
+        "test_verify::TestTwoTerminalRemovals::test_a_removal_that_keeps_one_terminal_is_not_searched",
+    ),
+    Mutant(
+        "removal-guard-at-two-terminals",
+        "apaths.verify:_removal_check",
+        "if not kept & (kept - 1):",
+        "if kept.bit_count() <= 2:",
+        "test_verify::TestTwoTerminalRemovals::test_a_removal_that_keeps_two_joined_terminals_fails",
+    ),
+    Mutant(
+        "level-guard-at-two-terminals",
+        "apaths.solver:solve",
+        "if not terminals & (terminals - 1):",
+        "if terminals.bit_count() <= 2:",
+        "test_solver::TestTwoTerminalRule::test_two_terminals_are_searched",
+    ),
+    Mutant(
+        "level-guard-packs-nothing",
+        "apaths.solver:solve",
+        "two terminals\n            packed = None",
+        "two terminals\n            packed = ()",
+        "test_solver::TestTwoTerminalRule::test_fewer_than_two_terminals_make_no_pass",
+        ({2},),
+    ),
+    Mutant(
+        "cut-to-one-terminal-builds-a-subgraph",
+        "apaths.solver:solve",
+        "if terminals & (terminals - 1):  # else",
+        "if True:  # else",
+        "test_solver::TestTwoTerminalRule::test_a_peel_that_leaves_one_terminal_builds_one_cut_fewer",
+    ),
+    # A frame's raw fields are checked for shape before anything iterates them.
+    Mutant(
+        "frame-takes-an-edge-of-three",
+        "apaths.frame:_check_inside_host",
+        "elif odd := [e for e in edges if type(e) is not tuple or len(e) != 2]:",
+        "elif odd := []:",
+        "test_frame::TestValidateFrame::test_a_field_of_the_wrong_shape_is_a_violation",
+        ("tree_edges", frozenset({(0, 1, 2), (2, 3)}), ((0, 1, 2), "tree edge is no pair of ids")),
+    ),
+    Mutant(
+        "frame-takes-terminals-that-are-no-collection",
+        "apaths.frame:_check_inside_host",
+        "if not isinstance(terminals, Collection):",
+        "if False:",
+        "test_frame::TestValidateFrame::test_a_field_of_the_wrong_shape_is_a_violation",
+        ("terminals", None, (None, "terminals are no collection of ids")),
+    ),
+    Mutant(
+        "frame-takes-a-host-that-is-no-graph",
+        "apaths.frame:_check_inside_host",
+        "if not isinstance(fr.host, Graph):",
+        "if False:",
+        "test_frame::TestValidateFrame::test_a_field_of_the_wrong_shape_is_a_violation",
+        ("host", None, (None, "host is no Graph")),
+    ),
 )

@@ -184,6 +184,28 @@ class TestValidateFrame:
             with pytest.raises(FrameInvariantError, match="ell is no int >= 1"):
                 call(fr)
 
+    @pytest.mark.parametrize(
+        "field, value, want",
+        [
+            ("tree_edges", frozenset({(0, 1, 2), (2, 3)}), ((0, 1, 2), "tree edge is no pair of ids")),
+            ("tree_edges", None, (None, "tree edges are no set of pairs")),
+            ("tree_edges", 5, (5, "tree edges are no set of pairs")),
+            ("terminals", None, (None, "terminals are no collection of ids")),
+            ("terminals", 5, (5, "terminals are no collection of ids")),
+            ("host", None, (None, "host is no Graph")),
+        ],
+        ids=["edge-of-three", "edges-none", "edges-int", "terminals-none", "terminals-int", "host-none"],
+    )
+    def test_a_field_of_the_wrong_shape_is_a_violation(self, field, value, want):
+        # The shapes are read before anything iterates the fields: the tree
+        # edge (0, 1, 2) once raised a ValueError, and the others a TypeError
+        # or an AttributeError. The violation is named as its field.
+        fr = replace(Frame(path_graph(4), frozenset({0, 3}), frozenset({(0, 1), (1, 2), (2, 3)}), 2), **{field: value})
+        assert validate_frame(fr) == check_frame_claims(fr) == [Violation(field, *want)]
+        for call in (extract_frame_paths, find_extension, lambda fr: extend_frame(fr, (0, 1))):
+            with pytest.raises(FrameInvariantError, match=want[1]):
+                call(fr)
+
     def test_an_outside_vertex_sees_tree_distant_consecutive_ids(self):
         # A path frame of 13 vertices at ell 3, so Y holds four vertices at
         # each end, laid out 0, 1, 2, 3, 4, 6, 7, 5, 8, ..., 12: the ids 4

@@ -786,10 +786,12 @@ class TestOneAnswer:
     @pytest.mark.parametrize(
         "instance, params, kind, cuts",
         [
-            ((Graph(40, [(v, v + 1) for v in range(0, 40, 2)]), range(40)), SolveParams(25, 1), Cover, 20),
+            # 20 peels; the last leaves no terminal, so it builds no subgraph.
+            ((Graph(40, [(v, v + 1) for v in range(0, 40, 2)]), range(40)), SolveParams(25, 1), Cover, 19),
             ((Graph(400, [(v, v + 1) for v in range(0, 400, 2)]), range(400)), SolveParams(150, 1), Packing, 149),
             (caterpillar_and_path(), SolveParams(3, 3), Packing, 1),
-            (caterpillar_instance(12, 0), SolveParams(7, 3), Cover, 1),
+            # The split frame holds every terminal, so none is left to cut to.
+            (caterpillar_instance(12, 0), SolveParams(7, 3), Cover, 0),
         ],
         ids=["peels-cover", "peels-packing", "split-packing", "split-cover"],
     )
@@ -802,6 +804,45 @@ class TestOneAnswer:
         cert = solve(*instance, params)
         assert built == [kind] and type(cert) is kind and len(kept) == cuts
         assert cert == reference_solve(*instance, params)
+
+
+class TestTwoTerminalRule:
+    """No A-path without two terminals: a level left with fewer answers with
+    an empty cover and runs no engine pass, and the cut before it builds no
+    subgraph. The recursion searches such a level and finds nothing, and an
+    inner level always has k >= 1, so every certificate is the same
+    (test_verify_differential checks that on random instances)."""
+
+    @pytest.mark.parametrize("a", [set(), {2}])
+    def test_fewer_than_two_terminals_make_no_pass(self, a):
+        g, _ = complete_instance(4)
+        for k in (1, 2, 3):
+            with engine_passes() as graphs:
+                assert solve(g, a, SolveParams(k, 1)) == Cover(frozenset(), frozenset(), 1, 4)
+            assert graphs == []
+        assert solve(g, a, SolveParams(0, 1)) == Packing(())
+
+    def test_two_terminals_are_searched(self):
+        # The path 0..3 joins the two terminals at ell 3, so the first level
+        # is searched; at k = 2 it peels that path, which leaves no terminal,
+        # so the second level is not.
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        for k in (1, 2):
+            with engine_passes() as graphs:
+                cert = solve(g, {0, 3}, SolveParams(k, 3))
+            assert cert == reference_solve(g, {0, 3}, SolveParams(k, 3)) and graphs == [g]
+            assert isinstance(cert, Packing) == (k == 1)
+
+    def test_a_peel_that_leaves_one_terminal_builds_one_cut_fewer(self):
+        # Two disjoint edges and a lone terminal 4, at k 3 and ell 1: the
+        # first peel leaves three terminals and is cut to, the second leaves
+        # 4 alone, so the last level is neither cut to nor searched. The
+        # recursion cuts twice and searches three levels.
+        g, a, params = Graph(5, [(0, 1), (2, 3)]), {0, 1, 2, 3, 4}, SolveParams(3, 1)
+        with engine_passes() as graphs, calls_of("_kept_subgraph", ("apaths.solver",)) as cuts:
+            cert = solve(g, a, params)
+        assert cert == reference_solve(g, a, params) == Cover(frozenset(range(4)), frozenset(range(4)), 1, 4)
+        assert [keep for _, keep in cuts] == [~0b11] and len(graphs) == 2
 
 
 class TestDeepPaths:

@@ -322,7 +322,8 @@ class TestRemovalSearches:
 
     @pytest.mark.parametrize(
         "z1,z2,count",
-        [(set(), set(), 1), ({5}, {5}, 2), ({5}, set(), 2), (set(), {5}, 2), ({2}, {9}, 3)],
+        # z2 = {9} keeps terminal 0 alone, so its removal is not searched.
+        [(set(), set(), 1), ({5}, {5}, 2), ({5}, set(), 2), (set(), {5}, 2), ({2}, {9}, 2)],
     )
     def test_one_search_per_distinct_set(self, searches, z1, z2, count):
         report = self.verify_on_path(z1, z2)
@@ -343,10 +344,47 @@ class TestRemovalSearches:
     def test_nothing_is_kept_across_calls(self, searches):
         # Each call builds a fresh Graph equal by value to the last one, so
         # a memo across calls would make a later call search less.
-        for z1, z2, count in [({2}, {9}, 3), ({2}, {9}, 3), (set(), set(), 1), (set(), set(), 1)]:
+        for z1, z2, count in [({2}, {9}, 2), ({2}, {9}, 2), (set(), set(), 1), (set(), set(), 1)]:
             searches.clear()
             self.verify_on_path(z1, z2)
             assert len(searches) == count
+
+
+def removal_work(g, a, params, z1, z2):
+    """verify_cover's report, the terminal masks its removal searches get
+    and the keep masks of the subgraphs it cuts."""
+    with (
+        mock.patch.object(verify, "find_induced_apath_in_range", wraps=verify.find_induced_apath_in_range) as search,
+        calls_of("_kept_subgraph", ("apaths.verify",)) as cuts,
+    ):
+        report = verify_cover(g, a, params, z1, z2)
+    return report, [call.args[1] for call in search.call_args_list], [keep for _, keep in cuts]
+
+
+class TestTwoTerminalRemovals:
+    """A removal that keeps fewer than two terminals leaves no A-path: its
+    check passes with no search and no subgraph. Every other removal is
+    searched."""
+
+    def test_a_removal_that_keeps_one_terminal_is_not_searched(self):
+        # Path 0..11, terminals 0, 5 and 11 at ell 2 (cover radius 4):
+        # z1 = {2} removes {1, 2, 3} and keeps all three terminals, z2 = {9}
+        # removes 5..11 and keeps 0 alone, and the intersection removes
+        # nothing, so g itself is searched.
+        g = Graph(12, [(i, i + 1) for i in range(11)])
+        report, searched, cuts = removal_work(g, {0, 5, 11}, SolveParams(2, 2), {2}, {9})
+        assert searched == [to_mask({0, 5, 11})] * 2 and cuts == [~to_mask({1, 2, 3})]
+        assert [c.ok for c in report.checks] == [True, True, False, False, True]
+        assert report.checks[-1] == Check("z2.removal.path_free", True, None)
+
+    def test_a_removal_that_keeps_two_joined_terminals_fails(self):
+        # Path 0..11 with 12 hung on 5 and 13 on 12; terminals 0, 11 and 12
+        # at ell 2. z1 = {13} removes {12, 13} and keeps 0 and 11, which the
+        # path 0..11 joins: that removal is searched and fails.
+        g = Graph(14, [(i, i + 1) for i in range(11)] + [(5, 12), (12, 13)])
+        report, searched, cuts = removal_work(g, {0, 11, 12}, SolveParams(2, 2), {13}, set())
+        assert searched == [to_mask({0, 11, 12}), to_mask({0, 11})] and cuts == [~to_mask({12, 13})]
+        assert Check("z1.removal.path_free", False, tuple(range(12))) in report.checks
 
 
 class TestCheck:

@@ -1,7 +1,9 @@
 """Differential tests against the frozen verifier in reference_verify.py.
 
-verify_cover searches each distinct removed set once and reports the result
-for every check that removes it; the reference searches all three.
+verify_cover searches each distinct removed set that keeps two terminals
+once and reports the result for every check that removes it; the reference
+searches all three. solve answers a level of fewer than two terminals
+unsearched, where the frozen recursion searches it.
 verify_packing checks each path once, into its mask, and reports every
 touching pair in one pairs.anti_complete check; the reference runs is_path,
 is_induced_path and one anti_complete check per pair. Every report must be
@@ -15,7 +17,7 @@ the pairs whose reference check fails (see assert_agrees).
 import re
 from collections import Counter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from apaths import (
     Check,
@@ -32,6 +34,7 @@ from apaths import (
 )
 from reference_verify import reference_verify_certificate, reference_verify_cover, reference_verify_packing
 from test_acceptance import ELLS, KS, corpus
+from test_solver import level_passes
 
 
 def assert_agrees(got, want) -> None:
@@ -114,6 +117,42 @@ def test_random_covers_agree(case):
     g, a, params, z1, z2 = case
     got = verify_cover(g, a, params, z1, z2).to_dict()
     assert got == reference_verify_cover(g, a, params, z1, z2).to_dict()
+
+
+@given(random_covers())
+@settings(max_examples=200, deadline=None)
+def test_removals_that_keep_fewer_than_two_terminals_agree(case):
+    # Such a removal passes unsearched; the reference searches it.
+    g, a, params, z1, z2 = case
+    b1, b2 = ball(g, z1, 1), ball(g, z2, params.cover_radius())
+    assume(any(len(a - removed) < 2 for removed in (b1 & b2, b1, b2)))
+    got = verify_cover(g, a, params, z1, z2).to_dict()
+    assert got == reference_verify_cover(g, a, params, z1, z2).to_dict()
+
+
+# Instances with few terminals, so that a level or a removal often keeps
+# fewer than two.
+few_terminals = st.builds(
+    random_instance,
+    st.integers(2, 10),
+    st.sampled_from([0.15, 0.3, 0.5]),
+    st.sampled_from([0.15, 0.3, 0.5]),
+    st.integers(0, 10_000),
+)
+
+
+@given(few_terminals, st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_the_two_terminal_rule_changes_no_certificate_and_no_report(inst, k, ell):
+    # solve answers a level of fewer than two terminals unsearched, where
+    # the recursion searches it (see test_solver.TestTwoTerminalRule).
+    g, a = inst
+    params = SolveParams(k, ell)
+    want, _, passes = level_passes(g, a, params)
+    assume(any(not s & (s - 1) for _, s, _ in passes))
+    cert = solve(g, a, params)
+    assert cert == want
+    assert_agrees(verify_certificate(g, a, params, cert), reference_verify_certificate(g, a, params, cert))
 
 
 def test_oracle_witnesses_agree():
