@@ -1,14 +1,14 @@
 """Instance construction: extremal families and seeded random corpora.
 
 Every generator is a deterministic function of its arguments; random ones take
-an explicit seed so test corpora replay identically.
+an explicit int seed so test corpora replay identically.
 """
 
 from __future__ import annotations
 
 import random
 
-from .graph import Graph, VertexSet, _need_int
+from .graph import Graph, VertexSet, _need_int, _need_probability, _need_seed
 
 
 def complete_instance(n: int) -> tuple[Graph, VertexSet]:
@@ -46,6 +46,9 @@ def random_instance(
 ) -> tuple[Graph, VertexSet]:
     """Erdos-Renyi style graph with Bernoulli terminal membership."""
     _need_int("n", n, 0)
+    _need_probability("edge_prob", edge_prob)
+    _need_probability("a_prob", a_prob)
+    _need_seed(seed)
     rng = random.Random(seed)
     edges = [
         (u, v)
@@ -64,6 +67,7 @@ def random_subcubic_tree(n: int, seed: int) -> tuple[list[tuple[int, int]], Vert
     degree at most 2, so the degree cap is never exceeded.
     """
     _need_int("n", n, 1)
+    _need_seed(seed)
     rng = random.Random(seed)
     degree = [0] * n
     edges: list[tuple[int, int]] = []
@@ -88,6 +92,7 @@ def caterpillar_instance(legs: int, seed: int) -> tuple[Graph, VertexSet]:
     then each leg's vertices from its attachment outwards.
     """
     _need_int("legs", legs, 2)
+    _need_seed(seed)
     rng = random.Random(seed)
     attach = [0]
     for _ in range(legs - 1):

@@ -16,9 +16,10 @@ set operations, and mask_ball is the BFS; mask_layers keeps its layers, and
 walk_back turns them into a shortest path, stepping to the least neighbour
 one layer closer. ball, dist, components and power_graph are calls on them.
 A caller's vertex set (ids or a mask) or path is checked once, into a mask,
-and every size, length, radius or budget of the package by _need_int. A
-path is a tuple, list or range of ids. _packing_checks is the one check of
-a packing, for the verifier and the frame's extraction alike.
+every size, length, radius or budget of the package by _need_int, and a
+seed and a probability by _need_seed and _need_probability. A path is a
+tuple, list or range of ids. _packing_checks is the one check of a
+packing, for the verifier and the frame's extraction alike.
 """
 
 from __future__ import annotations
@@ -43,6 +44,18 @@ def _need_int(name: str, value, least: int) -> None:
         raise GraphError(f"need an int {name}, got {value!r}")
     if value < least:
         raise GraphError(f"need {name} >= {least}, got {value}")
+
+
+def _need_seed(value) -> None:
+    """Refuse value with GraphError unless it is an int (no bool), any sign."""
+    if type(value) is not int:
+        raise GraphError(f"need an int seed, got {value!r}")
+
+
+def _need_probability(name: str, value) -> None:
+    """Refuse value with GraphError unless it is an int or float (no bool) in [0, 1]."""
+    if type(value) not in (int, float) or not 0 <= value <= 1:  # NaN is in no interval
+        raise GraphError(f"need a probability {name} in [0, 1], got {value!r}")
 
 
 class Graph:
@@ -316,29 +329,41 @@ def _packing_checks(g: Graph, ends: int, ell: int, paths: Sequence[Path]) -> lis
     .endpoints_in_terminals and .length, each path checked once, into its
     mask; an entry that is no path is read by _as_path as the empty path,
     which fails all four. Then pairs.anti_complete, whatever the number of
-    paths, lists the touching pairs [i, j] (i < j, in order): a pair touches
-    iff a path is invalid or j meets i's closed neighbourhood, a mask_ball
-    of radius 1."""
-    adj, masks, checks = g.neighbor_masks(), [], []
+    paths, with the touching pairs as witness. One pass ORs each path's
+    closed neighbourhood into a union; only if a path is invalid or meets
+    the union of those before it does _touching_pairs list the pairs."""
+    adj, masks, checks, union, touching = g.neighbor_masks(), [], [], 0, False
     for i, p in enumerate(paths):
         q = _as_path(p)
         masks.append(m := path_mask(g, q))
-        ok_ends = len(q) >= 2 and all(type(v) is int and 0 <= v < g.n and ends >> v & 1 for v in (q[0], q[-1]))
+        if m:  # q's ids are vertices
+            ok_ends = len(q) >= 2 and ends >> q[0] & ends >> q[-1] & 1 == 1
+            touching = touching or union & m != 0
+            union |= mask_ball(adj, m, -1, 1)
+        else:
+            ok_ends = len(q) >= 2 and all(type(v) is int and 0 <= v < g.n and ends >> v & 1 for v in (q[0], q[-1]))
+            touching = True
         checks += [
             (f"path[{i}].valid", m != 0, q or p),
             (f"path[{i}].induced", _chordless(adj, q, m), q or p),
             (f"path[{i}].endpoints_in_terminals", ok_ends, (q[0], q[-1]) if q else ()),
             (f"path[{i}].length", len(q) - 1 >= ell, len(q) - 1),
         ]
+    pairs = _touching_pairs(adj, masks) if touching else []
+    checks.append(("pairs.anti_complete", not pairs, pairs))
+    return checks
+
+
+def _touching_pairs(adj: Sequence[int], masks: Sequence[int]) -> list[list[int]]:
+    """The pairs [i, j] (i < j, in order) of path masks that touch: one is
+    invalid (0), or j meets i's closed neighbourhood, a mask_ball of radius 1."""
     closed = [mask_ball(adj, m, -1, 1) for m in masks]
-    touching = [
+    return [
         [i, j]
         for i in range(len(masks))
         for j in range(i + 1, len(masks))
         if not (masks[i] and masks[j]) or closed[i] & masks[j]
     ]
-    checks.append(("pairs.anti_complete", not touching, touching))
-    return checks
 
 
 def power_graph(g: Graph, d: int) -> Graph:

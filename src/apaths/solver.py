@@ -63,10 +63,16 @@ class SolveParams:
         return self.ell_hat + 1
 
     def z1_limit(self) -> int:
-        return (12 * self.ell_hat + 42) * max(self.k - 1, 0)
+        return _limits(self.ell_hat, self.k)[0]
 
     def z2_limit(self) -> int:
-        return 4 * max(self.k - 1, 0)
+        return _limits(self.ell_hat, self.k)[1]
+
+
+def _limits(ell_hat: int, k: int) -> tuple[int, int]:
+    """The cover-size bounds (z1, z2) at k: (12 ell_hat + 42)(k - 1) and 4(k - 1)."""
+    units = max(k - 1, 0)
+    return (12 * ell_hat + 42) * units, 4 * units
 
 
 @dataclass(frozen=True)
@@ -113,16 +119,15 @@ def solve(
     removing either ball family alone). frame_observer, when given, is
     called with every frame the construction passes through.
     """
-    ell = params.ell
+    k, ell = params.k, params.ell
     budget = _Budget(params.node_budget, "solve")
     terminals = vertex_mask(g, a)
-    cuts: list[tuple[SolveParams, Path | Frame]] = []  # (level params, peeled path or split frame)
+    cuts: list[tuple[int, Path | Frame]] = []  # (level k, peeled path or split frame)
     packed: tuple[Path, ...] | None = ()  # the answering level's paths; None: an empty cover
-    while params.k > 0:
+    while k > 0:
         if not terminals & (terminals - 1):  # no A-path without two terminals
             packed = None
             break
-        k = params.k
         stop = ell if k == 1 else 2 * ell - 1
         path = _shortest_path_until(g, terminals, ell, stop, budget)
         if path is None or k == 1:
@@ -143,11 +148,11 @@ def solve(
             keep = mask_ball(adj, cut.a_bar & outside, outside)
             if (keep | mask_neighbors(adj, keep)) & cut.f:
                 raise FrameInvariantError("remainder must be separated from the frame")
-        cuts.append((params, cut))
+        cuts.append((k, cut))
         terminals &= keep
         if terminals & (terminals - 1):  # else the next level answers unsearched
             g = _kept_subgraph(g, keep)
-        params = SolveParams(k - used, ell, params.node_budget)
+        k -= used  # >= 1, as used < k
 
     if packed is not None:
         for _, cut in reversed(cuts):
@@ -157,15 +162,17 @@ def solve(
                 packed = (cut,) + packed
         return Packing(packed)
     z1 = z2 = 0
-    for params, cut in reversed(cuts):
+    ell_hat = params.ell_hat
+    for k, cut in reversed(cuts):
         if isinstance(cut, Frame):
             z1, z2 = z1 | cut.y, z2 | cut.a_f | cut.hubs
         else:
             z1, z2 = z1 | to_mask(cut), z2 | 1 << cut[0] | 1 << cut[-1]
-        if z1.bit_count() > params.z1_limit() or z2.bit_count() > params.z2_limit():
+        z1_limit, z2_limit = _limits(ell_hat, k)
+        if z1.bit_count() > z1_limit or z2.bit_count() > z2_limit:
             raise FrameInvariantError(
                 f"cover sizes |z1| = {z1.bit_count()}, |z2| = {z2.bit_count()} exceed the bounds "
-                f"{params.z1_limit()}, {params.z2_limit()} at k = {params.k}"
+                f"{z1_limit}, {z2_limit} at k = {k}"
             )
     return Cover(frozenset(mask_members(z1)), frozenset(mask_members(z2)), 1, params.cover_radius())
 

@@ -29,7 +29,11 @@ from .search import (
     oracle_max_anticomplete_packing,
     oracle_min_ball_cover,
 )
-from .solver import Certificate, Packing, SolveParams
+from .solver import Certificate, Packing, SolveParams, _limits
+
+
+# The types of a vertex set that are no iterator, tested before the slower ABC check.
+_NO_ITERATORS = frozenset({frozenset, set, int, tuple, list})
 
 
 class Check(NamedTuple):
@@ -76,13 +80,18 @@ def verify_packing(
     """Check a claimed packing: k paths, each a valid induced A-path of
     length >= ell, pairwise anti-complete; a is vertex ids or their mask.
 
-    The count check, then graph._packing_checks on the terminals' mask."""
+    The count check, then graph._packing_checks on the terminals' mask. A
+    paths that is no iterable fails count, with no number of paths, and
+    paths.iterable, with itself as witness, and no path is checked."""
     terminals = vertex_mask(g, a)
+    try:
+        paths = iter(paths)
+    except TypeError:
+        return Report("packing", [Check("count", False, (None, params.k)), Check("paths.iterable", False, paths)])
     paths = list(paths)
-    report = Report("packing")
-    report.add("count", len(paths) == params.k, (len(paths), params.k))
-    report.checks += [Check(*check) for check in _packing_checks(g, terminals, params.ell, paths)]
-    return report
+    checks = [Check("count", len(paths) == params.k, (len(paths), params.k))]
+    checks += map(Check._make, _packing_checks(g, terminals, params.ell, paths))
+    return Report("packing", checks)
 
 
 def _removal_check(
@@ -128,8 +137,10 @@ def verify_cover(
     terminals = vertex_mask(g, a)
     report = Report("cover")
     masks = []
-    for name, z, limit in (("z1", z1, params.z1_limit()), ("z2", z2, params.z2_limit())):
-        z = tuple(z) if isinstance(z, Iterator) else z  # an iterator is read once
+    z1_limit, z2_limit = _limits(params.ell_hat, params.k)
+    for name, z, limit in (("z1", z1, z1_limit), ("z2", z2, z2_limit)):
+        if type(z) not in _NO_ITERATORS and isinstance(z, Iterator):
+            z = tuple(z)  # an iterator is read once
         try:
             mask = vertex_mask(g, z)
         except GraphError:
@@ -151,13 +162,13 @@ def verify_cover(
     b2 = mask_ball(adj, z2_mask, -1, params.cover_radius())
     results: dict[int, tuple[bool, Path | None]] = {}
     for name, removed in (
-        ("intersection.removal", b1 & b2),
-        ("z1.removal", b1),
-        ("z2.removal", b2),
+        ("intersection.removal.path_free", b1 & b2),
+        ("z1.removal.path_free", b1),
+        ("z2.removal.path_free", b2),
     ):
         if removed not in results:
             results[removed] = _removal_check(g, terminals, removed, params.ell, shared)
-        report.checks.append(Check(f"{name}.path_free", *results[removed]))
+        report.checks.append(Check(name, *results[removed]))
     return report
 
 
@@ -172,7 +183,8 @@ def verify_certificate(
         return verify_packing(g, a, params, cert.paths)
     report = verify_cover(g, a, params, cert.z1, cert.z2)
     radii = (cert.r1, cert.r2)
-    report.add("radii", radii == (1, params.cover_radius()) and type(cert.r1) is type(cert.r2) is int, radii)
+    ok = radii == (1, params.cover_radius()) and type(cert.r1) is type(cert.r2) is int
+    report.checks.append(Check("radii", ok, radii))
     return report
 
 

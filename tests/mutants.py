@@ -69,6 +69,23 @@ MUTANTS = (
         "test_generators::test_a_size_that_is_not_an_int_is_refused",
         ("Graph", True),
     ),
+    # A seed is an int, a probability an int or float in [0, 1].
+    Mutant(
+        "seed-takes-a-bool",
+        "apaths.graph:_need_seed",
+        "if type(value) is not int:",
+        "if not isinstance(value, int):",
+        "test_generators::test_a_seed_that_is_no_int_is_refused",
+        ("random_subcubic_tree", True),
+    ),
+    Mutant(
+        "probability-takes-nan",
+        "apaths.graph:_need_probability",
+        "not 0 <= value <= 1",
+        "value < 0 or value > 1",
+        "test_generators::test_a_probability_outside_0_1_is_refused",
+        ("edge_prob", float("nan")),
+    ),
     Mutant(
         "caterpillar-takes-one-leg",
         "apaths.generators:caterpillar_instance",
@@ -258,25 +275,41 @@ MUTANTS = (
         (5,),
     ),
     # The one check of a packing, which verify_packing and
-    # extract_frame_paths both run: a pair touches iff a path is invalid or
-    # path j meets path i's closed neighbourhood.
+    # extract_frame_paths both run: one union pass finds whether any pair
+    # touches, and only then _touching_pairs lists them: a pair touches iff
+    # a path is invalid or path j meets path i's closed neighbourhood.
+    Mutant(
+        "union-ors-the-own-mask",
+        "apaths.graph:_packing_checks",
+        "union |= mask_ball(adj, m, -1, 1)",
+        "union |= m",
+        "test_verify::TestVerifyPacking::test_paths_joined_by_one_edge_fail_named",
+    ),
+    Mutant(
+        "union-skips-an-invalid-path",
+        "apaths.graph:_packing_checks",
+        "touching = True",
+        "pass",
+        "test_verify::TestVerifyPacking::test_out_of_range_id_fails_without_raising",
+        ([(0, 1), (2, 4)],),
+    ),
     Mutant(
         "pairs-skip-the-next-path",
-        "apaths.graph:_packing_checks",
+        "apaths.graph:_touching_pairs",
         "range(i + 1,",
         "range(i + 2,",
         "test_verify::TestVerifyPacking::test_shared_vertex_pair_fails_named",
     ),
     Mutant(
         "pairs-test-overlap-only",
-        "apaths.graph:_packing_checks",
+        "apaths.graph:_touching_pairs",
         "closed[i] & masks[j]",
         "masks[i] & masks[j]",
         "test_verify::TestVerifyPacking::test_paths_joined_by_one_edge_fail_named",
     ),
     Mutant(
         "pairs-let-an-invalid-path-pass",
-        "apaths.graph:_packing_checks",
+        "apaths.graph:_touching_pairs",
         "not (masks[i] and masks[j]) or ",
         "",
         "test_verify::TestVerifyPacking::test_out_of_range_id_fails_without_raising",
@@ -285,9 +318,17 @@ MUTANTS = (
     Mutant(
         "endpoints-read-the-first-only",
         "apaths.graph:_packing_checks",
+        "ends >> q[0] & ends >> q[-1] & 1",
+        "ends >> q[0] & 1",
+        "test_verify::TestVerifyPacking::test_endpoint_outside_terminals_fails",
+    ),
+    Mutant(
+        "invalid-endpoints-read-the-first-only",
+        "apaths.graph:_packing_checks",
         "for v in (q[0], q[-1])",
         "for v in (q[0],)",
-        "test_verify::TestVerifyPacking::test_endpoint_outside_terminals_fails",
+        "test_verify::TestVerifyPacking::test_out_of_range_id_fails_without_raising",
+        ([(0, 4)],),
     ),
     Mutant(
         "length-needs-more-than-ell",
@@ -328,6 +369,14 @@ MUTANTS = (
         "viol = []",
         "test_frame::TestValidateFrame::test_an_ell_that_is_no_int_from_one_is_a_violation",
         (2.5,),
+    ),
+    Mutant(
+        "packing-iterates-a-non-iterable",
+        "apaths.verify:verify_packing",
+        "paths = iter(paths)",
+        "pass",
+        "test_verify::TestVerifyPacking::test_paths_that_are_no_iterable_fail_named",
+        (None,),
     ),
     Mutant(
         "radii-take-a-float",
@@ -464,6 +513,22 @@ MUTANTS = (
         "keep = ~mask_ball(adj, to_mask(path), -1, 1)",
         "keep = ~mask_ball(adj, to_mask(path), -1, 0)",
         "test_solver::TestSolveTraces::test_k5_cover_is_one_edge",
+    ),
+    # A level is its k: the cover-size bounds are written once, in
+    # solver._limits, and the fold checks each cut level against its own k.
+    Mutant(
+        "limits-count-k-units",
+        "apaths.solver:_limits",
+        "units = max(k - 1, 0)",
+        "units = max(k, 0)",
+        "test_solver::TestSolveParams::test_limits_specialise_at_ell_one",
+    ),
+    Mutant(
+        "fold-checks-the-outermost-k",
+        "apaths.solver:solve",
+        "_limits(ell_hat, k)",
+        "_limits(ell_hat, params.k)",
+        "test_solver::TestBoundArithmetic::test_each_level_checks_its_own_bounds",
     ),
     # No A-path without two terminals: a solver level or a verifier removal
     # that keeps fewer is answered unsearched.

@@ -151,6 +151,11 @@ class TestGen:
         code, out = run_cli(["gen", *family])
         assert code == EXIT_BAD_INPUT and out == ""
 
+    @pytest.mark.parametrize("p, q", [("nan", "0.5"), ("2.5", "0.5"), ("0.5", "-0.1"), ("0.5", "inf")])
+    def test_random_refuses_a_probability_outside_0_1(self, p, q):
+        code, out = run_cli(["gen", "--random", "5", p, q, "0"])
+        assert code == EXIT_BAD_INPUT and out == ""
+
     def test_subdivided_at_the_limit(self):
         code, out = run_cli(["gen", "--subdivided", "50", "1"])
         assert code == EXIT_OK

@@ -40,6 +40,44 @@ def test_a_size_below_its_least_value_is_refused(name):
         call(least - 1)
 
 
+# Every seeded generator, called with one seed.
+SEEDED = {
+    "random_instance": lambda seed: random_instance(6, 0.5, 0.5, seed),
+    "random_subcubic_tree": lambda seed: random_subcubic_tree(6, seed),
+    "caterpillar_instance": lambda seed: caterpillar_instance(3, seed),
+}
+
+
+@pytest.mark.parametrize("value", [True, None, 2.5, [1], "1"])
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_a_seed_that_is_no_int_is_refused(name, value):
+    # None drew a new instance on every call, True replayed seed 1, and a
+    # list raised TypeError from random.Random.
+    with pytest.raises(GraphError, match="need an int seed, got "):
+        SEEDED[name](value)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_any_int_seed_replays(name):
+    assert SEEDED[name](-3) == SEEDED[name](-3)
+    assert SEEDED[name](2**70) == SEEDED[name](2**70)
+
+
+@pytest.mark.parametrize("value", [2.5, -0.1, float("nan"), float("inf"), True, None, "0.5"])
+@pytest.mark.parametrize("name", ["edge_prob", "a_prob"])
+def test_a_probability_outside_0_1_is_refused(name, value):
+    # 2.5, NaN and True made graphs, and None or a string raised TypeError.
+    probs = {"edge_prob": 0.5, "a_prob": 0.5, name: value}
+    with pytest.raises(GraphError, match=f"need a probability {name} in \\[0, 1\\], got "):
+        random_instance(5, probs["edge_prob"], probs["a_prob"], 0)
+
+
+def test_a_probability_may_be_an_int_or_a_bound():
+    assert random_instance(4, 1, 0, 0) == random_instance(4, 1.0, 0.0, 0)
+    g, a = random_instance(4, 1, 0, 0)
+    assert g.edge_count == 6 and a == frozenset()
+
+
 class TestCompleteInstance:
     def test_single_vertex(self):
         g, a = complete_instance(1)

@@ -8,7 +8,9 @@ The references that judge a rewrite take nothing of the code under test
 from the package: tests/reference_frame.py only the frame's data types,
 tests/brute.py only Graph and GraphError. And graph.py alone defines the
 check of a size, _need_int, and words its refusal, and alone names the
-checks of a packing, which _packing_checks makes for both of its callers."""
+checks of a packing, which _packing_checks makes for both of its callers.
+The cover-size bounds are written once, in solver._limits, and solve
+carries a level's k, building no SolveParams."""
 
 import ast
 from pathlib import Path
@@ -174,3 +176,83 @@ def test_a_packing_is_checked_in_graph_only():
     ]
     assert {hit.split()[1] for hit in found if hit.startswith("graph.py:")} == set(PACKING_CHECK_NAMES)
     assert [hit for hit in found if not hit.startswith("graph.py:")] == []
+
+
+def _is(node, value) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is int and node.value == value
+
+
+def _is_units(node) -> bool:
+    """max(k - 1, 0) (k a name or an attribute), or a name units."""
+    if isinstance(node, ast.Name):
+        return node.id == "units"
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "max"):
+        return False
+    diff = node.args[0] if len(node.args) == 2 and _is(node.args[1], 0) else None
+    return (
+        isinstance(diff, ast.BinOp) and isinstance(diff.op, ast.Sub) and _is(diff.right, 1)
+        and getattr(diff.left, "id", getattr(diff.left, "attr", None)) == "k"
+    )
+
+
+def cover_bound_sites(source: str, filename: str) -> list[str]:
+    """'file:line function form' for every cover-size formula: z1, the factor
+    12 * _ + 42; units, max(k - 1, 0); and z2, 4 times the units. function
+    is the innermost def around it ("-" at module level)."""
+    tree = ast.parse(source, filename)
+    owner = {}
+    for fn in ast.walk(tree):  # outer defs first, so the innermost one wins
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, fn.name) for node in ast.walk(fn))
+    found = []
+    for node in ast.walk(tree):
+        form = None
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and _is(node.right, 42):
+            left = node.left
+            if isinstance(left, ast.BinOp) and isinstance(left.op, ast.Mult) and (_is(left.left, 12) or _is(left.right, 12)):
+                form = "z1"
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            if _is(node.left, 4) and _is_units(node.right) or _is(node.right, 4) and _is_units(node.left):
+                form = "z2"
+        elif isinstance(node, ast.Call) and _is_units(node):
+            form = "units"
+        if form:
+            found.append(f"{filename}:{node.lineno} {owner.get(node, '-')} {form}")
+    return found
+
+
+def test_the_bound_guard_sees_each_form():
+    source = """
+class P:
+    def z1(self):
+        return (12 * self.ell_hat + 42) * max(self.k - 1, 0)
+
+    def z2(self):
+        return max(self.k - 1, 0) * 4
+
+y = (4 * ell_hat + 14) * p + max(n - 1, 0)
+"""
+    assert sorted(cover_bound_sites(source, "m.py")) == [
+        "m.py:4 z1 units", "m.py:4 z1 z1", "m.py:7 z2 units", "m.py:7 z2 z2",
+    ]
+
+
+def test_the_cover_bounds_are_written_once():
+    # solver._limits is the one place the 78(k - 1) and 4(k - 1) bounds are
+    # worked out; SolveParams, solve's fold and verify_cover call it.
+    found = [
+        hit for path in sorted(SRC.glob("*.py")) for hit in cover_bound_sites(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert sorted(hit.split(" ", 1)[1] for hit in found) == ["_limits units", "_limits z1", "_limits z2"]
+    assert all(hit.startswith("solver.py:") for hit in found)
+
+
+def test_solve_builds_no_params():
+    # A level is its k: the loop carries an int, not a SolveParams per level.
+    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    solve = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "solve")
+    built = [
+        node.lineno for node in ast.walk(solve)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SolveParams"
+    ]
+    assert built == []

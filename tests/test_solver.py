@@ -735,18 +735,24 @@ class TestBoundArithmetic:
         # the empty cover. With every bound but the outermost level's z2
         # bound cut to 0, the innermost cut level's two ends break its own
         # bound, though the whole cover meets the outermost one.
+        # solve's fold and SolveParams' limits (the reference's) both call
+        # solver._limits.
         g, a = Graph(40, [(v, v + 1) for v in range(0, 40, 2)]), range(40)
-        real = SolveParams.z2_limit
-        with mock.patch.object(SolveParams, "z2_limit", lambda self: real(self) if self.k == 25 else 0):
+        real = solver_module._limits
+
+        def limits(ell_hat, k):
+            return real(ell_hat, k) if k == 25 else (real(ell_hat, k)[0], 0)
+
+        with mock.patch.object(solver_module, "_limits", limits):
             for solver in (solve, reference_solve):
                 with pytest.raises(FrameInvariantError, match=r"\|z2\| = 2 exceed the bounds 390, 0 at k = 6$"):
                     solver(g, a, SolveParams(25, 1))
-        assert len(solve(g, a, SolveParams(25, 1)).z2) == 40 <= real(SolveParams(25, 1))
+        assert len(solve(g, a, SolveParams(25, 1)).z2) == 40 <= real(3, 25)[1]
 
 
 class TestPerCallObjects:
-    """A solve builds each level's params afresh, and the verifier's
-    removal searches take their length range as a pair."""
+    """A solve carries each level's k as an int and builds no params, and
+    the verifier's removal searches take their length range as a pair."""
 
     def test_multi_level_solve_and_verify_build_no_range_and_no_replace(self, monkeypatch):
         replaced = []

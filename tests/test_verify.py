@@ -10,6 +10,7 @@ from apaths import (
     Cover,
     Graph,
     GraphError,
+    Packing,
     Report,
     SolveParams,
     ball,
@@ -129,6 +130,16 @@ class TestVerifyPacking:
             "path[1].length": -1,
             "pairs.anti_complete": [[0, 1], [1, 2]],
         }
+
+    @pytest.mark.parametrize("paths", [None, 5, 0b1111])
+    def test_paths_that_are_no_iterable_fail_named(self, paths):
+        # They raised TypeError; an int mask is no packing either. The
+        # report fails even at k = 0, where an empty packing would pass.
+        g = Graph(4, [(0, 1), (2, 3)])
+        for k in (0, 2):
+            want = [Check("count", False, (None, k)), Check("paths.iterable", False, paths)]
+            assert verify_packing(g, range(4), SolveParams(k, 1), paths).checks == want
+            assert verify_certificate(g, range(4), SolveParams(k, 1), Packing(paths)).checks == want
 
     def test_a_list_or_range_is_a_path(self):
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
